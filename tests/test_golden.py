@@ -1,0 +1,117 @@
+"""Golden outputs: bench CSV, CLI networks, route_auto plans and bounds.
+
+The expected values live in golden.json next to this file.  They pin the
+exact bytes the package emits, so a refactor that changes any output, on
+any family or construction, fails here.  After a deliberate output change,
+rewrite the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change why the outputs moved.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from matchnet import cli
+from matchnet.graphs import cartesian_product, generate
+from matchnet.network import plan_to_json
+from matchnet.routing import route_auto, route_depth_bound
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# one accepted host per CLI construction, plus the small hosts where a
+# family generator emits a path or a complete graph
+BUILDS = [("odd_even", "path:8"), ("bitonic", "hypercube:3"),
+          ("batcher", "complete:6"), ("contour", "random_tree:9,2"),
+          ("simulate_complete", "cycle:6"), ("subgraph", "star:7"),
+          ("longest_path", "mesh:3,3"), ("parallel_subgraph", "mesh:2,4"),
+          ("product", "mesh:3,4"), ("pyramid", "pyramid:2,2"),
+          ("bitonic", "hypercube:1"), ("batcher", "path:2"),
+          ("batcher", "path:1"), ("pyramid", "pyramid:2,1"),
+          ("pyramid", "pyramid:1,1"), ("product", "mesh:1,4"),
+          ("product", "mesh:3,1"), ("product_sort", "mesh:2,2,2")]
+
+ROUTES = ["path:9", "cycle:8", "star:7", "complete:6", "multipartite:3,2",
+          "hypercube:3", "hypercube:4", "mesh:7", "mesh:3,4", "mesh:2,2,3",
+          "mesh:1,2,3", "pyramid:2,2", "pyramid:3,1", "multigrid:3,1",
+          "random_tree:12,5", "path:3*cycle:4", "complete:3*mesh:2,2",
+          "hypercube:1", "complete:2", "mesh:5", "mesh:1,4",
+          "multipartite:2,1", "multipartite:3,1", "pyramid:2,1",
+          "multigrid:2,1", "random_tree:2,0", "cycle:3"]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _host(spec: str):
+    if "*" in spec:  # an in-memory cartesian product of two generator specs
+        return cartesian_product(*(generate(s) for s in spec.split("*")))
+    return generate(spec)
+
+
+def _cli_out(argv, tmp: Path) -> str:
+    out = tmp / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 0, argv
+    return out.read_text()
+
+
+def bench_csv(tmp: Path) -> str:
+    return _cli_out(["bench", "--suite", "all", "--seed", "0",
+                     "--format", "csv"], tmp)
+
+
+def network_digests(tmp: Path) -> dict:
+    return {f"{c} {spec}": _sha(_cli_out(["build", "--construction", c,
+                                          "--graph", spec], tmp))
+            for c, spec in BUILDS}
+
+
+def plan_digests() -> dict:
+    out = {}
+    for spec in ROUTES:
+        g = _host(spec)
+        pi = list(range(1, g.n + 1))
+        random.Random(spec).shuffle(pi)
+        out[spec] = _sha(plan_to_json(route_auto(g, tuple(pi))))
+    return out
+
+
+def bounds() -> dict:
+    return {spec: route_depth_bound(_host(spec)) for spec in ROUTES}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_bench_csv_is_unchanged(golden, tmp_path):
+    assert bench_csv(tmp_path) == golden["bench_csv"]
+
+
+def test_cli_networks_are_unchanged(golden, tmp_path):
+    assert network_digests(tmp_path) == golden["networks"]
+
+
+def test_route_auto_plans_are_unchanged(golden):
+    assert plan_digests() == golden["plans"]
+
+
+def test_route_depth_bounds_are_unchanged(golden):
+    assert bounds() == golden["bounds"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        doc = {"bench_csv": bench_csv(Path(d)),
+               "networks": network_digests(Path(d)),
+               "plans": plan_digests(), "bounds": bounds()}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
