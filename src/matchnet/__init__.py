@@ -1,10 +1,9 @@
 """Sorting networks and permutation routing on graphs via matchings."""
 
-from .constructions import (DepthCertificate, batcher_complete,
-                            bitonic_hypercube, contour_tree_sort,
-                            longest_path_sort, odd_even_transposition,
-                            parallel_subgraph_sort, product_sort,
-                            pyramid_sort, sequential_sorter,
+from .constructions import (batcher_complete, bitonic_hypercube,
+                            contour_tree_sort, longest_path_sort,
+                            odd_even_transposition, parallel_subgraph_sort,
+                            product_sort, pyramid_sort, sequential_sorter,
                             simulate_complete, subgraph_sort)
 from .errors import (CapError, ConstructionError, ParameterError,
                      StructureError, TaskError)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import constructions as cons
 from .errors import ParameterError
-from .graphs import family_params, generate, mesh_graph, path_graph
+from .graphs import generate
 from .verify import verify_auto
 
 CSV_COLUMNS = ["suite", "family", "construction", "n", "achieved_depth",
@@ -42,40 +42,10 @@ class BenchRow:
         return [getattr(self, c) for c in CSV_COLUMNS]
 
 
-def _build(construction: str, spec: str, seed: int):
-    if construction == "odd_even":
-        n = int(spec.split(":")[1])
-        return cons.odd_even_transposition(n)
-    if construction == "bitonic":
-        dim = int(spec.split(":")[1])
-        return cons.bitonic_hypercube(dim)
-    if construction == "batcher":
-        n = int(spec.split(":")[1])
-        return cons.batcher_complete(n)
-    if construction == "contour":
-        return cons.contour_tree_sort(generate(spec))
-    if construction == "simulate_complete":
-        g = generate(spec)
-        return cons.simulate_complete(g, cons.batcher_complete(g.n))
-    if construction == "longest_path":
-        return cons.longest_path_sort(generate(spec))
-    if construction == "product":
-        g = generate(spec)
-        lengths = family_params(g)
-        if len(lengths) < 2:
-            raise ParameterError("product rows need a mesh with >= 2 axes")
-        return cons.product_sort(path_graph(lengths[0]),
-                                 mesh_graph(lengths[1:]))
-    if construction == "pyramid":
-        m, d = (int(x) for x in spec.split(":")[1].split(","))
-        return cons.pyramid_sort(m, d)
-    raise ParameterError(f"unknown construction {construction!r}")
-
-
 def _run_row(args) -> BenchRow:
     suite, construction, spec, seed = args
     t0 = time.perf_counter()
-    net = _build(construction, spec, seed)
+    net = cons.BUILDERS[construction](generate(spec))
     report = verify_auto(net)
     wall = time.perf_counter() - t0
     cert = net.certificate or {}

@@ -14,9 +14,8 @@ import sys
 
 from . import constructions as cons
 from .bench import SUITES, rows_to_csv, rows_to_table, run_suite
-from .errors import CapError
-from .graphs import (check_tree, family_name, family_params, from_json,
-                     generate, mesh_graph, path_graph, to_json)
+from .errors import CapError, ConstructionError
+from .graphs import from_json, generate, to_json
 from .network import network_from_json, network_to_json, plan_to_json
 from .perms import check_permutation
 from .routing import route_auto, route_depth_bound
@@ -79,66 +78,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_BUILDERS = {}
-for _name, _short in [("odd_even_transposition", "odd_even"),
-                      ("bitonic_hypercube", "bitonic"),
-                      ("batcher_complete", "batcher"),
-                      ("contour_tree_sort", "contour"),
-                      ("simulate_complete", "simulate_complete"),
-                      ("subgraph_sort", "subgraph"),
-                      ("longest_path_sort", "longest_path"),
-                      ("parallel_subgraph_sort", "parallel_subgraph"),
-                      ("product_sort", "product"),
-                      ("pyramid_sort", "pyramid")]:
-    _BUILDERS[_name] = _short
-    _BUILDERS[_short] = _short
-
-
-def _build_network(name: str, g):
-    fam = family_name(g)
-    if name == "odd_even":
-        if g.edges != path_graph(g.n).edges:
-            raise argparse.ArgumentTypeError("odd_even needs a path host")
-        return cons.odd_even_transposition(g.n)
-    if name == "bitonic":
-        if fam != "hypercube":
-            raise argparse.ArgumentTypeError("bitonic needs a hypercube host")
-        return cons.bitonic_hypercube(family_params(g)[0])
-    if name == "batcher":
-        if len(g.edges) != g.n * (g.n - 1) // 2:
-            raise argparse.ArgumentTypeError("batcher needs a complete host")
-        return cons.batcher_complete(g.n)
-    if name == "contour":
-        check_tree(g)
-        return cons.contour_tree_sort(g)
-    if name == "simulate_complete":
-        return cons.simulate_complete(g, cons.batcher_complete(g.n))
-    if name in ("subgraph", "longest_path"):
-        # the CLI's subgraph host is always the spanning-tree diameter path
-        return cons.longest_path_sort(g)
-    if name in ("parallel_subgraph", "product"):
-        if fam != "mesh" or len(family_params(g)) < 2:
-            raise argparse.ArgumentTypeError(
-                "product needs a mesh host with at least two axes")
-        lengths = family_params(g)
-        return cons.product_sort(path_graph(lengths[0]),
-                                 mesh_graph(lengths[1:]))
-    if name == "pyramid":
-        if fam != "pyramid":
-            raise argparse.ArgumentTypeError("pyramid needs a pyramid host")
-        m, d = family_params(g)
-        return cons.pyramid_sort(m, d)
-    raise argparse.ArgumentTypeError(f"unknown construction {name!r}")
+# library builder names accepted for the construction names
+_ALIASES = {"odd_even_transposition": "odd_even",
+            "bitonic_hypercube": "bitonic", "batcher_complete": "batcher",
+            "contour_tree_sort": "contour", "subgraph_sort": "subgraph",
+            "longest_path_sort": "longest_path",
+            "parallel_subgraph_sort": "parallel_subgraph",
+            "product_sort": "product", "pyramid_sort": "pyramid"}
 
 
 def cmd_build(args) -> int:
     g = _load_graph(args.graph)
-    name = _BUILDERS.get(args.construction)
-    if name is None:
+    name = _ALIASES.get(args.construction, args.construction)
+    if name not in cons.BUILDERS:
         print(f"unknown construction {args.construction!r}; choose from "
-              f"{sorted(set(_BUILDERS.values()))}", file=sys.stderr)
+              f"{sorted(cons.BUILDERS)}", file=sys.stderr)
         return 1
-    net = _build_network(name, g)
+    net = cons.BUILDERS[name](g)
     _write(network_to_json(net), args.out)
     cert = net.certificate or {}
     print(f"built {name} on n={net.graph.n}: depth={net.depth} "
@@ -308,7 +264,7 @@ def main(argv=None) -> int:
     except CapError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, argparse.ArgumentTypeError) as e:
+    except (ValueError, OSError, ConstructionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

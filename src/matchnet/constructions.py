@@ -8,13 +8,12 @@ same network, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import zip_longest
 
 from .errors import ConstructionError, ParameterError, StructureError
 from .graphs import (Graph, PyramidInfo, adjacency, cartesian_product,
-                     check_connected,
-                     check_tree, complete_graph, family_name, family_params,
+                     check_connected, check_tree, complete_graph, family_of,
                      hypercube_graph, max_degree, maximal_matching, mesh_graph,
                      path_graph, pyramid_graph, spanning_tree, tree_contour,
                      tree_diameter_path)
@@ -24,25 +23,17 @@ from .routing import (complete_assignment, route_auto, route_depth_bound,
                       route_multigrid, route_to_path)
 
 
-@dataclass(frozen=True)
-class DepthCertificate:
-    formula_name: str
-    parameters: dict
-    claimed_bound: int
-    achieved_depth: int
-
-    def as_dict(self) -> dict:
-        return {"formula_name": self.formula_name,
-                "parameters": dict(self.parameters),
-                "claimed_bound": self.claimed_bound,
-                "achieved_depth": self.achieved_depth}
-
-
 def _cert(name: str, parameters: dict, claimed: int, achieved: int) -> dict:
     if achieved > claimed:
         raise ConstructionError(
             f"{name}: achieved depth {achieved} exceeds claimed {claimed}")
-    return DepthCertificate(name, parameters, claimed, achieved).as_dict()
+    return {"formula_name": name, "parameters": dict(parameters),
+            "claimed_bound": claimed, "achieved_depth": achieved}
+
+
+def _is_complete(g: Graph) -> bool:
+    name = family_of(g)[0]
+    return name == "complete" or (name == "path" and g.n <= 2)  # K1, K2
 
 
 def _claimed(net: SortingNetwork) -> int:
@@ -244,7 +235,7 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
     """
     check_connected(g)
     n = g.n
-    if base.graph.n != n or len(base.graph.edges) != n * (n - 1) // 2:
+    if base.graph.n != n or not _is_complete(base.graph):
         raise ParameterError("base network must sort the complete graph on n")
     if router is None:
         router = lambda pi: route_auto(g, pi)
@@ -546,26 +537,15 @@ def parallel_subgraph_sort(g: Graph, partition, nets,
 # ---------------------------------------------------------------------------
 # cartesian products and pyramids
 
+# family_of name -> the BUILDERS entry that sorts a product factor
+_NATIVE = {"path": "odd_even", "complete": "batcher", "hypercube": "bitonic",
+           "mesh": "product", "product": "product",
+           "multipartite": "simulate_complete"}
+
+
 def _factor_sorter(g: Graph):
     """A sorter for one product factor, dispatched on its family."""
-    fam = family_name(g)
-    if fam == "path" or g.edges == path_graph(g.n).edges:
-        return odd_even_transposition(g.n)
-    if fam == "complete" or len(g.edges) == g.n * (g.n - 1) // 2:
-        return batcher_complete(g.n)
-    if fam == "hypercube":
-        (dim,) = family_params(g)
-        return bitonic_hypercube(dim)
-    if fam == "mesh":
-        lengths = family_params(g)
-        if len(lengths) == 1:
-            return odd_even_transposition(g.n)
-        return product_sort(path_graph(lengths[0]), mesh_graph(lengths[1:]))
-    if fam == "multipartite":
-        return simulate_complete(g, batcher_complete(g.n))
-    if fam == "product" and len(g.factors) == 2:
-        return product_sort(*g.factors)
-    return longest_path_sort(g)
+    return BUILDERS[_NATIVE.get(family_of(g)[0], "longest_path")](g)
 
 
 def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
@@ -682,3 +662,66 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     cert = _cert("pyramid", {"n": n, "d": d, "m": m, "rt_used": rt_pyr},
                  claimed, len(stages))
     return make_network(host, identity(n), stages, certificate=cert)
+
+
+# ---------------------------------------------------------------------------
+# one builder per construction name, as a function of the host graph
+
+def _fit(g: Graph, family: str, message: str) -> tuple:
+    """family_of(g)'s parameters, or StructureError when g is another family."""
+    name, params = family_of(g)
+    if name != family:
+        raise StructureError(message)
+    return params
+
+
+# family_of names a graph "path" or "complete" before it reads the label, so
+# a few small family graphs come back under those names: the complete graphs
+# on one and two vertices are paths, hypercube:1 is the 2-vertex path,
+# pyramid:1,d a single vertex, pyramid:2,1 the triangle, and a mesh with at
+# most one side above 1 a path, which in turn is the 1 x n mesh
+_SMALL_PYRAMIDS = {("path", (1,)): (1, 1), ("complete", (3,)): (2, 1)}
+
+
+def _bitonic(g: Graph) -> SortingNetwork:
+    dim = (1,) if family_of(g) == ("path", (2,)) else \
+        _fit(g, "hypercube", "bitonic needs a hypercube host")
+    return bitonic_hypercube(*dim)
+
+
+def _batcher(g: Graph) -> SortingNetwork:
+    if not _is_complete(g):
+        raise StructureError("batcher needs a complete host")
+    return batcher_complete(g.n)
+
+
+def _product(g: Graph) -> SortingNetwork:
+    name, lengths = family_of(g)
+    if name == "product":
+        return product_sort(*g.factors)
+    if name == "path":
+        lengths = (1, g.n)
+    elif name != "mesh":
+        raise StructureError("product needs a mesh host with at least two axes")
+    return product_sort(path_graph(lengths[0]), mesh_graph(lengths[1:]))
+
+
+def _pyramid(g: Graph) -> SortingNetwork:
+    m_d = _SMALL_PYRAMIDS.get(family_of(g)) or \
+        _fit(g, "pyramid", "pyramid needs a pyramid host")
+    return pyramid_sort(*m_d)
+
+
+BUILDERS = {
+    "odd_even": lambda g: odd_even_transposition(
+        *_fit(g, "path", "odd_even needs a path host")),
+    "bitonic": _bitonic,
+    "batcher": _batcher,
+    "contour": contour_tree_sort,
+    "simulate_complete": lambda g: simulate_complete(g, batcher_complete(g.n)),
+    "subgraph": longest_path_sort,  # H is the spanning-tree diameter path
+    "longest_path": longest_path_sort,
+    "parallel_subgraph": _product,
+    "product": _product,
+    "pyramid": _pyramid,
+}

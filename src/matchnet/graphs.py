@@ -23,7 +23,9 @@ a documented canonical numbering:
                   child with all-odd local coordinates
 
 The family string stored on a Graph is exactly the generator spec
-("mesh:3,3"), so a graph read back from JSON can be re-dispatched.
+("mesh:3,3").  family_of turns it, after the path and complete structure
+tests, into the family whose sorter and router serve the graph; reading a
+graph back from JSON regenerates a generator label and refuses a mismatch.
 """
 
 from __future__ import annotations
@@ -184,10 +186,6 @@ def multipartite_graph(p: int, s: int) -> Graph:
     es = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
           if part[u] != part[v]]
     return graph(n, es, family=f"multipartite:{p},{s}")
-
-
-def multipartite_parts(p: int, s: int) -> list[list[int]]:
-    return [list(range((i - 1) * s + 1, i * s + 1)) for i in range(1, p + 1)]
 
 
 def hypercube_graph(dim: int) -> Graph:
@@ -413,14 +411,6 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     return graph(n1 * n2, es, family="product", factors=(g1, g2))
 
 
-def product_vertex(a: int, b: int, n2: int) -> int:
-    return (a - 1) * n2 + b
-
-
-def product_coords(v: int, n2: int) -> tuple[int, int]:
-    return (v - 1) // n2 + 1, (v - 1) % n2 + 1
-
-
 # ---------------------------------------------------------------------------
 # family spec parsing
 
@@ -435,40 +425,51 @@ _FAMILIES = {
     "random_tree": (random_tree, 2),
     "pyramid": (pyramid_graph, 2),
     "multigrid": (multigrid_graph, 2),
+    "mesh": (lambda *lengths: mesh_graph(lengths), None),  # any axis count
 }
+
+
+def _parse_spec(spec: str) -> tuple[str, list[int]]:
+    name, _, rest = spec.partition(":")
+    try:
+        return name.strip(), [int(a) for a in rest.split(",") if a.strip()]
+    except ValueError as e:
+        raise ParameterError(f"non-integer parameter in {spec!r}") from e
 
 
 def generate(spec: str) -> Graph:
     """Build a graph from a family spec string like "mesh:3,3"."""
-    name, _, rest = spec.partition(":")
-    name = name.strip()
-    args = [a for a in rest.split(",") if a.strip() != ""]
-    try:
-        ints = [int(a) for a in args]
-    except ValueError as e:
-        raise ParameterError(f"non-integer parameter in {spec!r}") from e
-    if name == "mesh":
-        return mesh_graph(ints)
+    name, ints = _parse_spec(spec)
     if name not in _FAMILIES:
         raise ParameterError(f"unknown family {name!r}")
     fn, arity = _FAMILIES[name]
     if name == "random_tree" and len(ints) == 1:
         ints.append(0)  # seed defaults to 0
-    if len(ints) != arity:
+    if arity is not None and len(ints) != arity:
         raise ParameterError(f"family {name!r} takes {arity} parameter(s)")
     return fn(*ints)
 
 
-def family_name(g: Graph) -> str | None:
-    if g.family is None:
-        return None
-    return g.family.partition(":")[0]
+def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
+    """The family whose sorter and router serve g, with its parameters.
 
-
-def family_params(g: Graph) -> list[int]:
-    if g.family is None or ":" not in g.family:
-        return []
-    return [int(x) for x in g.family.partition(":")[2].split(",")]
+    Structure decides before the label: the path 1-2-..-n is ("path", (n,))
+    and a graph with all n(n-1)/2 edges is ("complete", (n,)).  Otherwise a
+    generator label gives its spec ("mesh:3,3" is ("mesh", (3, 3))), and
+    "product" counts only with both in-memory factors.  Anything else,
+    "tree-of-..." labels included, is (None, ()).
+    """
+    if len(g.edges) == g.n - 1 and all((i, i + 1) in g.edges
+                                       for i in range(1, g.n)):
+        return "path", (g.n,)
+    if len(g.edges) == g.n * (g.n - 1) // 2:
+        return "complete", (g.n,)
+    name = (g.family or "").partition(":")[0]
+    if name == "product" and len(g.factors) == 2:
+        return name, ()
+    if name in _FAMILIES:
+        return name, tuple(_parse_spec(g.family)[1])
+    return None, ()
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +600,42 @@ def maximal_matching(g: Graph) -> list[tuple[int, int]]:
 # serialization
 
 
-def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
-    doc = {
+def graph_doc(g: Graph, order: Sequence[int] | None = None) -> dict:
+    return {
         "n": g.n,
         "edges": [list(e) for e in g.sorted_edges()],
         "family": g.family,
         "order": list(order) if order is not None else None,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def graph_from_doc(doc) -> Graph:
+    """Read a graph document; a generator label must reproduce the graph.
+
+    Labels drive sorter and router dispatch, so one naming a generator
+    family is regenerated and any difference in n or edges is refused.
+    Other labels ("product", "tree-of-...") pass through; they drive no
+    dispatch without in-memory factors.
+    """
+    try:
+        g = graph(doc["n"], [tuple(e) for e in doc["edges"]],
+                  family=doc.get("family"))
+        name = (g.family or "").partition(":")[0]
+    except KeyError as e:
+        raise StructureError(f"graph JSON missing {e}") from e
+    except (TypeError, AttributeError) as e:
+        raise StructureError(f"malformed graph JSON: {e}") from e
+    if name in _FAMILIES:
+        ref = generate(g.family)
+        if ref.n != g.n or ref.edges != g.edges:
+            raise StructureError(
+                f"graph does not match its family label {g.family!r}")
+    return g
+
+
+def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
+    return json.dumps(graph_doc(g, order), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def from_json(text: str) -> tuple[Graph, list[int] | None]:
@@ -614,11 +643,7 @@ def from_json(text: str) -> tuple[Graph, list[int] | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"bad graph JSON: {e}") from e
-    for key in ("n", "edges"):
-        if key not in doc:
-            raise StructureError(f"graph JSON missing {key!r}")
-    g = graph(doc["n"], [tuple(e) for e in doc["edges"]],
-              family=doc.get("family"))
+    g = graph_from_doc(doc)
     order = doc.get("order")
     return g, list(order) if order is not None else None
 

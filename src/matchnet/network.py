@@ -157,32 +157,8 @@ def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:
                           certificate=None)
 
 
-def plan_stages_as_network(plan: RoutingPlan) -> tuple:
-    return plan.stages
-
-
-def apply_position_map(g: graphs.Graph, stage: Sequence, pos: Sequence[int]) -> Stage:
-    """Map a stage over logical labels to physical vertices.
-
-    pos[l-1] is the physical vertex currently holding logical label l.
-    Raises ConstructionError when a mapped pair is not a graph edge: a
-    construction that trips this has routed its labels inconsistently.
-    """
-    mapped = [(pos[u - 1], pos[v - 1], kind) for u, v, kind in stage]
-    return make_stage(g, mapped)
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _graph_doc(g: graphs.Graph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [list(e) for e in g.sorted_edges()],
-        "family": g.family,
-        "order": None,
-    }
 
 
 def _stages_doc(stages: Sequence) -> list:
@@ -192,7 +168,7 @@ def _stages_doc(stages: Sequence) -> list:
 def network_to_json(net: SortingNetwork) -> str:
     doc = {
         "version": 1,
-        "graph": _graph_doc(net.graph),
+        "graph": graphs.graph_doc(net.graph),
         "order": list(net.order),
         "stages": _stages_doc(net.stages),
     }
@@ -206,7 +182,7 @@ def network_to_json(net: SortingNetwork) -> str:
 def plan_to_json(plan: RoutingPlan) -> str:
     doc = {
         "version": 1,
-        "graph": _graph_doc(plan.graph),
+        "graph": graphs.graph_doc(plan.graph),
         "order": list(plan.realized),
         "stages": _stages_doc(plan.stages),
         "plan": True,
@@ -214,36 +190,33 @@ def plan_to_json(plan: RoutingPlan) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_doc(text: str) -> dict:
+def _read(text: str) -> tuple[graphs.Graph, list, dict]:
+    """Host graph, comparator lists and document of network or plan JSON."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"bad network JSON: {e}") from e
-    if doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("version") != 1:
         raise StructureError("unsupported network JSON version")
     for key in ("graph", "order", "stages"):
         if key not in doc:
             raise StructureError(f"network JSON missing {key!r}")
-    return doc
+    try:
+        stages = [[(c[0], c[1], c[2]) for c in s["cmp"]] for s in doc["stages"]]
+    except (KeyError, IndexError, TypeError) as e:
+        raise StructureError(f"malformed stage in network JSON: {e!r}") from e
+    return graphs.graph_from_doc(doc["graph"]), stages, doc
 
 
 def network_from_json(text: str) -> SortingNetwork:
-    doc = _parse_doc(text)
-    gdoc = doc["graph"]
-    g = graphs.graph(gdoc["n"], [tuple(e) for e in gdoc["edges"]],
-                     family=gdoc.get("family"))
-    stages = [[(c[0], c[1], c[2]) for c in s["cmp"]] for s in doc["stages"]]
+    g, stages, doc = _read(text)
     return make_network(g, doc["order"], stages,
                         provenance=doc.get("provenance") or {},
                         certificate=doc.get("certificate"))
 
 
 def plan_from_json(text: str) -> RoutingPlan:
-    doc = _parse_doc(text)
-    gdoc = doc["graph"]
-    g = graphs.graph(gdoc["n"], [tuple(e) for e in gdoc["edges"]],
-                     family=gdoc.get("family"))
-    stages = [[(c[0], c[1], c[2]) for c in s["cmp"]] for s in doc["stages"]]
+    g, stages, doc = _read(text)
     plan = make_plan(g, stages)
     stored = doc.get("order")
     if stored is not None and tuple(stored) != plan.realized:

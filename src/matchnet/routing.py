@@ -12,6 +12,7 @@ correctness (realized permutation) and the advertised depth bound.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import zip_longest
 
@@ -25,8 +26,7 @@ from .graphs import (
     check_connected,
     check_tree,
     complete_graph,
-    family_name,
-    family_params,
+    family_of,
     graph,
     hypercube_graph,
     is_tree,
@@ -67,23 +67,12 @@ def _merge_parallel(blocks):
     return merged
 
 
-def _apply_rounds(n: int, rounds):
-    """Final position of each pebble: result[v-1] = where pebble v ends."""
-    at = list(range(n + 1))  # at[vertex] = pebble
-    for rnd in rounds:
-        for u, v in rnd:
-            at[u], at[v] = at[v], at[u]
-    pos = [0] * n
-    for v in range(1, n + 1):
-        pos[at[v] - 1] = v
-    return pos
-
-
-def _finish(host: Graph, rounds, pi, bound: int | None) -> RoutingPlan:
+def _finish(host: Graph, rounds, pi, bound: int) -> RoutingPlan:
     plan = make_plan(host, _stages_from_rounds(host, rounds))
-    assert list(plan.realized) == list(pi), "plan does not realize the permutation"
-    if bound is not None:
-        assert plan.depth <= bound, f"depth {plan.depth} exceeds bound {bound}"
+    if list(plan.realized) != list(pi):
+        raise ConstructionError("plan does not realize the permutation")
+    if plan.depth > bound:
+        raise ConstructionError(f"depth {plan.depth} exceeds bound {bound}")
     return plan
 
 
@@ -170,13 +159,9 @@ def _path_rounds(n: int, pi):
     return rounds
 
 
-def _is_canonical_path(g: Graph) -> bool:
-    return g.sorted_edges() == [(i, i + 1) for i in range(1, g.n)]
-
-
 def route_path(g: Graph, pi) -> RoutingPlan:
     """Route on the path 1-2-..-n; depth at most n."""
-    if not _is_canonical_path(g):
+    if family_of(g)[0] != "path":
         raise StructureError("route_path needs the canonical path graph")
     check_permutation(pi, g.n)
     return _finish(g, _path_rounds(g.n, pi), pi, g.n)
@@ -552,8 +537,8 @@ def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """
     host = cartesian_product(g1, g2)
     check_permutation(pi, host.n)
-    b1, b2 = route_depth_bound(g1), route_depth_bound(g2)
-    return _finish(host, _product_rounds(g1, g2, pi), pi, b1 + b2 + min(b1, b2))
+    return _finish(host, _product_rounds(g1, g2, pi), pi,
+                   _product_bound(route_depth_bound(g1), route_depth_bound(g2)))
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +757,7 @@ def multigrid_accounting(m: int, d: int, pi) -> list[dict]:
 
 
 def _multigrid_depth_bound(m: int, d: int) -> int:
-    info = PyramidInfo(m, d)
-    mesh_bound = route_depth_bound(mesh_graph(info.lengths(m - 1)))
+    mesh_bound = _mesh_bound(PyramidInfo(m, d).lengths(m - 1))
     return 2 * (3 * mesh_bound + 2 * m)
 
 
@@ -799,41 +783,49 @@ def _generic_rounds(g: Graph, pi):
     return _tree_rounds(tree, pi)
 
 
-def route_generic(g: Graph, pi) -> RoutingPlan:
-    """Route on any connected graph via a spanning tree; depth <= 3n."""
-    check_connected(g)
-    check_permutation(pi, g.n)
-    return _finish(g, _generic_rounds(g, pi), pi, 3 * g.n)
+def _product_bound(b1: int, b2: int) -> int:
+    return b1 + b2 + min(b1, b2)
+
+
+def _mesh_bound(lengths) -> int:
+    """route_depth_bound of mesh:lengths without building the mesh."""
+    if sum(x > 1 for x in lengths) <= 1:
+        return math.prod(lengths)  # the mesh is a path
+    return _product_bound(lengths[0], _mesh_bound(lengths[1:]))
+
+
+# family_of name -> (rounds(g, params, pi), depth bound(g, params)).  The
+# hypercube routes as path:2 times the cube one dimension down; its bound
+# 4 dim - 2 is that product bound unrolled from the 1-cube's 2.
+_ROUTES = {
+    "path": (lambda g, ps, pi: _path_rounds(g.n, pi),
+             lambda g, ps: g.n),
+    "complete": (lambda g, ps, pi: _complete_rounds(pi),
+                 lambda g, ps: 2),
+    "multipartite": (lambda g, ps, pi: _multipartite_rounds(*ps, pi),
+                     lambda g, ps: 6),
+    "hypercube": (lambda g, ps, pi: _product_rounds(
+                      path_graph(2), hypercube_graph(ps[0] - 1), pi),
+                  lambda g, ps: 4 * ps[0] - 2),
+    "mesh": (lambda g, ps, pi: _product_rounds(
+                 path_graph(ps[0]), mesh_graph(ps[1:]), pi),
+             lambda g, ps: _mesh_bound(ps)),
+    "multigrid": (lambda g, ps, pi: _multigrid_rounds(*ps, pi),
+                  lambda g, ps: _multigrid_depth_bound(*ps)),
+    "product": (lambda g, ps, pi: _product_rounds(*g.factors, pi),
+                lambda g, ps: _product_bound(
+                    *(route_depth_bound(f) for f in g.factors))),
+}
+_ROUTES["pyramid"] = _ROUTES["multigrid"]  # pyramid edges are a superset
+_GENERIC = (lambda g, ps, pi: _generic_rounds(g, pi),
+            lambda g, ps: 3 * g.n)
 
 
 def _auto_rounds(g: Graph, pi):
     if all(pi[v - 1] == v for v in range(1, g.n + 1)):
         return []
-    fam = family_name(g)
-    if fam == "path" or _is_canonical_path(g):
-        return _path_rounds(g.n, pi)
-    if fam == "complete" or len(g.edges) == g.n * (g.n - 1) // 2:
-        return _complete_rounds(pi)
-    if fam == "multipartite":
-        p, s = family_params(g)
-        return _multipartite_rounds(p, s, pi)
-    if fam == "hypercube":
-        (dim,) = family_params(g)
-        if dim == 1:
-            return _path_rounds(2, pi)
-        return _product_rounds(path_graph(2), hypercube_graph(dim - 1), pi)
-    if fam == "mesh":
-        lengths = family_params(g)
-        if len(lengths) == 1:
-            return _path_rounds(g.n, pi)
-        return _product_rounds(path_graph(lengths[0]),
-                               mesh_graph(lengths[1:]), pi)
-    if fam in ("multigrid", "pyramid"):
-        m, d = family_params(g)
-        return _multigrid_rounds(m, d, pi)
-    if fam == "product" and len(g.factors) == 2:
-        return _product_rounds(g.factors[0], g.factors[1], pi)
-    return _generic_rounds(g, pi)
+    name, params = family_of(g)
+    return _ROUTES.get(name, _GENERIC)[0](g, params, pi)
 
 
 def route_auto(g: Graph, pi) -> RoutingPlan:
@@ -845,31 +837,5 @@ def route_auto(g: Graph, pi) -> RoutingPlan:
 
 def route_depth_bound(g: Graph) -> int:
     """Worst-case plan depth promised by route_auto for this graph."""
-    fam = family_name(g)
-    if fam == "path" or _is_canonical_path(g):
-        return g.n
-    if fam == "complete" or len(g.edges) == g.n * (g.n - 1) // 2:
-        return 2
-    if fam == "multipartite":
-        return 6
-    if fam == "hypercube":
-        (dim,) = family_params(g)
-        if dim == 1:
-            return 2
-        b1, b2 = 2, route_depth_bound(hypercube_graph(dim - 1))
-        return b1 + b2 + min(b1, b2)
-    if fam == "mesh":
-        lengths = family_params(g)
-        if len(lengths) == 1:
-            return g.n
-        b1 = lengths[0]
-        b2 = route_depth_bound(mesh_graph(lengths[1:]))
-        return b1 + b2 + min(b1, b2)
-    if fam in ("multigrid", "pyramid"):
-        m, d = family_params(g)
-        return _multigrid_depth_bound(m, d)
-    if fam == "product" and len(g.factors) == 2:
-        b1 = route_depth_bound(g.factors[0])
-        b2 = route_depth_bound(g.factors[1])
-        return b1 + b2 + min(b1, b2)
-    return 3 * g.n
+    name, params = family_of(g)
+    return _ROUTES.get(name, _GENERIC)[1](g, params)

@@ -40,6 +40,7 @@ RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
 RT_CAP = 8
 RT_PARTIAL_CAP = 7
 ST_CAP = 5
+ST_WORD_LIMIT = 6  # st image sets are uint64 masks over the 2^n configurations
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,11 @@ def _check_cap(n: int, cap: int | None, default: int, what: str) -> None:
     limit = default if cap is None else cap
     if n > limit:
         raise CapError(f"{what} refused: n={n} exceeds cap {limit}")
+
+
+def _check_st_cap(n: int, cap: int | None) -> None:
+    limit = ST_CAP if cap is None else cap
+    _check_cap(n, min(limit, ST_WORD_LIMIT), ST_CAP, "exact st")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +521,7 @@ def exact_st(g: graphs.Graph, pi=None, cap: int | None = None,
 
     The witness is a SortingNetwork achieving the optimum.
     """
-    _check_cap(g.n, cap, ST_CAP, "exact st")
+    _check_st_cap(g.n, cap)
     n = g.n
     if pi is not None:
         targets = {perms.check_permutation(pi, n): _sorted_mask(tuple(pi), n)}
@@ -546,7 +552,7 @@ def exact_st_all_orders(g: graphs.Graph, cap: int | None = None,
 
     Orders still unsorted at depth_cap are reported with value None.
     """
-    _check_cap(g.n, cap, ST_CAP, "exact st")
+    _check_st_cap(g.n, cap)
     n = g.n
     pending = {tuple(p): _sorted_mask(tuple(p), n)
                for p in perms.all_permutations(n)}

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from matchnet import cli
+from matchnet.errors import ConstructionError
+from matchnet.graphs import generate, to_json
 
 
 def run(argv, capsys):
@@ -181,3 +183,79 @@ def test_unknown_construction_exit_1(capsys):
                         "--graph", "path:4"], capsys)
     assert code == 1
     assert "construction" in err.lower()
+
+
+def _one_line_error(code, err, expected_code):
+    assert code == expected_code
+    assert err.count("\n") == 1 and err.startswith(("error:", "refused:"))
+
+
+def _relabelled(tmp_path, spec, label):
+    data = json.loads(to_json(generate(spec)))
+    data["family"] = label
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(data))
+    return str(gpath)
+
+
+def test_build_refuses_a_path_labelled_hypercube(tmp_path, capsys):
+    gpath = _relabelled(tmp_path, "path:4", "hypercube:2")
+    code, out, err = run(["build", "--construction", "bitonic",
+                          "--graph", gpath], capsys)
+    _one_line_error(code, err, 1)
+    assert out == "" and "hypercube:2" in err
+
+
+def test_route_refuses_a_cycle_labelled_complete(tmp_path, capsys):
+    gpath = _relabelled(tmp_path, "cycle:4", "complete:4")
+    code, _, err = run(["route", "--graph", gpath, "--order", "2,1,4,3"],
+                       capsys)
+    _one_line_error(code, err, 1)
+
+
+def _net_with_first_stage(tmp_path, capsys, stage):
+    npath = tmp_path / "net.json"
+    run(["build", "--construction", "odd_even", "--graph", "path:4",
+         "--out", str(npath)], capsys)
+    data = json.loads(npath.read_text())
+    data["stages"][0] = stage
+    npath.write_text(json.dumps(data))
+    return str(npath)
+
+
+def test_verify_refuses_a_stage_without_comparators(tmp_path, capsys):
+    npath = _net_with_first_stage(tmp_path, capsys, {"cmps": []})
+    code, _, err = run(["verify", "--net", npath], capsys)
+    _one_line_error(code, err, 1)
+
+
+def test_verify_refuses_a_two_element_comparator(tmp_path, capsys):
+    npath = _net_with_first_stage(tmp_path, capsys, {"cmp": [[1, 2]]})
+    code, _, err = run(["verify", "--net", npath], capsys)
+    _one_line_error(code, err, 1)
+
+
+def test_oracle_st_refuses_n7_past_the_mask_width(capsys):
+    code, _, err = run(["oracle", "--kind", "st", "--graph", "path:7",
+                        "--cap", "7"], capsys)
+    _one_line_error(code, err, 2)
+
+
+def test_construction_error_exits_1(capsys, monkeypatch):
+    def broken(g, pi):
+        raise ConstructionError("planted")
+
+    monkeypatch.setattr(cli, "route_auto", broken)
+    code, _, err = run(["route", "--graph", "path:3"], capsys)
+    _one_line_error(code, err, 1)
+    assert "planted" in err
+
+
+def test_product_host_reloads_and_verifies(tmp_path, capsys):
+    npath = tmp_path / "net.json"
+    code, _, _ = run(["build", "--construction", "product",
+                      "--graph", "mesh:3,3", "--out", str(npath)], capsys)
+    assert code == 0
+    assert json.loads(npath.read_text())["graph"]["family"] == "product"
+    code, out, _ = run(["verify", "--net", str(npath)], capsys)
+    assert code == 0 and out.startswith("PASS")

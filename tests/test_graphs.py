@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from matchnet.errors import ParameterError, StructureError
 from matchnet.graphs import (PyramidInfo, adjacency, bfs_dist,
                              cartesian_product, check_connected, check_tree,
-                             complete_graph, cycle_graph, family_name,
-                             family_params, from_json, generate, graph,
-                             hypercube_graph, max_degree, maximal_matching,
-                             mesh_coords, mesh_graph, mesh_vertex,
-                             multigrid_graph, multipartite_graph,
-                             multipartite_parts, path_graph, pyramid_graph,
+                             complete_graph, cycle_graph, family_of,
+                             from_json, generate, graph, hypercube_graph,
+                             max_degree, maximal_matching, mesh_coords,
+                             mesh_graph, mesh_vertex, multigrid_graph,
+                             multipartite_graph, path_graph, pyramid_graph,
                              random_tree, spanning_tree, star_graph, to_dot,
                              to_json, tree_contour, tree_diameter_path)
 
@@ -28,7 +27,7 @@ def test_generate_specs():
                     ("pyramid:2,2", 5), ("multigrid:3,1", 7)]:
         g = generate(spec)
         assert g.n == n
-        assert g.family == spec or family_name(g) == spec.split(":")[0]
+        assert g.family == spec
         check_connected(g)
     with pytest.raises(ParameterError):
         generate("moebius:5")
@@ -57,9 +56,7 @@ def test_mesh_numbering_last_coordinate_fastest():
 
 def test_multipartite_parts_and_edges():
     g = multipartite_graph(3, 2)
-    parts = multipartite_parts(3, 2)
-    assert parts == [[1, 2], [3, 4], [5, 6]]
-    for p in parts:
+    for p in [[1, 2], [3, 4], [5, 6]]:
         assert (p[0], p[1]) not in g.edges
     assert len(g.edges) == 3 * 4 // 2 * 2  # complete tripartite on 2+2+2
 
@@ -171,6 +168,37 @@ def test_json_rejects_malformed():
         from_json("{not json")
     with pytest.raises(StructureError):
         from_json('{"edges": []}')
+    with pytest.raises(StructureError):
+        from_json('{"n": "3", "edges": []}')
+
+
+def test_family_of_reads_structure_before_the_label():
+    for spec in ["path:4", "hypercube:1", "complete:2", "mesh:5", "mesh:1,4",
+                 "multipartite:2,1", "random_tree:2,0", "multigrid:2,1"]:
+        g = generate(spec)
+        assert family_of(g) == ("path", (g.n,)), spec
+    for spec in ["complete:5", "cycle:3", "pyramid:2,1", "multipartite:3,1"]:
+        g = generate(spec)
+        assert family_of(g) == ("complete", (g.n,)), spec
+    assert family_of(generate("mesh:3,3")) == ("mesh", (3, 3))
+    assert family_of(generate("random_tree:9,4")) == ("random_tree", (9, 4))
+    product = cartesian_product(path_graph(2), cycle_graph(3))
+    assert family_of(product) == ("product", ())
+    assert family_of(graph(6, product.edges, family="product")) == (None, ())
+    assert family_of(spanning_tree(generate("mesh:3,3"))) == (None, ())
+
+
+def test_json_family_label_is_rederived():
+    for g in [cycle_graph(4), cartesian_product(path_graph(2), path_graph(3)),
+              graph(3, [(1, 3), (2, 3)])]:
+        back, _ = from_json(to_json(g))
+        assert (back.n, back.edges, back.family) == (g.n, g.edges, g.family)
+    for wrong in [graph(4, path_graph(4).edges, family="hypercube:2"),
+                  graph(4, cycle_graph(4).edges, family="complete:4"),
+                  graph(5, path_graph(5).edges, family="path:4"),
+                  graph(3, path_graph(3).edges, family="path:x")]:
+        with pytest.raises((StructureError, ParameterError)):
+            from_json(to_json(wrong))
 
 
 def test_dot_lists_all_vertices():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from matchnet.errors import ConstructionError, StructureError, TaskError
 from matchnet.graphs import complete_graph, path_graph, random_tree
-from matchnet.network import (DIR, SWAP, apply_position_map, concatenate,
-                              execute, is_sorted_for, make_network, make_plan,
-                              make_stage, network_from_json, network_to_json,
-                              plan_from_json, plan_realized,
-                              plan_stages_as_network, plan_to_json)
+from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
+                              make_network, make_plan, make_stage,
+                              network_from_json, network_to_json,
+                              plan_from_json, plan_realized, plan_to_json)
 from matchnet.verify import all_matchings
 
 
@@ -74,14 +74,6 @@ def test_concatenate_requires_same_host():
         concatenate(a, c)
 
 
-def test_plan_as_network_and_position_map():
-    g = path_graph(3)
-    plan = make_plan(g, [[(1, 2, SWAP)], [(2, 3, SWAP)]])
-    assert plan_stages_as_network(plan) == plan.stages
-    mapped = apply_position_map(g, ((1, 2, DIR),), [3, 2, 1])
-    assert mapped == ((3, 2, DIR),)
-
-
 def test_network_json_roundtrip():
     g = random_tree(9, 2)
     stages = [[(u, v, SWAP)] for u, v in sorted(g.edges)[:3]]
@@ -94,6 +86,15 @@ def test_network_json_roundtrip():
     assert back.certificate == net.certificate
     plan = make_plan(g, stages)
     assert plan_from_json(plan_to_json(plan)) == plan
+
+
+def test_network_json_rejects_malformed_documents():
+    good = json.loads(network_to_json(make_network(path_graph(2), (1, 2),
+                                                   [[(1, 2, DIR)]])))
+    for bad in [[], dict(good, stages=5), dict(good, graph=[2]),
+                dict(good, stages=[{"cmp": [[1, 2]]}])]:
+        with pytest.raises(StructureError):
+            network_from_json(json.dumps(bad))
 
 
 def test_order_must_be_permutation():

@@ -3,18 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet.errors import ParameterError, TaskError
+from matchnet.errors import ConstructionError, ParameterError, TaskError
 from matchnet.graphs import (cycle_graph, generate,
                              hypercube_graph, mesh_graph, multigrid_graph,
                              multipartite_graph, path_graph, pyramid_graph,
                              random_tree, star_graph, tree_diameter_path)
 from matchnet.network import plan_realized
 from matchnet.perms import all_permutations, identity, random_permutation
-from matchnet.routing import (complete_assignment, multigrid_accounting,
-                              route_auto, route_complete, route_depth_bound,
-                              route_multigrid, route_multipartite, route_path,
-                              route_product, route_to_path, route_tree,
-                              two_cycle_decompose)
+from matchnet.routing import (_finish, complete_assignment,
+                              multigrid_accounting, route_auto, route_complete,
+                              route_depth_bound, route_multigrid,
+                              route_multipartite, route_path, route_product,
+                              route_to_path, route_tree, two_cycle_decompose)
 
 
 def _check(plan, pi):
@@ -208,3 +208,12 @@ def test_route_rejects_non_permutation():
         route_path(path_graph(3), (1, 1, 2))
     with pytest.raises(TaskError):
         route_complete(3, (1, 2))
+
+
+def test_plan_checks_raise_even_without_asserts():
+    g = path_graph(3)
+    with pytest.raises(ConstructionError, match="realize"):
+        _finish(g, [[(1, 2)]], (1, 2, 3), 3)
+    with pytest.raises(ConstructionError, match="exceeds bound"):
+        _finish(g, [[(1, 2)], [(2, 3)]], (3, 1, 2), 1)
+    assert _finish(g, [[(1, 2)]], (2, 1, 3), 1).depth == 1
