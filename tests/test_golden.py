@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from matchnet import cli
-from matchnet.graphs import cartesian_product, generate
+from matchnet.graphs import cartesian_product, generate, graph
 from matchnet.network import plan_to_json
 from matchnet.routing import route_auto, route_depth_bound
 
@@ -42,16 +42,45 @@ ROUTES = ["path:9", "cycle:8", "star:7", "complete:6", "multipartite:3,2",
           "random_tree:12,5", "path:3*cycle:4", "complete:3*mesh:2,2",
           "hypercube:1", "complete:2", "mesh:5", "mesh:1,4",
           "multipartite:2,1", "multipartite:3,1", "pyramid:2,1",
-          "multigrid:2,1", "random_tree:2,0", "cycle:3"]
+          "multigrid:2,1", "random_tree:2,0", "cycle:3",
+          # hosts large enough to reach the tree rounds' recursion, the
+          # high-degree centroid and the repeated product sub-solves
+          "random_tree:64,1", "random_tree:256,2", "random_tree:1024,3",
+          "star:256", "broom:40,120", "caterpillar:15,8", "hypercube:6",
+          "hypercube:7", "pyramid:4,3", "mesh:8,8,8"]
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def broom(handle: int, leaves: int):
+    """Path 1..handle whose last vertex carries `leaves` more leaves."""
+    edges = [(i, i + 1) for i in range(1, handle)]
+    edges += [(handle, handle + j) for j in range(1, leaves + 1)]
+    return graph(handle + leaves, edges)
+
+
+def caterpillar(spine: int, legs: int):
+    """Path 1..spine; every spine vertex carries `legs` leaves."""
+    edges = [(i, i + 1) for i in range(1, spine)]
+    leaf = spine
+    for v in range(1, spine + 1):
+        for _ in range(legs):
+            leaf += 1
+            edges.append((v, leaf))
+    return graph(leaf, edges)
+
+
+TREES = {"broom": broom, "caterpillar": caterpillar}  # unlabelled trees
+
+
 def _host(spec: str):
     if "*" in spec:  # an in-memory cartesian product of two generator specs
         return cartesian_product(*(generate(s) for s in spec.split("*")))
+    name, _, args = spec.partition(":")
+    if name in TREES:
+        return TREES[name](*(int(a) for a in args.split(",")))
     return generate(spec)
 
 
