@@ -450,6 +450,43 @@ def generate(spec: str) -> Graph:
     return fn(*ints)
 
 
+def _spec_shape(name: str, ints: list[int], cap: int) -> tuple[int, int] | None:
+    """(vertices, edges) of the generator spec name:ints, in closed form.
+
+    A spec with more than cap vertices may read (cap + 1, 0): no power
+    above 2 cap is built, so a label like hypercube:40 costs nothing.  None
+    when the arity is wrong or a size is below 1; generate names the fault.
+    """
+    if name == "random_tree" and len(ints) == 1:
+        ints = ints + [0]
+    sizes = ints[:1] if name == "random_tree" else ints
+    arity = _FAMILIES[name][1]
+    if (arity is not None and len(ints) != arity) or not sizes \
+            or min(sizes) < 1:
+        return None
+    if name in ("hypercube", "pyramid", "multigrid"):
+        dim = ints[0] if name == "hypercube" else (ints[0] - 1) * ints[1]
+        if dim > cap.bit_length():
+            return (cap + 1, 0)
+    if name == "hypercube":
+        return 1 << ints[0], ints[0] << (ints[0] - 1)
+    if name in ("pyramid", "multigrid"):
+        m, d = ints
+        sides = [1 << l for l in range(m)]
+        n = sum(k ** d for k in sides)
+        mesh_edges = sum(d * (k - 1) * k ** (d - 1) for k in sides)
+        parents = n - 1 if name == "pyramid" else n - sides[-1] ** d
+        return n, mesh_edges + parents
+    if name == "mesh":
+        n = math.prod(ints)
+        return n, sum((k - 1) * (n // k) for k in ints)
+    if name == "multipartite":
+        p, size = ints
+        return p * size, p * size * (p * size - size) // 2
+    n = ints[0]
+    return n, {"cycle": n, "complete": n * (n - 1) // 2}.get(name, n - 1)
+
+
 def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
     """The family whose sorter and router serve g, with its parameters.
 
@@ -626,8 +663,10 @@ def graph_from_doc(doc) -> Graph:
     except (TypeError, AttributeError) as e:
         raise StructureError(f"malformed graph JSON: {e}") from e
     if name in _FAMILIES:
-        ref = generate(g.family)
-        if ref.n != g.n or ref.edges != g.edges:
+        # compare sizes first: regenerating a huge label costs its size
+        shape = _spec_shape(*_parse_spec(g.family), g.n)
+        if shape not in (None, (g.n, len(g.edges))) \
+                or generate(g.family).edges != g.edges:
             raise StructureError(
                 f"graph does not match its family label {g.family!r}")
     return g

@@ -35,12 +35,13 @@ Stage = tuple  # tuple of Comparator
 
 def make_stage(g: graphs.Graph, comparators: Sequence) -> Stage:
     """Validate and freeze one stage: edges exist and form a matching."""
+    edges = g.edges
     seen: set[int] = set()
     out = []
     for u, v, kind in comparators:
         if kind not in (DIR, SWAP):
             raise StructureError(f"bad comparator kind {kind!r}")
-        if (min(u, v), max(u, v)) not in g.edges:
+        if ((u, v) if u < v else (v, u)) not in edges:
             raise ConstructionError(f"({u},{v}) is not an edge of the host graph")
         if u in seen or v in seen:
             raise ConstructionError(f"stage is not a matching at ({u},{v})")

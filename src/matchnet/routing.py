@@ -30,7 +30,6 @@ from .graphs import (
     graph,
     hypercube_graph,
     is_tree,
-    mesh_coords,
     mesh_graph,
     multigrid_graph,
     multipartite_graph,
@@ -236,55 +235,73 @@ def _tree_rounds(t: Graph, pi):
     def proper(v):
         return comp[dest[v]] == comp[v] if v != c else dest[c] == c
 
-    by_depth = sorted((v for v in range(1, n + 1) if v != c),
-                      key=lambda v: (depth[v], v))
+    # Each round swaps the centre with one root neighbour, and every proper
+    # non-centre parent with its smallest improper child.  The improper
+    # vertices are kept per parent, and the parents that can swap in a
+    # frontier, so a round costs what it swaps, not a scan of the tree.
+    ok = [True] * (n + 1)
+    bad_kids = defaultdict(set)  # parent -> its improper children
+    bad = 0
+    for v in range(1, n + 1):
+        if not proper(v):
+            ok[v] = False
+            bad += 1
+            if v != c:
+                bad_kids[parent[v]].add(v)
+    frontier = {p for p in bad_kids if p != c and ok[p]}
     rounds = []
-    while True:
-        improper = [v for v in range(1, n + 1) if not proper(v)]
-        if not improper:
-            break
+    while bad:
         pairs = []
-        used = set()
-        if dest[c] != c:
+        if not ok[c]:
             q = comp[dest[c]]  # pebble on c belongs past this root
-            if not proper(q):
+            if not ok[q]:
                 pairs.append(_norm(c, q))
-                used.update((c, q))
-        else:
-            cands = [r for r in adj[c] if not proper(r)]
-            if cands:
-                x = min(cands)
-                pairs.append(_norm(c, x))
-                used.update((c, x))
-        for v in by_depth:
-            p = parent[v]
-            if p == c or v in used or p in used:
-                continue
-            if not proper(v) and proper(p):
-                pairs.append(_norm(p, v))
-                used.update((p, v))
+        elif bad_kids[c]:
+            pairs.append(_norm(c, min(bad_kids[c])))
+        kids = sorted((min(bad_kids[p]) for p in frontier),
+                      key=lambda v: (depth[v], v))
+        pairs += [_norm(parent[v], v) for v in kids]
         if not pairs:
             raise ConstructionError("tree routing stalled")
+        touched = set()
         for u, v in pairs:
             dest[u], dest[v] = dest[v], dest[u]
+            touched.update((u, v))
+        for v in touched:
+            if proper(v) != ok[v]:
+                ok[v] = not ok[v]
+                bad += -1 if ok[v] else 1
+                if v != c:
+                    if ok[v]:
+                        bad_kids[parent[v]].discard(v)
+                    else:
+                        bad_kids[parent[v]].add(v)
+        for v in touched | {parent[v] for v in touched}:
+            if v != c and v and ok[v] and bad_kids.get(v):
+                frontier.add(v)
+            else:
+                frontier.discard(v)
         rounds.append(pairs)
         if len(rounds) > 6 * n:
             raise ConstructionError("tree routing did not converge")
 
+    # recurse into the centroid components; every edge not at c lies
+    # inside one, so one pass over the edges buckets them all
     comps = defaultdict(list)
     for v in range(1, n + 1):
         if v != c:
             comps[comp[v]].append(v)
+    local = {v: i + 1 for vs in comps.values() for i, v in enumerate(vs)}
+    sub_edges = defaultdict(list)
+    for u, v in t.sorted_edges():
+        if u != c and v != c:
+            sub_edges[comp[u]].append((local[u], local[v]))
     blocks = []
     for r in sorted(comps):
-        vs = sorted(comps[r])
-        local = {v: i + 1 for i, v in enumerate(vs)}
-        inside = set(vs)
-        sub_edges = [(local[u], local[v]) for u, v in t.sorted_edges()
-                     if u in inside and v in inside]
-        sub_t = graph(len(vs), sub_edges)
+        vs = comps[r]
         sub_pi = [local[dest[v]] for v in vs]
-        blocks.append(_relabel_rounds(_tree_rounds(sub_t, sub_pi), vs))
+        blocks.append(_relabel_rounds(
+            _tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))
     return rounds + _merge_parallel(blocks)
 
 
@@ -451,7 +468,7 @@ def _regular_bipartite_matchings(count, n: int, degree: int):
     return matchings
 
 
-def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool):
+def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool, memo):
     """Three-phase product routing; phases alternate factor directions.
 
     inner_first: inner(g2 copies) -> outer(g1 copies) -> inner, with the
@@ -469,24 +486,30 @@ def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool):
         q = pi[p - 1]
         drow[p], dcol[p] = (q - 1) // n2 + 1, (q - 1) % n2 + 1
 
+    def placed():
+        at = [0] * (n + 1)  # at[v] = the pebble now on vertex v
+        for p in range(1, n + 1):
+            at[(row[p] - 1) * n2 + col[p]] = p
+        return at
+
     def inner_phase(target_col):
+        at = placed()
         blocks = []
         for a in range(1, n1 + 1):
-            members = {col[p]: p for p in range(1, n + 1) if row[p] == a}
-            sub = [target_col[members[b]] for b in range(1, n2 + 1)]
             verts = [(a - 1) * n2 + b for b in range(1, n2 + 1)]
-            blocks.append(_relabel_rounds(_auto_rounds(g2, sub), verts))
+            sub = [target_col[at[v]] for v in verts]
+            blocks.append(_relabel_rounds(_auto_rounds(g2, sub, memo), verts))
         for p in range(1, n + 1):
             col[p] = target_col[p]
         return _merge_parallel(blocks)
 
     def outer_phase(target_row):
+        at = placed()
         blocks = []
         for b in range(1, n2 + 1):
-            members = {row[p]: p for p in range(1, n + 1) if col[p] == b}
-            sub = [target_row[members[a]] for a in range(1, n1 + 1)]
             verts = [(a - 1) * n2 + b for a in range(1, n1 + 1)]
-            blocks.append(_relabel_rounds(_auto_rounds(g1, sub), verts))
+            sub = [target_row[at[v]] for v in verts]
+            blocks.append(_relabel_rounds(_auto_rounds(g1, sub, memo), verts))
         for p in range(1, n + 1):
             row[p] = target_row[p]
         return _merge_parallel(blocks)
@@ -522,9 +545,9 @@ def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool):
             + outer_phase(drow))
 
 
-def _product_rounds(g1: Graph, g2: Graph, pi):
-    first = _product_rounds_one(g1, g2, pi, inner_first=True)
-    second = _product_rounds_one(g1, g2, pi, inner_first=False)
+def _product_rounds(g1: Graph, g2: Graph, pi, memo):
+    first = _product_rounds_one(g1, g2, pi, True, memo)
+    second = _product_rounds_one(g1, g2, pi, False, memo)
     return first if len(first) <= len(second) else second
 
 
@@ -537,7 +560,7 @@ def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """
     host = cartesian_product(g1, g2)
     check_permutation(pi, host.n)
-    return _finish(host, _product_rounds(g1, g2, pi), pi,
+    return _finish(host, _product_rounds(g1, g2, pi, {}), pi,
                    _product_bound(route_depth_bound(g1), route_depth_bound(g2)))
 
 
@@ -621,19 +644,17 @@ def route_multipartite(p: int, s: int, pi) -> RoutingPlan:
 # ---------------------------------------------------------------------------
 # multigrids (and pyramids, whose edges are a superset)
 
-def _level_mesh_rounds(info: PyramidInfo, level: int, sub):
+def _level_mesh_rounds(info: PyramidInfo, level: int, sub, memo):
     """Route a permutation inside one level's mesh; local ids are mesh ids."""
     side = info.side(level)
     if side == 1:
         return []
-    lengths = info.lengths(level)
-    local_mesh = mesh_graph(lengths)
-    verts = [info.vertex(level, mesh_coords(i, lengths))
-             for i in range(1, local_mesh.n + 1)]
-    return _relabel_rounds(_auto_rounds(local_mesh, sub), verts)
+    local_mesh = mesh_graph(info.lengths(level))
+    return _relabel_rounds(_auto_rounds(local_mesh, sub, memo),
+                           info.level_vertices(level))
 
 
-def _multigrid_involution_rounds(info: PyramidInfo, mu, accounting=None):
+def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
     """Five macro-rounds for one involution: position pebbles onto vertical
     paths inside their levels, ride the paths in two waves, then settle
     every level.  Wave capacity per upper level i is the number of maximal
@@ -694,7 +715,7 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, accounting=None):
             for v in verts:
                 if at[v] not in placed:
                     sub[v - base - 1] = next(free) - base
-            blocks.append(_level_mesh_rounds(info, level, sub))
+            blocks.append(_level_mesh_rounds(info, level, sub, memo))
         return run(_merge_parallel(blocks))
 
     def vertical_round(assignments):
@@ -731,19 +752,19 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, accounting=None):
             target = mu[at[v] - 1]
             assert info.level_of(target) == level, "pebble on wrong level"
             sub.append(target - base)
-        blocks.append(_level_mesh_rounds(info, level, sub))
+        blocks.append(_level_mesh_rounds(info, level, sub, memo))
     rounds += run(_merge_parallel(blocks))
     for v in range(1, n + 1):
         assert spot[v] == mu[v - 1]
     return rounds
 
 
-def _multigrid_rounds(m: int, d: int, pi, accounting=None):
+def _multigrid_rounds(m: int, d: int, pi, memo, accounting=None):
     info = PyramidInfo(m, d)
     rounds = []
     for mu in two_cycle_decompose(pi):
         acct = {} if accounting is not None else None
-        rounds += _multigrid_involution_rounds(info, mu, acct)
+        rounds += _multigrid_involution_rounds(info, mu, memo, acct)
         if accounting is not None:
             accounting.append(acct)
     return rounds
@@ -752,7 +773,7 @@ def _multigrid_rounds(m: int, d: int, pi, accounting=None):
 def multigrid_accounting(m: int, d: int, pi) -> list[dict]:
     """Per-involution vertical-pair counts: {upper level: (count, capacity)}."""
     accounting: list[dict] = []
-    _multigrid_rounds(m, d, pi, accounting)
+    _multigrid_rounds(m, d, pi, {}, accounting)
     return accounting
 
 
@@ -769,7 +790,7 @@ def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
     """
     host = multigrid_graph(m, d)
     check_permutation(pi, host.n)
-    return _finish(host, _multigrid_rounds(m, d, pi), pi,
+    return _finish(host, _multigrid_rounds(m, d, pi, {}), pi,
                    _multigrid_depth_bound(m, d))
 
 
@@ -794,45 +815,59 @@ def _mesh_bound(lengths) -> int:
     return _product_bound(lengths[0], _mesh_bound(lengths[1:]))
 
 
-# family_of name -> (rounds(g, params, pi), depth bound(g, params)).  The
-# hypercube routes as path:2 times the cube one dimension down; its bound
-# 4 dim - 2 is that product bound unrolled from the 1-cube's 2.
+# family_of name -> (rounds(g, params, pi, memo), depth bound(g, params)).
+# The hypercube routes as path:2 times the cube one dimension down; its
+# bound 4 dim - 2 is that product bound unrolled from the 1-cube's 2.
 _ROUTES = {
-    "path": (lambda g, ps, pi: _path_rounds(g.n, pi),
+    "path": (lambda g, ps, pi, memo: _path_rounds(g.n, pi),
              lambda g, ps: g.n),
-    "complete": (lambda g, ps, pi: _complete_rounds(pi),
+    "complete": (lambda g, ps, pi, memo: _complete_rounds(pi),
                  lambda g, ps: 2),
-    "multipartite": (lambda g, ps, pi: _multipartite_rounds(*ps, pi),
+    "multipartite": (lambda g, ps, pi, memo: _multipartite_rounds(*ps, pi),
                      lambda g, ps: 6),
-    "hypercube": (lambda g, ps, pi: _product_rounds(
-                      path_graph(2), hypercube_graph(ps[0] - 1), pi),
+    "hypercube": (lambda g, ps, pi, memo: _product_rounds(
+                      path_graph(2), hypercube_graph(ps[0] - 1), pi, memo),
                   lambda g, ps: 4 * ps[0] - 2),
-    "mesh": (lambda g, ps, pi: _product_rounds(
-                 path_graph(ps[0]), mesh_graph(ps[1:]), pi),
+    "mesh": (lambda g, ps, pi, memo: _product_rounds(
+                 path_graph(ps[0]), mesh_graph(ps[1:]), pi, memo),
              lambda g, ps: _mesh_bound(ps)),
-    "multigrid": (lambda g, ps, pi: _multigrid_rounds(*ps, pi),
+    "multigrid": (lambda g, ps, pi, memo: _multigrid_rounds(*ps, pi, memo),
                   lambda g, ps: _multigrid_depth_bound(*ps)),
-    "product": (lambda g, ps, pi: _product_rounds(*g.factors, pi),
+    "product": (lambda g, ps, pi, memo: _product_rounds(*g.factors, pi, memo),
                 lambda g, ps: _product_bound(
                     *(route_depth_bound(f) for f in g.factors))),
 }
 _ROUTES["pyramid"] = _ROUTES["multigrid"]  # pyramid edges are a superset
-_GENERIC = (lambda g, ps, pi: _generic_rounds(g, pi),
+_GENERIC = (lambda g, ps, pi, memo: _generic_rounds(g, pi),
             lambda g, ps: 3 * g.n)
 
 
-def _auto_rounds(g: Graph, pi):
+def _auto_rounds(g: Graph, pi, memo: dict):
+    """Rounds of the family planner for g.
+
+    A named family's planner other than "product" depends only on (name,
+    params, pi), and the product planners meet the same factor sub-problem
+    many times over (both phase orders, at every level), so those rounds
+    are kept in memo, which lives for one route_auto call.  Rounds taken
+    from it are shared: no caller may mutate them.
+    """
     if all(pi[v - 1] == v for v in range(1, g.n + 1)):
         return []
     name, params = family_of(g)
-    return _ROUTES.get(name, _GENERIC)[0](g, params, pi)
+    rounds = _ROUTES.get(name, _GENERIC)[0]
+    if name not in _ROUTES or name == "product":
+        return rounds(g, params, pi, memo)
+    key = (name, params, tuple(pi))
+    if key not in memo:
+        memo[key] = rounds(g, params, pi, memo)
+    return memo[key]
 
 
 def route_auto(g: Graph, pi) -> RoutingPlan:
     """Route on any connected graph, dispatching to the family planner."""
     check_connected(g)
     check_permutation(pi, g.n)
-    return _finish(g, _auto_rounds(g, pi), pi, route_depth_bound(g))
+    return _finish(g, _auto_rounds(g, pi, {}), pi, route_depth_bound(g))
 
 
 def route_depth_bound(g: Graph) -> int:

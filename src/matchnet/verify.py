@@ -590,9 +590,9 @@ def sandwich_check(g: graphs.Graph, pi=None, cap: int | None = None) -> Verifica
     _check_cap(g.n, cap, ST_CAP, "sandwich check")
     n = g.n
     rt = exact_rt(g).value
-    st_min = exact_st(g).value
+    st_min = exact_st(g, cap=cap).value
     bound = st_min + rt
-    all_st = exact_st_all_orders(g, depth_cap=bound)
+    all_st = exact_st_all_orders(g, cap=cap, depth_cap=bound)
     orders = [perms.check_permutation(pi, n)] if pi is not None \
         else sorted(all_st)
     lower = max(rt, math.log2(n)) if n > 1 else 0.0

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,23 @@ def test_json_family_label_is_rederived():
                   graph(3, path_graph(3).edges, family="path:x")]:
         with pytest.raises((StructureError, ParameterError)):
             from_json(to_json(wrong))
+
+
+def test_json_label_size_is_checked_before_regenerating():
+    for spec in ["path:1", "cycle:9", "complete:7", "star:2", "hypercube:5",
+                 "multipartite:3,4", "random_tree:17", "random_tree:17,4",
+                 "pyramid:1,3", "pyramid:3,2", "multigrid:4,1", "mesh:2,3,4"]:
+        g = generate(spec)
+        assert from_json(to_json(g))[0] == g, spec
+    # the label names 2^16 (or 2^40, or 10^9) vertices, the document one
+    start = time.perf_counter()
+    for label in ["hypercube:16", "hypercube:40", "pyramid:40,40",
+                  "path:1000000000"]:
+        with pytest.raises(StructureError, match="family label"):
+            from_json('{"n": 1, "edges": [], "family": "%s"}' % label)
+    with pytest.raises(StructureError, match="family label"):
+        from_json('{"n": 1000000000, "edges": [], "family": "path:1000000000"}')
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dot_lists_all_vertices():

@@ -3,14 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import defaultdict
+
+from matchnet import routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
-from matchnet.graphs import (cycle_graph, generate,
+from matchnet.graphs import (adjacency, cycle_graph, generate, graph,
                              hypercube_graph, mesh_graph, multigrid_graph,
                              multipartite_graph, path_graph, pyramid_graph,
                              random_tree, star_graph, tree_diameter_path)
-from matchnet.network import plan_realized
+from matchnet.network import plan_realized, plan_to_json
 from matchnet.perms import all_permutations, identity, random_permutation
-from matchnet.routing import (_finish, complete_assignment,
+from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
+                              _path_order, _path_rounds, _relabel_rounds,
+                              _tree_rounds, complete_assignment,
                               multigrid_accounting, route_auto, route_complete,
                               route_depth_bound, route_multigrid,
                               route_multipartite, route_path, route_product,
@@ -217,3 +222,137 @@ def test_plan_checks_raise_even_without_asserts():
     with pytest.raises(ConstructionError, match="exceeds bound"):
         _finish(g, [[(1, 2)], [(2, 3)]], (3, 1, 2), 1)
     assert _finish(g, [[(1, 2)]], (2, 1, 3), 1).depth == 1
+
+
+def _reference_tree_rounds(t, pi):
+    """The tree planner as first written: every round re-scans the tree."""
+    n = t.n
+    dest = [0] + list(pi)  # dest[v] = target of the pebble now on v
+    if all(dest[v] == v for v in range(1, n + 1)):
+        return []
+    adj = adjacency(t)
+    if max(len(adj[v]) for v in range(1, n + 1)) <= 2:
+        order = _path_order(t)
+        posin = {v: i + 1 for i, v in enumerate(order)}
+        sub = [posin[dest[order[i]]] for i in range(n)]
+        return _relabel_rounds(_path_rounds(n, sub), order)
+
+    c = _centroid(t)
+    comp = {c: 0}  # component label = id of the root neighbour
+    depth = {c: 0}
+    parent = {c: 0}
+    order = [c]
+    for v in order:
+        for w in adj[v]:
+            if w not in comp:
+                comp[w] = w if v == c else comp[v]
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                order.append(w)
+
+    def proper(v):
+        return comp[dest[v]] == comp[v] if v != c else dest[c] == c
+
+    by_depth = sorted((v for v in range(1, n + 1) if v != c),
+                      key=lambda v: (depth[v], v))
+    rounds = []
+    while True:
+        improper = [v for v in range(1, n + 1) if not proper(v)]
+        if not improper:
+            break
+        pairs = []
+        used = set()
+        if dest[c] != c:
+            q = comp[dest[c]]  # pebble on c belongs past this root
+            if not proper(q):
+                pairs.append(_norm(c, q))
+                used.update((c, q))
+        else:
+            cands = [r for r in adj[c] if not proper(r)]
+            if cands:
+                x = min(cands)
+                pairs.append(_norm(c, x))
+                used.update((c, x))
+        for v in by_depth:
+            p = parent[v]
+            if p == c or v in used or p in used:
+                continue
+            if not proper(v) and proper(p):
+                pairs.append(_norm(p, v))
+                used.update((p, v))
+        if not pairs:
+            raise ConstructionError("tree routing stalled")
+        for u, v in pairs:
+            dest[u], dest[v] = dest[v], dest[u]
+        rounds.append(pairs)
+        if len(rounds) > 6 * n:
+            raise ConstructionError("tree routing did not converge")
+
+    comps = defaultdict(list)
+    for v in range(1, n + 1):
+        if v != c:
+            comps[comp[v]].append(v)
+    blocks = []
+    for r in sorted(comps):
+        vs = sorted(comps[r])
+        local = {v: i + 1 for i, v in enumerate(vs)}
+        inside = set(vs)
+        sub_edges = [(local[u], local[v]) for u, v in t.sorted_edges()
+                     if u in inside and v in inside]
+        sub_t = graph(len(vs), sub_edges)
+        sub_pi = [local[dest[v]] for v in vs]
+        blocks.append(_relabel_rounds(_reference_tree_rounds(sub_t, sub_pi), vs))
+    return rounds + _merge_parallel(blocks)
+
+
+def _caterpillar(spine, legs, rng):
+    """Spine path with `legs` leaves per spine vertex, randomly numbered."""
+    n = spine * (1 + legs)
+    name = list(range(1, n + 1))
+    rng.shuffle(name)
+    edges = [(name[i], name[i + 1]) for i in range(spine - 1)]
+    edges += [(name[i % spine], name[spine + i]) for i in range(n - spine)]
+    return graph(n, edges)
+
+
+def _star(n, rng):
+    """Star with a randomly chosen centre."""
+    centre = rng.randrange(1, n + 1)
+    return graph(n, [(centre, v) for v in range(1, n + 1) if v != centre])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "star", "caterpillar"]),
+       st.integers(1, 60), st.integers(0, 10_000))
+def test_tree_rounds_match_the_rescanning_planner(shape, n, seed):
+    rng = random.Random(seed)
+    if shape == "random":
+        t = random_tree(n, seed)
+    elif shape == "star":
+        t = _star(max(n, 2), rng)
+    else:
+        t = _caterpillar(max(1, n // 6), rng.randrange(1, 6), rng)
+    pi = random_permutation(t.n, rng)
+    assert _tree_rounds(t, pi) == _reference_tree_rounds(t, pi)
+
+
+def test_route_auto_keeps_no_state_between_calls(monkeypatch):
+    rng = random.Random(3)
+    for g in (hypercube_graph(5), mesh_graph((4, 4, 2)), pyramid_graph(3, 2)):
+        pi = random_permutation(g.n, rng)
+        first = plan_to_json(route_auto(g, pi))
+        assert plan_to_json(route_auto(g, pi)) == first
+        # a planner that goes wrong part way through one call: that call
+        # fails, and nothing it planned leaks into the next one
+        calls = []
+        real = routing._path_rounds
+
+        def flaky(n, sub):
+            calls.append(n)
+            return [] if len(calls) % 2 else real(n, sub)
+
+        monkeypatch.setattr(routing, "_path_rounds", flaky)
+        with pytest.raises((ConstructionError, AssertionError)):
+            route_auto(g, pi)
+        monkeypatch.undo()
+        assert plan_to_json(route_auto(g, pi)) == first

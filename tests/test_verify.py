@@ -138,6 +138,32 @@ def test_sandwich_check_small_graphs():
         assert rep.passed, g.family
 
 
+def test_sandwich_check_passes_its_cap_on(monkeypatch):
+    from matchnet import verify
+    caps = []
+
+    class Value:
+        value = 3
+
+    def st_spy(g, pi=None, cap=None, comparator_only=False):
+        caps.append(("st", cap))
+        return Value()
+
+    def st_all_spy(g, cap=None, depth_cap=None, comparator_only=False):
+        caps.append(("st_all", cap))
+        return {tuple(range(1, g.n + 1)): 3}
+
+    monkeypatch.setattr(verify, "exact_st", st_spy)
+    monkeypatch.setattr(verify, "exact_st_all_orders", st_all_spy)
+    monkeypatch.setattr(verify, "exact_rt", lambda g, *a, **k: Value())
+    g, pi = path_graph(6), tuple(range(1, 7))
+    with pytest.raises(CapError):
+        sandwich_check(g, pi)  # n = 6 is past the default cap
+    assert caps == []
+    assert sandwich_check(g, pi, cap=6).passed
+    assert caps == [("st", 6), ("st_all", 6)]
+
+
 def test_connected_graphs_counts():
     # connected simple graphs on 1..4 vertices up to isomorphism
     assert len(connected_graphs_upto_iso(1)) == 1
