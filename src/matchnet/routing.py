@@ -37,7 +37,7 @@ from .graphs import (
     spanning_tree,
     tree_diameter_path,
 )
-from .network import SWAP, RoutingPlan, make_plan, make_stage
+from .network import SWAP, RoutingPlan, make_plan
 from .perms import check_permutation, compose, cycles, identity
 
 # rounds: list of rounds, each round a list of disjoint (u, v) swap pairs
@@ -47,8 +47,9 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _stages_from_rounds(g: Graph, rounds):
-    return [make_stage(g, [(u, v, SWAP) for u, v in rnd]) for rnd in rounds if rnd]
+def _stages_from_rounds(rounds):
+    """Swap stages of the non-empty rounds; make_plan validates them."""
+    return [[(u, v, SWAP) for u, v in rnd] for rnd in rounds if rnd]
 
 
 def _relabel_rounds(rounds, order):
@@ -67,7 +68,7 @@ def _merge_parallel(blocks):
 
 
 def _finish(host: Graph, rounds, pi, bound: int) -> RoutingPlan:
-    plan = make_plan(host, _stages_from_rounds(host, rounds))
+    plan = make_plan(host, _stages_from_rounds(rounds))
     if list(plan.realized) != list(pi):
         raise ConstructionError("plan does not realize the permutation")
     if plan.depth > bound:
@@ -427,7 +428,7 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
                 settled[i] = True
 
     assert len(rounds) <= d + 2 * (k - 1)
-    plan = make_plan(t, _stages_from_rounds(t, rounds))
+    plan = make_plan(t, _stages_from_rounds(rounds))
     want = dict(selection)
     for s in sources:
         assert plan.realized[s - 1] == want[s]
