@@ -1,4 +1,5 @@
-"""Golden outputs: bench CSV, CLI networks, route_auto plans and bounds.
+"""Golden outputs: bench CSV, CLI networks, route_auto plans and bounds,
+and the exact oracles' values, witnesses and explored-state counts.
 
 The expected values live in golden.json next to this file.  They pin the
 exact bytes the package emits, so a refactor that changes any output, on
@@ -19,8 +20,11 @@ import pytest
 
 from matchnet import cli
 from matchnet.graphs import cartesian_product, generate, graph
-from matchnet.network import plan_to_json
+from matchnet.network import network_to_json, plan_to_json
 from matchnet.routing import route_auto, route_depth_bound
+from matchnet.verify import (connected_graphs_upto_iso, exact_rt, exact_rt_p,
+                             exact_rt_partial, exact_st, exact_st_all_orders,
+                             sandwich_check)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -48,6 +52,22 @@ ROUTES = ["path:9", "cycle:8", "star:7", "complete:6", "multipartite:3,2",
           "random_tree:64,1", "random_tree:256,2", "random_tree:1024,3",
           "star:256", "broom:40,120", "caterpillar:15,8", "hypercube:6",
           "hypercube:7", "pyramid:4,3", "mesh:8,8,8"]
+
+# exact oracles: every connected graph with n <= 4 is a sandwich host too
+SANDWICH_HOSTS = ["path:5", "star:5", "cycle:5", "random_tree:5,1"]
+ST_HOSTS = ["path:2", "path:3", "complete:3", "path:4", "star:4", "cycle:4",
+            "random_tree:5,1"]
+ST_TABLES = [("path:4", None), ("path:4", 4), ("star:4", 5),
+             ("cycle:4", 0), ("random_tree:5,1", None),
+             ("random_tree:5,1", 6)]
+RT_HOSTS = ["path:7", "star:7", "complete:7", "random_tree:7,4"]
+RT_PI_HOSTS = ["path:5", "star:6", "complete:5", "mesh:2,3",
+               "random_tree:7,4"]
+RT_PARTIAL = [("path:7", (1, 2, 3), (5, 6, 7)),
+              ("star:7", (1, 2, 3, 4), (4, 5, 6, 7)),
+              ("mesh:2,3", (1, 6), (2, 5)), ("cycle:6", (2,), (5,))]
+RT_P = [("path:6", 2), ("star:6", 3), ("complete:5", 5),
+        ("random_tree:7,4", 2), ("cycle:6", 3)]
 
 
 def _sha(text: str) -> str:
@@ -115,6 +135,88 @@ def bounds() -> dict:
     return {spec: route_depth_bound(_host(spec)) for spec in ROUTES}
 
 
+def _shuffled(spec: str, n: int) -> tuple:
+    pi = list(range(1, n + 1))
+    random.Random(spec + " pi").shuffle(pi)
+    return tuple(pi)
+
+
+def _report(rep) -> dict:
+    data = rep.data
+    table = [[list(o), v] for o, v in data["st_by_order"].items()]
+    return {"passed": rep.passed, "counterexample": rep.counterexample,
+            "detail": rep.detail, "inputs_checked": rep.inputs_checked,
+            "rt": data["rt"], "st_min": data["st_min"],
+            "orders_checked": data["orders_checked"],
+            "st_by_order": _sha(json.dumps(table))}
+
+
+def sandwich_outputs() -> dict:
+    hosts = [g for n in range(1, 5) for g in connected_graphs_upto_iso(n)]
+    out = {f"n={g.n} edges={sorted(g.edges)}": _report(sandwich_check(g))
+           for g in hosts}
+    for spec in SANDWICH_HOSTS:
+        out[spec] = _report(sandwich_check(generate(spec)))
+    g = generate("path:4")
+    out["path:4 pi=(2, 4, 1, 3)"] = _report(sandwich_check(g, (2, 4, 1, 3)))
+    return out
+
+
+def _st(res) -> dict:
+    return {"value": res.value, "explored": res.explored,
+            "witness": _sha(network_to_json(res.witness))}
+
+
+def st_outputs() -> dict:
+    out = {}
+    for spec in ST_HOSTS:
+        g = generate(spec)
+        pi = tuple(range(g.n, 0, -1))
+        out[spec] = _st(exact_st(g))
+        out[f"{spec} pi={pi}"] = _st(exact_st(g, pi))
+    out["path:4 comparator_only"] = _st(exact_st(generate("path:4"),
+                                                 comparator_only=True))
+    for spec, depth_cap in ST_TABLES:
+        table = exact_st_all_orders(generate(spec), depth_cap=depth_cap)
+        items = [[list(o), v] for o, v in table.items()]
+        out[f"{spec} all orders depth_cap={depth_cap}"] = {
+            "unsorted": sum(v is None for v in table.values()),
+            "table": _sha(json.dumps(items))}
+    return out
+
+
+def rt_outputs() -> dict:
+    out = {}
+    for spec in RT_HOSTS:
+        res = exact_rt(generate(spec))
+        out[spec] = {"value": res.value, "explored": res.explored,
+                     "witness": list(res.witness)}
+    for spec in RT_PI_HOSTS:
+        g = generate(spec)
+        pi = _shuffled(spec, g.n)
+        res = exact_rt(g, pi)
+        out[f"{spec} pi={pi}"] = {"value": res.value,
+                                  "explored": res.explored,
+                                  "witness": _sha(plan_to_json(res.witness))}
+    for spec, a, b in RT_PARTIAL:
+        res = exact_rt_partial(generate(spec), a, b)
+        out[f"{spec} partial {a}->{b}"] = {
+            "value": res.value, "explored": res.explored,
+            "witness": sorted(res.witness.items())}
+    for spec, p in RT_P:
+        res = exact_rt_p(generate(spec), p)
+        sources, mapping = res.witness
+        out[f"{spec} rt_p p={p}"] = {
+            "value": res.value, "explored": res.explored,
+            "witness": [list(sources), sorted(mapping.items())]}
+    return out
+
+
+def _json(doc):
+    """The doc as golden.json stores it (tuples read back as lists)."""
+    return json.loads(json.dumps(doc))
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -136,11 +238,25 @@ def test_route_depth_bounds_are_unchanged(golden):
     assert bounds() == golden["bounds"]
 
 
+def test_sandwich_checks_are_unchanged(golden):
+    assert _json(sandwich_outputs()) == golden["sandwich"]
+
+
+def test_exact_st_is_unchanged(golden):
+    assert _json(st_outputs()) == golden["st"]
+
+
+def test_exact_rt_is_unchanged(golden):
+    assert _json(rt_outputs()) == golden["rt"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
         doc = {"bench_csv": bench_csv(Path(d)),
                "networks": network_digests(Path(d)),
-               "plans": plan_digests(), "bounds": bounds()}
+               "plans": plan_digests(), "bounds": bounds(),
+               "sandwich": sandwich_outputs(), "st": st_outputs(),
+               "rt": rt_outputs()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
