@@ -13,32 +13,42 @@ Verification methods:
 
 Oracles (small n, exact):
 
-- exact_rt / exact_rt_partial: BFS over pebble arrangements where one
-  move applies any matching of the graph as parallel swaps.
+- exact_rt / exact_rt_partial / exact_rt_p: one BFS over pebble
+  arrangements (at[v-1] = pebble on v, 0 for an untracked pebble) where
+  one move applies any matching of the graph as parallel swaps, each
+  matching precomputed as an index permutation.  The partial oracles
+  start it from the arrangement of A and read each assignment's
+  distance.  n >= 10 is refused whatever the cap (RT_LIMIT).
 - exact_st: BFS over network prefixes.  Two prefixes are interchangeable
   when they have the same image set on binary inputs (any suffix sorts
   one iff it sorts the other), so the state is the set of reachable 0-1
   configurations, packed as a bitmask over the 2^n possible configs.  A
   prefix sorts toward pi iff its image set lies inside the n+1 pi-sorted
-  configs.  One BFS therefore answers st(G, pi) for every pi at once.
+  configs.  One BFS therefore answers st(G, pi) for every pi at once;
+  each stage acts through byte lookup tables built with numpy over the
+  2^n configurations.
+- sandwich_check: one st BFS for all orders (st(G) is the minimum) and
+  one rt BFS.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs, network, perms
-from .errors import CapError, ParameterError, TaskError
+from .errors import CapError, ConstructionError, ParameterError, TaskError
 
 ZERO_ONE_CAP = 20
 EXHAUSTIVE_CAP = 8
 RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
 RT_CAP = 8
 RT_PARTIAL_CAP = 7
+RT_LIMIT = 9  # the arrangement BFS holds up to n! states: 9! = 362,880
 ST_CAP = 5
 ST_WORD_LIMIT = 6  # st image sets are uint64 masks over the 2^n configurations
 
@@ -61,15 +71,14 @@ class OracleResult:
     detail: str = ""
 
 
-def _check_cap(n: int, cap: int | None, default: int, what: str) -> None:
+def _check_cap(n: int, cap: int | None, default: int, what: str,
+               hard: int | None = None) -> None:
+    """Refuse n past cap (default when None), and past hard whatever the cap."""
     limit = default if cap is None else cap
+    if hard is not None:
+        limit = min(limit, hard)
     if n > limit:
         raise CapError(f"{what} refused: n={n} exceeds cap {limit}")
-
-
-def _check_st_cap(n: int, cap: int | None) -> None:
-    limit = ST_CAP if cap is None else cap
-    _check_cap(n, min(limit, ST_WORD_LIMIT), ST_CAP, "exact st")
 
 
 # ---------------------------------------------------------------------------
@@ -236,63 +245,58 @@ def all_matchings(g: graphs.Graph) -> list[tuple]:
 # exact routing numbers
 
 
-def _rt_bfs(g: graphs.Graph, stop_at: tuple | None = None):
-    """BFS over arrangements (at[v-1] = pebble on v) under matching moves.
+def _rt_bfs(g: graphs.Graph, start: tuple, stop_at: tuple | None = None):
+    """BFS from start over arrangements (at[v-1] = pebble on v, 0 for an
+    untracked pebble) where one move swaps along every edge of a matching.
 
-    Returns (dist, parent) where parent maps state -> (prev, matching).
+    Returns (dist, parent) where parent maps state -> (prev, matching); the
+    search stops as soon as it reaches stop_at.
     """
-    n = g.n
     moves = []
     for m in all_matchings(g):
-        moves.append(tuple((u - 1, v - 1) for u, v in m))
-    start = tuple(range(1, n + 1))
+        idx = list(range(g.n))
+        for u, v in m:
+            idx[u - 1], idx[v - 1] = v - 1, u - 1
+        moves.append((operator.itemgetter(*idx), m))
     dist = {start: 0}
     parent: dict = {start: None}
     frontier = [start]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for state in frontier:
-            d = dist[state] + 1
-            base = list(state)
-            for mv in moves:
-                s = base[:]
-                for i, j in mv:
-                    s[i], s[j] = s[j], s[i]
-                st = tuple(s)
-                if st not in dist:
-                    dist[st] = d
-                    parent[st] = (state, mv)
-                    nxt.append(st)
-                    if st == stop_at:
+            for move, m in moves:
+                s = move(state)
+                if s not in dist:
+                    dist[s] = d
+                    parent[s] = (state, m)
+                    nxt.append(s)
+                    if s == stop_at:
                         return dist, parent
         frontier = nxt
     return dist, parent
 
 
-def _witness_plan(g: graphs.Graph, parent: dict, state: tuple) -> network.RoutingPlan:
-    stages = []
-    while parent[state] is not None:
-        prev, mv = parent[state]
-        stages.append([(i + 1, j + 1, network.SWAP) for i, j in mv])
-        state = prev
-    stages.reverse()
-    return network.make_plan(g, stages)
-
-
 def exact_rt(g: graphs.Graph, pi=None, cap: int | None = None) -> OracleResult:
     """rt(G, pi), or rt(G) = max over pi when pi is None."""
     graphs.check_connected(g)
-    _check_cap(g.n, cap, RT_CAP, "exact rt")
+    _check_cap(g.n, cap, RT_CAP, "exact rt", RT_LIMIT)
+    start = perms.identity(g.n)
     if pi is not None:
         pi = perms.check_permutation(pi, g.n)
         target = perms.inverse(pi)  # at[pi(v)-1] = v
-        dist, parent = _rt_bfs(g, stop_at=target)
+        dist, parent = _rt_bfs(g, start, stop_at=target)
         if target not in dist:
             raise TaskError("target arrangement unreachable (graph disconnected?)")
+        stages, state = [], target
+        while parent[state] is not None:
+            state, m = parent[state]
+            stages.append([(u, v, network.SWAP) for u, v in m])
         return OracleResult(value=dist[target],
-                            witness=_witness_plan(g, parent, target),
+                            witness=network.make_plan(g, stages[::-1]),
                             explored=len(dist))
-    dist, parent = _rt_bfs(g)
+    dist, _ = _rt_bfs(g, start)
     if len(dist) != math.factorial(g.n):
         raise TaskError("arrangement space not fully reachable")
     worst = max(dist.values())
@@ -302,35 +306,30 @@ def exact_rt(g: graphs.Graph, pi=None, cap: int | None = None) -> OracleResult:
                         detail="witness is a hardest target permutation")
 
 
-def _rt_partial_bfs(g: graphs.Graph, A: tuple):
-    """Distances over placements of the tracked pebbles that start on A."""
-    moves = []
-    for m in all_matchings(g):
-        mp = {}
-        for u, v in m:
-            mp[u] = v
-            mp[v] = u
-        moves.append(mp)
-    start = A
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            d = dist[state] + 1
-            for mp in moves:
-                st = tuple(mp.get(x, x) for x in state)
-                if st not in dist:
-                    dist[st] = d
-                    nxt.append(st)
-        frontier = nxt
-    return dist
+def _placed(n: int, pebbles: tuple, spots: tuple) -> tuple:
+    """Arrangement with pebble pebbles[i] on vertex spots[i], 0 elsewhere."""
+    at = [0] * n
+    for p, v in zip(pebbles, spots):
+        at[v - 1] = p
+    return tuple(at)
+
+
+def _rt_worst(g: graphs.Graph, A: tuple, B) -> tuple:
+    """(steps, map, explored) of the worst bijection A -> B, the pebbles
+    named after their sources in A and every other pebble untracked."""
+    dist, _ = _rt_bfs(g, _placed(g.n, A, A))
+    worst, worst_map = -1, None
+    for assignment in itertools.permutations(B):
+        d = dist[_placed(g.n, A, assignment)]
+        if d > worst:
+            worst, worst_map = d, dict(zip(A, assignment))
+    return worst, worst_map, len(dist)
 
 
 def exact_rt_partial(g: graphs.Graph, A, B, cap: int | None = None) -> OracleResult:
     """rt(G, A, B): worst bijection A -> B, tracked pebbles only."""
     graphs.check_connected(g)
-    _check_cap(g.n, cap, RT_PARTIAL_CAP, "exact partial rt")
+    _check_cap(g.n, cap, RT_PARTIAL_CAP, "exact partial rt", RT_LIMIT)
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     if len(A) != len(B) or not A:
@@ -338,13 +337,8 @@ def exact_rt_partial(g: graphs.Graph, A, B, cap: int | None = None) -> OracleRes
     for x in A + B:
         if not (1 <= x <= g.n):
             raise TaskError(f"vertex {x} out of range")
-    dist = _rt_partial_bfs(g, A)
-    worst, worst_map = -1, None
-    for assignment in itertools.permutations(B):
-        d = dist[assignment]
-        if d > worst:
-            worst, worst_map = d, dict(zip(A, assignment))
-    return OracleResult(value=worst, witness=worst_map, explored=len(dist))
+    worst, worst_map, explored = _rt_worst(g, A, B)
+    return OracleResult(value=worst, witness=worst_map, explored=explored)
 
 
 def exact_rt_p(g: graphs.Graph, p: int, cap: int | None = None) -> OracleResult:
@@ -355,21 +349,17 @@ def exact_rt_p(g: graphs.Graph, p: int, cap: int | None = None) -> OracleResult:
     are excluded; admitting them would force rt_2(K_n) = 2 instead of 1.
     """
     graphs.check_connected(g)
-    _check_cap(g.n, cap, RT_PARTIAL_CAP, "exact rt_p")
+    _check_cap(g.n, cap, RT_PARTIAL_CAP, "exact rt_p", RT_LIMIT)
     if p < 1:
         raise TaskError("p >= 1 required")
     best, witness = 0, None
     explored = 0
-    verts = range(1, g.n + 1)
     for k in range(1, min(p, g.n) + 1):
-        for A in itertools.combinations(verts, k):
-            dist = _rt_partial_bfs(g, A)
-            explored += len(dist)
-            for assignment in itertools.permutations(A):
-                d = dist[assignment]
-                if d > best:
-                    best = d
-                    witness = (A, dict(zip(A, assignment)))
+        for A in itertools.combinations(range(1, g.n + 1), k):
+            worst, worst_map, seen = _rt_worst(g, A, A)
+            explored += seen
+            if worst > best:
+                best, witness = worst, (A, worst_map)
     return OracleResult(value=best, witness=witness, explored=explored)
 
 
@@ -396,66 +386,49 @@ def _decorated_stages(g: graphs.Graph, comparator_only: bool) -> list[tuple]:
     return out
 
 
-def _stage_config_map(stage: tuple, n: int) -> list[int]:
-    size = 1 << n
-    table = []
-    for cfg in range(size):
-        c = cfg
-        for u, v, kind in stage:
-            a = (c >> (u - 1)) & 1
-            b = (c >> (v - 1)) & 1
-            if kind == network.DIR:
-                na, nb = a & b, a | b
-            else:
-                na, nb = b, a
-            c = (c & ~(1 << (u - 1)) & ~(1 << (v - 1))) \
-                | (na << (u - 1)) | (nb << (v - 1))
-        table.append(c)
-    return table
-
-
-def _stage_luts(stages: list[tuple], n: int) -> list[list[np.ndarray]]:
-    """Byte-indexed OR-image tables: applying a stage to an image-set mask
-    is 4 lookups and 3 ORs."""
+def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
+    """Byte-indexed OR-image tables, luts[stage, byte, b]: applying a stage
+    to an image-set mask is one lookup per mask byte, ORed together."""
     size = 1 << n
     nbytes = (size + 7) // 8
-    luts = []
-    for stage in stages:
-        table = _stage_config_map(stage, n)
-        img = [np.uint64(1) << np.uint64(t) for t in table]
-        per_stage = []
-        for bp in range(nbytes):
-            lut = np.zeros(256, dtype=np.uint64)
-            for b in range(1, 256):
-                low = b & (-b)
-                idx = bp * 8 + low.bit_length() - 1
-                contrib = img[idx] if idx < size else np.uint64(0)
-                lut[b] = lut[b & (b - 1)] | contrib
-            per_stage.append(lut)
-        luts.append(per_stage)
+    cfgs = np.arange(size, dtype=np.int64)
+    img = np.zeros((len(stages), nbytes * 8), dtype=np.uint64)
+    for si, stage in enumerate(stages):
+        c = cfgs
+        for u, v, kind in stage:
+            a, b = (c >> (u - 1)) & 1, (c >> (v - 1)) & 1
+            if kind == network.DIR:
+                a, b = a & b, a | b
+            else:
+                a, b = b, a
+            c = c & ~((1 << (u - 1)) | (1 << (v - 1))) | a << (u - 1) | b << (v - 1)
+        img[si, :size] = np.uint64(1) << c.astype(np.uint64)
+    img = img.reshape(len(stages), nbytes, 8)
+    luts = np.zeros((len(stages), nbytes, 256), dtype=np.uint64)
+    for bit in range(8):  # bytes with top bit `bit` extend those below it
+        luts[:, :, 1 << bit:2 << bit] = luts[:, :, :1 << bit] | img[:, :, bit, None]
     return luts
 
 
-def _sorted_mask(order: tuple, n: int) -> int:
-    inv = perms.inverse(order)
-    mask = 0
-    for k in range(n + 1):
-        cfg = 0
-        for r in range(n - k + 1, n + 1):
+def _sort_targets(orders, n: int) -> dict:
+    """order -> mask of its n+1 sorted configs (the top k ranks hold 1s)."""
+    targets = {}
+    for order in map(tuple, orders):
+        inv = perms.inverse(order)
+        cfg, mask = 0, 1  # k = 0: all zeros
+        for r in range(n, 0, -1):
             cfg |= 1 << (inv[r - 1] - 1)
-        mask |= 1 << cfg
-    return mask
+            mask |= 1 << cfg
+        targets[order] = mask
+    return targets
 
 
-def _apply_all_stages(frontier: np.ndarray, luts) -> list[np.ndarray]:
-    out = []
-    for per_stage in luts:
-        acc = per_stage[0][frontier & np.uint64(0xFF)]
-        for bp in range(1, len(per_stage)):
-            shifted = (frontier >> np.uint64(8 * bp)) & np.uint64(0xFF)
-            acc = acc | per_stage[bp][shifted]
-        out.append(acc)
-    return out
+def _apply_stages(frontier: np.ndarray, luts: np.ndarray) -> np.ndarray:
+    """Images of every frontier mask under every stage, shape (stages, masks)."""
+    acc = luts[:, 0, frontier & np.uint64(0xFF)]
+    for bp in range(1, luts.shape[1]):
+        acc |= luts[:, bp, (frontier >> np.uint64(8 * bp)) & np.uint64(0xFF)]
+    return acc
 
 
 class _StSearch:
@@ -463,7 +436,6 @@ class _StSearch:
 
     def __init__(self, g: graphs.Graph, comparator_only: bool):
         graphs.check_connected(g)
-        self.g = g
         self.n = g.n
         self.stages = _decorated_stages(g, comparator_only)
         self.luts = _stage_luts(self.stages, self.n)
@@ -476,9 +448,7 @@ class _StSearch:
         """Extend the BFS by one layer; returns the new layer (may be empty)."""
         if self.exhausted:
             return np.empty(0, dtype=np.uint64)
-        frontier = self.layers[-1]
-        succ = _apply_all_stages(frontier, self.luts)
-        merged = np.unique(np.concatenate(succ)) if succ else np.empty(0, np.uint64)
+        merged = np.unique(_apply_stages(self.layers[-1], self.luts))
         fresh = [x for x in merged.tolist() if x not in self.visited]
         self.visited.update(fresh)
         layer = np.array(fresh, dtype=np.uint64)
@@ -489,11 +459,30 @@ class _StSearch:
 
     def satisfied(self, layer: np.ndarray, sorted_mask: int) -> int:
         """Index of a state in layer inside the sorted mask, or -1."""
-        if len(layer) == 0:
-            return -1
         bad = layer & np.uint64(~sorted_mask & ((1 << 64) - 1))
         hits = np.flatnonzero(bad == 0)
         return int(hits[0]) if len(hits) else -1
+
+    def walk(self, targets: dict, depth_cap: int | None = None):
+        """Yield (depth, hits) for depth 0, 1, ...: hits lists (order, index
+        of a sorting state in the layer) for every order of targets first
+        sorted at that depth, in targets' order.
+
+        Ends once every order is sorted, the state space is exhausted or
+        depth_cap is passed; a layer is grown only when the walk reaches it.
+        """
+        pending = dict(targets)
+        depth = 0
+        while pending and (depth_cap is None or depth <= depth_cap):
+            layer = self.layers[depth] if depth < len(self.layers) else self.grow()
+            hits = [(order, idx) for order, mask in pending.items()
+                    if (idx := self.satisfied(layer, mask)) >= 0]
+            for order, _ in hits:
+                del pending[order]
+            yield depth, hits
+            if self.exhausted:
+                return
+            depth += 1
 
     def witness_stages(self, depth: int, idx: int) -> list[tuple]:
         """Reconstruct one stage sequence reaching layers[depth][idx]."""
@@ -501,16 +490,12 @@ class _StSearch:
         target = self.layers[depth][idx]
         for d in range(depth, 0, -1):
             prev = self.layers[d - 1]
-            found = False
-            for si, per_stage in enumerate(self.luts):
-                imgs = _apply_all_stages(prev, [per_stage])[0]
-                hits = np.flatnonzero(imgs == target)
-                if len(hits):
-                    chosen.append(self.stages[si])
-                    target = prev[int(hits[0])]
-                    found = True
-                    break
-            assert found, "BFS layer bookkeeping broken"
+            hits = np.argwhere(_apply_stages(prev, self.luts) == target)
+            if not len(hits):
+                raise ConstructionError("BFS layer bookkeeping broken")
+            si, i = hits[0]
+            chosen.append(self.stages[si])
+            target = prev[i]
         chosen.reverse()
         return chosen
 
@@ -521,28 +506,21 @@ def exact_st(g: graphs.Graph, pi=None, cap: int | None = None,
 
     The witness is a SortingNetwork achieving the optimum.
     """
-    _check_st_cap(g.n, cap)
+    _check_cap(g.n, cap, ST_CAP, "exact st", ST_WORD_LIMIT)
     n = g.n
-    if pi is not None:
-        targets = {perms.check_permutation(pi, n): _sorted_mask(tuple(pi), n)}
-    else:
-        targets = {tuple(p): _sorted_mask(tuple(p), n)
-                   for p in perms.all_permutations(n)}
+    orders = [perms.check_permutation(pi, n)] if pi is not None \
+        else perms.all_permutations(n)
+    targets = _sort_targets(orders, n)
     search = _StSearch(g, comparator_only)
-    depth = 0
-    while True:
-        layer = search.layers[depth] if depth < len(search.layers) else search.grow()
-        for order, mask in targets.items():
-            idx = search.satisfied(layer, mask)
-            if idx >= 0:
-                stages = search.witness_stages(depth, idx)
-                net = network.make_network(g, order, stages,
-                                           provenance={"built_by": "exact_st"})
-                return OracleResult(value=depth, witness=net,
-                                    explored=len(search.visited))
-        if search.exhausted:
-            raise TaskError("state space exhausted without sorting; bug")
-        depth += 1
+    for depth, hits in search.walk(targets):
+        if hits:
+            order, idx = hits[0]
+            stages = search.witness_stages(depth, idx)
+            net = network.make_network(g, order, stages,
+                                       provenance={"built_by": "exact_st"})
+            return OracleResult(value=depth, witness=net,
+                                explored=len(search.visited))
+    raise TaskError("state space exhausted without sorting; bug")
 
 
 def exact_st_all_orders(g: graphs.Graph, cap: int | None = None,
@@ -552,28 +530,13 @@ def exact_st_all_orders(g: graphs.Graph, cap: int | None = None,
 
     Orders still unsorted at depth_cap are reported with value None.
     """
-    _check_st_cap(g.n, cap)
-    n = g.n
-    pending = {tuple(p): _sorted_mask(tuple(p), n)
-               for p in perms.all_permutations(n)}
+    _check_cap(g.n, cap, ST_CAP, "exact st", ST_WORD_LIMIT)
+    targets = _sort_targets(perms.all_permutations(g.n), g.n)
     found: dict = {}
-    search = _StSearch(g, comparator_only)
-    depth = 0
-    while pending:
-        if depth_cap is not None and depth > depth_cap:
-            break
-        layer = search.layers[depth] if depth < len(search.layers) else search.grow()
-        done = [order for order, mask in pending.items()
-                if search.satisfied(layer, mask) >= 0]
-        for order in done:
+    for depth, hits in _StSearch(g, comparator_only).walk(targets, depth_cap):
+        for order, _ in hits:
             found[order] = depth
-            del pending[order]
-        if search.exhausted and pending:
-            break
-        depth += 1
-    for order in pending:
-        found[order] = None
-    return found
+    return found | {order: None for order in targets if order not in found}
 
 
 # ---------------------------------------------------------------------------
@@ -583,28 +546,31 @@ def exact_st_all_orders(g: graphs.Graph, cap: int | None = None,
 def sandwich_check(g: graphs.Graph, pi=None, cap: int | None = None) -> VerificationReport:
     """Check max(rt(G), log2 n) <= st(G, pi) <= st(G) + rt(G).
 
-    With pi=None every target order is checked.  st values come from one
-    shared BFS capped at st(G) + rt(G); any order not sorted by that
-    depth is itself an upper-bound violation.
+    With pi=None every target order is checked.  All st values come from
+    one BFS; st(G) is their minimum, and any order not sorted within
+    st(G) + rt(G) is an upper-bound violation, reported with value None.
     """
     _check_cap(g.n, cap, ST_CAP, "sandwich check")
     n = g.n
     rt = exact_rt(g).value
-    st_min = exact_st(g, cap=cap).value
+    all_st = exact_st_all_orders(g, cap=cap)
+    st_min = min(v for v in all_st.values() if v is not None)
     bound = st_min + rt
-    all_st = exact_st_all_orders(g, cap=cap, depth_cap=bound)
     orders = [perms.check_permutation(pi, n)] if pi is not None \
         else sorted(all_st)
     lower = max(rt, math.log2(n)) if n > 1 else 0.0
     violations = []
+    st_by_order = {}
     for order in orders:
         st_pi = all_st[order]
-        if st_pi is None:
+        if st_pi is None or st_pi > bound:
+            st_pi = None
             violations.append((order, f"st > {bound} = st(G)+rt(G)"))
         elif st_pi < lower:
             violations.append((order, f"st={st_pi} below max(rt, log2 n)={lower}"))
+        st_by_order[order] = st_pi
     data = {"rt": rt, "st_min": st_min, "orders_checked": len(orders),
-            "st_by_order": {order: all_st[order] for order in orders}}
+            "st_by_order": st_by_order}
     return VerificationReport(
         passed=not violations, method="sandwich",
         inputs_checked=len(orders),

@@ -241,6 +241,21 @@ def test_oracle_st_refuses_n7_past_the_mask_width(capsys):
     _one_line_error(code, err, 2)
 
 
+def test_oracle_rt_refuses_n10_whatever_the_cap(capsys):
+    code, _, err = run(["oracle", "--kind", "rt", "--graph", "path:10",
+                        "--cap", "10"], capsys)
+    _one_line_error(code, err, 2)
+    assert "exceeds cap 9" in err
+
+
+def test_oracle_rt_p_cap_override_stops_at_the_rt_limit(capsys, monkeypatch):
+    monkeypatch.setenv("MATCHNET_CAP_OVERRIDE", "26")
+    code, _, err = run(["oracle", "--kind", "rt_p", "--graph", "path:12",
+                        "--p", "2"], capsys)
+    _one_line_error(code, err, 2)
+    assert "exceeds cap 9" in err
+
+
 def test_construction_error_exits_1(capsys, monkeypatch):
     def broken(g, pi):
         raise ConstructionError("planted")

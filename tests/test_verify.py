@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
-from matchnet.errors import CapError
-from matchnet.graphs import complete_graph, path_graph
+from matchnet.errors import CapError, ConstructionError
+from matchnet.graphs import complete_graph, graph, path_graph
 from matchnet.network import DIR, SWAP, execute, make_network, make_stage
+from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
-                             ZERO_ONE_CAP, all_matchings,
+                             RT_LIMIT, ZERO_ONE_CAP, all_matchings,
                              connected_graphs_upto_iso, exact_rt,
                              exact_rt_p, exact_rt_partial, exact_st,
                              exact_st_all_orders, sandwich_check,
@@ -118,6 +121,39 @@ def test_exact_rt_knowns():
     assert res.witness.realized == (2, 1, 4, 3)
 
 
+@st.composite
+def connected_graphs_with_a_permutation(draw):
+    """A random spanning tree on n <= 6 vertices plus random extra edges,
+    and a permutation of its vertices."""
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6))
+                 if pairs else [])
+    pi = draw(st.permutations(list(range(1, n + 1))))
+    return graph(n, edges), tuple(pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs_with_a_permutation())
+def test_exact_rt_witness_against_planner_and_worst_case(case):
+    g, pi = case
+    res = exact_rt(g, pi)
+    assert res.witness.realized == pi
+    assert res.witness.depth == res.value
+    assert res.value <= route_auto(g, pi).depth
+    assert res.value <= exact_rt(g).value
+
+
+def test_rt_oracles_refuse_past_the_hard_limit_whatever_the_cap():
+    g = path_graph(RT_LIMIT + 1)
+    for call in (lambda: exact_rt(g, cap=26),
+                 lambda: exact_rt_partial(g, [1], [2], cap=26),
+                 lambda: exact_rt_p(g, 2, cap=26)):
+        with pytest.raises(CapError, match=f"exceeds cap {RT_LIMIT}"):
+            call()
+
+
 def test_exact_rt_partial():
     # moving one pebble across P_4 takes 3 stages
     res = exact_rt_partial(path_graph(4), [1], [4])
@@ -138,8 +174,17 @@ def test_sandwich_check_small_graphs():
         assert rep.passed, g.family
 
 
+def test_st_witness_check_raises_without_asserts():
+    search = verify._StSearch(path_graph(3), comparator_only=False)
+    search.grow()
+    assert len(search.grow())
+    assert len(search.witness_stages(2, 0)) == 2
+    search.layers[1] = search.layers[0]  # no layer-1 state leads to layer 2
+    with pytest.raises(ConstructionError, match="bookkeeping"):
+        search.witness_stages(2, 0)
+
+
 def test_sandwich_check_passes_its_cap_on(monkeypatch):
-    from matchnet import verify
     caps = []
 
     class Value:
@@ -161,7 +206,7 @@ def test_sandwich_check_passes_its_cap_on(monkeypatch):
         sandwich_check(g, pi)  # n = 6 is past the default cap
     assert caps == []
     assert sandwich_check(g, pi, cap=6).passed
-    assert caps == [("st", 6), ("st_all", 6)]
+    assert caps == [("st_all", 6)]  # one st search; st(G) is its minimum
 
 
 def test_connected_graphs_counts():
