@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
 from matchnet.errors import CapError, ConstructionError
-from matchnet.graphs import complete_graph, graph, path_graph
+from matchnet.graphs import complete_graph, graph, path_graph, star_graph
 from matchnet.network import DIR, SWAP, execute, make_network, make_stage
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
@@ -128,8 +129,8 @@ def connected_graphs_with_a_permutation(draw):
     n = draw(st.integers(1, 6))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6))
-                 if pairs else [])
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
     pi = draw(st.permutations(list(range(1, n + 1))))
     return graph(n, edges), tuple(pi)
 
@@ -172,6 +173,43 @@ def test_sandwich_check_small_graphs():
     for g in connected_graphs_upto_iso(4):
         rep = sandwich_check(g)
         assert rep.passed, g.family
+
+
+def _loop_stage_luts(stages, n):
+    """Reference: the per-configuration, per-byte loop the numpy tables
+    replaced, one Python int per table entry."""
+    size = 1 << n
+    luts = []
+    for stage in stages:
+        img = []
+        for cfg in range(size):
+            c = cfg
+            for u, v, kind in stage:
+                a, b = (c >> (u - 1)) & 1, (c >> (v - 1)) & 1
+                na, nb = (a & b, a | b) if kind == DIR else (b, a)
+                c = (c & ~(1 << (u - 1)) & ~(1 << (v - 1))) \
+                    | (na << (u - 1)) | (nb << (v - 1))
+            img.append(1 << c)
+        per_stage = []
+        for bp in range((size + 7) // 8):
+            lut = [0] * 256
+            for b in range(1, 256):
+                idx = bp * 8 + (b & -b).bit_length() - 1
+                lut[b] = lut[b & (b - 1)] | (img[idx] if idx < size else 0)
+            per_stage.append(lut)
+        luts.append(per_stage)
+    return luts
+
+
+@pytest.mark.parametrize("g, comparator_only", [
+    (path_graph(1), False), (path_graph(2), False), (complete_graph(3), False),
+    (complete_graph(4), False), (star_graph(5), False),
+    (path_graph(6), True)])
+def test_stage_luts_match_the_loop_reference(g, comparator_only):
+    stages = verify._decorated_stages(g, comparator_only)
+    luts = verify._stage_luts(stages, g.n)
+    assert luts.dtype == np.uint64
+    assert luts.tolist() == _loop_stage_luts(stages, g.n)
 
 
 def test_st_witness_check_raises_without_asserts():
