@@ -206,6 +206,16 @@ def _advance(pos: list[int], realized) -> None:
         pos[i] = realized[pos[i] - 1]
 
 
+def _follow(plan, rb: int, pos: list[int], stages_out: list) -> None:
+    """Append a routed plan's nonempty stages and move the labels in pos
+    with it; refuses a plan deeper than the router's bound rb."""
+    if plan.depth > rb:
+        raise ConstructionError(
+            f"router exceeded its depth bound: depth {plan.depth} > {rb}")
+    stages_out.extend(s for s in plan.stages if s)
+    _advance(pos, plan.realized)
+
+
 def _fixup(g: Graph, pos: list[int], router, stages_out: list) -> int:
     """Route every logical label back to its own vertex; returns stage count."""
     if pos == list(range(1, g.n + 1)):
@@ -258,12 +268,7 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
             for (u, v, _), (a, b) in zip(group, matching):
                 want[pos[u - 1]] = a
                 want[pos[v - 1]] = b
-            plan = router(complete_assignment(n, want))
-            assert plan.depth <= rb, "router exceeded its depth bound"
-            for s in plan.stages:
-                if s:
-                    stages_out.append(s)
-            _advance(pos, plan.realized)
+            _follow(router(complete_assignment(n, want)), rb, pos, stages_out)
             stages_out.append([(pos[u - 1], pos[v - 1], kind)
                                for u, v, kind in group])
     _fixup(g, pos, router, stages_out)
@@ -381,12 +386,7 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
         k = len(block)
         sources = [pos[l - 1] for l in block]
         targets = hv[:k]
-        plan = partial_router(sources, targets)
-        assert plan.depth <= rb, "router exceeded its depth bound"
-        for s in plan.stages:
-            if s:
-                stages_out.append(s)
-        _advance(pos, plan.realized)
+        _follow(partial_router(sources, targets), rb, pos, stages_out)
         # any arrangement inside H works, the merge sorts the block anyway
         assert sorted(pos[l - 1] for l in block) == sorted(targets)
         for stage in h_net.stages:
@@ -489,12 +489,7 @@ def parallel_subgraph_sort(g: Graph, partition, nets,
             for r, label in enumerate(block):
                 want[pos[label - 1]] = arena[r]
             merges.append((idx, block))
-        plan = router(complete_assignment(n, want))
-        assert plan.depth <= rb, "router exceeded its depth bound"
-        for s in plan.stages:
-            if s:
-                stages_out.append(s)
-        _advance(pos, plan.realized)
+        _follow(router(complete_assignment(n, want)), rb, pos, stages_out)
         active = [nets[idx] for idx, _ in merges]
         arenas = [parts[idx] for idx, _ in merges]
         for step in zip_longest(*(net.stages for net in active)):

@@ -34,7 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, StructureError
@@ -64,6 +64,14 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
     def __repr__(self):  # keep reprs short, edge sets get large
         fam = f" family={self.family!r}" if self.family else ""
         return f"Graph(n={self.n}, m={len(self.edges)}{fam})"
@@ -78,14 +86,9 @@ def graph(n: int, edges: Iterable[tuple[int, int]], family: str | None = None,
     return Graph(n=n, edges=es, family=family, factors=factors)
 
 
-@lru_cache(maxsize=None)
 def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
-    """Vertex -> sorted tuple of neighbours."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    """Vertex -> sorted tuple of neighbours, cached on g so it dies with g."""
+    return g._adjacency
 
 
 def bfs_dist(g: Graph, src: int) -> dict[int, int]:

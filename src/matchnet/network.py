@@ -15,6 +15,10 @@ increasing rank gives nondecreasing keys.
 A routing plan is the swap-only special case; its semantic payload is
 the realized permutation (pebble starting at v ends at realized[v-1]),
 which is recomputed by simulation and never trusted from input.
+
+run_stages is the one simulation kernel: execute, plan_realized, the
+verifiers and the st stage tables hand it one column per vertex and a
+compare-exchange, so only it knows how comparators act on values.
 """
 
 from __future__ import annotations
@@ -102,50 +106,39 @@ def make_plan(g: graphs.Graph, stages: Sequence) -> RoutingPlan:
 
 
 def plan_realized(n: int, stages: Sequence) -> tuple:
-    pos = list(range(1, n + 1))  # pos[pebble-1] = current vertex
-    at = list(range(1, n + 1))  # at[vertex-1] = pebble there
-    for s in stages:
-        for u, v, _ in s:
-            pu, pv = at[u - 1], at[v - 1]
-            at[u - 1], at[v - 1] = pv, pu
-            pos[pu - 1], pos[pv - 1] = v, u
-    return tuple(pos)
+    """Where swap-only stages take each pebble: the one from v ends at [v-1]."""
+    return perms.inverse(run_stages(stages, list(range(1, n + 1)), None))
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 
-def apply_stage(keys: list, stage: Stage) -> None:
-    for u, v, kind in stage:
-        a, b = keys[u - 1], keys[v - 1]
-        if kind == DIR:
-            if b < a:
-                keys[u - 1], keys[v - 1] = b, a
-        else:
-            keys[u - 1], keys[v - 1] = b, a
+def run_stages(stages: Sequence, cols: list, cx) -> list:
+    """Run every stage over cols in place, cols[v-1] = what vertex v holds.
+
+    A swap exchanges two entries; a dir comparator (u, v) sets
+    (cols[u-1], cols[v-1]) = cx(a, b).  Returns cols.
+    """
+    for s in stages:
+        for u, v, kind in s:
+            a, b = cols[u - 1], cols[v - 1]
+            cols[u - 1], cols[v - 1] = cx(a, b) if kind == DIR else (b, a)
+    return cols
 
 
 def execute(net: SortingNetwork | RoutingPlan, keys: Sequence) -> list:
     """Run every stage over a pebble configuration (keys[v-1] on vertex v)."""
     if len(keys) != net.graph.n:
         raise TaskError(f"expected {net.graph.n} keys, got {len(keys)}")
-    out = list(keys)
-    for s in net.stages:
-        apply_stage(out, s)
-    return out
+    return run_stages(net.stages, list(keys),
+                      lambda a, b: (b, a) if b < a else (a, b))
 
 
 def is_sorted_for(order: Sequence[int], keys: Sequence) -> bool:
     """Keys read along increasing rank are nondecreasing."""
-    inv = perms.inverse(order)
-    prev = None
-    for r in range(1, len(keys) + 1):
-        k = keys[inv[r - 1] - 1]
-        if prev is not None and k < prev:
-            return False
-        prev = k
-    return True
+    ranked = [keys[v - 1] for v in perms.inverse(order)]
+    return not any(b < a for a, b in zip(ranked, ranked[1:]))
 
 
 def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:

@@ -1,15 +1,18 @@
 """Verification of networks and exact brute-force oracles.
 
-Verification methods:
+Verification methods, each running the stages through the shared kernel
+network.run_stages (one column per vertex) with its own compare-exchange:
 
 - verify_zero_one: all 2^n binary inputs at once, one big-int bitmask per
   vertex (bit x of mask v = value at v on input x).  A comparator is one
   AND plus one OR; the sortedness test is an implication check between
   consecutive ranks.  Sound and complete for sorting by the 0-1 principle.
-- verify_exhaustive: all n! distinct-key inputs, simulated as one numpy
-  matrix (rows = inputs).
-- verify_random: seeded spot check with permutations and with repeated
-  keys.
+- verify_exhaustive: all n! distinct-key inputs, one numpy column per
+  vertex (entry i = value on input i), compared with np.minimum and
+  np.maximum; a swap exchanges two column references.  n >= 11 is
+  refused whatever the cap (EXHAUSTIVE_LIMIT).
+- verify_random: the same columns over seeded blocks of permutations and
+  of keys with repeats.
 
 Oracles (small n, exact):
 
@@ -45,6 +48,7 @@ from .errors import CapError, ConstructionError, ParameterError, TaskError
 
 ZERO_ONE_CAP = 20
 EXHAUSTIVE_CAP = 8
+EXHAUSTIVE_LIMIT = 10  # all n! inputs at once: ~0.6 GB at n = 10, 11x that at 11
 RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
 RT_CAP = 8
 RT_PARTIAL_CAP = 7
@@ -100,17 +104,14 @@ def truth_columns(n: int) -> list[int]:
     return cols
 
 
+def _and_or(a, b) -> tuple:
+    return a & b, a | b
+
+
 def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
     _check_cap(n, cap, ZERO_ONE_CAP, "zero-one verification")
-    cols = truth_columns(n)
-    for stage in net.stages:
-        for u, v, kind in stage:
-            a, b = cols[u - 1], cols[v - 1]
-            if kind == network.DIR:
-                cols[u - 1], cols[v - 1] = a & b, a | b
-            else:
-                cols[u - 1], cols[v - 1] = b, a
+    cols = network.run_stages(net.stages, truth_columns(n), _and_or)
     inv = perms.inverse(net.order)
     full = (1 << (1 << n)) - 1
     for r in range(1, n):
@@ -131,31 +132,23 @@ def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> Veri
 # exhaustive and randomized verification
 
 
-def _run_matrix(net: network.SortingNetwork, arr: np.ndarray) -> np.ndarray:
-    for stage in net.stages:
-        for u, v, kind in stage:
-            cu, cv = arr[:, u - 1].copy(), arr[:, v - 1].copy()
-            if kind == network.DIR:
-                np.minimum(cu, cv, out=arr[:, u - 1])
-                np.maximum(cu, cv, out=arr[:, v - 1])
-            else:
-                arr[:, u - 1], arr[:, v - 1] = cv, cu
-    return arr
-
-
 def _sorted_rows(net: network.SortingNetwork, arr: np.ndarray) -> np.ndarray:
-    inv_idx = [v - 1 for v in perms.inverse(net.order)]
-    ranked = arr[:, inv_idx]
-    return np.all(np.diff(ranked.astype(np.int64), axis=1) >= 0, axis=1)
+    """Which rows of the input block (rows = inputs) the network sorts."""
+    cols = network.run_stages(net.stages, list(arr.T.copy()),
+                              lambda a, b: (np.minimum(a, b), np.maximum(a, b)))
+    ranked = [cols[v - 1] for v in perms.inverse(net.order)]
+    ok = np.ones(len(arr), dtype=bool)
+    for lo, hi in zip(ranked, ranked[1:]):
+        ok &= lo <= hi
+    return ok
 
 
 def verify_exhaustive(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
-    _check_cap(n, cap, EXHAUSTIVE_CAP, "exhaustive verification")
+    _check_cap(n, cap, EXHAUSTIVE_CAP, "exhaustive verification", EXHAUSTIVE_LIMIT)
     inputs = np.array(list(itertools.permutations(range(1, n + 1))),
                       dtype=np.int16)
-    out = _run_matrix(net, inputs.copy())
-    ok = _sorted_rows(net, out)
+    ok = _sorted_rows(net, inputs)
     if not ok.all():
         i = int(np.argmin(ok))
         return VerificationReport(
@@ -186,14 +179,13 @@ def verify_random(net: network.SortingNetwork, trials: int = RANDOM_DEFAULT_TRIA
                 arr = rng.permuted(arr, axis=1)
             else:
                 arr = rng.integers(0, n + 1, size=(rows, n), dtype=np.int32)
-            inputs = arr.copy()
-            ok = _sorted_rows(net, _run_matrix(net, arr))
+            ok = _sorted_rows(net, arr)
             if not ok.all():
                 i = int(np.argmin(ok))
                 return VerificationReport(
                     passed=False, method="random",
                     inputs_checked=checked + i + 1,
-                    counterexample=tuple(int(x) for x in inputs[i]),
+                    counterexample=tuple(int(x) for x in arr[i]),
                     detail="random input left unsorted")
             done += rows
             checked += rows
@@ -392,16 +384,11 @@ def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
     size = 1 << n
     nbytes = (size + 7) // 8
     cfgs = np.arange(size, dtype=np.int64)
+    bits = [(cfgs >> b) & 1 for b in range(n)]
     img = np.zeros((len(stages), nbytes * 8), dtype=np.uint64)
     for si, stage in enumerate(stages):
-        c = cfgs
-        for u, v, kind in stage:
-            a, b = (c >> (u - 1)) & 1, (c >> (v - 1)) & 1
-            if kind == network.DIR:
-                a, b = a & b, a | b
-            else:
-                a, b = b, a
-            c = c & ~((1 << (u - 1)) | (1 << (v - 1))) | a << (u - 1) | b << (v - 1)
+        cols = network.run_stages((stage,), list(bits), _and_or)
+        c = sum(col << b for b, col in enumerate(cols))
         img[si, :size] = np.uint64(1) << c.astype(np.uint64)
     img = img.reshape(len(stages), nbytes, 8)
     luts = np.zeros((len(stages), nbytes, 256), dtype=np.uint64)

@@ -256,6 +256,18 @@ def test_oracle_rt_p_cap_override_stops_at_the_rt_limit(capsys, monkeypatch):
     assert "exceeds cap 9" in err
 
 
+def test_verify_exhaustive_refuses_n11_whatever_the_cap(tmp_path, capsys,
+                                                        monkeypatch):
+    npath = tmp_path / "net.json"
+    run(["build", "--construction", "odd_even", "--graph", "path:11",
+         "--out", str(npath)], capsys)
+    monkeypatch.setenv("MATCHNET_CAP_OVERRIDE", "26")
+    code, _, err = run(["verify", "--net", str(npath),
+                        "--method", "exhaustive"], capsys)
+    _one_line_error(code, err, 2)
+    assert "exceeds cap 10" in err
+
+
 def test_construction_error_exits_1(capsys, monkeypatch):
     def broken(g, pi):
         raise ConstructionError("planted")

@@ -10,13 +10,15 @@ from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     parallel_subgraph_sort, product_sort,
                                     pyramid_sort, sequential_sorter,
                                     simulate_complete, subgraph_sort)
-from matchnet.errors import ParameterError, StructureError
+from matchnet.errors import ConstructionError, ParameterError, StructureError
 from matchnet.graphs import (complete_graph, cycle_graph, hypercube_graph,
                              max_degree, mesh_graph, multipartite_graph,
                              path_graph, pyramid_graph, random_tree,
                              star_graph, tree_contour, tree_diameter_path)
-from matchnet.network import DIR, SWAP, execute, make_network, network_to_json
-from matchnet.routing import route_multipartite
+from matchnet.network import (DIR, SWAP, execute, make_network, make_plan,
+                              network_to_json)
+from matchnet.routing import (complete_assignment, route_auto,
+                              route_depth_bound, route_multipartite)
 from matchnet.verify import verify_auto, verify_exhaustive
 
 
@@ -137,6 +139,30 @@ def test_simulate_complete_star_and_multipartite():
 def test_simulate_complete_rejects_wrong_base():
     with pytest.raises(ParameterError):
         simulate_complete(star_graph(5), batcher_complete(4))
+
+
+def _padded_router(g):
+    """A router that realizes pi but overruns route_depth_bound(g)."""
+    pad = [[]] * (route_depth_bound(g) + 1)
+    return lambda pi: make_plan(g, list(route_auto(g, pi).stages) + pad)
+
+
+def test_router_bound_raises_without_asserts():
+    # the check is a raise, not an assert, so it also holds under python -O
+    g = star_graph(6)
+    with pytest.raises(ConstructionError, match="depth bound"):
+        simulate_complete(g, batcher_complete(6), router=_padded_router(g))
+    g = cycle_graph(6)
+    route = _padded_router(g)
+    with pytest.raises(ConstructionError, match="depth bound"):
+        subgraph_sort(g, [1, 2, 3, 4], odd_even_transposition(4),
+                      partial_router=lambda src, dst: route(
+                          complete_assignment(6, dict(zip(src, dst)))))
+    g = mesh_graph((3, 4))
+    rows = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    with pytest.raises(ConstructionError, match="depth bound"):
+        parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3,
+                               router=_padded_router(g))
 
 
 def test_subgraph_sort_path_inside_cycle():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,17 @@ from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
 def _check(plan, pi):
     assert plan.realized == tuple(pi)
     assert plan_realized(plan.graph.n, plan.stages) == tuple(pi)
+
+
+def test_routed_graph_dies_with_its_last_reference():
+    g = random_tree(256, 7)
+    pi = list(range(1, 257))
+    random.Random(7).shuffle(pi)
+    _check(route_auto(g, pi), pi)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None  # no module-level cache keeps the graph alive
 
 
 def test_two_cycle_decompose_known():

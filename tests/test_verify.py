@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,9 @@ from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
 from matchnet.errors import CapError, ConstructionError
 from matchnet.graphs import complete_graph, graph, path_graph, star_graph
-from matchnet.network import DIR, SWAP, execute, make_network, make_stage
+from matchnet.network import (DIR, SWAP, execute, make_network, make_plan,
+                              make_stage, plan_realized)
+from matchnet.perms import inverse
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
                              RT_LIMIT, ZERO_ONE_CAP, all_matchings,
@@ -245,6 +248,143 @@ def test_sandwich_check_passes_its_cap_on(monkeypatch):
     assert caps == []
     assert sandwich_check(g, pi, cap=6).passed
     assert caps == [("st_all", 6)]  # one st search; st(G) is its minimum
+
+
+# References for the shared stage kernel: the row-major matrix loop and the
+# two-list plan_realized it replaced, kept verbatim.
+
+def _reference_run_matrix(net, arr):
+    for stage in net.stages:
+        for u, v, kind in stage:
+            cu, cv = arr[:, u - 1].copy(), arr[:, v - 1].copy()
+            if kind == DIR:
+                np.minimum(cu, cv, out=arr[:, u - 1])
+                np.maximum(cu, cv, out=arr[:, v - 1])
+            else:
+                arr[:, u - 1], arr[:, v - 1] = cv, cu
+    return arr
+
+
+def _reference_sorted_rows(net, arr):
+    inv_idx = [v - 1 for v in inverse(net.order)]
+    ranked = arr[:, inv_idx]
+    return np.all(np.diff(ranked.astype(np.int64), axis=1) >= 0, axis=1)
+
+
+def _reference_plan_realized(n, stages):
+    pos = list(range(1, n + 1))  # pos[pebble-1] = current vertex
+    at = list(range(1, n + 1))  # at[vertex-1] = pebble there
+    for s in stages:
+        for u, v, _ in s:
+            pu, pv = at[u - 1], at[v - 1]
+            at[u - 1], at[v - 1] = pv, pu
+            pos[pu - 1], pos[pv - 1] = v, u
+    return tuple(pos)
+
+
+def _reference_exhaustive(net):
+    """(passed, counterexample, inputs_checked) of the old exhaustive loop."""
+    n = net.graph.n
+    inputs = np.array(list(itertools.permutations(range(1, n + 1))),
+                      dtype=np.int16)
+    ok = _reference_sorted_rows(net, _reference_run_matrix(net, inputs.copy()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        return False, tuple(int(x) for x in inputs[i]), len(inputs)
+    return True, None, len(inputs)
+
+
+def _reference_random(net, trials, seed):
+    """(passed, counterexample, inputs_checked) of the old random loop."""
+    rng = np.random.default_rng(seed)
+    n = net.graph.n
+    half = trials // 2
+    checked = 0
+    for block, count in (("perm", half), ("repeat", trials - half)):
+        done = 0
+        while done < count:
+            rows = min(50_000, count - done)
+            if block == "perm":
+                arr = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+                arr = rng.permuted(arr, axis=1)
+            else:
+                arr = rng.integers(0, n + 1, size=(rows, n), dtype=np.int32)
+            inputs = arr.copy()
+            ok = _reference_sorted_rows(net, _reference_run_matrix(net, arr))
+            if not ok.all():
+                i = int(np.argmin(ok))
+                return (False, tuple(int(x) for x in inputs[i]),
+                        checked + i + 1)
+            done += rows
+            checked += rows
+    return True, None, trials
+
+
+def _matching_stages(draw, n, kinds, max_depth=12):
+    """Random stages on K_n; a comparator's orientation is the draw order."""
+    stages = []
+    for _ in range(draw(st.integers(0, max_depth))):
+        verts = draw(st.permutations(range(1, n + 1)))
+        stages.append([(verts[2 * i], verts[2 * i + 1],
+                        draw(st.sampled_from(kinds)))
+                       for i in range(draw(st.integers(0, n // 2)))])
+    return stages
+
+
+@st.composite
+def planted_networks(draw):
+    """A network on K_n, n <= 8: random dir comparators in both
+    orientations mixed with swaps, or a Batcher sorter with one planted
+    fault (a comparator dropped, flipped, or turned into a swap)."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        base = batcher_complete(n)
+        stages = [list(s) for s in base.stages]
+        order = base.order
+        if stages:
+            s = stages[draw(st.integers(0, len(stages) - 1))]
+            i = draw(st.integers(0, len(s) - 1))
+            u, v, _ = s[i]
+            s[i:i + 1] = draw(st.sampled_from(
+                [[], [(v, u, DIR)], [(u, v, SWAP)]]))
+    else:
+        stages = _matching_stages(draw, n, [DIR, SWAP])
+        order = draw(st.permutations(range(1, n + 1)))
+    return make_network(complete_graph(n), tuple(order), stages)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_networks(), st.integers(0, 2**32 - 1),
+       st.integers(1, 3_000))
+def test_kernel_matches_the_matrix_reference(net, seed, trials):
+    n = net.graph.n
+    block = np.random.default_rng(seed).integers(0, n // 2 + 2, size=(30, n))
+    before = block.copy()
+    ref = _reference_run_matrix(net, block.copy())
+    for row, want in zip(block.tolist(), ref.tolist()):
+        assert execute(net, row) == want
+    assert verify._sorted_rows(net, block).tolist() == \
+        _reference_sorted_rows(net, ref).tolist()
+    assert np.array_equal(block, before)  # the input block is never changed
+    for got, want in ((verify_exhaustive(net), _reference_exhaustive(net)),
+                      (verify_random(net, trials, seed),
+                       _reference_random(net, trials, seed))):
+        assert (got.passed, got.counterexample, got.inputs_checked) == want
+
+
+@st.composite
+def swap_plans(draw):
+    n = draw(st.integers(1, 8))
+    return n, _matching_stages(draw, n, [SWAP])
+
+
+@settings(max_examples=80, deadline=None)
+@given(swap_plans())
+def test_plan_realized_matches_its_reference(case):
+    n, stages = case
+    want = _reference_plan_realized(n, stages)
+    assert plan_realized(n, stages) == want
+    assert make_plan(complete_graph(n), stages).realized == want
 
 
 def test_connected_graphs_counts():
