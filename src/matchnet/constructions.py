@@ -216,22 +216,15 @@ def _follow(plan, rb: int, pos: list[int], stages_out: list) -> None:
     _advance(pos, plan.realized)
 
 
-def _fixup(g: Graph, pos: list[int], router, stages_out: list) -> int:
-    """Route every logical label back to its own vertex; returns stage count."""
+def _fixup(g: Graph, pos: list[int], router, rb: int, stages_out: list) -> None:
+    """Route every logical label back to its own vertex."""
     if pos == list(range(1, g.n + 1)):
-        return 0
+        return
     perm = [0] * g.n
     for label, vertex in enumerate(pos, start=1):
         perm[vertex - 1] = label
-    plan = router(tuple(perm))
-    used = 0
-    for s in plan.stages:
-        if s:
-            stages_out.append(s)
-            used += 1
-    _advance(pos, plan.realized)
+    _follow(router(tuple(perm)), rb, pos, stages_out)
     assert pos == list(range(1, g.n + 1))
-    return used
 
 
 def simulate_complete(g: Graph, base: SortingNetwork, router=None,
@@ -271,7 +264,7 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
             _follow(router(complete_assignment(n, want)), rb, pos, stages_out)
             stages_out.append([(pos[u - 1], pos[v - 1], kind)
                                for u, v, kind in group])
-    _fixup(g, pos, router, stages_out)
+    _fixup(g, pos, router, rb, stages_out)
 
     t = -(-n // nu) if nu else 1
     claimed = base.depth * t * (rb + 1) + rb
@@ -397,7 +390,7 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
         for r, label in enumerate(block):
             pos[label - 1] = hv[r]
     fix_bound = route_depth_bound(g)
-    _fixup(g, pos, lambda pi: route_auto(g, pi), stages_out)
+    _fixup(g, pos, lambda pi: route_auto(g, pi), fix_bound, stages_out)
 
     claimed = len(comps) * (rb + h_net.depth) + fix_bound
     cert = _cert("subgraph",
