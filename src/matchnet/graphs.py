@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ParameterError, StructureError
+from .errors import CapError, ParameterError, StructureError
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -440,11 +440,22 @@ def _parse_spec(spec: str) -> tuple[str, list[int]]:
         raise ParameterError(f"non-integer parameter in {spec!r}") from e
 
 
+GENERATE_CAP = 1 << 22  # vertices plus edges of one generated graph
+
+
 def generate(spec: str) -> Graph:
-    """Build a graph from a family spec string like "mesh:3,3"."""
+    """Build a graph from a family spec string like "mesh:3,3".
+
+    A spec with more than GENERATE_CAP vertices plus edges is refused with
+    CapError before anything is built.
+    """
     name, ints = _parse_spec(spec)
     if name not in _FAMILIES:
         raise ParameterError(f"unknown family {name!r}")
+    shape = _spec_shape(name, ints, GENERATE_CAP)
+    if shape is not None and sum(shape) > GENERATE_CAP:
+        raise CapError(f"graph {spec!r} has more than {GENERATE_CAP} "
+                       f"vertices plus edges")
     fn, arity = _FAMILIES[name]
     if name == "random_tree" and len(ints) == 1:
         ints.append(0)  # seed defaults to 0

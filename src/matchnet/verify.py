@@ -7,29 +7,43 @@ network.run_stages (one column per vertex) with its own compare-exchange:
   vertex (bit x of mask v = value at v on input x).  A comparator is one
   AND plus one OR; the sortedness test is an implication check between
   consecutive ranks.  Sound and complete for sorting by the 0-1 principle.
-- verify_exhaustive: all n! distinct-key inputs, one numpy column per
-  vertex (entry i = value on input i), compared with np.minimum and
-  np.maximum; a swap exchanges two column references.  n >= 11 is
-  refused whatever the cap (EXHAUSTIVE_LIMIT).
+- verify_exhaustive: all n! distinct-key inputs, built in numpy in
+  lexicographic order, one numpy column per vertex (entry i = value on
+  input i), compared with np.minimum and np.maximum; a swap exchanges two
+  column references.  n >= 11 is refused whatever the cap
+  (EXHAUSTIVE_LIMIT).
 - verify_random: the same columns over seeded blocks of permutations and
   of keys with repeats.
 
-Oracles (small n, exact):
+Oracles (small n, exact), each a layered BFS whose states are uint64
+keys.  A layer is expanded CHUNK candidates at a time (CHUNK is a fixed
+module constant, so no (layer x moves) block is built whole) and
+deduplicated by one step, _fresh: sort the chunk, keep the first of each
+run of equal states, drop those found by np.searchsorted in the sorted
+array of visited states, and merge the rest into it.
 
 - exact_rt / exact_rt_partial / exact_rt_p: one BFS over pebble
   arrangements (at[v-1] = pebble on v, 0 for an untracked pebble) where
-  one move applies any matching of the graph as parallel swaps, each
-  matching precomputed as an index permutation.  The partial oracles
-  start it from the arrangement of A and read each assignment's
-  distance.  n >= 10 is refused whatever the cap (RT_LIMIT).
+  one move applies any matching of the graph as parallel swaps.  An
+  arrangement is packed 4 bits per vertex, vertex 1 highest, so integer
+  order is tuple order; one integer product with a move table built once
+  per graph gives a chunk's candidates under every matching.  Each
+  candidate carries its generation index in the low bits, so the same
+  sort finds its first discoverer: discovery order, parents and the
+  early stop at a target are those of a plain state-by-state BFS.  The
+  partial oracles start it from the arrangements of every A at once and
+  read each assignment's distance.  n >= 10 is refused whatever the cap
+  (RT_LIMIT).
 - exact_st: BFS over network prefixes.  Two prefixes are interchangeable
   when they have the same image set on binary inputs (any suffix sorts
   one iff it sorts the other), so the state is the set of reachable 0-1
   configurations, packed as a bitmask over the 2^n possible configs.  A
   prefix sorts toward pi iff its image set lies inside the n+1 pi-sorted
-  configs.  One BFS therefore answers st(G, pi) for every pi at once;
-  each stage acts through byte lookup tables built with numpy over the
-  2^n configurations.
+  configs, and since every image set keeps a config of each weight, iff
+  it equals them: each sorted layer is searched for all pending orders
+  at once.  One BFS therefore answers st(G, pi) for every pi; each stage
+  acts through byte lookup tables built with numpy over the 2^n
+  configurations.
 - sandwich_check: one st BFS for all orders (st(G) is the minimum) and
   one rt BFS.
 """
@@ -38,8 +52,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +69,7 @@ RT_PARTIAL_CAP = 7
 RT_LIMIT = 9  # the arrangement BFS holds up to n! states: 9! = 362,880
 ST_CAP = 5
 ST_WORD_LIMIT = 6  # st image sets are uint64 masks over the 2^n configurations
+CHUNK = 1 << 18  # BFS candidates (states x moves, or stage images) made at once
 
 
 @dataclass(frozen=True)
@@ -133,8 +148,11 @@ def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> Veri
 
 
 def _sorted_rows(net: network.SortingNetwork, arr: np.ndarray) -> np.ndarray:
-    """Which rows of the input block (rows = inputs) the network sorts."""
-    cols = network.run_stages(net.stages, list(arr.T.copy()),
+    """Which rows of the input block (rows = inputs) the network sorts.
+
+    The kernel only rebinds columns, so arr is never written to.
+    """
+    cols = network.run_stages(net.stages, list(np.ascontiguousarray(arr.T)),
                               lambda a, b: (np.minimum(a, b), np.maximum(a, b)))
     ranked = [cols[v - 1] for v in perms.inverse(net.order)]
     ok = np.ones(len(arr), dtype=bool)
@@ -143,11 +161,29 @@ def _sorted_rows(net: network.SortingNetwork, arr: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _lex_block(n: int) -> np.ndarray:
+    """All n! permutations of 1..n as the columns of an (n, n!) int16 array,
+    in lexicographic order (the order of itertools.permutations).
+
+    Built from the block for n - 1 (Knuth, TAOCP 4A, 7.2.1.2): the columns
+    starting with f are f above that block with every entry >= f raised by
+    one.
+    """
+    block = np.ones((1, 1), dtype=np.int16)
+    for k in range(2, n + 1):
+        prev, size = block, block.shape[1]
+        block = np.empty((k, k * size), dtype=np.int16)
+        for f in range(1, k + 1):
+            part = block[:, (f - 1) * size:f * size]
+            part[0] = f
+            np.add(prev, prev >= f, out=part[1:])
+    return block
+
+
 def verify_exhaustive(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
     _check_cap(n, cap, EXHAUSTIVE_CAP, "exhaustive verification", EXHAUSTIVE_LIMIT)
-    inputs = np.array(list(itertools.permutations(range(1, n + 1))),
-                      dtype=np.int16)
+    inputs = _lex_block(n).T  # row i: the i-th permutation
     ok = _sorted_rows(net, inputs)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -234,68 +270,78 @@ def all_matchings(g: graphs.Graph) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# layered BFS: one sort-deduplication step for the rt and st searches
+
+
+def _fresh(cand: np.ndarray, visited: np.ndarray,
+           shift: np.uint64 | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-deduplicate one chunk of BFS candidates against visited.
+
+    A candidate's state is cand >> shift; visited holds the states seen so
+    far, sorted.  Returns the candidates whose state is new, sorted, one per
+    state (the smallest, so the one with the smallest low bits), and visited
+    merged with their states.
+    """
+    cand = np.sort(cand)
+    states = cand >> shift if shift else cand
+    first = np.empty(len(cand), dtype=bool)
+    first[:1] = True
+    np.not_equal(states[1:], states[:-1], out=first[1:])
+    cand, states = cand[first], states[first]
+    new = visited.take(visited.searchsorted(states), mode="clip") != states
+    merged = np.concatenate((visited, states[new]))
+    merged.sort(kind="stable")  # two sorted runs: a linear merge
+    return cand[new], merged
+
+
+# ---------------------------------------------------------------------------
 # exact routing numbers
 
 
-def _rt_bfs(g: graphs.Graph, start: tuple, stop_at: tuple | None = None):
-    """BFS from start over arrangements (at[v-1] = pebble on v, 0 for an
-    untracked pebble) where one move swaps along every edge of a matching.
+class _RtMoves(NamedTuple):
+    """The matchings of a graph as moves on packed arrangements.
 
-    Returns (dist, parent) where parent maps state -> (prev, matching); the
-    search stops as soon as it reaches stop_at.
+    An arrangement at (at[v-1] = pebble on v, 0 for an untracked pebble) is
+    packed as the sum of at[v-1] << 4 (n - v): vertex 1 in the highest bits,
+    so integer order is tuple order.  A matching sends the pebble on u to
+    its partner, so the packed images of a batch of unpacked arrangements
+    under every matching are one product with weights[u-1, m] =
+    16^(n - partner_m(u)), shifted past the _RT_INDEX_BITS low bits that
+    hold a candidate's generation index.
     """
-    moves = []
-    for m in all_matchings(g):
-        idx = list(range(g.n))
+    matchings: list
+    weights: np.ndarray  # (n, matchings) uint64
+    shifts: np.ndarray  # (n,) uint64: 4 (n - v)
+
+
+# a candidate's index in its chunk is below max(CHUNK, matchings) < 2^28
+_RT_INDEX_BITS = 64 - 4 * RT_LIMIT
+_RT_INDEX_MASK = np.uint64((1 << _RT_INDEX_BITS) - 1)
+_RT_SHIFT = np.uint64(_RT_INDEX_BITS)
+_NIBBLE = np.uint64(0xF)
+
+
+def _rt_moves(g: graphs.Graph) -> _RtMoves:
+    """The move table of g, built once per graph."""
+    if g.n > RT_LIMIT:
+        raise ConstructionError(
+            f"packed arrangements hold at most {RT_LIMIT} vertices, not {g.n}")
+    n = g.n
+    matchings = all_matchings(g)
+    bit = [4 * (n - v) + _RT_INDEX_BITS for v in range(1, n + 1)]
+    dests = []
+    for m in matchings:
+        dest = list(range(n))
         for u, v in m:
-            idx[u - 1], idx[v - 1] = v - 1, u - 1
-        moves.append((operator.itemgetter(*idx), m))
-    dist = {start: 0}
-    parent: dict = {start: None}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for state in frontier:
-            for move, m in moves:
-                s = move(state)
-                if s not in dist:
-                    dist[s] = d
-                    parent[s] = (state, m)
-                    nxt.append(s)
-                    if s == stop_at:
-                        return dist, parent
-        frontier = nxt
-    return dist, parent
+            dest[u - 1], dest[v - 1] = v - 1, u - 1
+        dests.append(dest)
+    weights = [[1 << bit[dest[u]] for dest in dests] for u in range(n)]
+    return _RtMoves(matchings, np.array(weights, dtype=np.uint64),
+                    np.arange(4 * (n - 1), -1, -4, dtype=np.uint64))
 
 
-def exact_rt(g: graphs.Graph, pi=None, cap: int | None = None) -> OracleResult:
-    """rt(G, pi), or rt(G) = max over pi when pi is None."""
-    graphs.check_connected(g)
-    _check_cap(g.n, cap, RT_CAP, "exact rt", RT_LIMIT)
-    start = perms.identity(g.n)
-    if pi is not None:
-        pi = perms.check_permutation(pi, g.n)
-        target = perms.inverse(pi)  # at[pi(v)-1] = v
-        dist, parent = _rt_bfs(g, start, stop_at=target)
-        if target not in dist:
-            raise TaskError("target arrangement unreachable (graph disconnected?)")
-        stages, state = [], target
-        while parent[state] is not None:
-            state, m = parent[state]
-            stages.append([(u, v, network.SWAP) for u, v in m])
-        return OracleResult(value=dist[target],
-                            witness=network.make_plan(g, stages[::-1]),
-                            explored=len(dist))
-    dist, _ = _rt_bfs(g, start)
-    if len(dist) != math.factorial(g.n):
-        raise TaskError("arrangement space not fully reachable")
-    worst = max(dist.values())
-    arg = min(s for s, d in dist.items() if d == worst)
-    return OracleResult(value=worst, witness=perms.inverse(arg),
-                        explored=len(dist),
-                        detail="witness is a hardest target permutation")
+def _rt_pack(at) -> int:
+    return sum(p << 4 * (len(at) - v) for v, p in enumerate(at, 1))
 
 
 def _placed(n: int, pebbles: tuple, spots: tuple) -> tuple:
@@ -306,16 +352,114 @@ def _placed(n: int, pebbles: tuple, spots: tuple) -> tuple:
     return tuple(at)
 
 
-def _rt_worst(g: graphs.Graph, A: tuple, B) -> tuple:
-    """(steps, map, explored) of the worst bijection A -> B, the pebbles
-    named after their sources in A and every other pebble untracked."""
-    dist, _ = _rt_bfs(g, _placed(g.n, A, A))
-    worst, worst_map = -1, None
-    for assignment in itertools.permutations(B):
-        d = dist[_placed(g.n, A, assignment)]
-        if d > worst:
-            worst, worst_map = d, dict(zip(A, assignment))
-    return worst, worst_map, len(dist)
+def _rt_bfs(moves: _RtMoves, starts: list, stop_at: tuple | None = None):
+    """BFS from the arrangements starts over packed arrangements where one
+    move swaps along every edge of a matching.
+
+    Returns the layers, layer d a pair (codes, gen): the packed states at
+    distance d in discovery order (frontier state by frontier state, each
+    through the matchings in order), and for each the generation index
+    p * matchings + m of its first discovery, from state p of layer d - 1
+    through matching m.  A layer is expanded CHUNK candidates at a time; a
+    candidate carries its index in its low bits, so one sort both
+    deduplicates and finds the first discoverer.  The search stops as soon
+    as it discovers stop_at, which then ends the last layer, or once it
+    holds every state: a start with k tracked pebbles reaches at most the
+    n!/(n-k)! placements of them.
+    """
+    n, width = moves.weights.shape
+    frontier = np.array([_rt_pack(s) for s in starts], dtype=np.uint64)
+    stop = None if stop_at is None else _rt_pack(stop_at)
+    bound = sum(math.perm(n, sum(p > 0 for p in s)) for s in starts)
+    layers = [(frontier, None)]  # the starts have no discoverer
+    visited = np.sort(frontier)
+    rows = max(1, CHUNK // max(width, 1))
+    hit = ()
+    while len(visited) < bound and not len(hit):
+        found = []
+        for r0 in range(0, len(frontier), rows):
+            at = (frontier[r0:r0 + rows, None] >> moves.shifts) & _NIBBLE
+            cand = (at @ moves.weights).ravel()
+            cand |= np.arange(len(cand), dtype=np.uint64)
+            fresh, visited = _fresh(cand, visited, _RT_SHIFT)
+            gen = np.sort(fresh & _RT_INDEX_MASK)
+            codes = cand[gen] >> _RT_SHIFT
+            if stop is not None:
+                hit = np.flatnonzero(codes == stop)[:1]
+                if len(hit):
+                    gen, codes = gen[:hit[0] + 1], codes[:hit[0] + 1]
+            found.append((codes, gen + np.uint64(r0 * width) if r0 else gen))
+            if len(hit):
+                break
+        frontier, gen = found[0] if len(found) == 1 else \
+            (np.concatenate(part) for part in zip(*found))
+        if not len(frontier):
+            break
+        layers.append((frontier, gen))
+    return layers
+
+
+def exact_rt(g: graphs.Graph, pi=None, cap: int | None = None) -> OracleResult:
+    """rt(G, pi), or rt(G) = max over pi when pi is None."""
+    graphs.check_connected(g)
+    _check_cap(g.n, cap, RT_CAP, "exact rt", RT_LIMIT)
+    moves = _rt_moves(g)
+    start = perms.identity(g.n)
+    if pi is not None:
+        pi = perms.check_permutation(pi, g.n)
+        target = perms.inverse(pi)  # at[pi(v)-1] = v
+        layers = _rt_bfs(moves, [start], stop_at=target)
+        d, i = len(layers) - 1, len(layers[-1][0]) - 1
+        if target == start:  # never discovered: the search runs to the end
+            d = i = 0
+        elif int(layers[d][0][i]) != _rt_pack(target):
+            raise TaskError("target arrangement unreachable (graph disconnected?)")
+        stages = []
+        for _, gen in layers[d:0:-1]:  # back along first discoverers
+            i, m = divmod(int(gen[i]), len(moves.matchings))
+            stages.append([(u, v, network.SWAP) for u, v in moves.matchings[m]])
+        plan = network.make_plan(g, stages[::-1])
+        if plan.realized != pi:
+            raise ConstructionError("rt BFS bookkeeping broken: witness misses pi")
+        return OracleResult(value=d, witness=plan,
+                            explored=sum(len(c) for c, _ in layers))
+    layers = _rt_bfs(moves, [start])
+    explored = sum(len(c) for c, _ in layers)
+    if explored != math.factorial(g.n):
+        raise TaskError("arrangement space not fully reachable")
+    last = min(layers[-1][0].tolist())
+    arg = tuple((last >> 4 * (g.n - v)) & 0xF for v in range(1, g.n + 1))
+    return OracleResult(value=len(layers) - 1, witness=perms.inverse(arg),
+                        explored=explored,
+                        detail="witness is a hardest target permutation")
+
+
+def _rt_worst(g: graphs.Graph, tasks: list) -> tuple[list, int]:
+    """The worst bijection A -> B of each task (A, B), A and B sorted, the
+    pebbles named after their sources in A and every other pebble untracked.
+
+    One BFS starts from the arrangements of every A at once: pebble names
+    never change, so each start explores its own states.  Returns, per
+    task, the worst distance and its map, the first in
+    itertools.permutations(B) order among ties; then the states explored.
+    """
+    moves = _rt_moves(g)
+    layers = _rt_bfs(moves, [_placed(g.n, A, A) for A, _ in tasks])
+    codes = np.concatenate([c for c, _ in layers])
+    dist = np.repeat(np.arange(len(layers)), [len(c) for c, _ in layers])
+    order = np.argsort(codes)
+    codes, dist = codes[order], dist[order]
+    out = []
+    for A, B in tasks:
+        spots = np.array(B)[_lex_block(len(B)) - 1]  # column j: j-th bijection
+        place = np.uint64(1) << moves.shifts[spots - 1]
+        wanted = np.array(A, dtype=np.uint64) @ place  # packed arrangements
+        pos = codes.searchsorted(wanted)
+        if (codes.take(pos, mode="clip") != wanted).any():
+            raise TaskError("assignment unreachable (graph disconnected?)")
+        j = int(np.argmax(dist[pos]))
+        out.append((int(dist[pos[j]]), dict(zip(A, map(int, spots[:, j])))))
+    return out, len(codes)
 
 
 def exact_rt_partial(g: graphs.Graph, A, B, cap: int | None = None) -> OracleResult:
@@ -329,7 +473,7 @@ def exact_rt_partial(g: graphs.Graph, A, B, cap: int | None = None) -> OracleRes
     for x in A + B:
         if not (1 <= x <= g.n):
             raise TaskError(f"vertex {x} out of range")
-    worst, worst_map, explored = _rt_worst(g, A, B)
+    [(worst, worst_map)], explored = _rt_worst(g, [(A, B)])
     return OracleResult(value=worst, witness=worst_map, explored=explored)
 
 
@@ -344,14 +488,13 @@ def exact_rt_p(g: graphs.Graph, p: int, cap: int | None = None) -> OracleResult:
     _check_cap(g.n, cap, RT_PARTIAL_CAP, "exact rt_p", RT_LIMIT)
     if p < 1:
         raise TaskError("p >= 1 required")
+    sources = [A for k in range(1, min(p, g.n) + 1)
+               for A in itertools.combinations(range(1, g.n + 1), k)]
+    worst, explored = _rt_worst(g, [(A, A) for A in sources])
     best, witness = 0, None
-    explored = 0
-    for k in range(1, min(p, g.n) + 1):
-        for A in itertools.combinations(range(1, g.n + 1), k):
-            worst, worst_map, seen = _rt_worst(g, A, A)
-            explored += seen
-            if worst > best:
-                best, witness = worst, (A, worst_map)
+    for A, (steps, worst_map) in zip(sources, worst):
+        if steps > best:
+            best, witness = steps, (A, worst_map)
     return OracleResult(value=best, witness=witness, explored=explored)
 
 
@@ -383,18 +526,20 @@ def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
     to an image-set mask is one lookup per mask byte, ORed together."""
     size = 1 << n
     nbytes = (size + 7) // 8
-    cfgs = np.arange(size, dtype=np.int64)
-    bits = [(cfgs >> b) & 1 for b in range(n)]
+    cfgs = np.arange(size, dtype=np.uint64)
+    place = cfgs[:n, None]  # bit b of a config is vertex b + 1
+    bits = (cfgs >> place) & np.uint64(1)
+    cols = np.array([network.run_stages((stage,), list(bits), _and_or)
+                     for stage in stages], dtype=np.uint64)
+    cols = cols.reshape(len(stages), n, size)  # [stage, vertex, config]
     img = np.zeros((len(stages), nbytes * 8), dtype=np.uint64)
-    for si, stage in enumerate(stages):
-        cols = network.run_stages((stage,), list(bits), _and_or)
-        c = sum(col << b for b, col in enumerate(cols))
-        img[si, :size] = np.uint64(1) << c.astype(np.uint64)
-    img = img.reshape(len(stages), nbytes, 8)
-    luts = np.zeros((len(stages), nbytes, 256), dtype=np.uint64)
-    for bit in range(8):  # bytes with top bit `bit` extend those below it
-        luts[:, :, 1 << bit:2 << bit] = luts[:, :, :1 << bit] | img[:, :, bit, None]
-    return luts
+    img[:, :size] = np.uint64(1) << (cols << place).sum(axis=1)
+    img = img.reshape(len(stages), nbytes, 2, 4)  # low and high nibble
+    nib = np.zeros((len(stages), nbytes, 2, 16), dtype=np.uint64)
+    for bit in range(4):  # nibbles with top bit `bit` extend those below it
+        nib[..., 1 << bit:2 << bit] = nib[..., :1 << bit] | img[..., bit, None]
+    luts = nib[:, :, 1, :, None] | nib[:, :, 0, None, :]  # byte = 16 hi + lo
+    return luts.reshape(len(stages), nbytes, 256)
 
 
 def _sort_targets(orders, n: int) -> dict:
@@ -419,7 +564,10 @@ def _apply_stages(frontier: np.ndarray, luts: np.ndarray) -> np.ndarray:
 
 
 class _StSearch:
-    """Layered BFS over image-set states shared by all exact_st modes."""
+    """Layered BFS over image-set states shared by all exact_st modes.
+
+    Each layer is sorted; visited is the sorted array of every state seen.
+    """
 
     def __init__(self, g: graphs.Graph, comparator_only: bool):
         graphs.check_connected(g)
@@ -428,27 +576,27 @@ class _StSearch:
         self.luts = _stage_luts(self.stages, self.n)
         init = (1 << (1 << self.n)) - 1  # empty prefix reaches every config
         self.layers = [np.array([init], dtype=np.uint64)]
-        self.visited = {init}
+        self.visited = self.layers[0]
         self.exhausted = False
 
     def grow(self) -> np.ndarray:
-        """Extend the BFS by one layer; returns the new layer (may be empty)."""
+        """Extend the BFS by one layer; returns the new layer (may be empty).
+
+        The previous layer is expanded CHUNK stage images at a time.
+        """
         if self.exhausted:
             return np.empty(0, dtype=np.uint64)
-        merged = np.unique(_apply_stages(self.layers[-1], self.luts))
-        fresh = [x for x in merged.tolist() if x not in self.visited]
-        self.visited.update(fresh)
-        layer = np.array(fresh, dtype=np.uint64)
+        prev, fresh = self.layers[-1], []
+        cols = max(1, CHUNK // max(len(self.stages), 1))
+        for c0 in range(0, len(prev), cols):
+            images = _apply_stages(prev[c0:c0 + cols], self.luts)
+            new, self.visited = _fresh(images.ravel(), self.visited)
+            fresh.append(new)
+        layer = fresh[0] if len(fresh) == 1 else np.sort(np.concatenate(fresh))
         self.layers.append(layer)
         if len(layer) == 0:
             self.exhausted = True
         return layer
-
-    def satisfied(self, layer: np.ndarray, sorted_mask: int) -> int:
-        """Index of a state in layer inside the sorted mask, or -1."""
-        bad = layer & np.uint64(~sorted_mask & ((1 << 64) - 1))
-        hits = np.flatnonzero(bad == 0)
-        return int(hits[0]) if len(hits) else -1
 
     def walk(self, targets: dict, depth_cap: int | None = None):
         """Yield (depth, hits) for depth 0, 1, ...: hits lists (order, index
@@ -457,34 +605,58 @@ class _StSearch:
 
         Ends once every order is sorted, the state space is exhausted or
         depth_cap is passed; a layer is grown only when the walk reaches it.
+
+        Every stage keeps the weight of a config, so every state holds a
+        config of each weight 0..n; one inside an order's sorted mask, which
+        has one config per weight, is that mask.  So each layer (sorted) is
+        searched for the pending masks in one call.
         """
-        pending = dict(targets)
+        orders = list(targets)
+        masks = np.array([targets[o] for o in orders], dtype=np.uint64)
         depth = 0
-        while pending and (depth_cap is None or depth <= depth_cap):
+        while orders and (depth_cap is None or depth <= depth_cap):
             layer = self.layers[depth] if depth < len(self.layers) else self.grow()
-            hits = [(order, idx) for order, mask in pending.items()
-                    if (idx := self.satisfied(layer, mask)) >= 0]
-            for order, _ in hits:
-                del pending[order]
+            pos = layer.searchsorted(masks)
+            inside = (layer.take(pos, mode="clip") == masks).tolist() \
+                if len(layer) else [False] * len(orders)
+            hits = [(o, p) for o, p, i in zip(orders, pos.tolist(), inside) if i]
+            if hits:
+                keep = [not i for i in inside]
+                orders = [o for o, k in zip(orders, keep) if k]
+                masks = masks[keep]
             yield depth, hits
             if self.exhausted:
                 return
             depth += 1
 
     def witness_stages(self, depth: int, idx: int) -> list[tuple]:
-        """Reconstruct one stage sequence reaching layers[depth][idx]."""
+        """Reconstruct one stage sequence reaching layers[depth][idx]: at each
+        step back, the first stage, then the first state of the layer before,
+        whose image is the current state."""
         chosen = []
         target = self.layers[depth][idx]
         for d in range(depth, 0, -1):
             prev = self.layers[d - 1]
-            hits = np.argwhere(_apply_stages(prev, self.luts) == target)
-            if not len(hits):
-                raise ConstructionError("BFS layer bookkeeping broken")
-            si, i = hits[0]
+            si, i = self._first_parent(prev, target)
             chosen.append(self.stages[si])
             target = prev[i]
         chosen.reverse()
         return chosen
+
+    def _first_parent(self, prev: np.ndarray, target) -> tuple[int, int]:
+        """(stage, index) of the first image of prev equal to target, in
+        stage-major order.  A block of about CHUNK images is several stages
+        over all of prev, or one stage over a slice of it, so the first hit
+        in block order is the first overall."""
+        rows = max(1, CHUNK // len(prev))
+        for s0 in range(0, len(self.stages), rows):
+            luts = self.luts[s0:s0 + rows]
+            for c0 in range(0, len(prev), CHUNK):
+                images = _apply_stages(prev[c0:c0 + CHUNK], luts)
+                hits = np.argwhere(images == target)
+                if len(hits):
+                    return s0 + int(hits[0][0]), c0 + int(hits[0][1])
+        raise ConstructionError("BFS layer bookkeeping broken")
 
 
 def exact_st(g: graphs.Graph, pi=None, cap: int | None = None,

@@ -241,6 +241,12 @@ def test_oracle_st_refuses_n7_past_the_mask_width(capsys):
     _one_line_error(code, err, 2)
 
 
+def test_generate_refuses_a_huge_spec(capsys):
+    code, out, err = run(["generate", "--graph", "hypercube:60"], capsys)
+    _one_line_error(code, err, 2)
+    assert out == "" and "hypercube:60" in err
+
+
 def test_oracle_rt_refuses_n10_whatever_the_cap(capsys):
     code, _, err = run(["oracle", "--kind", "rt", "--graph", "path:10",
                         "--cap", "10"], capsys)

@@ -3,8 +3,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet.errors import ParameterError, StructureError
-from matchnet.graphs import (PyramidInfo, adjacency, bfs_dist,
+from matchnet.errors import CapError, ParameterError, StructureError
+from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs_dist,
                              cartesian_product, check_connected, check_tree,
                              complete_graph, cycle_graph, family_of,
                              from_json, generate, graph, hypercube_graph,
@@ -35,6 +35,19 @@ def test_generate_specs():
         generate("moebius:5")
     with pytest.raises(ParameterError):
         generate("path:x")
+
+
+def test_generate_refuses_specs_past_the_size_cap_before_building():
+    start = time.perf_counter()
+    # 2^60 vertices; 2^19 + 19 * 2^18; 9M vertices; 4.5M edges; 5M vertices
+    for spec in ["hypercube:60", "hypercube:19", "mesh:3000,3000",
+                 "complete:3000", "random_tree:5000000", "pyramid:40,40",
+                 "multipartite:2000,2"]:
+        with pytest.raises(CapError, match=f"more than {GENERATE_CAP}"):
+            generate(spec)
+    assert time.perf_counter() - start < 0.1
+    g = generate("multipartite:16,16")  # the largest test and bench host
+    assert len(g.edges) == 30_720
 
 
 def test_hypercube_edges_flip_one_bit():

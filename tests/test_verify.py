@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 
 import numpy as np
@@ -7,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
-from matchnet.errors import CapError, ConstructionError
+from matchnet.errors import CapError, ConstructionError, TaskError
 from matchnet.graphs import complete_graph, graph, path_graph, star_graph
 from matchnet.network import (DIR, SWAP, execute, make_network, make_plan,
                               make_stage, plan_realized)
-from matchnet.perms import inverse
+from matchnet.perms import all_permutations, inverse
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
                              RT_LIMIT, ZERO_ONE_CAP, all_matchings,
@@ -424,3 +426,223 @@ def test_verify_random_deterministic_and_seeded():
     assert a.passed and b.passed
     assert a.inputs_checked == b.inputs_checked == 5_000
     assert RANDOM_DEFAULT_TRIALS == 200_000
+
+
+# References for the layered array BFS: the per-state dict BFS over
+# operator.itemgetter moves and the np.unique + Python-set st search it
+# replaced, kept verbatim apart from names and the shared helpers they call.
+
+def _reference_rt_bfs(g, start, stop_at=None):
+    moves = []
+    for m in all_matchings(g):
+        idx = list(range(g.n))
+        for u, v in m:
+            idx[u - 1], idx[v - 1] = v - 1, u - 1
+        moves.append((operator.itemgetter(*idx), m))
+    dist = {start: 0}
+    parent = {start: None}
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for state in frontier:
+            for move, m in moves:
+                s = move(state)
+                if s not in dist:
+                    dist[s] = d
+                    parent[s] = (state, m)
+                    nxt.append(s)
+                    if s == stop_at:
+                        return dist, parent
+        frontier = nxt
+    return dist, parent
+
+
+def _reference_exact_rt(g, pi=None):
+    """(value, witness, explored) of the old exact_rt."""
+    start = tuple(range(1, g.n + 1))
+    if pi is not None:
+        target = inverse(pi)
+        dist, parent = _reference_rt_bfs(g, start, stop_at=target)
+        stages, state = [], target
+        while parent[state] is not None:
+            state, m = parent[state]
+            stages.append([(u, v, SWAP) for u, v in m])
+        return (dist[target], make_plan(g, stages[::-1]), len(dist))
+    dist, _ = _reference_rt_bfs(g, start)
+    worst = max(dist.values())
+    arg = min(s for s, d in dist.items() if d == worst)
+    return worst, inverse(arg), len(dist)
+
+
+def _reference_rt_worst(g, A, B):
+    at = [0] * g.n
+    for p in A:
+        at[p - 1] = p
+    dist, _ = _reference_rt_bfs(g, tuple(at))
+    worst, worst_map = -1, None
+    for assignment in itertools.permutations(B):
+        at = [0] * g.n
+        for p, v in zip(A, assignment):
+            at[v - 1] = p
+        d = dist[tuple(at)]
+        if d > worst:
+            worst, worst_map = d, dict(zip(A, assignment))
+    return worst, worst_map, len(dist)
+
+
+def _reference_exact_rt_p(g, p):
+    best, witness = 0, None
+    explored = 0
+    for k in range(1, min(p, g.n) + 1):
+        for A in itertools.combinations(range(1, g.n + 1), k):
+            worst, worst_map, seen = _reference_rt_worst(g, A, A)
+            explored += seen
+            if worst > best:
+                best, witness = worst, (A, worst_map)
+    return best, witness, explored
+
+
+class _ReferenceStSearch:
+    def __init__(self, g, comparator_only):
+        self.n = g.n
+        self.stages = verify._decorated_stages(g, comparator_only)
+        self.luts = verify._stage_luts(self.stages, self.n)
+        init = (1 << (1 << self.n)) - 1
+        self.layers = [np.array([init], dtype=np.uint64)]
+        self.visited = {init}
+        self.exhausted = False
+
+    def grow(self):
+        if self.exhausted:
+            return np.empty(0, dtype=np.uint64)
+        merged = np.unique(verify._apply_stages(self.layers[-1], self.luts))
+        fresh = [x for x in merged.tolist() if x not in self.visited]
+        self.visited.update(fresh)
+        layer = np.array(fresh, dtype=np.uint64)
+        self.layers.append(layer)
+        if len(layer) == 0:
+            self.exhausted = True
+        return layer
+
+    def satisfied(self, layer, sorted_mask):
+        bad = layer & np.uint64(~sorted_mask & ((1 << 64) - 1))
+        hits = np.flatnonzero(bad == 0)
+        return int(hits[0]) if len(hits) else -1
+
+    def walk(self, targets, depth_cap=None):
+        pending = dict(targets)
+        depth = 0
+        while pending and (depth_cap is None or depth <= depth_cap):
+            layer = self.layers[depth] if depth < len(self.layers) else self.grow()
+            hits = [(order, idx) for order, mask in pending.items()
+                    if (idx := self.satisfied(layer, mask)) >= 0]
+            for order, _ in hits:
+                del pending[order]
+            yield depth, hits
+            if self.exhausted:
+                return
+            depth += 1
+
+    def witness_stages(self, depth, idx):
+        chosen = []
+        target = self.layers[depth][idx]
+        for d in range(depth, 0, -1):
+            prev = self.layers[d - 1]
+            hits = np.argwhere(verify._apply_stages(prev, self.luts) == target)
+            si, i = hits[0]
+            chosen.append(self.stages[si])
+            target = prev[i]
+        chosen.reverse()
+        return chosen
+
+
+def _oracle_tuple(res):
+    return res.value, res.witness, res.explored
+
+
+@st.composite
+def rt_cases(draw):
+    """A connected graph on n <= 7 vertices with a permutation, a partial
+    task (A, B), p <= 2 and a chunk size (the default, or one small enough
+    that every layer spans several chunks)."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=5)))
+    pi = tuple(draw(st.permutations(range(1, n + 1))))
+    k = draw(st.integers(1, min(n, 3)))
+    A = tuple(sorted(draw(st.permutations(range(1, n + 1)))[:k]))
+    B = tuple(sorted(draw(st.permutations(range(1, n + 1)))[:k]))
+    return (graph(n, edges), pi, A, B, draw(st.integers(1, 2)),
+            draw(st.sampled_from([verify.CHUNK, 7])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rt_cases())
+def test_rt_oracles_match_the_dict_bfs_reference(case):
+    g, pi, A, B, p, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "CHUNK", chunk)
+        assert _oracle_tuple(exact_rt(g)) == _reference_exact_rt(g)
+        assert _oracle_tuple(exact_rt(g, pi)) == _reference_exact_rt(g, pi)
+        assert _oracle_tuple(exact_rt_partial(g, A, B)) == \
+            _reference_rt_worst(g, A, B)
+        assert _oracle_tuple(exact_rt_p(g, p)) == _reference_exact_rt_p(g, p)
+
+
+def _st_hosts():
+    """Every connected graph with n <= 4, also with chunks of 5 images,
+    and every fifth one with n = 5."""
+    small = [g for n in range(1, 5) for g in connected_graphs_upto_iso(n)]
+    five = connected_graphs_upto_iso(5)
+    return [pytest.param(g, chunk, id=f"n={g.n} {sorted(g.edges)} chunk={chunk}")
+            for g, chunk in [(g, c) for g in small for c in (verify.CHUNK, 5)]
+            + [(g, verify.CHUNK) for g in five[::5]]]
+
+
+@pytest.mark.parametrize("g, chunk", _st_hosts())
+def test_st_search_matches_the_unique_and_set_reference(g, chunk,
+                                                        monkeypatch):
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    targets = verify._sort_targets(all_permutations(g.n), g.n)
+    new = verify._StSearch(g, comparator_only=False)
+    ref = _ReferenceStSearch(g, comparator_only=False)
+    assert list(new.walk(targets)) == list(ref.walk(targets))
+    while not new.exhausted:
+        new.grow()
+        ref.grow()
+    assert [x.tolist() for x in new.layers] == [x.tolist() for x in ref.layers]
+    assert len(new.visited) == len(ref.visited)
+    assert new.visited.tolist() == sorted(ref.visited)
+    for depth, layer in enumerate(ref.layers):
+        for idx in {0, len(layer) // 2, len(layer) - 1} if len(layer) else ():
+            assert new.witness_stages(depth, idx) == \
+                ref.witness_stages(depth, idx)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lex_block_is_itertools_permutations_order(n):
+    block = verify._lex_block(n)
+    assert block.dtype == np.int16 and block.shape == (n, math.factorial(n))
+    assert block.T.tolist() == [list(p) for p in
+                                itertools.permutations(range(1, n + 1))]
+
+
+def test_rt_bookkeeping_checks_raise_without_asserts(monkeypatch):
+    with pytest.raises(ConstructionError, match="at most 9 vertices"):
+        verify._rt_moves(path_graph(RT_LIMIT + 1))
+    with pytest.raises(TaskError, match="unreachable"):
+        verify._rt_worst(graph(3, [(1, 2)]), [((1,), (3,))])
+    real = verify._rt_bfs
+
+    def misdirected(moves, starts, stop_at=None):
+        layers = real(moves, starts, stop_at)
+        codes, gen = layers[-1]
+        return layers[:-1] + [(codes, np.zeros_like(gen))]
+
+    monkeypatch.setattr(verify, "_rt_bfs", misdirected)
+    with pytest.raises(ConstructionError, match="bookkeeping"):
+        exact_rt(path_graph(4), (4, 3, 2, 1))
