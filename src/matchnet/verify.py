@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -287,11 +288,12 @@ def _fresh(cand: np.ndarray, visited: np.ndarray,
     first = np.empty(len(cand), dtype=bool)
     first[:1] = True
     np.not_equal(states[1:], states[:-1], out=first[1:])
-    cand, states = cand[first], states[first]
-    new = visited.take(visited.searchsorted(states), mode="clip") != states
-    merged = np.concatenate((visited, states[new]))
+    cand = cand[first]
+    states = cand >> shift if shift else cand
+    fresh = cand[visited.take(visited.searchsorted(states), mode="clip") != states]
+    merged = np.concatenate((visited, fresh >> shift if shift else fresh))
     merged.sort(kind="stable")  # two sorted runs: a linear merge
-    return cand[new], merged
+    return fresh, merged
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +575,15 @@ class _StSearch:
         graphs.check_connected(g)
         self.n = g.n
         self.stages = _decorated_stages(g, comparator_only)
-        self.luts = _stage_luts(self.stages, self.n)
         init = (1 << (1 << self.n)) - 1  # empty prefix reaches every config
         self.layers = [np.array([init], dtype=np.uint64)]
         self.visited = self.layers[0]
         self.exhausted = False
+
+    @cached_property
+    def luts(self) -> np.ndarray:
+        """The stage tables, built when a layer is first expanded."""
+        return _stage_luts(self.stages, self.n)
 
     def grow(self) -> np.ndarray:
         """Extend the BFS by one layer; returns the new layer (may be empty).
