@@ -35,7 +35,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CapError, ParameterError, StructureError
 
@@ -72,6 +75,13 @@ class Graph:
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        keys = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        keys = keys[:, 0] * (self.n + 1) + keys[:, 1]
+        keys.sort()
+        return keys
+
     def __repr__(self):  # keep reprs short, edge sets get large
         fam = f" family={self.family!r}" if self.family else ""
         return f"Graph(n={self.n}, m={len(self.edges)}{fam})"
@@ -89,6 +99,11 @@ def graph(n: int, edges: Iterable[tuple[int, int]], family: str | None = None,
 def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
     """Vertex -> sorted tuple of neighbours, cached on g so it dies with g."""
     return g._adjacency
+
+
+def edge_keys(g: Graph) -> np.ndarray:
+    """Sorted u*(n+1) + v over the edges (u, v), u < v; cached on g."""
+    return g._edge_keys
 
 
 def bfs_dist(g: Graph, src: int) -> dict[int, int]:
@@ -440,7 +455,7 @@ def _parse_spec(spec: str) -> tuple[str, list[int]]:
         raise ParameterError(f"non-integer parameter in {spec!r}") from e
 
 
-GENERATE_CAP = 1 << 22  # vertices plus edges of one generated graph
+GENERATE_CAP = 1 << 20  # vertices plus edges of one generated graph
 
 
 def generate(spec: str) -> Graph:
@@ -654,7 +669,7 @@ def maximal_matching(g: Graph) -> list[tuple[int, int]]:
 def graph_doc(g: Graph, order: Sequence[int] | None = None) -> dict:
     return {
         "n": g.n,
-        "edges": [list(e) for e in g.sorted_edges()],
+        "edges": g.sorted_edges(),  # json.dumps writes tuples as arrays
         "family": g.family,
         "order": list(order) if order is not None else None,
     }
@@ -669,8 +684,11 @@ def graph_from_doc(doc) -> Graph:
     dispatch without in-memory factors.
     """
     try:
-        g = graph(doc["n"], [tuple(e) for e in doc["edges"]],
-                  family=doc.get("family"))
+        n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
+        if type(n) is not int or not {int}.issuperset(
+                map(type, chain.from_iterable(edges))):
+            raise StructureError("graph JSON n and vertex ids must be integers")
+        g = graph(n, edges, family=doc.get("family"))
         name = (g.family or "").partition(":")[0]
     except KeyError as e:
         raise StructureError(f"graph JSON missing {e}") from e

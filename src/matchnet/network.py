@@ -19,13 +19,37 @@ which is recomputed by simulation and never trusted from input.
 run_stages is the one simulation kernel: execute, plan_realized, the
 verifiers and the st stage tables hand it one column per vertex and a
 compare-exchange, so only it knows how comparators act on values.
+
+_freeze is the one validation kernel: make_network and make_plan hand it
+a whole stage list, and it checks every comparator in one array pass.
+It gathers u, v and kind of all comparators at once, requires each kind
+to be allowed (only "swap" in a plan) and each vertex id to be a plain
+int in 1..n.  The range check comes before keying: without it (0, 7) on
+n = 4 would get the key of edge (1, 2).  An edge {lo, hi} is keyed
+lo*(n+1) + hi, and membership is one searchsorted against the graph's
+sorted edge-key array (graphs.edge_keys, cached on the Graph like its
+adjacency).  The matching test is one sort of (stage, vertex) keys.
+Comparators that are already canonical (u, v, kind) tuples are kept as
+they are, so a stage list built once is never copied comparator by
+comparator; swaps with u > v are flipped.  When any check fails, the
+stages go through make_stage one by one (after make_plan's swap-only
+test, stage by stage), so errors keep the type and text of the
+per-comparator checks: make_stage stays the single-stage API and the
+only per-comparator validation loop.
+
+Serialization writes the frozen tuples straight through json.dumps,
+which emits tuples as arrays, and reading builds each comparator tuple
+once, which the kernel then keeps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Sequence
+
+import numpy as np
 
 from . import graphs, perms
 from .errors import ConstructionError, StructureError, TaskError
@@ -38,13 +62,20 @@ Stage = tuple  # tuple of Comparator
 
 
 def make_stage(g: graphs.Graph, comparators: Sequence) -> Stage:
-    """Validate and freeze one stage: edges exist and form a matching."""
+    """Validate and freeze one stage: edges exist and form a matching.
+
+    Vertex ids must be plain ints (a bool or float is refused, though it
+    would hash like an int).
+    """
     edges = g.edges
     seen: set[int] = set()
     out = []
     for u, v, kind in comparators:
         if kind not in (DIR, SWAP):
             raise StructureError(f"bad comparator kind {kind!r}")
+        if type(u) is not int or type(v) is not int:
+            raise StructureError(f"comparator ({u!r},{v!r}) has a "
+                                 f"non-integer vertex id")
         if ((u, v) if u < v else (v, u)) not in edges:
             raise ConstructionError(f"({u},{v}) is not an edge of the host graph")
         if u in seen or v in seen:
@@ -77,8 +108,7 @@ def make_network(g: graphs.Graph, order: Sequence[int], stages: Sequence,
                  provenance: dict | None = None,
                  certificate: dict | None = None) -> SortingNetwork:
     order = perms.check_permutation(order, g.n)
-    frozen = tuple(make_stage(g, s) for s in stages)
-    return SortingNetwork(graph=g, order=order, stages=frozen,
+    return SortingNetwork(graph=g, order=order, stages=_freeze(g, stages),
                           provenance=provenance or {},
                           certificate=certificate)
 
@@ -95,14 +125,79 @@ class RoutingPlan:
 
 
 def make_plan(g: graphs.Graph, stages: Sequence) -> RoutingPlan:
-    frozen = []
+    frozen = _freeze(g, stages, swaps_only=True)
+    return RoutingPlan(graph=g, stages=frozen,
+                       realized=plan_realized(g.n, frozen))
+
+
+def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
+    """Validate and freeze a whole stage list (see the module docstring).
+
+    The result equals make_stage on every stage, after make_plan's
+    swap-only test when swaps_only; so does any exception raised.
+    """
+    held = []  # each stage iterated once, so generators survive a retry
     for s in stages:
-        for u, v, kind in s:
-            if kind != SWAP:
-                raise StructureError("routing plans may only contain swaps")
-        frozen.append(make_stage(g, s))
-    realized = plan_realized(g.n, frozen)
-    return RoutingPlan(graph=g, stages=tuple(frozen), realized=realized)
+        try:
+            held.append(s if type(s) is tuple else tuple(s))
+        except TypeError:
+            held.append(s)  # not iterable: make_stage raises on it below
+    try:
+        frozen = _checked(g, held, swaps_only)
+    except (TypeError, ValueError, OverflowError):
+        frozen = None  # malformed comparators: make_stage names the fault
+    if frozen is not None:
+        return frozen
+    out = []
+    for s in held:
+        if swaps_only and any(kind != SWAP for _, _, kind in s):
+            raise StructureError("routing plans may only contain swaps")
+        out.append(make_stage(g, s))
+    return tuple(out)
+
+
+def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
+    """The array pass of _freeze: frozen stages, or None on any fault."""
+    flat = list(chain.from_iterable(held))
+    if not flat:
+        return tuple(held)
+    if set(map(len, flat)) != {3}:
+        return None
+    cells = list(chain.from_iterable(flat))
+    us, vs, ks = cells[0::3], cells[1::3], cells[2::3]
+    del cells
+    if not set(ks) <= ({SWAP} if swaps_only else {DIR, SWAP}) \
+            or set(map(type, us)) | set(map(type, vs)) != {int}:
+        return None
+    n, m = g.n, len(flat)
+    uv = np.fromiter(chain(us, vs), np.int32, 2 * m)  # OverflowError past 2^31
+    del us, vs
+    if uv.min() < 1 or uv.max() > n:  # before keying: (0, 7) keys (1, 2)
+        return None
+    u, v = uv[:m], uv[m:]
+    key = np.minimum(u, v).astype(np.int64) * (n + 1) + np.maximum(u, v)
+    edge_keys = graphs.edge_keys(g)
+    if not len(edge_keys) or (edge_keys.take(np.searchsorted(
+            edge_keys, key), mode="clip") != key).any():
+        return None
+    del key
+    stage_of = np.repeat(np.arange(len(held), dtype=np.int64) * (n + 1),
+                         list(map(len, held)))
+    ends = uv + np.tile(stage_of, 2)
+    del stage_of
+    ends.sort()
+    if (ends[1:] == ends[:-1]).any():
+        return None
+    del ends
+    flip = [i for i in np.flatnonzero(u > v).tolist() if ks[i] == SWAP]
+    del uv, u, v
+    if not flip and set(map(type, flat)) == {tuple}:
+        return tuple(held)
+    flat = list(map(tuple, flat))
+    for i in flip:
+        flat[i] = (flat[i][1], flat[i][0], SWAP)
+    bounds = list(accumulate(map(len, held), initial=0))
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def plan_realized(n: int, stages: Sequence) -> tuple:
@@ -156,7 +251,7 @@ def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:
 
 
 def _stages_doc(stages: Sequence) -> list:
-    return [{"cmp": [[u, v, kind] for u, v, kind in s]} for s in stages]
+    return [{"cmp": s} for s in stages]  # json.dumps writes tuples as arrays
 
 
 def network_to_json(net: SortingNetwork) -> str:
@@ -185,7 +280,7 @@ def plan_to_json(plan: RoutingPlan) -> str:
 
 
 def _read(text: str) -> tuple[graphs.Graph, list, dict]:
-    """Host graph, comparator lists and document of network or plan JSON."""
+    """Host graph, stage tuples and document of network or plan JSON."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -195,10 +290,16 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     for key in ("graph", "order", "stages"):
         if key not in doc:
             raise StructureError(f"network JSON missing {key!r}")
+    if type(doc["order"]) is not list \
+            or not {int}.issuperset(map(type, doc["order"])):
+        raise StructureError("network JSON order must be a list of integers")
     try:
-        stages = [[(c[0], c[1], c[2]) for c in s["cmp"]] for s in doc["stages"]]
+        stages = [tuple(map(tuple, s["cmp"])) for s in doc["stages"]]
     except (KeyError, IndexError, TypeError) as e:
         raise StructureError(f"malformed stage in network JSON: {e!r}") from e
+    if not set(map(len, chain.from_iterable(stages))) <= {3}:
+        raise StructureError("malformed stage in network JSON: a comparator "
+                             "is not a [u, v, kind] triple")
     return graphs.graph_from_doc(doc["graph"]), stages, doc
 
 
@@ -212,7 +313,6 @@ def network_from_json(text: str) -> SortingNetwork:
 def plan_from_json(text: str) -> RoutingPlan:
     g, stages, doc = _read(text)
     plan = make_plan(g, stages)
-    stored = doc.get("order")
-    if stored is not None and tuple(stored) != plan.realized:
+    if tuple(doc["order"]) != plan.realized:
         raise StructureError("stored plan permutation disagrees with simulation")
     return plan

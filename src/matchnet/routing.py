@@ -440,16 +440,21 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
 
 def _regular_bipartite_matchings(count, n: int, degree: int):
     """Split an n x n degree-regular demand matrix into `degree` perfect
-    matchings (augmenting-path search, deterministic order)."""
+    matchings (augmenting-path search, deterministic order).
+
+    Each row keeps the sorted list of its nonzero columns, so augment
+    scans at most `degree` entries, in the order a full row scan would.
+    """
     count = [row[:] for row in count]
+    cols = [[b for b, c in enumerate(row) if c > 0] for row in count]
     matchings = []
     for _ in range(degree):
         match_l = {}
         match_r = {}
 
         def augment(a, seen):
-            for b in range(1, n + 1):
-                if count[a][b] > 0 and b not in seen:
+            for b in cols[a]:
+                if b not in seen:
                     seen.add(b)
                     if b not in match_r or augment(match_r[b], seen):
                         match_l[a] = b
@@ -458,14 +463,17 @@ def _regular_bipartite_matchings(count, n: int, degree: int):
             return False
 
         for a in range(1, n + 1):
-            if a not in match_l:
-                ok = augment(a, set())
-                assert ok, "regular demand matrix failed to decompose"
+            if a not in match_l and not augment(a, set()):
+                raise ConstructionError(
+                    "regular demand matrix failed to decompose")
         for a, b in match_l.items():
             count[a][b] -= 1
+            if not count[a][b]:
+                cols[a].remove(b)
         matchings.append(match_l)
-    assert all(count[a][b] == 0 for a in range(1, n + 1)
-               for b in range(1, n + 1))
+    if any(cols):
+        raise ConstructionError(
+            f"demand matrix is not {degree}-regular: entries left over")
     return matchings
 
 
@@ -650,7 +658,7 @@ def _level_mesh_rounds(info: PyramidInfo, level: int, sub, memo):
     side = info.side(level)
     if side == 1:
         return []
-    local_mesh = mesh_graph(info.lengths(level))
+    local_mesh = _factor(memo, mesh_graph, info.lengths(level))
     return _relabel_rounds(_auto_rounds(local_mesh, sub, memo),
                            info.level_vertices(level))
 
@@ -816,6 +824,14 @@ def _mesh_bound(lengths) -> int:
     return _product_bound(lengths[0], _mesh_bound(lengths[1:]))
 
 
+def _factor(memo: dict, build, *args) -> Graph:
+    """build(*args), made once per route_auto call and kept in its memo."""
+    key = (build, args)
+    if key not in memo:
+        memo[key] = build(*args)
+    return memo[key]
+
+
 # family_of name -> (rounds(g, params, pi, memo), depth bound(g, params)).
 # The hypercube routes as path:2 times the cube one dimension down; its
 # bound 4 dim - 2 is that product bound unrolled from the 1-cube's 2.
@@ -827,10 +843,12 @@ _ROUTES = {
     "multipartite": (lambda g, ps, pi, memo: _multipartite_rounds(*ps, pi),
                      lambda g, ps: 6),
     "hypercube": (lambda g, ps, pi, memo: _product_rounds(
-                      path_graph(2), hypercube_graph(ps[0] - 1), pi, memo),
+                      _factor(memo, path_graph, 2),
+                      _factor(memo, hypercube_graph, ps[0] - 1), pi, memo),
                   lambda g, ps: 4 * ps[0] - 2),
     "mesh": (lambda g, ps, pi, memo: _product_rounds(
-                 path_graph(ps[0]), mesh_graph(ps[1:]), pi, memo),
+                 _factor(memo, path_graph, ps[0]),
+                 _factor(memo, mesh_graph, ps[1:]), pi, memo),
              lambda g, ps: _mesh_bound(ps)),
     "multigrid": (lambda g, ps, pi, memo: _multigrid_rounds(*ps, pi, memo),
                   lambda g, ps: _multigrid_depth_bound(*ps)),
@@ -850,7 +868,8 @@ def _auto_rounds(g: Graph, pi, memo: dict):
     params, pi), and the product planners meet the same factor sub-problem
     many times over (both phase orders, at every level), so those rounds
     are kept in memo, which lives for one route_auto call.  Rounds taken
-    from it are shared: no caller may mutate them.
+    from it are shared: no caller may mutate them.  The factor graphs the
+    planners build (paths, meshes, cubes) are kept in memo too.
     """
     if all(pi[v - 1] == v for v in range(1, g.n + 1)):
         return []

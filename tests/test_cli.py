@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,36 @@ def test_verify_refuses_a_two_element_comparator(tmp_path, capsys):
     npath = _net_with_first_stage(tmp_path, capsys, {"cmp": [[1, 2]]})
     code, _, err = run(["verify", "--net", npath], capsys)
     _one_line_error(code, err, 1)
+
+
+@pytest.mark.parametrize("comparator, text", [
+    ([1.0, 2, "dir"], "non-integer vertex id"),
+    ([True, 2, "dir"], "non-integer vertex id"),
+    ([0, 1, "dir"], "(0,1) is not an edge"),
+    ([-1, 2, "dir"], "(-1,2) is not an edge"),
+    ([0, 7, "dir"], "(0,7) is not an edge"),  # 0*5 + 7 keys edge (1, 2)
+])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_bad_vertex_ids_exit_1(tmp_path, capsys, command, comparator, text):
+    npath = _net_with_first_stage(tmp_path, capsys, {"cmp": [comparator]})
+    code, _, err = run([command, "--net", npath], capsys)
+    _one_line_error(code, err, 1)
+    assert text in err
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
+
+
+def test_malformed_corpus_is_not_empty():
+    assert len(CORPUS) >= 20
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_malformed_corpus_exits_1_or_2_with_one_line(capsys, command, path):
+    code, out, err = run([command, "--net", str(path)], capsys)
+    assert code in (1, 2) and out == ""
+    _one_line_error(code, err, code)
 
 
 def test_oracle_st_refuses_n7_past_the_mask_width(capsys):

@@ -39,8 +39,10 @@ def test_generate_specs():
 
 def test_generate_refuses_specs_past_the_size_cap_before_building():
     start = time.perf_counter()
-    # 2^60 vertices; 2^19 + 19 * 2^18; 9M vertices; 4.5M edges; 5M vertices
-    for spec in ["hypercube:60", "hypercube:19", "mesh:3000,3000",
+    # 2^60 vertices; 2^19 + 19 * 2^18; 2^17 + 17 * 2^16 = 1,245,184 > 2^20;
+    # 9M vertices; 4.5M edges; 5M vertices
+    for spec in ["hypercube:60", "hypercube:19", "hypercube:17",
+                 "mesh:3000,3000",
                  "complete:3000", "random_tree:5000000", "pyramid:40,40",
                  "multipartite:2000,2"]:
         with pytest.raises(CapError, match=f"more than {GENERATE_CAP}"):

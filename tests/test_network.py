@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchnet import network
 from matchnet.errors import ConstructionError, StructureError, TaskError
-from matchnet.graphs import complete_graph, path_graph, random_tree
+from matchnet.graphs import complete_graph, graph, path_graph, random_tree
 from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
                               network_from_json, network_to_json,
@@ -133,3 +134,177 @@ def test_execute_needs_matching_length():
     net = make_network(path_graph(3), (1, 2, 3), [])
     with pytest.raises(TaskError):
         execute(net, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the whole-list validation kernel against make_stage, stage by stage
+
+
+def _stage_by_stage(g, stages, swaps_only):
+    """make_network / make_plan as first written: make_stage on each stage,
+    after the swap-only test of that stage for a plan."""
+    out = []
+    for s in stages:
+        if swaps_only:
+            for u, v, kind in s:
+                if kind != SWAP:
+                    raise StructureError("routing plans may only contain swaps")
+        out.append(make_stage(g, s))
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # the type and text are what is compared
+        return type(e), str(e)
+
+
+def _mutant(draw, g, stage):
+    """One fault planted in a stage (or a legal variant of it)."""
+    n = g.n
+    edges = sorted(g.edges)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    non_edges = [p for p in pairs if p not in g.edges]
+    a, b = draw(st.sampled_from(edges)) if edges else (1, 2)
+    kind = draw(st.sampled_from([DIR, SWAP]))
+    fault = draw(st.sampled_from([
+        "non_edge", "shared", "kind", "range", "alias", "float", "bool",
+        "flip", "list", "short", "long", "empty", "dir_down"]))
+    at = draw(st.integers(0, len(stage)))
+    stage = list(stage)
+    if fault == "non_edge" and non_edges:
+        u, v = draw(st.sampled_from(non_edges))
+        stage.insert(at, (u, v, kind))
+    elif fault == "shared" and stage:
+        u = stage[draw(st.integers(0, len(stage) - 1))][0]
+        stage.insert(at, (u, a if a != u else b, kind))
+    elif fault == "kind":
+        stage.insert(at, (a, b, draw(st.sampled_from(["sideways", None, 1]))))
+    elif fault == "range":
+        bad = draw(st.sampled_from([0, -1, n + 1, 10 ** 20]))
+        stage.insert(at, (bad, b, kind) if draw(st.booleans()) else (a, bad, kind))
+    elif fault == "alias":
+        # (a-1)*(n+1) + (b+n+1) is the key of edge (a, b)
+        stage.insert(at, (a - 1, b + n + 1, kind))
+    elif fault == "float":
+        stage.insert(at, (float(a), b, kind))
+    elif fault == "bool" and 1 in (a, b):
+        stage.insert(at, (True, b if a == 1 else a, kind))
+    elif fault == "flip" and stage:
+        i = draw(st.integers(0, len(stage) - 1))
+        u, v, k = stage[i]
+        stage[i] = (v, u, k)
+    elif fault == "list" and stage:
+        i = draw(st.integers(0, len(stage) - 1))
+        stage[i] = list(stage[i])
+    elif fault == "short":
+        stage.insert(at, (a, b))
+    elif fault == "long":
+        stage.insert(at, (a, b, kind, "extra"))
+    elif fault == "empty":
+        stage = []
+    elif fault == "dir_down":
+        stage.insert(at, (max(a, b), min(a, b), DIR))
+    return stage
+
+
+@st.composite
+def _graph_and_stages(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = graph(n, edges)
+    stages = []
+    for _ in range(draw(st.integers(0, 5))):
+        free = draw(st.permutations(sorted(g.edges)))
+        used, stage = set(), []
+        for u, v in free[:draw(st.integers(0, len(free)))]:
+            if u not in used and v not in used:
+                used |= {u, v}
+                if draw(st.booleans()):
+                    u, v = v, u  # dir in both orientations, swaps unsorted
+                stage.append((u, v, draw(st.sampled_from([DIR, SWAP]))))
+        if draw(st.integers(0, 3)) == 0:
+            stage = _mutant(draw, g, stage)
+        stages.append(stage)
+    if draw(st.booleans()):
+        stages = [tuple(s) for s in stages]
+    return g, stages
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_and_stages(), st.booleans())
+def test_kernel_matches_make_stage_stage_by_stage(case, swaps_only):
+    g, stages = case
+    want = _outcome(_stage_by_stage, g, stages, swaps_only)
+    got = _outcome(network._freeze, g, stages, swaps_only)
+    assert got == want
+    if swaps_only:
+        assert _outcome(lambda: make_plan(g, stages).stages) == want
+    else:
+        assert _outcome(lambda: make_network(
+            g, tuple(range(1, g.n + 1)), stages).stages) == want
+    if want[0] == "ok":  # canonical comparators are kept, never copied
+        for s, frozen in zip(stages, got[1]):
+            for c, f in zip(s, frozen):
+                if type(c) is tuple and (c[2] == DIR or c[0] < c[1]):
+                    assert f is c
+
+
+def test_kernel_refuses_ids_that_alias_an_edge():
+    g = path_graph(4)  # 0*5 + 7 and -1*5 + 12 are the key of edge (1, 2)
+    for u, v in [(0, 7), (7, 0), (-1, 12)]:
+        for kind in (DIR, SWAP):
+            with pytest.raises(ConstructionError, match="not an edge"):
+                make_network(g, (1, 2, 3, 4), [[(3, 4, kind)], [(u, v, kind)]])
+        with pytest.raises(ConstructionError, match="not an edge"):
+            make_plan(g, [[(3, 4, SWAP)], [(u, v, SWAP)]])
+
+
+def test_vertex_ids_must_be_plain_ints():
+    g = path_graph(3)
+    for bad in [(1.0, 2, DIR), (True, 2, SWAP), (1, 2.0, SWAP), ("1", 2, DIR)]:
+        with pytest.raises(StructureError, match="non-integer vertex id"):
+            make_stage(g, [bad])
+        with pytest.raises(StructureError, match="non-integer vertex id"):
+            make_network(g, (1, 2, 3), [[(2, 3, DIR)], [bad]])
+        with pytest.raises(StructureError, match="non-integer vertex id"):
+            make_plan(g, [[(bad[0], bad[1], SWAP)]])
+
+
+def test_plan_and_graph_json_refuse_non_int_ids():
+    text = plan_to_json(make_plan(path_graph(3), [[(1, 2, SWAP)]]))
+    assert plan_from_json(text).realized == (2, 1, 3)
+
+    for path, value in [(("stages", 0, "cmp", 0, 0), 1.0),
+                        (("stages", 0, "cmp", 0, 1), True),
+                        (("graph", "edges", 0, 0), 1.0),
+                        (("graph", "n"), 3.0)]:
+        doc = json.loads(text)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        for read in (plan_from_json, network_from_json):
+            with pytest.raises(StructureError):
+                read(json.dumps(doc))
+    for order in ([2.0, 1, 3], [2, True, 3], None, 5):
+        doc = json.loads(text)
+        doc["order"] = order
+        for read in (plan_from_json, network_from_json):
+            with pytest.raises(StructureError, match="order must be a list"):
+                read(json.dumps(doc))
+
+
+def test_json_writes_and_reads_comparators_once():
+    g = path_graph(4)
+    stages = [((1, 2, SWAP), (3, 4, SWAP)), ((2, 3, SWAP),)]
+    plan = make_plan(g, stages)
+    assert plan.stages == tuple(stages)
+    assert all(f is c for s, fs in zip(stages, plan.stages)
+               for c, f in zip(s, fs))
+    text = plan_to_json(plan)
+    assert '"cmp":[[1,2,"swap"],[3,4,"swap"]]' in text
+    assert '"edges":[[1,2],[2,3],[3,4]]' in text
+    assert plan_from_json(text) == plan

@@ -369,3 +369,79 @@ def test_route_auto_keeps_no_state_between_calls(monkeypatch):
             route_auto(g, pi)
         monkeypatch.undo()
         assert plan_to_json(route_auto(g, pi)) == first
+
+
+def _dense_bipartite_matchings(count, n, degree):
+    """The demand decomposition as first written: every augment step scans
+    all n columns of its row."""
+    count = [row[:] for row in count]
+    matchings = []
+    for _ in range(degree):
+        match_l = {}
+        match_r = {}
+
+        def augment(a, seen):
+            for b in range(1, n + 1):
+                if count[a][b] > 0 and b not in seen:
+                    seen.add(b)
+                    if b not in match_r or augment(match_r[b], seen):
+                        match_l[a] = b
+                        match_r[b] = a
+                        return True
+            return False
+
+        for a in range(1, n + 1):
+            if a not in match_l:
+                assert augment(a, set())
+        for a, b in match_l.items():
+            count[a][b] -= 1
+        matchings.append(match_l)
+    return matchings
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_sparse_demand_rows_give_the_dense_matchings(n, degree, rng):
+    # a degree-regular demand matrix: the sum of `degree` random permutations
+    count = [[0] * (n + 1) for _ in range(n + 1)]
+    for _ in range(degree):
+        for a, b in enumerate(random_permutation(n, rng), start=1):
+            count[a][b] += 1
+    want = _dense_bipartite_matchings(count, n, degree)
+    got = routing._regular_bipartite_matchings(count, n, degree)
+    assert got == want
+    assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+
+
+def test_demand_decomposition_raises_without_asserts():
+    # column 1 is wanted twice and column 2 never: no perfect matching
+    with pytest.raises(ConstructionError, match="failed to decompose"):
+        routing._regular_bipartite_matchings([[0, 0, 0], [0, 1, 0],
+                                              [0, 1, 0]], 2, 1)
+    # 2-regular demand split into one matching leaves entries over
+    with pytest.raises(ConstructionError, match="left over"):
+        routing._regular_bipartite_matchings([[0, 0, 0], [0, 2, 0],
+                                              [0, 0, 2]], 2, 1)
+
+
+def test_route_auto_builds_each_factor_graph_once_per_call(monkeypatch):
+    builds = []
+    for name in ("path_graph", "mesh_graph", "hypercube_graph"):
+        real = getattr(routing, name)
+
+        def counted(*args, _real=real, _name=name):
+            builds.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(routing, name, counted)
+    rng = random.Random(5)
+    for spec in ("hypercube:6", "mesh:8,8,8", "pyramid:4,2", "multigrid:4,3"):
+        g = generate(spec)
+        pi = random_permutation(g.n, rng)
+        plan = route_auto(g, pi)
+        assert plan.realized == tuple(pi)
+        assert builds and len(builds) == len(set(builds)), spec
+        builds.clear()
+        route_auto(g, pi)  # the memo died with the first call
+        assert builds and len(builds) == len(set(builds)), spec
+        builds.clear()
