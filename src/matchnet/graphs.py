@@ -76,6 +76,20 @@ class Graph:
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     @cached_property
+    def _family(self) -> tuple[str | None, tuple[int, ...]]:
+        if len(self.edges) == self.n - 1 and all(
+                (i, i + 1) in self.edges for i in range(1, self.n)):
+            return "path", (self.n,)
+        if len(self.edges) == self.n * (self.n - 1) // 2:
+            return "complete", (self.n,)
+        name = (self.family or "").partition(":")[0]
+        if name == "product" and len(self.factors) == 2:
+            return name, ()
+        if name in _FAMILIES:
+            return name, tuple(_parse_spec(self.family)[1])
+        return None, ()
+
+    @cached_property
     def _edge_keys(self) -> np.ndarray:
         keys = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
         keys = keys[:, 0] * (self.n + 1) + keys[:, 1]
@@ -523,19 +537,10 @@ def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
     and a graph with all n(n-1)/2 edges is ("complete", (n,)).  Otherwise a
     generator label gives its spec ("mesh:3,3" is ("mesh", (3, 3))), and
     "product" counts only with both in-memory factors.  Anything else,
-    "tree-of-..." labels included, is (None, ()).
+    "tree-of-..." labels included, is (None, ()).  Cached on g, like its
+    adjacency: the planners ask it of the same factor graphs many times.
     """
-    if len(g.edges) == g.n - 1 and all((i, i + 1) in g.edges
-                                       for i in range(1, g.n)):
-        return "path", (g.n,)
-    if len(g.edges) == g.n * (g.n - 1) // 2:
-        return "complete", (g.n,)
-    name = (g.family or "").partition(":")[0]
-    if name == "product" and len(g.factors) == 2:
-        return name, ()
-    if name in _FAMILIES:
-        return name, tuple(_parse_spec(g.family)[1])
-    return None, ()
+    return g._family
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +687,22 @@ def graph_from_doc(doc) -> Graph:
     family is regenerated and any difference in n or edges is refused.
     Other labels ("product", "tree-of-...") pass through; they drive no
     dispatch without in-memory factors.
+
+    A document whose edge list is exactly its label's sorted_edges(), as
+    graph_doc writes it, is built once, by generate.  Every other document
+    is built from its edges and compared with the label, so each refusal
+    has one source.
     """
     try:
         n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
         if type(n) is not int or not {int}.issuperset(
                 map(type, chain.from_iterable(edges))):
             raise StructureError("graph JSON n and vertex ids must be integers")
+        if not {2}.issuperset(map(len, edges)):
+            raise StructureError("graph JSON edges must be [u, v] pairs")
+        g = _generated(n, edges, doc.get("family"))
+        if g is not None:
+            return g
         g = graph(n, edges, family=doc.get("family"))
         name = (g.family or "").partition(":")[0]
     except KeyError as e:
@@ -704,6 +719,23 @@ def graph_from_doc(doc) -> Graph:
     return g
 
 
+def _generated(n: int, edges: list, label) -> Graph | None:
+    """The graph of a generator label whose sorted edges are exactly edges,
+    carrying label as its family; None for any other document."""
+    if type(label) is not str or label.partition(":")[0] not in _FAMILIES:
+        return None
+    try:
+        shape = _spec_shape(*_parse_spec(label), n)
+        if shape != (n, len(edges)) or sum(shape) > GENERATE_CAP:
+            return None
+        g = generate(label)
+    except (ParameterError, CapError):
+        return None
+    if g.sorted_edges() != edges:
+        return None
+    return g if g.family == label else Graph(n=n, edges=g.edges, family=label)
+
+
 def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
     return json.dumps(graph_doc(g, order), sort_keys=True,
                       separators=(",", ":"))
@@ -714,9 +746,14 @@ def from_json(text: str) -> tuple[Graph, list[int] | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"bad graph JSON: {e}") from e
+    except RecursionError:
+        raise StructureError("bad graph JSON: nested too deeply") from None
     g = graph_from_doc(doc)
     order = doc.get("order")
-    return g, list(order) if order is not None else None
+    if order is not None and (type(order) is not list
+                              or not {int}.issuperset(map(type, order))):
+        raise StructureError("graph JSON order must be a list of integers")
+    return g, order
 
 
 def to_dot(g: Graph) -> str:

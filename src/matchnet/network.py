@@ -39,12 +39,26 @@ only per-comparator validation loop.
 
 Serialization writes the frozen tuples straight through json.dumps,
 which emits tuples as arrays, and reading builds each comparator tuple
-once, which the kernel then keeps.
+once, which the kernel then keeps.  A comparator fault in a file (a
+non-edge, an aliased or shared vertex) is malformed input, so the
+readers raise it as StructureError; builders keep ConstructionError.
+
+_gc_paused keeps CPython's cyclic collector out of the code that builds
+a plan or network: routing.route_auto, plan_from_json and
+network_from_json.  They allocate hundreds of thousands of tuples and
+lists that stay alive, and each full collection those allocations
+trigger rescans them all for nothing.  The covered code makes no
+reference cycles (a test requires gc.collect() == 0 after it), so
+reference counting alone frees what it drops and the pause holds back
+no garbage.  It never collects, never changes the thresholds, and
+restores the collector's state on the way out.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Sequence
@@ -59,6 +73,22 @@ SWAP = "swap"
 
 Comparator = tuple  # (u, v, kind)
 Stage = tuple  # tuple of Comparator
+
+
+@contextmanager
+def _gc_paused():
+    """Disable the cyclic collector for the block (see the module docstring).
+
+    It is re-enabled on the way out, also on an exception, only if it was
+    on before, so pauses nest and a caller's gc.disable() is kept.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def make_stage(g: graphs.Graph, comparators: Sequence) -> Stage:
@@ -285,6 +315,8 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"bad network JSON: {e}") from e
+    except RecursionError:
+        raise StructureError("bad network JSON: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise StructureError("unsupported network JSON version")
     for key in ("graph", "order", "stages"):
@@ -304,15 +336,23 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
 
 
 def network_from_json(text: str) -> SortingNetwork:
-    g, stages, doc = _read(text)
-    return make_network(g, doc["order"], stages,
-                        provenance=doc.get("provenance") or {},
-                        certificate=doc.get("certificate"))
+    with _gc_paused():
+        g, stages, doc = _read(text)
+        try:
+            return make_network(g, doc["order"], stages,
+                                provenance=doc.get("provenance") or {},
+                                certificate=doc.get("certificate"))
+        except ConstructionError as e:  # a bad comparator in the file
+            raise StructureError(str(e)) from e
 
 
 def plan_from_json(text: str) -> RoutingPlan:
-    g, stages, doc = _read(text)
-    plan = make_plan(g, stages)
+    with _gc_paused():
+        g, stages, doc = _read(text)
+        try:
+            plan = make_plan(g, stages)
+        except ConstructionError as e:  # a bad comparator in the file
+            raise StructureError(str(e)) from e
     if tuple(doc["order"]) != plan.realized:
         raise StructureError("stored plan permutation disagrees with simulation")
     return plan

@@ -8,6 +8,14 @@ planners are deterministic: same input, same plan, byte for byte.
 Internally all planners work with "rounds": plain lists of swap pairs.
 Public entry points wrap the rounds into a RoutingPlan and re-check both
 correctness (realized permutation) and the advertised depth bound.
+
+route_auto runs with CPython's cyclic collector paused
+(network._gc_paused): its planners allocate hundreds of thousands of
+rounds, pairs and comparators that stay alive until the plan is built,
+and the full collections they would trigger only rescan them.  The
+planners make no reference cycles (no closure calls itself; _augment is
+a module-level function for that reason), so the pause holds back no
+garbage: reference counting frees everything they drop.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .graphs import (
     spanning_tree,
     tree_diameter_path,
 )
-from .network import SWAP, RoutingPlan, make_plan
+from .network import SWAP, RoutingPlan, _gc_paused, make_plan
 from .perms import check_permutation, compose, cycles, identity
 
 # rounds: list of rounds, each round a list of disjoint (u, v) swap pairs
@@ -53,8 +61,15 @@ def _stages_from_rounds(rounds):
 
 
 def _relabel_rounds(rounds, order):
-    """Map local vertex i+1 to order[i] in every pair."""
-    return [[_norm(order[u - 1], order[v - 1]) for u, v in rnd] for rnd in rounds]
+    """Map local vertex i+1 to order[i] in every pair, smaller id first."""
+    out = []
+    for rnd in rounds:
+        pairs = []
+        for u, v in rnd:
+            a, b = order[u - 1], order[v - 1]
+            pairs.append((a, b) if a < b else (b, a))
+        out.append(pairs)
+    return out
 
 
 def _merge_parallel(blocks):
@@ -451,19 +466,9 @@ def _regular_bipartite_matchings(count, n: int, degree: int):
     for _ in range(degree):
         match_l = {}
         match_r = {}
-
-        def augment(a, seen):
-            for b in cols[a]:
-                if b not in seen:
-                    seen.add(b)
-                    if b not in match_r or augment(match_r[b], seen):
-                        match_l[a] = b
-                        match_r[b] = a
-                        return True
-            return False
-
         for a in range(1, n + 1):
-            if a not in match_l and not augment(a, set()):
+            if a not in match_l and not _augment(a, set(), cols, match_l,
+                                                 match_r):
                 raise ConstructionError(
                     "regular demand matrix failed to decompose")
         for a, b in match_l.items():
@@ -475,6 +480,21 @@ def _regular_bipartite_matchings(count, n: int, degree: int):
         raise ConstructionError(
             f"demand matrix is not {degree}-regular: entries left over")
     return matchings
+
+
+def _augment(a, seen, cols, match_l, match_r) -> bool:
+    """Extend the matching by an augmenting path from row a (DFS, column
+    order).  A module-level function, not a closure: a closure that
+    calls itself is a reference cycle, one left behind per matching."""
+    for b in cols[a]:
+        if b not in seen:
+            seen.add(b)
+            if b not in match_r or _augment(match_r[b], seen, cols,
+                                            match_l, match_r):
+                match_l[a] = b
+                match_r[b] = a
+                return True
+    return False
 
 
 def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool, memo):
@@ -884,10 +904,14 @@ def _auto_rounds(g: Graph, pi, memo: dict):
 
 
 def route_auto(g: Graph, pi) -> RoutingPlan:
-    """Route on any connected graph, dispatching to the family planner."""
-    check_connected(g)
-    check_permutation(pi, g.n)
-    return _finish(g, _auto_rounds(g, pi, {}), pi, route_depth_bound(g))
+    """Route on any connected graph, dispatching to the family planner.
+
+    The cyclic collector is paused while it runs (see the module docstring).
+    """
+    with _gc_paused():
+        check_connected(g)
+        check_permutation(pi, g.n)
+        return _finish(g, _auto_rounds(g, pi, {}), pi, route_depth_bound(g))
 
 
 def route_depth_bound(g: Graph) -> int:

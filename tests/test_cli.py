@@ -266,6 +266,24 @@ def test_malformed_corpus_exits_1_or_2_with_one_line(capsys, command, path):
     _one_line_error(code, err, code)
 
 
+GRAPH_CORPUS = sorted((Path(__file__).parent / "corpus" / "graphs")
+                      .glob("*.json"))
+
+
+def test_malformed_graph_corpus_is_not_empty():
+    assert len(GRAPH_CORPUS) >= 12
+
+
+@pytest.mark.parametrize("path", GRAPH_CORPUS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", [["build", "--construction", "contour"],
+                                     ["route"]], ids=["build", "route"])
+def test_malformed_graph_corpus_exits_1_or_2_with_one_line(capsys, command,
+                                                           path):
+    code, out, err = run(command + ["--graph", str(path)], capsys)
+    assert code in (1, 2) and out == ""
+    _one_line_error(code, err, code)
+
+
 def test_oracle_st_refuses_n7_past_the_mask_width(capsys):
     code, _, err = run(["oracle", "--kind", "st", "--graph", "path:7",
                         "--cap", "7"], capsys)

@@ -1,8 +1,10 @@
+import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchnet import graphs
 from matchnet.errors import CapError, ParameterError, StructureError
 from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs_dist,
                              cartesian_product, check_connected, check_tree,
@@ -233,6 +235,51 @@ def test_json_label_size_is_checked_before_regenerating():
     with pytest.raises(StructureError, match="family label"):
         from_json('{"n": 1000000000, "edges": [], "family": "path:1000000000"}')
     assert time.perf_counter() - start < 0.1
+
+
+def test_json_labelled_graph_is_built_once(monkeypatch):
+    docs = []
+    for spec in ["path:5", "cycle:6", "mesh:3,4", "hypercube:3",
+                 "random_tree:17", "pyramid:3,2", "multipartite:3,2"]:
+        doc = json.loads(to_json(generate(spec)))
+        docs.append(doc)
+        if spec == "random_tree:17":
+            doc["family"] = spec  # generate labels it random_tree:17,0
+    unsorted = json.loads(to_json(generate("mesh:2,3")))
+    unsorted["edges"].reverse()  # valid, but not graph_doc's edge order
+    real, built = graphs.graph, []
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "graph", counted)
+    for doc in docs + [unsorted]:
+        built.clear()
+        g = graphs.graph_from_doc(doc)
+        assert doc is unsorted or len(built) == 1, doc["family"]
+        want = real(doc["n"], map(tuple, doc["edges"]), family=doc["family"])
+        assert (g.n, g.edges, g.family) == (want.n, want.edges, want.family)
+
+
+def test_json_refuses_deep_nesting_and_a_malformed_order():
+    with pytest.raises(StructureError, match="nested too deeply"):
+        from_json("[" * 5000 + "]" * 5000)
+    text = to_json(path_graph(3))
+    for order in (5, "123", [1, 2.0, 3], {"1": 1}):
+        doc = json.loads(text)
+        doc["order"] = order
+        with pytest.raises(StructureError, match="order must be a list"):
+            from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["edges"][0].append(3)
+    with pytest.raises(StructureError, match=r"\[u, v\] pairs"):
+        from_json(json.dumps(doc))
+
+
+def test_family_of_is_cached_on_the_graph():
+    g = generate("mesh:4,4")
+    assert family_of(g) is family_of(g) == ("mesh", (4, 4))
 
 
 def test_dot_lists_all_vertices():

@@ -1,12 +1,14 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchnet import network
 from matchnet.errors import ConstructionError, StructureError, TaskError
-from matchnet.graphs import complete_graph, graph, path_graph, random_tree
+from matchnet.graphs import (complete_graph, graph, graph_from_doc, path_graph,
+                             random_tree)
 from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
                               network_from_json, network_to_json,
@@ -308,3 +310,31 @@ def test_json_writes_and_reads_comparators_once():
     assert '"cmp":[[1,2,"swap"],[3,4,"swap"]]' in text
     assert '"edges":[[1,2],[2,3],[3,4]]' in text
     assert plan_from_json(text) == plan
+
+
+@pytest.mark.parametrize("name", ["non_edge", "aliasing_vertex",
+                                  "shared_vertex"])
+def test_comparator_faults_in_files_are_structure_errors(name):
+    # the builders' ConstructionError becomes StructureError, same text
+    path = Path(__file__).parent / "corpus" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    g = graph_from_doc(doc["graph"])
+    stages = [[tuple(c) for c in s["cmp"]] for s in doc["stages"]]
+    with pytest.raises(ConstructionError) as built:
+        make_network(g, doc["order"], stages)
+    with pytest.raises(StructureError) as read:
+        network_from_json(path.read_text())
+    assert str(read.value) == str(built.value)
+    for s in doc["stages"]:  # the same faults in a plan file
+        s["cmp"] = [[u, v, SWAP] for u, v, _ in s["cmp"]]
+    doc["plan"] = True
+    with pytest.raises(StructureError) as read:
+        plan_from_json(json.dumps(doc))
+    assert str(read.value) == str(built.value)
+
+
+def test_deeply_nested_json_is_a_structure_error():
+    text = "[" * 5000 + "]" * 5000
+    for read in (network_from_json, plan_from_json):
+        with pytest.raises(StructureError, match="nested too deeply"):
+            read(text)

@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from collections import defaultdict
 
-from matchnet import routing
+from matchnet import network, routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
-from matchnet.graphs import (adjacency, cycle_graph, generate, graph,
-                             hypercube_graph, mesh_graph, multigrid_graph,
-                             multipartite_graph, path_graph, pyramid_graph,
-                             random_tree, star_graph, tree_diameter_path)
-from matchnet.network import plan_realized, plan_to_json
+from matchnet.graphs import (adjacency, cartesian_product, cycle_graph,
+                             generate, graph, hypercube_graph, mesh_graph,
+                             multigrid_graph, multipartite_graph, path_graph,
+                             pyramid_graph, random_tree, star_graph,
+                             tree_diameter_path)
+from matchnet.network import (_gc_paused, make_network, network_from_json,
+                              network_to_json, plan_from_json, plan_realized,
+                              plan_to_json)
 from matchnet.perms import all_permutations, identity, random_permutation
 from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
                               _path_order, _path_rounds, _relabel_rounds,
@@ -445,3 +448,106 @@ def test_route_auto_builds_each_factor_graph_once_per_call(monkeypatch):
         route_auto(g, pi)  # the memo died with the first call
         assert builds and len(builds) == len(set(builds)), spec
         builds.clear()
+
+
+GC_HOSTS = {
+    "hypercube": lambda: generate("hypercube:5"),
+    "mesh": lambda: generate("mesh:6,6"),
+    "pyramid": lambda: generate("pyramid:3,2"),
+    "multigrid": lambda: generate("multigrid:3,2"),
+    "tree": lambda: generate("random_tree:40,3"),
+    "complete": lambda: generate("complete:9"),
+    "multipartite": lambda: generate("multipartite:4,3"),
+    "product": lambda: cartesian_product(path_graph(3), cycle_graph(4)),
+}
+
+
+@pytest.mark.parametrize("host", sorted(GC_HOSTS))
+def test_routing_and_json_round_trips_leave_no_cycles(host):
+    # with the collector paused inside route_auto and the readers, a
+    # reference cycle made there would only be freed by a later collection
+    g = GC_HOSTS[host]()
+    pi = random_permutation(g.n, random.Random(2))
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        plan = route_auto(g, pi)
+        assert plan_from_json(plan_to_json(plan)) == plan
+        net = make_network(g, identity(g.n), plan.stages)
+        assert network_from_json(network_to_json(net)) == net
+        assert gc.collect() == 0
+    finally:
+        if was_on:
+            gc.enable()
+
+
+@pytest.mark.parametrize("start_on", [True, False], ids=["on", "off"])
+def test_library_calls_leave_the_collector_as_they_found_it(start_on,
+                                                            monkeypatch):
+    def refused(*args):
+        raise AssertionError("the library must not drive the collector")
+
+    g = generate("mesh:4,4")
+    pi = random_permutation(g.n, random.Random(3))
+    plan_text = plan_to_json(route_auto(g, pi))
+    net_text = network_to_json(make_network(g, identity(g.n),
+                                            route_auto(g, pi).stages))
+    bad_text = plan_text.replace('"swap"', '"dir"', 1)
+    calls = [lambda: route_auto(g, pi), lambda: plan_from_json(plan_text),
+             lambda: network_from_json(net_text)]
+    raising = [lambda: route_auto(graph(4, [(1, 2), (3, 4)]), identity(4)),
+               lambda: route_auto(g, [1] * g.n),
+               lambda: plan_from_json(bad_text),
+               lambda: network_from_json(net_text.replace('"swap"', '"x"')),
+               lambda: network_from_json("[" * 5000 + "]" * 5000)]
+    was_on = gc.isenabled()
+    monkeypatch.setattr(gc, "collect", refused)
+    monkeypatch.setattr(gc, "set_threshold", refused)
+    (gc.enable if start_on else gc.disable)()
+    try:
+        for call in calls:
+            call()
+            assert gc.isenabled() == start_on
+        for call in raising:
+            with pytest.raises(ValueError):
+                call()
+            assert gc.isenabled() == start_on
+        with _gc_paused():
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == start_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def test_route_auto_and_the_readers_run_with_the_collector_paused(
+        monkeypatch):
+    seen = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            seen.append((real.__name__, gc.isenabled()))
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(routing, "_auto_rounds", spy(routing._auto_rounds))
+    monkeypatch.setattr(network, "_freeze", spy(network._freeze))
+    g = generate("mesh:4,4")
+    pi = random_permutation(g.n, random.Random(4))
+    was_on = gc.isenabled()
+    gc.enable()
+    try:
+        plan = route_auto(g, pi)
+        plan_from_json(plan_to_json(plan))
+        network_from_json(network_to_json(
+            make_network(g, identity(g.n), plan.stages)))
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_on else gc.disable)()
+    assert seen[0] == ("_auto_rounds", False)
+    # route_auto, plan_from_json, the test's own make_network (not
+    # paused) and network_from_json, in that order
+    assert [s[1] for s in seen if s[0] == "_freeze"] == [False, False, True,
+                                                          False]
