@@ -1,5 +1,6 @@
-"""Golden outputs: bench CSV, CLI networks, route_auto plans and bounds,
-and the exact oracles' values, witnesses and explored-state counts.
+"""Golden outputs: bench CSV, CLI networks, longest_path_sort networks,
+route_auto plans and bounds, verify_random reports, and the exact
+oracles' values, witnesses and explored-state counts.
 
 The expected values live in golden.json next to this file.  They pin the
 exact bytes the package emits, so a refactor that changes any output, on
@@ -19,12 +20,13 @@ from pathlib import Path
 import pytest
 
 from matchnet import cli
+from matchnet.constructions import longest_path_sort, odd_even_transposition
 from matchnet.graphs import cartesian_product, generate, graph
-from matchnet.network import network_to_json, plan_to_json
+from matchnet.network import make_network, network_to_json, plan_to_json
 from matchnet.routing import route_auto, route_depth_bound
 from matchnet.verify import (connected_graphs_upto_iso, exact_rt, exact_rt_p,
                              exact_rt_partial, exact_st, exact_st_all_orders,
-                             sandwich_check)
+                             sandwich_check, verify_random)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -52,6 +54,10 @@ ROUTES = ["path:9", "cycle:8", "star:7", "complete:6", "multipartite:3,2",
           "random_tree:64,1", "random_tree:256,2", "random_tree:1024,3",
           "star:256", "broom:40,120", "caterpillar:15,8", "hypercube:6",
           "hypercube:7", "pyramid:4,3", "mesh:8,8,8"]
+
+# longest_path_sort routes every merge through route_to_path: a full path,
+# a star (d = 2), and two hosts whose spanning trees branch off the path
+LONGEST_PATHS = ["path:32", "star:24", "mesh:4,8", "hypercube:5"]
 
 # exact oracles: every connected graph with n <= 4 is a sandwich host too
 SANDWICH_HOSTS = ["path:5", "star:5", "cycle:5", "random_tree:5,1"]
@@ -133,6 +139,32 @@ def plan_digests() -> dict:
 
 def bounds() -> dict:
     return {spec: route_depth_bound(_host(spec)) for spec in ROUTES}
+
+
+def longest_path_digests() -> dict:
+    return {spec: _sha(network_to_json(longest_path_sort(generate(spec))))
+            for spec in LONGEST_PATHS}
+
+
+def _random_report(rep) -> dict:
+    return {"passed": rep.passed, "method": rep.method,
+            "inputs_checked": rep.inputs_checked,
+            "counterexample": rep.counterexample, "detail": rep.detail}
+
+
+def random_reports() -> dict:
+    """A pass at the benchmark's 1024 trials, and a planted fault that is
+    first seen in the last of four input chunks (rows 110,001..120,000)."""
+    base = odd_even_transposition(24)
+    stages = [list(s) for s in base.stages]
+    del stages[0][6]
+    faulty = make_network(base.graph, base.order, stages)
+    return {
+        "longest_path mesh:4,8 trials=1024":
+            _random_report(verify_random(
+                longest_path_sort(generate("mesh:4,8")), 1024)),
+        "odd_even:24 without stage 0 comparator 6 trials=120000":
+            _random_report(verify_random(faulty, 120_000))}
 
 
 def _shuffled(spec: str, n: int) -> tuple:
@@ -230,6 +262,14 @@ def test_cli_networks_are_unchanged(golden, tmp_path):
     assert network_digests(tmp_path) == golden["networks"]
 
 
+def test_longest_path_networks_are_unchanged(golden):
+    assert longest_path_digests() == golden["longest_path"]
+
+
+def test_verify_random_reports_are_unchanged(golden):
+    assert _json(random_reports()) == golden["verify_random"]
+
+
 def test_route_auto_plans_are_unchanged(golden):
     assert plan_digests() == golden["plans"]
 
@@ -256,6 +296,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         doc = {"bench_csv": bench_csv(Path(d)),
                "networks": network_digests(Path(d)),
+               "longest_path": longest_path_digests(),
+               "verify_random": random_reports(),
                "plans": plan_digests(), "bounds": bounds(),
                "sandwich": sandwich_outputs(), "st": st_outputs(),
                "rt": rt_outputs()}
