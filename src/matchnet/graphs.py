@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +74,25 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def _path_projection(self) -> PathProjection:  # trees: see path_projection
+        path = _sweep_path(self)
+        anchor = [0] * (self.n + 1)
+        height, up = anchor[:], anchor[:]
+        seen = [False] * (self.n + 1)
+        for i, v in enumerate(path):
+            anchor[v], seen[v] = i, True
+        adj = self._adjacency
+        order = list(path)
+        for v in order:  # BFS from the whole path: order grows as it is read
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    anchor[w], height[w], up[w] = anchor[v], height[v] + 1, v
+                    order.append(w)
+        return PathProjection(tuple(path), tuple(anchor), tuple(height),
+                              tuple(up))
 
     @cached_property
     def _family(self) -> tuple[str | None, tuple[int, ...]]:
@@ -547,6 +566,20 @@ def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
 # trees: spanning tree, diameter path, contour
 
 
+def _farthest(g: Graph, src: int) -> int:
+    """Smallest id among the vertices farthest from src."""
+    dist = bfs_dist(g, src)
+    far = max(dist.values())
+    return min(v for v, dv in dist.items() if dv == far)
+
+
+def _sweep_path(g: Graph) -> list[int]:
+    """Double sweep: u farthest from 1, w farthest from u, a u..w shortest
+    path (smallest ids on ties); in a tree it is a longest path."""
+    u = _farthest(g, 1)
+    return shortest_path(g, u, _farthest(g, u))
+
+
 def spanning_tree(g: Graph) -> Graph:
     """Spanning tree grown around a longest BFS-to-BFS path.
 
@@ -557,11 +590,7 @@ def spanning_tree(g: Graph) -> Graph:
     check_connected(g)
     if g.n == 1:
         return graph(1, [], family=g.family and f"tree-of-{g.family}")
-    d1 = bfs_dist(g, 1)
-    u = min(v for v in d1 if d1[v] == max(d1.values()))
-    du = bfs_dist(g, u)
-    w = min(v for v in du if du[v] == max(du.values()))
-    path = shortest_path(g, u, w)
+    path = _sweep_path(g)
     es = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
     seen = set(path)
     adj = adjacency(g)
@@ -580,15 +609,31 @@ def spanning_tree(g: Graph) -> Graph:
 
 
 def tree_diameter_path(t: Graph) -> list[int]:
-    """Vertex list of a longest path in the tree (double BFS)."""
+    """Vertex list of a longest path in the tree (double BFS, cached on t)."""
+    return list(path_projection(t).path)
+
+
+class PathProjection(NamedTuple):
+    """A tree seen from its diameter path.
+
+    path is the diameter path; for every vertex v, anchor[v] is the index
+    in path of the path vertex nearest v, height[v] the distance to it and
+    up[v] the neighbour of v one step nearer (0 on the path).  The tree
+    path from v to path[j] climbs to path[anchor[v]] and then runs along
+    the path, so its length is height[v] + |anchor[v] - j|.
+    """
+
+    path: tuple[int, ...]
+    anchor: tuple[int, ...]
+    height: tuple[int, ...]
+    up: tuple[int, ...]
+
+
+def path_projection(t: Graph) -> PathProjection:
+    """The tree's PathProjection: one BFS from the whole diameter path,
+    made on the first call and cached on t, like its adjacency."""
     check_tree(t)
-    if t.n == 1:
-        return [1]
-    d1 = bfs_dist(t, 1)
-    u = min(v for v in d1 if d1[v] == max(d1.values()))
-    du = bfs_dist(t, u)
-    w = min(v for v in du if du[v] == max(du.values()))
-    return shortest_path(t, u, w)
+    return t._path_projection
 
 
 @dataclass(frozen=True)
@@ -690,8 +735,10 @@ def graph_from_doc(doc) -> Graph:
 
     A document whose edge list is exactly its label's sorted_edges(), as
     graph_doc writes it, is built once, by generate.  Every other document
-    is built from its edges and compared with the label, so each refusal
-    has one source.
+    is built from its edges and compared with the label, generated at most
+    once, so each refusal has one source.  A document with more than
+    GENERATE_CAP vertices plus edges is refused with CapError before
+    anything is built, as generate refuses such a spec.
     """
     try:
         n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
@@ -700,10 +747,15 @@ def graph_from_doc(doc) -> Graph:
             raise StructureError("graph JSON n and vertex ids must be integers")
         if not {2}.issuperset(map(len, edges)):
             raise StructureError("graph JSON edges must be [u, v] pairs")
-        g = _generated(n, edges, doc.get("family"))
-        if g is not None:
-            return g
-        g = graph(n, edges, family=doc.get("family"))
+        if n + len(edges) > GENERATE_CAP:
+            raise CapError(f"graph JSON has more than {GENERATE_CAP} "
+                           f"vertices plus edges")
+        label = doc.get("family")
+        made = _label_graph(n, edges, label)
+        if made is not None and made.sorted_edges() == edges:
+            return made if made.family == label \
+                else Graph(n=n, edges=made.edges, family=label)
+        g = graph(n, edges, family=label)
         name = (g.family or "").partition(":")[0]
     except KeyError as e:
         raise StructureError(f"graph JSON missing {e}") from e
@@ -712,28 +764,25 @@ def graph_from_doc(doc) -> Graph:
     if name in _FAMILIES:
         # compare sizes first: regenerating a huge label costs its size
         shape = _spec_shape(*_parse_spec(g.family), g.n)
-        if shape not in (None, (g.n, len(g.edges))) \
-                or generate(g.family).edges != g.edges:
+        if shape not in (None, (g.n, len(g.edges))) or g.edges != (
+                made if made is not None else generate(g.family)).edges:
             raise StructureError(
                 f"graph does not match its family label {g.family!r}")
     return g
 
 
-def _generated(n: int, edges: list, label) -> Graph | None:
-    """The graph of a generator label whose sorted edges are exactly edges,
-    carrying label as its family; None for any other document."""
+def _label_graph(n: int, edges: list, label) -> Graph | None:
+    """The graph a generator label names, when the label's closed-form
+    shape is n vertices and len(edges) edges; None for any other document."""
     if type(label) is not str or label.partition(":")[0] not in _FAMILIES:
         return None
     try:
         shape = _spec_shape(*_parse_spec(label), n)
         if shape != (n, len(edges)) or sum(shape) > GENERATE_CAP:
             return None
-        g = generate(label)
+        return generate(label)
     except (ParameterError, CapError):
         return None
-    if g.sorted_edges() != edges:
-        return None
-    return g if g.family == label else Graph(n=n, edges=g.edges, family=label)
 
 
 def to_json(g: Graph, order: Sequence[int] | None = None) -> str:

@@ -21,6 +21,7 @@ garbage: reference counting frees everything they drop.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import zip_longest
 
@@ -29,7 +30,6 @@ from .graphs import (
     Graph,
     PyramidInfo,
     adjacency,
-    bfs_dist,
     cartesian_product,
     check_connected,
     check_tree,
@@ -42,8 +42,8 @@ from .graphs import (
     multigrid_graph,
     multipartite_graph,
     path_graph,
+    path_projection,
     spanning_tree,
-    tree_diameter_path,
 )
 from .network import SWAP, RoutingPlan, _gc_paused, make_plan
 from .perms import check_permutation, compose, cycles, identity
@@ -345,9 +345,16 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
     gets the arrival deadline d + 2i and starts walking just in time, so
     walks overlap without ever displacing an already delivered pebble.
     Depth is at most d + 2(k-1) for k >= 1.
+
+    Distances come from the tree's projection onto its diameter path
+    (graphs.path_projection, one BFS cached on t): dist(s, path[j]) is
+    height[s] + |anchor[s] - j|, and the step toward path[j] is up[s] off
+    the path and one index along it.  A call costs O(n) for the tree
+    check, O(k^2 log k) for the selection, which finds each source's
+    nearest remaining target by bisecting the sorted target indices, and
+    O(k(d + k)) for the walk.
     """
-    check_tree(t)
-    dpath = tree_diameter_path(t)
+    dpath, anchor, height, up = path_projection(t)
     d = len(dpath) - 1
     sources = [int(s) for s in sources]
     targets = [int(u) for u in targets]
@@ -364,39 +371,43 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
         raise TaskError(f"cannot place {k} pebbles with diameter {d}")
     if k == 0:
         return make_plan(t, [])
+    for s in sources:
+        if not 1 <= s <= t.n:
+            raise ParameterError(f"source {s} is not a vertex")
 
-    dist = {s: bfs_dist(t, s) for s in sources}
-    remaining_s = sorted(sources)
-    remaining_t = sorted(targets)
+    left = sorted(anchor[u] for u in targets)  # path indices still free
+
+    def nearest(s):
+        """(distance, vertex) of the nearest free target, smallest id first:
+        the free index just below anchor[s] or the one at or above it."""
+        a = anchor[s]
+        i = bisect_left(left, a)
+        return min((height[s] + abs(a - j), dpath[j])
+                   for j in left[max(i - 1, 0):i + 1])
+
+    # a source's nearest free target changes only when that target is taken
+    near = {s: nearest(s) for s in sources}
     selection = []
-    while remaining_s:
-        v = min(remaining_s,
-                key=lambda s: (-min(dist[s][u] for u in remaining_t), s))
-        u = min(remaining_t, key=lambda w: (dist[v][w], w))
+    while near:
+        v = min(near, key=lambda s: (-near[s][0], s))
+        u = near.pop(v)[1]
         selection.append((v, u))
-        remaining_s.remove(v)
-        remaining_t.remove(u)
+        left.remove(anchor[u])
+        for s in [s for s, (_, w) in near.items() if w == u]:
+            near[s] = nearest(s)
     order = selection[::-1]  # order[i] must arrive by round d + 2i
 
-    # next step toward each target along the unique tree path
-    toward = {}
-    adj = adjacency(t)
-    for u in targets:
-        nxt = {u: 0}
-        frontier = [u]
-        while frontier:
-            fresh = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in nxt:
-                        nxt[w] = v
-                        fresh.append(w)
-            frontier = fresh
-        toward[u] = nxt
+    def toward(v, j):
+        """The next vertex from v (not path[j]) toward path[j]."""
+        if height[v]:
+            return up[v]
+        return dpath[anchor[v] + 1] if anchor[v] < j else dpath[anchor[v] - 1]
 
     pos = [s for s, _ in order]
     goal = [u for _, u in order]
-    start = [d + 2 * i - dist[order[i][0]][goal[i]] + 1 for i in range(k)]
+    gidx = [anchor[u] for u in goal]
+    start = [d + 2 * i - height[pos[i]] - abs(anchor[pos[i]] - gidx[i]) + 1
+             for i in range(k)]
     occ = {pos[i]: i for i in range(k)}
     settled = [False] * k
 
@@ -418,12 +429,12 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
             if tick < start[i] or pos[i] == goal[i] or pos[i] in used:
                 continue
             cur = pos[i]
-            nxt = toward[goal[i]][cur]
+            nxt = toward(cur, gidx[i])
             if nxt in used:
                 continue
             j = occ.get(nxt)
             if (j is not None and pos[j] != goal[j] and tick >= start[j]
-                    and toward[goal[j]][pos[j]] != cur):
+                    and toward(pos[j], gidx[j]) != cur):
                 continue  # yield to a walker going somewhere else
             pairs.append(_norm(cur, nxt))
             used.update((cur, nxt))
@@ -444,9 +455,11 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
 
     assert len(rounds) <= d + 2 * (k - 1)
     plan = make_plan(t, _stages_from_rounds(rounds))
-    want = dict(selection)
-    for s in sources:
-        assert plan.realized[s - 1] == want[s]
+    for s, u in selection:
+        if plan.realized[s - 1] != u:
+            raise ConstructionError(
+                f"partial routing left pebble {s} on {plan.realized[s - 1]}, "
+                f"not on its target {u}")
     return plan
 
 

@@ -13,7 +13,8 @@ network.run_stages (one column per vertex) with its own compare-exchange:
   column references.  n >= 11 is refused whatever the cap
   (EXHAUSTIVE_LIMIT).
 - verify_random: the same columns over seeded blocks of permutations and
-  of keys with repeats.
+  of keys with repeats, drawn RANDOM_CHUNK rows at a time; consecutive
+  draws that fit in RANDOM_CHUNK rows together run as one pass.
 
 Oracles (small n, exact), each a layered BFS whose states are uint64
 keys.  A layer is expanded CHUNK candidates at a time (CHUNK is a fixed
@@ -65,6 +66,7 @@ ZERO_ONE_CAP = 20
 EXHAUSTIVE_CAP = 8
 EXHAUSTIVE_LIMIT = 10  # all n! inputs at once: ~0.6 GB at n = 10, 11x that at 11
 RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
+RANDOM_CHUNK = 50_000  # most random inputs drawn, or simulated, at once
 RT_CAP = 8
 RT_PARTIAL_CAP = 7
 RT_LIMIT = 9  # the arrangement BFS holds up to n! states: 9! = 362,880
@@ -203,31 +205,43 @@ def verify_random(net: network.SortingNetwork, trials: int = RANDOM_DEFAULT_TRIA
 
     Non-certifying; this is the only method available past the caps.
     """
-    rng = np.random.default_rng(seed)
-    n = net.graph.n
-    half = trials // 2
     checked = 0
-    for block, count in (("perm", half), ("repeat", trials - half)):
-        done = 0
-        while done < count:
-            rows = min(50_000, count - done)
-            if block == "perm":
-                arr = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
-                arr = rng.permuted(arr, axis=1)
-            else:
-                arr = rng.integers(0, n + 1, size=(rows, n), dtype=np.int32)
-            ok = _sorted_rows(net, arr)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                return VerificationReport(
-                    passed=False, method="random",
-                    inputs_checked=checked + i + 1,
-                    counterexample=tuple(int(x) for x in arr[i]),
-                    detail="random input left unsorted")
-            done += rows
-            checked += rows
+    for arr in _random_blocks(np.random.default_rng(seed), net.graph.n, trials):
+        ok = _sorted_rows(net, arr)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return VerificationReport(
+                passed=False, method="random",
+                inputs_checked=checked + i + 1,
+                counterexample=tuple(int(x) for x in arr[i]),
+                detail="random input left unsorted")
+        checked += len(arr)
     return VerificationReport(passed=True, method="random",
                               inputs_checked=trials)
+
+
+def _random_blocks(rng, n: int, trials: int):
+    """verify_random's inputs in draw order: trials // 2 permutations, then
+    keys in 0..n with repeats, drawn at most RANDOM_CHUNK rows at a time.
+    Consecutive draws are yielded as one block while they fit in
+    RANDOM_CHUNK rows, so 1024 trials take one kernel pass, not two."""
+    half = trials // 2
+    group, size = [], 0
+    for perm, count in ((True, half), (False, trials - half)):
+        for done in range(0, count, RANDOM_CHUNK):
+            rows = min(RANDOM_CHUNK, count - done)
+            if size + rows > RANDOM_CHUNK:
+                yield group[0] if len(group) == 1 else np.concatenate(group)
+                group, size = [], 0
+            if perm:
+                arr = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+                group.append(rng.permuted(arr, axis=1))
+            else:
+                group.append(rng.integers(0, n + 1, size=(rows, n),
+                                          dtype=np.int32))
+            size += rows
+    if group:
+        yield group[0] if len(group) == 1 else np.concatenate(group)
 
 
 def verify_auto(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:

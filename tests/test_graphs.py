@@ -12,9 +12,10 @@ from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs_dist,
                              from_json, generate, graph, hypercube_graph,
                              max_degree, maximal_matching, mesh_coords,
                              mesh_graph, mesh_vertex, multigrid_graph,
-                             multipartite_graph, path_graph, pyramid_graph,
-                             random_tree, spanning_tree, star_graph, to_dot,
-                             to_json, tree_contour, tree_diameter_path)
+                             multipartite_graph, path_graph, path_projection,
+                             pyramid_graph, random_tree, shortest_path,
+                             spanning_tree, star_graph, to_dot, to_json,
+                             tree_contour, tree_diameter_path)
 
 
 def test_generators_basic():
@@ -139,6 +140,36 @@ def test_diameter_path_is_eccentric():
         assert len(path) - 1 == d[path[-1]]
 
 
+def _reference_sweep(g):
+    """The double sweep as first written, rescanning the maximum per vertex."""
+    d1 = bfs_dist(g, 1)
+    u = min(v for v in d1 if d1[v] == max(d1.values()))
+    du = bfs_dist(g, u)
+    w = min(v for v in du if du[v] == max(du.values()))
+    return shortest_path(g, u, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 10_000))
+def test_path_projection_gives_every_tree_distance(n, seed):
+    t = random_tree(n, seed)
+    proj = path_projection(t)
+    assert proj.path == tuple(_reference_sweep(t))
+    assert tree_diameter_path(t) == list(proj.path)
+    adj = adjacency(t)
+    for j, u in enumerate(proj.path):
+        dist = bfs_dist(t, u)
+        assert all(dist[v] == proj.height[v] + abs(proj.anchor[v] - j)
+                   for v in range(1, n + 1))
+    for v in range(1, n + 1):
+        if proj.height[v]:
+            assert proj.up[v] in adj[v]
+            assert proj.height[proj.up[v]] == proj.height[v] - 1
+        else:
+            assert proj.path[proj.anchor[v]] == v and proj.up[v] == 0
+    assert path_projection(t) is proj  # made once per tree
+
+
 def test_contour_walk_and_marks():
     for seed in range(6):
         t = random_tree(11, seed)
@@ -232,9 +263,41 @@ def test_json_label_size_is_checked_before_regenerating():
                   "path:1000000000"]:
         with pytest.raises(StructureError, match="family label"):
             from_json('{"n": 1, "edges": [], "family": "%s"}' % label)
-    with pytest.raises(StructureError, match="family label"):
+    # a document past GENERATE_CAP is refused for its size, label or not
+    with pytest.raises(CapError, match="vertices plus edges"):
         from_json('{"n": 1000000000, "edges": [], "family": "path:1000000000"}')
     assert time.perf_counter() - start < 0.1
+
+
+def test_json_size_is_capped_before_anything_is_built(monkeypatch):
+    monkeypatch.setattr(graphs, "graph", None)  # any build would raise
+    for doc in ('{"n": 1000000000, "edges": []}',
+                '{"n": %d, "edges": [[1, 2]]}' % GENERATE_CAP):
+        with pytest.raises(CapError, match="vertices plus edges"):
+            from_json(doc)
+    monkeypatch.undo()
+    g, _ = from_json('{"n": %d, "edges": []}' % GENERATE_CAP)
+    assert (g.n, g.edges) == (GENERATE_CAP, frozenset())
+
+
+def test_json_label_is_generated_once_for_unsorted_edges(monkeypatch):
+    doc = json.loads(to_json(generate("mesh:2,3")))
+    doc["edges"].reverse()  # valid, but not graph_doc's edge order
+    real, calls = graphs.generate, []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(graphs, "generate", counted)
+    g = graphs.graph_from_doc(doc)
+    assert calls == ["mesh:2,3"]
+    assert (g.edges, g.family) == (generate("mesh:2,3").edges, "mesh:2,3")
+    doc["edges"][0] = [1, 6]  # same shape, one edge wrong
+    calls.clear()
+    with pytest.raises(StructureError, match="family label"):
+        graphs.graph_from_doc(doc)
+    assert calls == ["mesh:2,3"]
 
 
 def test_json_labelled_graph_is_built_once(monkeypatch):

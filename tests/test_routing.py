@@ -7,20 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from collections import defaultdict
 
-from matchnet import network, routing
+from matchnet import constructions, network, routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
-from matchnet.graphs import (adjacency, cartesian_product, cycle_graph,
-                             generate, graph, hypercube_graph, mesh_graph,
-                             multigrid_graph, multipartite_graph, path_graph,
-                             pyramid_graph, random_tree, star_graph,
+from matchnet.graphs import (adjacency, bfs_dist, cartesian_product,
+                             check_tree, cycle_graph, generate, graph,
+                             hypercube_graph, mesh_graph, multigrid_graph,
+                             multipartite_graph, path_graph, pyramid_graph,
+                             random_tree, spanning_tree, star_graph,
                              tree_diameter_path)
-from matchnet.network import (_gc_paused, make_network, network_from_json,
-                              network_to_json, plan_from_json, plan_realized,
-                              plan_to_json)
+from matchnet.network import (_gc_paused, make_network, make_plan,
+                              network_from_json, network_to_json,
+                              plan_from_json, plan_realized, plan_to_json)
 from matchnet.perms import all_permutations, identity, random_permutation
 from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
                               _path_order, _path_rounds, _relabel_rounds,
-                              _tree_rounds, complete_assignment,
+                              _stages_from_rounds, _tree_rounds,
+                              complete_assignment,
                               multigrid_accounting, route_auto, route_complete,
                               route_depth_bound, route_multigrid,
                               route_multipartite, route_path, route_product,
@@ -145,6 +147,182 @@ def test_route_to_path_depth_bound(n, seed):
     plan = route_to_path(t, sources, targets)
     assert plan.depth <= d + 2 * (k - 1)
     assert sorted(plan.realized[s - 1] for s in sources) == sorted(targets)
+
+
+def test_route_to_path_target_check_raises_without_asserts(monkeypatch):
+    monkeypatch.setattr(routing, "_stages_from_rounds", lambda rounds: [])
+    with pytest.raises(ConstructionError, match="not on its target"):
+        route_to_path(path_graph(6), [1], [6])
+
+
+def test_route_to_path_refuses_a_source_outside_the_tree():
+    for s in (0, 7):
+        with pytest.raises(ParameterError, match="not a vertex"):
+            route_to_path(path_graph(6), [s], [6])
+
+
+def _reference_route_to_path(t, sources, targets):
+    """route_to_path as it was before the path projection: a BFS from every
+    source and toward every target, and the O(k^3) target selection."""
+    check_tree(t)
+    dpath = tree_diameter_path(t)
+    d = len(dpath) - 1
+    sources = [int(s) for s in sources]
+    targets = [int(u) for u in targets]
+    if len(sources) != len(targets):
+        raise ParameterError("sources and targets must pair up")
+    if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
+        raise ParameterError("sources and targets must be distinct vertices")
+    on_path = set(dpath)
+    for u in targets:
+        if u not in on_path:
+            raise ParameterError(f"target {u} is not on the diameter path")
+    k = len(sources)
+    if k > d:
+        raise TaskError(f"cannot place {k} pebbles with diameter {d}")
+    if k == 0:
+        return make_plan(t, [])
+
+    dist = {s: bfs_dist(t, s) for s in sources}
+    remaining_s = sorted(sources)
+    remaining_t = sorted(targets)
+    selection = []
+    while remaining_s:
+        v = min(remaining_s,
+                key=lambda s: (-min(dist[s][u] for u in remaining_t), s))
+        u = min(remaining_t, key=lambda w: (dist[v][w], w))
+        selection.append((v, u))
+        remaining_s.remove(v)
+        remaining_t.remove(u)
+    order = selection[::-1]  # order[i] must arrive by round d + 2i
+
+    toward = {}
+    adj = adjacency(t)
+    for u in targets:
+        nxt = {u: 0}
+        frontier = [u]
+        while frontier:
+            fresh = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in nxt:
+                        nxt[w] = v
+                        fresh.append(w)
+            frontier = fresh
+        toward[u] = nxt
+
+    pos = [s for s, _ in order]
+    goal = [u for _, u in order]
+    start = [d + 2 * i - dist[order[i][0]][goal[i]] + 1 for i in range(k)]
+    occ = {pos[i]: i for i in range(k)}
+    settled = [False] * k
+    rounds = []
+    limit = d + 2 * k + 4 * t.n + 8
+    tick = 0
+    while not all(settled):
+        tick += 1
+        if tick > limit:
+            raise ConstructionError("partial routing did not converge")
+        pairs = []
+        used = set()
+        for i in range(k):
+            if tick < start[i] or pos[i] == goal[i] or pos[i] in used:
+                continue
+            cur = pos[i]
+            nxt = toward[goal[i]][cur]
+            if nxt in used:
+                continue
+            j = occ.get(nxt)
+            if (j is not None and pos[j] != goal[j] and tick >= start[j]
+                    and toward[goal[j]][pos[j]] != cur):
+                continue
+            pairs.append(_norm(cur, nxt))
+            used.update((cur, nxt))
+            del occ[cur]
+            if j is not None:
+                occ[cur] = j
+                pos[j] = cur
+                settled[j] = False
+            pos[i] = nxt
+            occ[nxt] = i
+        if pairs:
+            rounds.append(pairs)
+        for i in range(k):
+            if not settled[i] and pos[i] == goal[i] and tick >= start[i]:
+                settled[i] = True
+
+    # its two asserts, spelled so that they are off under python -O as in
+    # the library (pytest keeps the asserts of a test module on)
+    if __debug__ and len(rounds) > d + 2 * (k - 1):
+        raise AssertionError
+    plan = make_plan(t, _stages_from_rounds(rounds))
+    want = dict(selection)
+    for s in sources:
+        if __debug__ and plan.realized[s - 1] != want[s]:
+            raise AssertionError
+    return plan
+
+
+def _routed(router, t, sources, targets):
+    """The plan's JSON, or the type of the exception the router raised."""
+    try:
+        return plan_to_json(router(t, sources, targets))
+    except Exception as e:
+        return type(e)
+
+
+def _assert_routes_like_the_reference(t, rng):
+    """Every k <= d, with targets a path prefix (as longest_path_sort
+    asks) and a random subset of the path."""
+    dpath = tree_diameter_path(t)
+    for k in range(len(dpath) + 1):
+        sources = rng.sample(range(1, t.n + 1), min(k, t.n))
+        for targets in (dpath[:k], rng.sample(dpath, min(k, len(dpath)))):
+            assert _routed(route_to_path, t, sources, targets) == \
+                _routed(_reference_route_to_path, t, sources, targets), \
+                (sources, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**31 - 1))
+def test_route_to_path_matches_the_bfs_router(n, seed):
+    _assert_routes_like_the_reference(random_tree(n, seed), random.Random(seed))
+
+
+@pytest.mark.parametrize("spec", ["mesh:4,8", "mesh:3,3,3", "mesh:8,8",
+                                  "hypercube:5", "hypercube:6", "star:24"])
+def test_route_to_path_matches_the_bfs_router_on_spanning_trees(spec):
+    _assert_routes_like_the_reference(spanning_tree(generate(spec)),
+                                      random.Random(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    "mesh:4,8", "hypercube:5", "star:24",
+    # the three known trees where the walk overruns its round bound
+    "random_tree:12,205556668", "random_tree:32,62502428",
+    "random_tree:64,430817319"])
+def test_longest_path_sort_routes_as_the_bfs_router(monkeypatch, spec):
+    outcomes = []
+
+    def both(t, sources, targets):
+        outcomes.append((_routed(route_to_path, t, sources, targets),
+                         _routed(_reference_route_to_path, t, sources,
+                                 targets)))
+        return route_to_path(t, sources, targets)
+
+    monkeypatch.setattr(constructions, "route_to_path", both)
+    try:
+        net = constructions.longest_path_sort(generate(spec))
+        raised = None
+    except Exception as e:
+        raised = type(e)
+    assert outcomes and all(got == want for got, want in outcomes)
+    if spec.startswith("random_tree"):
+        # the router's round-count assert, or _follow's bound check under -O
+        assert raised is (AssertionError if __debug__ else ConstructionError)
+        assert outcomes[-1][0] == raised or not __debug__
+    else:
+        assert raised is None and net.depth <= net.certificate["claimed_bound"]
 
 
 def test_route_multipartite_exhaustive_small():

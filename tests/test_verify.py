@@ -355,6 +355,10 @@ def planted_networks(draw):
     return make_network(complete_graph(n), tuple(order), stages)
 
 
+def _outcome(report):
+    return report.passed, report.counterexample, report.inputs_checked
+
+
 @settings(max_examples=80, deadline=None)
 @given(planted_networks(), st.integers(0, 2**32 - 1),
        st.integers(1, 3_000))
@@ -368,10 +372,31 @@ def test_kernel_matches_the_matrix_reference(net, seed, trials):
     assert verify._sorted_rows(net, block).tolist() == \
         _reference_sorted_rows(net, ref).tolist()
     assert np.array_equal(block, before)  # the input block is never changed
-    for got, want in ((verify_exhaustive(net), _reference_exhaustive(net)),
-                      (verify_random(net, trials, seed),
-                       _reference_random(net, trials, seed))):
-        assert (got.passed, got.counterexample, got.inputs_checked) == want
+    assert _outcome(verify_exhaustive(net)) == _reference_exhaustive(net)
+    # the drawn count, and counts at verify_random's chunk edges: one row,
+    # an odd split, one pass for both halves, two passes, three passes
+    for count in (trials, 1, 3, 1024, 50_001, 100_001):
+        assert _outcome(verify_random(net, count, seed)) == \
+            _reference_random(net, count, seed), count
+
+
+@pytest.mark.parametrize("n, stage, comparator, first_fault", [
+    (12, 0, 2, {1024: 964, 100_001: 831}),  # in the repeat half of one pass
+    (24, 8, 0, {100_001: 62_890}),  # in the second pass
+    (24, 0, 6, {120_000: 119_286})])  # in the last draw
+def test_random_chunks_match_the_reference_on_rare_faults(
+        n, stage, comparator, first_fault):
+    """Odd-even transposition with one comparator dropped fails on few
+    inputs, so its first failure lands past the first input chunk."""
+    base = odd_even_transposition(n)
+    stages = [list(s) for s in base.stages]
+    del stages[stage][comparator]
+    net = make_network(base.graph, base.order, stages)
+    for trials in (1, 3, 1024, 50_001, 100_001, 120_000):
+        got = _outcome(verify_random(net, trials))
+        assert got == _reference_random(net, trials, 0), trials
+        if trials in first_fault:
+            assert got[2] == first_fault[trials] and not got[0]
 
 
 @st.composite
