@@ -178,7 +178,10 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
             while c in used:
                 c += 1
             colors.append(c)
-        assert max(colors) < color_cap, "interval coloring exceeded its cap"
+        if max(colors) >= color_cap:
+            raise ConstructionError(
+                f"interval coloring used {max(colors) + 1} colors, "
+                f"over its cap {color_cap}")
         for c in range(max(colors) + 1):
             group = [intervals[i] for i in range(len(intervals))
                      if colors[i] == c]
@@ -245,6 +248,7 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
     rb = route_depth_bound(g) if router_bound is None else router_bound
     matching = maximal_matching(g)
     nu = len(matching)
+    # a connected graph on n >= 2 vertices has an edge; no input reaches this
     assert nu >= 1 or n == 1
 
     pos = list(range(1, n + 1))

@@ -127,9 +127,12 @@ def two_cycle_decompose(pi) -> tuple[tuple, tuple]:
         for j, v in enumerate(cyc):
             mu1[v - 1] = cyc[(-j) % k]
             mu2[v - 1] = cyc[(1 - j) % k]
-    assert compose(mu2, mu1) == tuple(pi)
+    if compose(mu2, mu1) != tuple(pi):
+        raise ConstructionError("two-cycle decomposition does not compose to pi")
     for mu in (mu1, mu2):
-        assert all(mu[mu[v - 1] - 1] == v for v in range(1, n + 1))
+        if any(mu[mu[v - 1] - 1] != v for v in range(1, n + 1)):
+            raise ConstructionError(
+                "two-cycle decomposition factor is not an involution")
     return tuple(mu1), tuple(mu2)
 
 
@@ -721,8 +724,12 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
     for i in sorted(by_upper):
         cap = len(paths_at[i])
         group = sorted(by_upper[i])
+        # PyramidInfo's own count of its paths; no input reaches a mismatch
         assert cap == info.phi(m - 1 - i)
-        assert len(group) <= 2 * cap, "vertical path capacity exceeded"
+        if len(group) > 2 * cap:
+            raise ConstructionError(
+                f"vertical path capacity exceeded at level {i}: "
+                f"{len(group)} pairs, {2 * cap} seats")
         if accounting is not None:
             accounting[i] = (len(group), 2 * cap)
         waves[0].extend(zip(group, paths_at[i]))

@@ -16,9 +16,9 @@ network.run_stages (one column per vertex) with its own compare-exchange:
   of keys with repeats, drawn RANDOM_CHUNK rows at a time; consecutive
   draws that fit in RANDOM_CHUNK rows together run as one pass.
 
-Oracles (small n, exact), each a layered BFS whose states are uint64
-keys.  A layer is expanded CHUNK candidates at a time (CHUNK is a fixed
-module constant, so no (layer x moves) block is built whole) and
+Oracles (small n, exact), each a layered BFS whose states are unsigned
+integer keys.  A layer is expanded CHUNK candidates at a time (CHUNK is a
+fixed module constant, so no (layer x moves) block is built whole) and
 deduplicated by one step, _fresh: sort the chunk, keep the first of each
 run of equal states, drop those found by np.searchsorted in the sorted
 array of visited states, and merge the rest into it.
@@ -44,7 +44,12 @@ array of visited states, and merge the rest into it.
   it equals them: each sorted layer is searched for all pending orders
   at once.  One BFS therefore answers st(G, pi) for every pi; each stage
   acts through byte lookup tables built with numpy over the 2^n
-  configurations.
+  configurations.  The mask's word is chosen from n in one place,
+  _st_word: np.uint32 while the 2^n configs fit in 32 bits (n <= 5),
+  np.uint64 for n = 6.  The tables, layers, visited array and target
+  masks all use it, so for n <= 5 each lookup gathers and each sort moves
+  half the bytes.  The rt keys stay uint64: 4 bits for each of up to
+  RT_LIMIT vertices plus the 28 bits of a candidate's index.
 - sandwich_check: one st BFS for all orders (st(G) is the minimum) and
   one rt BFS.
 """
@@ -71,7 +76,7 @@ RT_CAP = 8
 RT_PARTIAL_CAP = 7
 RT_LIMIT = 9  # the arrangement BFS holds up to n! states: 9! = 362,880
 ST_CAP = 5
-ST_WORD_LIMIT = 6  # st image sets are uint64 masks over the 2^n configurations
+ST_WORD_LIMIT = 6  # an st image set has 2^n bits: one 64-bit word up to n = 6
 CHUNK = 1 << 18  # BFS candidates (states x moves, or stage images) made at once
 
 
@@ -537,21 +542,33 @@ def _decorated_stages(g: graphs.Graph, comparator_only: bool) -> list[tuple]:
     return out
 
 
+def _st_word(n: int) -> type:
+    """The integer type of an st image-set mask over the 2^n configurations:
+    np.uint32 while they fit in 32 bits, np.uint64 up to ST_WORD_LIMIT.
+
+    Constants mixed with these masks are Python ints or this type: under
+    NEP 50 an np.uint64 scalar would widen a uint32 array to 64 bits.
+    """
+    return np.uint32 if 1 << n <= 32 else np.uint64
+
+
 def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
-    """Byte-indexed OR-image tables, luts[stage, byte, b]: applying a stage
-    to an image-set mask is one lookup per mask byte, ORed together."""
+    """Byte-indexed OR-image tables, luts[stage, byte, b], in the word of n:
+    applying a stage to an image-set mask is one lookup per mask byte, ORed
+    together."""
+    word = _st_word(n)
     size = 1 << n
     nbytes = (size + 7) // 8
-    cfgs = np.arange(size, dtype=np.uint64)
+    cfgs = np.arange(size, dtype=word)
     place = cfgs[:n, None]  # bit b of a config is vertex b + 1
-    bits = (cfgs >> place) & np.uint64(1)
+    bits = (cfgs >> place) & 1
     cols = np.array([network.run_stages((stage,), list(bits), _and_or)
-                     for stage in stages], dtype=np.uint64)
+                     for stage in stages], dtype=word)
     cols = cols.reshape(len(stages), n, size)  # [stage, vertex, config]
-    img = np.zeros((len(stages), nbytes * 8), dtype=np.uint64)
-    img[:, :size] = np.uint64(1) << (cols << place).sum(axis=1)
+    img = np.zeros((len(stages), nbytes * 8), dtype=word)
+    img[:, :size] = word(1) << (cols << place).sum(axis=1, dtype=word)
     img = img.reshape(len(stages), nbytes, 2, 4)  # low and high nibble
-    nib = np.zeros((len(stages), nbytes, 2, 16), dtype=np.uint64)
+    nib = np.zeros((len(stages), nbytes, 2, 16), dtype=word)
     for bit in range(4):  # nibbles with top bit `bit` extend those below it
         nib[..., 1 << bit:2 << bit] = nib[..., :1 << bit] | img[..., bit, None]
     luts = nib[:, :, 1, :, None] | nib[:, :, 0, None, :]  # byte = 16 hi + lo
@@ -572,10 +589,12 @@ def _sort_targets(orders, n: int) -> dict:
 
 
 def _apply_stages(frontier: np.ndarray, luts: np.ndarray) -> np.ndarray:
-    """Images of every frontier mask under every stage, shape (stages, masks)."""
-    acc = luts[:, 0, frontier & np.uint64(0xFF)]
+    """Images of every frontier mask under every stage, shape (stages, masks),
+    C-contiguous (take along the byte axis; fancy indexing would return a
+    transposed block that every ravel copies)."""
+    acc = luts[:, 0].take(frontier & 0xFF, axis=1)
     for bp in range(1, luts.shape[1]):
-        acc |= luts[:, bp, (frontier >> np.uint64(8 * bp)) & np.uint64(0xFF)]
+        acc |= luts[:, bp].take((frontier >> 8 * bp) & 0xFF, axis=1)
     return acc
 
 
@@ -583,14 +602,16 @@ class _StSearch:
     """Layered BFS over image-set states shared by all exact_st modes.
 
     Each layer is sorted; visited is the sorted array of every state seen.
+    Both hold states in the word _st_word(n).
     """
 
     def __init__(self, g: graphs.Graph, comparator_only: bool):
         graphs.check_connected(g)
         self.n = g.n
+        self.word = _st_word(g.n)
         self.stages = _decorated_stages(g, comparator_only)
         init = (1 << (1 << self.n)) - 1  # empty prefix reaches every config
-        self.layers = [np.array([init], dtype=np.uint64)]
+        self.layers = [np.array([init], dtype=self.word)]
         self.visited = self.layers[0]
         self.exhausted = False
 
@@ -605,7 +626,7 @@ class _StSearch:
         The previous layer is expanded CHUNK stage images at a time.
         """
         if self.exhausted:
-            return np.empty(0, dtype=np.uint64)
+            return np.empty(0, dtype=self.word)
         prev, fresh = self.layers[-1], []
         cols = max(1, CHUNK // max(len(self.stages), 1))
         for c0 in range(0, len(prev), cols):
@@ -632,7 +653,7 @@ class _StSearch:
         searched for the pending masks in one call.
         """
         orders = list(targets)
-        masks = np.array([targets[o] for o in orders], dtype=np.uint64)
+        masks = np.array([targets[o] for o in orders], dtype=self.word)
         depth = 0
         while orders and (depth_cap is None or depth <= depth_cap):
             layer = self.layers[depth] if depth < len(self.layers) else self.grow()
@@ -729,9 +750,9 @@ def sandwich_check(g: graphs.Graph, pi=None, cap: int | None = None) -> Verifica
     one BFS; st(G) is their minimum, and any order not sorted within
     st(G) + rt(G) is an upper-bound violation, reported with value None.
     """
-    _check_cap(g.n, cap, ST_CAP, "sandwich check")
+    _check_cap(g.n, cap, ST_CAP, "sandwich check", ST_WORD_LIMIT)
     n = g.n
-    rt = exact_rt(g).value
+    rt = exact_rt(g, cap=cap).value
     all_st = exact_st_all_orders(g, cap=cap)
     st_min = min(v for v in all_st.values() if v is not None)
     bound = st_min + rt
@@ -763,27 +784,34 @@ def sandwich_check(g: graphs.Graph, pi=None, cap: int | None = None) -> Verifica
 
 
 def connected_graphs_upto_iso(n: int) -> list[graphs.Graph]:
-    """All connected graphs on n <= 5 vertices, one per isomorphism class."""
+    """All connected graphs on n <= 5 vertices, one per isomorphism class:
+    the first edge subset of each class in subset-bits order.
+
+    A subset's canonical code is its least image under the n! relabelings,
+    read as a bitmask over the vertex pairs; one product of the subset bit
+    matrix with each relabeling's pair weights gives every subset's images
+    at once.  Connectivity holds for a whole class or none of it, so it is
+    tested only on each class's first subset.
+    """
     if n < 1 or n > ST_CAP:
         raise ParameterError(f"enumeration supports 1 <= n <= {ST_CAP}")
     if n == 1:
         return [graphs.graph(1, [])]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    relabelings = list(itertools.permutations(range(1, n + 1)))
-    seen = set()
+    index = {pair: i for i, pair in enumerate(pairs)}
+    weights = np.array(
+        [[1 << index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])]
+          for p in itertools.permutations(range(1, n + 1))]
+         for u, v in pairs], dtype=np.int64)  # [pair, relabeling]
+    subsets = np.arange(1 << len(pairs))
+    bits = (subsets[:, None] >> np.arange(len(pairs))) & 1
+    _, first = np.unique((bits @ weights).min(axis=1), return_index=True)
     out = []
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+    for s in np.sort(first).tolist():
+        edges = [pairs[i] for i in range(len(pairs)) if s >> i & 1]
         if len(edges) < n - 1:
             continue
         g = graphs.graph(n, edges)
-        if not graphs.is_connected(g):
-            continue
-        canon = min(
-            tuple(sorted((min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1]))
-                         for u, v in edges))
-            for p in relabelings)
-        if canon not in seen:
-            seen.add(canon)
+        if graphs.is_connected(g):
             out.append(g)
     return out

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchnet import constructions
 from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     contour_tree_sort, longest_path_sort,
                                     odd_even_transposition,
@@ -163,6 +164,14 @@ def test_router_bound_raises_without_asserts():
     with pytest.raises(ConstructionError, match="depth bound"):
         parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3,
                                router=_padded_router(g))
+
+
+def test_contour_color_cap_raises_without_asserts(monkeypatch):
+    # with the degree read as 1 the cap is one color, but the star's walk
+    # intervals all meet at the centre
+    monkeypatch.setattr(constructions, "max_degree", lambda t: 1)
+    with pytest.raises(ConstructionError, match="over its cap 1"):
+        contour_tree_sort(star_graph(5))
 
 
 def test_subgraph_sort_path_inside_cycle():

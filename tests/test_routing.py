@@ -9,8 +9,9 @@ from collections import defaultdict
 
 from matchnet import constructions, network, routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
-from matchnet.graphs import (adjacency, bfs_dist, cartesian_product,
-                             check_tree, cycle_graph, generate, graph,
+from matchnet.graphs import (PyramidInfo, adjacency, bfs_dist,
+                             cartesian_product, check_tree, cycle_graph,
+                             generate, graph,
                              hypercube_graph, mesh_graph, multigrid_graph,
                              multipartite_graph, path_graph, pyramid_graph,
                              random_tree, spanning_tree, star_graph,
@@ -43,6 +44,18 @@ def test_routed_graph_dies_with_its_last_reference():
     del g
     gc.collect()
     assert ref() is None  # no module-level cache keeps the graph alive
+
+
+def test_two_cycle_decompose_checks_raise_without_asserts(monkeypatch):
+    pi = (2, 3, 1)
+    monkeypatch.setattr(routing, "compose", lambda a, b: (1, 2, 3))
+    with pytest.raises(ConstructionError, match="does not compose"):
+        two_cycle_decompose(pi)
+    # overlapping "cycles" make mu2 = (2, 3, 2), which is no involution
+    monkeypatch.setattr(routing, "compose", lambda a, b: pi)
+    monkeypatch.setattr(routing, "cycles", lambda p: [(1, 2), (2, 3)])
+    with pytest.raises(ConstructionError, match="not an involution"):
+        two_cycle_decompose(pi)
 
 
 def test_two_cycle_decompose_known():
@@ -356,6 +369,24 @@ def test_multigrid_accounting_caps():
         for row in rows:
             for level, (pairs, cap) in row.items():
                 assert pairs <= cap
+
+
+class _NoApexPath(PyramidInfo):
+    """A multigrid whose apex path is lost, its own path count agreeing."""
+
+    def vertical_paths(self):
+        return [p for p in super().vertical_paths() if self.level_of(p[0])]
+
+    def phi(self, k):
+        return 0 if k == self.m - 1 else super().phi(k)
+
+
+def test_multigrid_path_capacity_raises_without_asserts():
+    info = _NoApexPath(2, 1)
+    assert info.level_of(1) == 0 and info.level_of(2) == 1
+    # swapping the apex with a vertex below needs a seat on the apex path
+    with pytest.raises(ConstructionError, match="capacity exceeded at level 0"):
+        routing._multigrid_involution_rounds(info, (2, 1, 3), {})
 
 
 @settings(max_examples=20, deadline=None)

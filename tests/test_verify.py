@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
 from matchnet.errors import CapError, ConstructionError, TaskError
-from matchnet.graphs import complete_graph, graph, path_graph, star_graph
-from matchnet.network import (DIR, SWAP, execute, make_network, make_plan,
-                              make_stage, plan_realized)
+from matchnet.graphs import (complete_graph, graph, is_connected, path_graph,
+                             star_graph)
+from matchnet.network import (DIR, SWAP, execute, is_sorted_for,
+                              make_network, make_plan, make_stage,
+                              plan_realized)
 from matchnet.perms import all_permutations, inverse
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
@@ -53,6 +55,35 @@ def test_zero_one_matches_exhaustive_on_random_nets():
             vals = sorted(zo.counterexample)
             assert any(out[v - 1] != vals[rank[v - 1] - 1]
                        for v in range(1, net.graph.n + 1))
+
+
+@st.composite
+def broken_sorters(draw):
+    """An odd-even or Batcher sorter on n <= 8 with one comparator dropped
+    or reversed (some of these still sort)."""
+    build = draw(st.sampled_from([odd_even_transposition, batcher_complete]))
+    net = build(draw(st.integers(2, 8)))
+    s, c = draw(st.sampled_from([(s, c) for s, stage in enumerate(net.stages)
+                                 for c in range(len(stage))]))
+    stage = list(net.stages[s])
+    u, v, kind = stage[c]
+    if draw(st.booleans()):
+        del stage[c]
+    else:
+        stage[c] = (v, u, kind)
+    stages = list(net.stages)
+    stages[s] = stage
+    return make_network(net.graph, net.order, stages)
+
+
+@settings(max_examples=80, deadline=None)
+@given(broken_sorters())
+def test_zero_one_and_exhaustive_agree_on_broken_sorters(net):
+    zo, ex = verify_zero_one(net), verify_exhaustive(net)
+    assert zo.passed == ex.passed
+    for rep in (zo, ex):
+        if not rep.passed:
+            assert not is_sorted_for(net.order, execute(net, rep.counterexample))
 
 
 def test_zero_one_passes_known_sorter():
@@ -213,8 +244,23 @@ def _loop_stage_luts(stages, n):
 def test_stage_luts_match_the_loop_reference(g, comparator_only):
     stages = verify._decorated_stages(g, comparator_only)
     luts = verify._stage_luts(stages, g.n)
-    assert luts.dtype == np.uint64
+    assert luts.dtype == (np.uint32 if g.n <= 5 else np.uint64)
     assert luts.tolist() == _loop_stage_luts(stages, g.n)
+
+
+@pytest.mark.parametrize("g, word", [
+    (path_graph(1), np.uint32), (complete_graph(5), np.uint32),
+    (path_graph(6), np.uint64)])
+def test_st_search_holds_every_state_in_its_word(g, word):
+    search = verify._StSearch(g, comparator_only=False)
+    targets = verify._sort_targets(itertools.islice(all_permutations(g.n), 3),
+                                   g.n)
+    for _ in search.walk(targets, depth_cap=2):
+        pass
+    assert verify._st_word(g.n) is word
+    assert search.luts.dtype == word and search.visited.dtype == word
+    assert all(layer.dtype == word for layer in search.layers)
+    assert verify._apply_stages(search.layers[-1], search.luts).dtype == word
 
 
 def test_st_witness_check_raises_without_asserts():
@@ -241,15 +287,29 @@ def test_sandwich_check_passes_its_cap_on(monkeypatch):
         caps.append(("st_all", cap))
         return {tuple(range(1, g.n + 1)): 3}
 
+    def rt_spy(g, pi=None, cap=None):
+        caps.append(("rt", cap))
+        return Value()
+
     monkeypatch.setattr(verify, "exact_st", st_spy)
     monkeypatch.setattr(verify, "exact_st_all_orders", st_all_spy)
-    monkeypatch.setattr(verify, "exact_rt", lambda g, *a, **k: Value())
+    monkeypatch.setattr(verify, "exact_rt", rt_spy)
     g, pi = path_graph(6), tuple(range(1, 7))
     with pytest.raises(CapError):
         sandwich_check(g, pi)  # n = 6 is past the default cap
     assert caps == []
     assert sandwich_check(g, pi, cap=6).passed
-    assert caps == [("st_all", 6)]  # one st search; st(G) is its minimum
+    # one st search; st(G) is its minimum
+    assert caps == [("rt", 6), ("st_all", 6)]
+
+
+def test_sandwich_check_refuses_past_the_st_word_before_rt(monkeypatch):
+    def no_rt(*args, **kwargs):
+        pytest.fail("exact_rt ran before the cap check")
+
+    monkeypatch.setattr(verify, "exact_rt", no_rt)
+    with pytest.raises(CapError, match="sandwich check refused: n=7 exceeds cap 6"):
+        sandwich_check(path_graph(7), cap=7)
 
 
 # References for the shared stage kernel: the row-major matrix loop and the
@@ -412,6 +472,40 @@ def test_plan_realized_matches_its_reference(case):
     want = _reference_plan_realized(n, stages)
     assert plan_realized(n, stages) == want
     assert make_plan(complete_graph(n), stages).realized == want
+
+
+def _reference_connected_graphs_upto_iso(n):
+    """The per-subset loop the array canonical form replaced: the least
+    sorted edge tuple over all relabelings, connectivity tested first."""
+    if n == 1:
+        return [graph(1, [])]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    relabelings = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        if len(edges) < n - 1:
+            continue
+        g = graph(n, edges)
+        if not is_connected(g):
+            continue
+        canon = min(
+            tuple(sorted((min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1]))
+                         for u, v in edges))
+            for p in relabelings)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_connected_graphs_match_the_relabeling_loop_reference(n):
+    got = connected_graphs_upto_iso(n)
+    want = _reference_connected_graphs_upto_iso(n)
+    assert [(g.n, sorted(g.edges)) for g in got] == \
+        [(g.n, sorted(g.edges)) for g in want]
 
 
 def test_connected_graphs_counts():
