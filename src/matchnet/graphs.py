@@ -22,6 +22,10 @@ a documented canonical numbering:
 - multigrid:m,d   pyramid minus all parent edges except the one from the
                   child with all-odd local coordinates
 
+Vertex ids are ints (a bool or float is refused).  The edge views derive
+from one key array, u*(n+1) + v per edge, cached on the Graph like its
+adjacency; sorted_edges() reads it in key order, which is (u, v) order.
+
 The family string stored on a Graph is exactly the generator spec
 ("mesh:3,3").  family_of turns it, after the path and complete structure
 tests, into the family whose sorter and router serve the graph; reading a
@@ -43,10 +47,6 @@ import numpy as np
 from .errors import CapError, ParameterError, StructureError
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on vertices 1..n."""
@@ -58,14 +58,24 @@ class Graph:
     factors: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ParameterError("graph needs at least one vertex")
         for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise StructureError(f"bad edge ({u},{v}) for n={self.n}")
+            if type(u) is not int or type(v) is not int:  # 1.5 would key as 1
+                raise StructureError(
+                    f"edge ({u!r},{v!r}) has a non-integer vertex id")
+            if not 1 <= u < v <= n:
+                raise StructureError(f"self-loop at {u}" if u == v
+                                     else f"bad edge ({u},{v}) for n={n}")
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._sorted_edges)
+
+    @cached_property
+    def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        u, v = np.divmod(self._edge_keys, self.n + 1)
+        return tuple(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -110,8 +120,9 @@ class Graph:
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
-        keys = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        keys = keys[:, 0] * (self.n + 1) + keys[:, 1]
+        uv = np.fromiter(chain.from_iterable(self.edges), np.int64,
+                         2 * len(self.edges))
+        keys = uv[0::2] * (self.n + 1) + uv[1::2]
         keys.sort()
         return keys
 
@@ -122,10 +133,10 @@ class Graph:
 
 def graph(n: int, edges: Iterable[tuple[int, int]], family: str | None = None,
           factors: tuple = ()) -> Graph:
-    es = frozenset(_norm_edge(u, v) for u, v in edges)
-    for u, v in es:
-        if u == v:
-            raise StructureError(f"self-loop at {u}")
+    try:
+        es = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+    except (TypeError, ValueError) as e:  # "a" < 2, or not a pair
+        raise StructureError(f"malformed edge list: {e}") from e
     return Graph(n=n, edges=es, family=family, factors=factors)
 
 
@@ -428,7 +439,7 @@ def _pyramid_edges(info: PyramidInfo, all_children: bool) -> list[tuple[int, int
             for v in info.level_vertices(l):
                 _, c = info.coords(v)
                 if all_children or all(x % 2 == 1 for x in c):
-                    es.append(_norm_edge(info.parent(v), v))
+                    es.append((info.parent(v), v))
     return es
 
 
@@ -704,7 +715,7 @@ def maximal_matching(g: Graph) -> list[tuple[int, int]]:
     """Greedy maximal matching over lexicographically sorted edges."""
     used: set[int] = set()
     out = []
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges():
         if u not in used and v not in used:
             out.append((u, v))
             used.add(u)
@@ -787,7 +798,7 @@ def _label_graph(n: int, edges: list, label) -> Graph | None:
 
 def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
     return json.dumps(graph_doc(g, order), sort_keys=True,
-                      separators=(",", ":"))
+                      separators=(",", ":"), check_circular=False)
 
 
 def from_json(text: str) -> tuple[Graph, list[int] | None]:

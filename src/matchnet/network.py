@@ -39,9 +39,13 @@ only per-comparator validation loop.
 
 Serialization writes the frozen tuples straight through json.dumps,
 which emits tuples as arrays, and reading builds each comparator tuple
-once, which the kernel then keeps.  A comparator fault in a file (a
-non-edge, an aliased or shared vertex) is malformed input, so the
-readers raise it as StructureError; builders keep ConstructionError.
+once, which the kernel then keeps.  The writers skip json's circular
+check (a third of the time to encode a stage list): each document is a
+tree of fresh dicts and lists they build, so only a provenance made
+cyclic by hand can loop, and it raises RecursionError, not ValueError.
+A comparator fault in a file (a non-edge, an aliased or shared vertex)
+is malformed input, so the readers raise it as StructureError; builders
+keep ConstructionError.
 
 _gc_paused keeps CPython's cyclic collector out of the code that builds
 a plan or network: routing.route_auto, plan_from_json and
@@ -51,7 +55,9 @@ trigger rescans them all for nothing.  The covered code makes no
 reference cycles (a test requires gc.collect() == 0 after it), so
 reference counting alone frees what it drops and the pause holds back
 no garbage.  It never collects, never changes the thresholds, and
-restores the collector's state on the way out.
+restores the collector's state on the way out.  The first collection
+after the pause scans all it left alive, so the readers drop their parse
+tree inside it.
 """
 
 from __future__ import annotations
@@ -295,7 +301,8 @@ def network_to_json(net: SortingNetwork) -> str:
         doc["provenance"] = net.provenance
     if net.certificate is not None:
         doc["certificate"] = net.certificate
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def plan_to_json(plan: RoutingPlan) -> str:
@@ -306,11 +313,13 @@ def plan_to_json(plan: RoutingPlan) -> str:
         "stages": _stages_doc(plan.stages),
         "plan": True,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def _read(text: str) -> tuple[graphs.Graph, list, dict]:
-    """Host graph, stage tuples and document of network or plan JSON."""
+    """Host graph, stage tuples, and order, provenance and certificate of
+    network or plan JSON; the rest of the parse is dropped on return."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -332,7 +341,8 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     if not set(map(len, chain.from_iterable(stages))) <= {3}:
         raise StructureError("malformed stage in network JSON: a comparator "
                              "is not a [u, v, kind] triple")
-    return graphs.graph_from_doc(doc["graph"]), stages, doc
+    kept = {k: doc.get(k) for k in ("order", "provenance", "certificate")}
+    return graphs.graph_from_doc(doc["graph"]), stages, kept
 
 
 def network_from_json(text: str) -> SortingNetwork:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .errors import ConstructionError, ParameterError, StructureError, TaskError
 from .graphs import (
@@ -238,65 +238,64 @@ def _tree_rounds(t: Graph, pi):
         sub = [posin[dest[order[i]]] for i in range(n)]
         return _relabel_rounds(_path_rounds(n, sub), order)
 
+    # BFS from the centroid c, in flat lists indexed by vertex: comp[v] is
+    # the root neighbour above v (0 for c, -1 before v is reached), so v
+    # is proper when comp[dest[v]] == comp[v], for c too
     c = _centroid(t)
-    comp = {c: 0}  # component label = id of the root neighbour
-    depth = {c: 0}
-    parent = {c: 0}
+    comp, depth, parent = [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    comp[c] = 0
     order = [c]
     for v in order:
         for w in adj[v]:
-            if w not in comp:
+            if comp[w] < 0:
                 comp[w] = w if v == c else comp[v]
                 depth[w] = depth[v] + 1
                 parent[w] = v
                 order.append(w)
-
-    def proper(v):
-        return comp[dest[v]] == comp[v] if v != c else dest[c] == c
+    rank = [d * (n + 1) + v for v, d in enumerate(depth)]  # (depth, v) order
 
     # Each round swaps the centre with one root neighbour, and every proper
     # non-centre parent with its smallest improper child.  The improper
     # vertices are kept per parent, and the parents that can swap in a
     # frontier, so a round costs what it swaps, not a scan of the tree.
-    ok = [True] * (n + 1)
-    bad_kids = defaultdict(set)  # parent -> its improper children
-    bad = 0
+    ok = [comp[dest[v]] == comp[v] for v in range(n + 1)]
+    bad_kids = [set() for _ in range(n + 1)]  # improper kids ([0]: c, unread)
     for v in range(1, n + 1):
-        if not proper(v):
-            ok[v] = False
-            bad += 1
-            if v != c:
-                bad_kids[parent[v]].add(v)
-    frontier = {p for p in bad_kids if p != c and ok[p]}
+        if not ok[v]:
+            bad_kids[parent[v]].add(v)
+    bad = ok.count(False)
+    frontier = {p for p in range(1, n + 1) if p != c and ok[p] and bad_kids[p]}
     rounds = []
     while bad:
         pairs = []
         if not ok[c]:
             q = comp[dest[c]]  # pebble on c belongs past this root
             if not ok[q]:
-                pairs.append(_norm(c, q))
+                pairs.append((c, q) if c < q else (q, c))
         elif bad_kids[c]:
-            pairs.append(_norm(c, min(bad_kids[c])))
-        kids = sorted((min(bad_kids[p]) for p in frontier),
-                      key=lambda v: (depth[v], v))
-        pairs += [_norm(parent[v], v) for v in kids]
+            q = min(bad_kids[c])
+            pairs.append((c, q) if c < q else (q, c))
+        for v in sorted([min(bad_kids[p]) for p in frontier],
+                        key=rank.__getitem__):
+            p = parent[v]
+            pairs.append((p, v) if p < v else (v, p))
         if not pairs:
             raise ConstructionError("tree routing stalled")
-        touched = set()
         for u, v in pairs:
             dest[u], dest[v] = dest[v], dest[u]
-            touched.update((u, v))
-        for v in touched:
-            if proper(v) != ok[v]:
+        changed = []  # vertices whose ok flipped, and their parents
+        for v in chain.from_iterable(pairs):
+            if (comp[dest[v]] == comp[v]) != ok[v]:
                 ok[v] = not ok[v]
-                bad += -1 if ok[v] else 1
-                if v != c:
-                    if ok[v]:
-                        bad_kids[parent[v]].discard(v)
-                    else:
-                        bad_kids[parent[v]].add(v)
-        for v in touched | {parent[v] for v in touched}:
-            if v != c and v and ok[v] and bad_kids.get(v):
+                if ok[v]:
+                    bad -= 1
+                    bad_kids[parent[v]].discard(v)
+                else:
+                    bad += 1
+                    bad_kids[parent[v]].add(v)
+                changed += (v, parent[v])
+        for v in changed:  # only their frontier membership can change
+            if v != c and v and ok[v] and bad_kids[v]:
                 frontier.add(v)
             else:
                 frontier.discard(v)
@@ -304,20 +303,21 @@ def _tree_rounds(t: Graph, pi):
         if len(rounds) > 6 * n:
             raise ConstructionError("tree routing did not converge")
 
-    # recurse into the centroid components; every edge not at c lies
-    # inside one, so one pass over the edges buckets them all
-    comps = defaultdict(list)
+    # recurse into the centroid components, numbered by vertex id inside
+    # each; every edge not at c is a BFS edge (parent[v], v) inside one
+    comps = {r: [] for r in adj[c]}
+    local = [0] * (n + 1)
     for v in range(1, n + 1):
         if v != c:
-            comps[comp[v]].append(v)
-    local = {v: i + 1 for vs in comps.values() for i, v in enumerate(vs)}
-    sub_edges = defaultdict(list)
-    for u, v in t.sorted_edges():
-        if u != c and v != c:
-            sub_edges[comp[u]].append((local[u], local[v]))
+            vs = comps[comp[v]]
+            vs.append(v)
+            local[v] = len(vs)
+    sub_edges = {r: [] for r in adj[c]}
+    for v in range(1, n + 1):
+        if v != c and parent[v] != c:
+            sub_edges[comp[v]].append((local[parent[v]], local[v]))
     blocks = []
-    for r in sorted(comps):
-        vs = comps[r]
+    for r, vs in comps.items():
         sub_pi = [local[dest[v]] for v in vs]
         blocks.append(_relabel_rounds(
             _tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))

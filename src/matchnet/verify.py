@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -575,17 +575,21 @@ def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
     return luts.reshape(len(stages), nbytes, 256)
 
 
-def _sort_targets(orders, n: int) -> dict:
-    """order -> mask of its n+1 sorted configs (the top k ranks hold 1s)."""
-    targets = {}
-    for order in map(tuple, orders):
-        inv = perms.inverse(order)
-        cfg, mask = 0, 1  # k = 0: all zeros
-        for r in range(n, 0, -1):
-            cfg |= 1 << (inv[r - 1] - 1)
-            mask |= 1 << cfg
-        targets[order] = mask
-    return targets
+def _sort_targets(n: int, pi: tuple | None = None) -> dict:
+    """order -> mask of its n+1 sorted configs (the top k ranks hold 1s),
+    for pi alone or, when pi is None, for every order in
+    perms.all_permutations order.  Each call gets a dict of its own."""
+    targets = dict(zip(*_all_order_masks(n)))
+    return targets if pi is None else {pi: targets[pi]}
+
+
+@cache  # made once per n in one array pass; n <= ST_WORD_LIMIT, 720 orders
+def _all_order_masks(n: int) -> tuple[tuple, tuple]:
+    orders = tuple(perms.all_permutations(n))
+    by_rank = np.argsort(orders, axis=1)[:, ::-1]  # vertex - 1, rank n first
+    cfgs = np.cumsum(np.left_shift(1, by_rank), axis=1)  # top k ranks hold 1s
+    bits = np.left_shift(np.uint64(1), cfgs.astype(np.uint64))
+    return orders, tuple((np.bitwise_or.reduce(bits, axis=1) | 1).tolist())
 
 
 def _apply_stages(frontier: np.ndarray, luts: np.ndarray) -> np.ndarray:
@@ -708,9 +712,8 @@ def exact_st(g: graphs.Graph, pi=None, cap: int | None = None,
     """
     _check_cap(g.n, cap, ST_CAP, "exact st", ST_WORD_LIMIT)
     n = g.n
-    orders = [perms.check_permutation(pi, n)] if pi is not None \
-        else perms.all_permutations(n)
-    targets = _sort_targets(orders, n)
+    targets = _sort_targets(
+        n, None if pi is None else perms.check_permutation(pi, n))
     search = _StSearch(g, comparator_only)
     for depth, hits in search.walk(targets):
         if hits:
@@ -731,7 +734,7 @@ def exact_st_all_orders(g: graphs.Graph, cap: int | None = None,
     Orders still unsorted at depth_cap are reported with value None.
     """
     _check_cap(g.n, cap, ST_CAP, "exact st", ST_WORD_LIMIT)
-    targets = _sort_targets(perms.all_permutations(g.n), g.n)
+    targets = _sort_targets(g.n)
     found: dict = {}
     for depth, hits in _StSearch(g, comparator_only).walk(targets, depth_cap):
         for order, _ in hits:

@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,3 +363,55 @@ def test_random_tree_seeded():
 def test_degree_helpers():
     assert max_degree(star_graph(7)) == 6
     assert max_degree(path_graph(2)) == 1
+
+
+@pytest.mark.parametrize("edges", [
+    [(1.5, 2), (2, 3)], [(True, 2), (2, 3)], [(1, 2.0)], [("a", 2)],
+    [(np.int64(1), 2)], [(1, 2, 3)], [(1,)]])
+def test_graph_refuses_ids_that_are_not_ints(edges):
+    # 1.5 would key as 1, so (1, 2) would pass as an edge of the host
+    with pytest.raises(StructureError):
+        graph(3, edges)
+
+
+def test_graph_refuses_non_int_ids_built_directly():
+    with pytest.raises(StructureError, match="non-integer"):
+        graphs.Graph(n=3, edges=frozenset({(1.5, 2)}))
+    with pytest.raises(StructureError, match="self-loop at 2"):
+        graph(3, [(1, 2), (2, 2)])
+    with pytest.raises(StructureError, match="bad edge"):
+        graph(3, [(1, 4)])
+
+
+def _old_edge_keys(g):
+    keys = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    keys = keys[:, 0] * (g.n + 1) + keys[:, 1]
+    keys.sort()
+    return keys
+
+
+def _assert_edge_views_unchanged(g):
+    assert g.sorted_edges() == sorted(g.edges)
+    assert graphs.edge_keys(g).tolist() == _old_edge_keys(g).tolist()
+    assert graphs.edge_keys(g).dtype == np.int64
+    g.sorted_edges().clear()  # callers get a copy of the cached view
+    assert g.sorted_edges() == sorted(g.edges)
+
+
+@pytest.mark.parametrize("spec", [
+    "path:1", "path:9", "cycle:7", "complete:1", "complete:9", "star:8",
+    "multipartite:3,4", "hypercube:4", "mesh:3,4", "mesh:2,3,2",
+    "random_tree:30,4", "pyramid:3,2", "multigrid:3,2"])
+def test_edge_views_match_sorting_the_edges(spec):
+    _assert_edge_views_unchanged(generate(spec))
+    _assert_edge_views_unchanged(cartesian_product(path_graph(3),
+                                                   cycle_graph(4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda e: e[0] != e[1]), max_size=80))))
+def test_edge_views_match_sorting_random_edge_lists(case):
+    n, edges = case
+    _assert_edge_views_unchanged(graph(n, edges))

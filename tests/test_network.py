@@ -338,3 +338,19 @@ def test_deeply_nested_json_is_a_structure_error():
     for read in (network_from_json, plan_from_json):
         with pytest.raises(StructureError, match="nested too deeply"):
             read(text)
+
+
+def test_a_cyclic_provenance_still_raises_in_the_writer():
+    # the writers skip json's circular-reference check: their documents
+    # are trees they build, and a cycle put in by hand still fails, only
+    # as RecursionError where it was ValueError
+    loop = {"step": "loop"}
+    loop["self"] = loop
+    net = make_network(path_graph(2), (1, 2), [[(1, 2, DIR)]],
+                       provenance={"built_by": loop})
+    with pytest.raises(RecursionError):
+        network_to_json(net)
+    assert json.loads(network_to_json(make_network(
+        path_graph(2), (1, 2), [[(1, 2, DIR)]],
+        provenance={"built_by": {"step": "tree"}})))["provenance"] == {
+            "built_by": {"step": "tree"}}

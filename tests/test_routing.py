@@ -1,6 +1,9 @@
 import gc
+import json
 import random
 import weakref
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -561,6 +564,171 @@ def test_tree_rounds_match_the_rescanning_planner(shape, n, seed):
     assert _tree_rounds(t, pi) == _reference_tree_rounds(t, pi)
 
 
+def _dict_tree_rounds(t, pi):
+    """The frontier tree planner as it was kept in dicts, before the flat
+    lists: the reference the flat-list planner must match round for round."""
+    n = t.n
+    dest = [0] + list(pi)  # dest[v] = target of the pebble now on v
+    if all(dest[v] == v for v in range(1, n + 1)):
+        return []
+    adj = adjacency(t)
+    if max(len(adj[v]) for v in range(1, n + 1)) <= 2:
+        order = _path_order(t)
+        posin = {v: i + 1 for i, v in enumerate(order)}
+        sub = [posin[dest[order[i]]] for i in range(n)]
+        return _relabel_rounds(_path_rounds(n, sub), order)
+
+    c = _centroid(t)
+    comp = {c: 0}  # component label = id of the root neighbour
+    depth = {c: 0}
+    parent = {c: 0}
+    order = [c]
+    for v in order:
+        for w in adj[v]:
+            if w not in comp:
+                comp[w] = w if v == c else comp[v]
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                order.append(w)
+
+    def proper(v):
+        return comp[dest[v]] == comp[v] if v != c else dest[c] == c
+
+    ok = [True] * (n + 1)
+    bad_kids = defaultdict(set)  # parent -> its improper children
+    bad = 0
+    for v in range(1, n + 1):
+        if not proper(v):
+            ok[v] = False
+            bad += 1
+            if v != c:
+                bad_kids[parent[v]].add(v)
+    frontier = {p for p in bad_kids if p != c and ok[p]}
+    rounds = []
+    while bad:
+        pairs = []
+        if not ok[c]:
+            q = comp[dest[c]]  # pebble on c belongs past this root
+            if not ok[q]:
+                pairs.append(_norm(c, q))
+        elif bad_kids[c]:
+            pairs.append(_norm(c, min(bad_kids[c])))
+        kids = sorted((min(bad_kids[p]) for p in frontier),
+                      key=lambda v: (depth[v], v))
+        pairs += [_norm(parent[v], v) for v in kids]
+        if not pairs:
+            raise ConstructionError("tree routing stalled")
+        touched = set()
+        for u, v in pairs:
+            dest[u], dest[v] = dest[v], dest[u]
+            touched.update((u, v))
+        for v in touched:
+            if proper(v) != ok[v]:
+                ok[v] = not ok[v]
+                bad += -1 if ok[v] else 1
+                if v != c:
+                    if ok[v]:
+                        bad_kids[parent[v]].discard(v)
+                    else:
+                        bad_kids[parent[v]].add(v)
+        for v in touched | {parent[v] for v in touched}:
+            if v != c and v and ok[v] and bad_kids.get(v):
+                frontier.add(v)
+            else:
+                frontier.discard(v)
+        rounds.append(pairs)
+        if len(rounds) > 6 * n:
+            raise ConstructionError("tree routing did not converge")
+
+    comps = defaultdict(list)
+    for v in range(1, n + 1):
+        if v != c:
+            comps[comp[v]].append(v)
+    local = {v: i + 1 for vs in comps.values() for i, v in enumerate(vs)}
+    sub_edges = defaultdict(list)
+    for u, v in sorted(t.edges):
+        if u != c and v != c:
+            sub_edges[comp[u]].append((local[u], local[v]))
+    blocks = []
+    for r in sorted(comps):
+        vs = comps[r]
+        sub_pi = [local[dest[v]] for v in vs]
+        blocks.append(_relabel_rounds(
+            _dict_tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))
+    return rounds + _merge_parallel(blocks)
+
+
+def _broom(handle, bristles, rng):
+    """A path of `handle` vertices with `bristles` leaves on its last one,
+    randomly numbered."""
+    n = handle + bristles
+    name = list(range(1, n + 1))
+    rng.shuffle(name)
+    edges = [(name[i], name[i + 1]) for i in range(handle - 1)]
+    edges += [(name[handle - 1], name[i]) for i in range(handle, n)]
+    return graph(n, edges)
+
+
+def _random_connected(n, extra, rng):
+    """A random tree on 1..n plus `extra` random chords."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    for _ in range(extra if n > 2 else 0):
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((u, v))
+    return graph(n, edges)
+
+
+def _outcome(planner, t, pi):
+    try:
+        return planner(t, pi)
+    except Exception as e:  # the same exception type from both planners
+        return type(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["random", "star", "broom", "caterpillar", "spanning"]),
+       st.integers(1, 200), st.integers(0, 2**31 - 1))
+def test_tree_rounds_match_the_dict_planner(shape, n, seed):
+    rng = random.Random(seed)
+    if shape == "random":
+        t = random_tree(n, seed)
+    elif shape == "star":
+        t = _star(max(n, 2), rng)
+    elif shape == "broom":
+        t = _broom(rng.randrange(1, n + 1), rng.randrange(0, n + 1), rng)
+    elif shape == "caterpillar":
+        t = _caterpillar(max(1, n // 6), rng.randrange(1, 6), rng)
+    else:
+        t = spanning_tree(_random_connected(n, rng.randrange(0, 2 * n), rng))
+    pi = random_permutation(t.n, rng)
+    assert _outcome(_tree_rounds, t, pi) == _outcome(_dict_tree_rounds, t, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["path:{}", "cycle:{}", "star:{}", "complete:{}",
+                        "mesh:{},3", "mesh:2,{},2", "hypercube:{}",
+                        "multipartite:{},3", "pyramid:{},2", "multigrid:{},1",
+                        "random_tree:{}", "random"]),
+       st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_route_auto_and_the_spanning_tree_planner_both_realize_pi(
+        spec, size, seed):
+    rng = random.Random(seed)
+    if spec == "random":
+        g = _random_connected(size, rng.randrange(0, 2 * size), rng)
+    else:
+        small = {"hypercube:{}": 5, "pyramid:{},2": 3, "multigrid:{},1": 4,
+                 "mesh:2,{},2": 8}.get(spec, 40)
+        low = {"cycle:{}": 3, "star:{}": 2, "multipartite:{},3": 2,
+               "pyramid:{},2": 1}.get(spec, 1)
+        g = generate(spec.format(low + size % (small - low + 1)))
+    pi = random_permutation(g.n, rng)
+    plan = route_auto(g, pi)
+    tree_plan = _finish(g, routing._generic_rounds(g, pi), pi, 3 * g.n)
+    assert plan.realized == tree_plan.realized == tuple(pi)
+    assert plan.depth <= route_depth_bound(g)
+    assert tree_plan.depth <= 3 * g.n
+
+
 def test_route_auto_keeps_no_state_between_calls(monkeypatch):
     rng = random.Random(3)
     for g in (hypercube_graph(5), mesh_graph((4, 4, 2)), pyramid_graph(3, 2)):
@@ -760,3 +928,35 @@ def test_route_auto_and_the_readers_run_with_the_collector_paused(
     # paused) and network_from_json, in that order
     assert [s[1] for s in seen if s[0] == "_freeze"] == [False, False, True,
                                                           False]
+
+
+def test_the_readers_free_their_document_inside_the_pause(monkeypatch):
+    # the young collection after the pause scans whatever the pause left
+    # alive, so the parsed document must be gone by then
+    class Doc(dict):  # a dict that takes a weak reference
+        pass
+
+    docs, alive_at_exit = [], []
+    real_pause, real_loads = network._gc_paused, json.loads
+
+    def loads(text):
+        docs.append(weakref.ref(doc := Doc(real_loads(text))))
+        return doc
+
+    @contextmanager
+    def pause():
+        with real_pause():
+            yield
+            alive_at_exit.append(docs[-1]() is not None)
+
+    monkeypatch.setattr(network, "json", SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    monkeypatch.setattr(network, "_gc_paused", pause)
+    g = generate("mesh:4,4")
+    plan = route_auto(g, random_permutation(g.n, random.Random(5)))
+    assert plan_from_json(plan_to_json(plan)) == plan
+    net = make_network(g, identity(g.n), plan.stages,
+                       provenance={"built_by": "test"})
+    assert network_from_json(network_to_json(net)).provenance == {
+        "built_by": "test"}
+    assert alive_at_exit == [False, False]

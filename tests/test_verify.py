@@ -253,8 +253,7 @@ def test_stage_luts_match_the_loop_reference(g, comparator_only):
     (path_graph(6), np.uint64)])
 def test_st_search_holds_every_state_in_its_word(g, word):
     search = verify._StSearch(g, comparator_only=False)
-    targets = verify._sort_targets(itertools.islice(all_permutations(g.n), 3),
-                                   g.n)
+    targets = dict(itertools.islice(verify._sort_targets(g.n).items(), 3))
     for _ in search.walk(targets, depth_cap=2):
         pass
     assert verify._st_word(g.n) is word
@@ -726,7 +725,7 @@ def _st_hosts():
 def test_st_search_matches_the_unique_and_set_reference(g, chunk,
                                                         monkeypatch):
     monkeypatch.setattr(verify, "CHUNK", chunk)
-    targets = verify._sort_targets(all_permutations(g.n), g.n)
+    targets = verify._sort_targets(g.n)
     new = verify._StSearch(g, comparator_only=False)
     ref = _ReferenceStSearch(g, comparator_only=False)
     assert list(new.walk(targets)) == list(ref.walk(targets))
@@ -765,3 +764,28 @@ def test_rt_bookkeeping_checks_raise_without_asserts(monkeypatch):
     monkeypatch.setattr(verify, "_rt_bfs", misdirected)
     with pytest.raises(ConstructionError, match="bookkeeping"):
         exact_rt(path_graph(4), (4, 3, 2, 1))
+
+
+def _loop_sort_targets(orders, n):
+    """The sorted-config masks as first written: one Python loop per order."""
+    targets = {}
+    for order in map(tuple, orders):
+        inv = inverse(order)
+        cfg, mask = 0, 1  # k = 0: all zeros
+        for r in range(n, 0, -1):
+            cfg |= 1 << (inv[r - 1] - 1)
+            mask |= 1 << cfg
+        targets[order] = mask
+    return targets
+
+
+@pytest.mark.parametrize("n", range(1, verify.ST_WORD_LIMIT + 1))
+def test_sort_targets_match_the_loop_reference(n):
+    want = _loop_sort_targets(all_permutations(n), n)
+    got = verify._sort_targets(n)
+    assert list(got.items()) == list(want.items())
+    assert all(type(m) is int for m in got.values())
+    got.clear()  # each caller gets its own dict; the masks made once stay
+    assert verify._sort_targets(n) == want
+    pi = tuple(random.Random(n).sample(range(1, n + 1), n))
+    assert verify._sort_targets(n, pi) == {pi: want[pi]}
