@@ -66,6 +66,8 @@ ST_HOSTS = ["path:2", "path:3", "complete:3", "path:4", "star:4", "cycle:4",
 ST_TABLES = [("path:4", None), ("path:4", 4), ("star:4", 5),
              ("cycle:4", 0), ("random_tree:5,1", None),
              ("random_tree:5,1", 6)]
+# st(G) witnesses on the 32-bit word's largest host and the 64-bit word
+ST_CAPPED = [("star:5", None), ("path:6", 6)]
 RT_HOSTS = ["path:7", "star:7", "complete:7", "random_tree:7,4"]
 RT_PI_HOSTS = ["path:5", "star:6", "complete:5", "mesh:2,3",
                "random_tree:7,4"]
@@ -208,6 +210,8 @@ def st_outputs() -> dict:
         out[f"{spec} pi={pi}"] = _st(exact_st(g, pi))
     out["path:4 comparator_only"] = _st(exact_st(generate("path:4"),
                                                  comparator_only=True))
+    for spec, cap in ST_CAPPED:
+        out[f"{spec} cap={cap}"] = _st(exact_st(generate(spec), cap=cap))
     for spec, depth_cap in ST_TABLES:
         table = exact_st_all_orders(generate(spec), depth_cap=depth_cap)
         items = [[list(o), v] for o, v in table.items()]
