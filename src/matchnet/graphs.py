@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +84,38 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def _matchings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every nonempty matching, its edges (u, v), u < v, in increasing
+        u.  The order is that of a search over vertices 1, 2, ... that first
+        leaves each one unmatched, then matches it to each larger free
+        neighbour in turn.  verify.all_matchings hands out copies."""
+        adj = self._adjacency
+        n = self.n
+        out: list[tuple] = []
+
+        def rec(v: int, used: set, cur: list):
+            if v > n:
+                if cur:
+                    out.append(tuple(cur))
+                return
+            if v in used:
+                rec(v + 1, used, cur)
+                return
+            rec(v + 1, used, cur)  # leave v unmatched
+            for w in adj[v]:
+                if w > v and w not in used:
+                    cur.append((v, w))
+                    used.add(v)
+                    used.add(w)
+                    rec(v + 1, used, cur)
+                    used.discard(v)
+                    used.discard(w)
+                    cur.pop()
+
+        rec(1, set(), [])
+        return tuple(out)
 
     @cached_property
     def _path_projection(self) -> PathProjection:  # trees: see path_projection
@@ -271,12 +303,18 @@ def mesh_strides(lengths: Sequence[int]) -> list[int]:
 
 
 def mesh_vertex(coords: Sequence[int], lengths: Sequence[int]) -> int:
-    strides = mesh_strides(lengths)
-    return 1 + sum((c - 1) * s for c, s in zip(coords, strides))
+    return _mesh_vertex(coords, mesh_strides(lengths))
 
 
 def mesh_coords(v: int, lengths: Sequence[int]) -> tuple[int, ...]:
-    strides = mesh_strides(lengths)
+    return _mesh_coords(v, mesh_strides(lengths))
+
+
+def _mesh_vertex(coords: Sequence[int], strides: Sequence[int]) -> int:
+    return 1 + sum((c - 1) * s for c, s in zip(coords, strides))
+
+
+def _mesh_coords(v: int, strides: Sequence[int]) -> tuple[int, ...]:
     rem = v - 1
     out = []
     for s in strides:
@@ -285,21 +323,27 @@ def mesh_coords(v: int, lengths: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mesh_points(lengths: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The coordinates of vertices 1, 2, ... of the mesh, in vertex order."""
+    return product(*(range(1, L + 1) for L in lengths))
+
+
+def _mesh_edges(lengths: Sequence[int], off: int = 0) -> list[tuple[int, int]]:
+    """Mesh edges, vertex by vertex and then axis by axis, with every vertex
+    id shifted by off; the neighbour one step along axis i is v + strides[i]."""
+    strides = mesh_strides(lengths)
+    axes = list(zip(range(len(lengths)), lengths, strides))
+    return [(v, v + s)
+            for v, coords in enumerate(_mesh_points(lengths), off + 1)
+            for i, L, s in axes if coords[i] < L]
+
+
 def mesh_graph(lengths: Sequence[int]) -> Graph:
     lengths = tuple(int(x) for x in lengths)
     if not lengths or any(x < 1 for x in lengths):
         raise ParameterError("mesh needs positive side lengths")
-    n = math.prod(lengths)
-    es = []
-    for v in range(1, n + 1):
-        coords = mesh_coords(v, lengths)
-        for i, L in enumerate(lengths):
-            if coords[i] < L:
-                nb = list(coords)
-                nb[i] += 1
-                es.append((v, mesh_vertex(nb, lengths)))
     fam = "mesh:" + ",".join(str(x) for x in lengths)
-    return graph(n, es, family=fam)
+    return graph(math.prod(lengths), _mesh_edges(lengths), family=fam)
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -355,6 +399,7 @@ class PyramidInfo:
         for s in self.level_sizes[:-1]:
             self.level_offsets.append(self.level_offsets[-1] + s)
         self.n = sum(self.level_sizes)
+        self.level_strides = [mesh_strides(self.lengths(l)) for l in range(m)]
 
     def side(self, level: int) -> int:
         return 1 << level
@@ -369,11 +414,12 @@ class PyramidInfo:
         raise StructureError(f"vertex {v} out of range")
 
     def vertex(self, level: int, coords: Sequence[int]) -> int:
-        return self.level_offsets[level] + mesh_vertex(coords, self.lengths(level))
+        return self.level_offsets[level] + _mesh_vertex(
+            coords, self.level_strides[level])
 
     def coords(self, v: int) -> tuple[int, tuple[int, ...]]:
         l = self.level_of(v)
-        return l, mesh_coords(v - self.level_offsets[l], self.lengths(l))
+        return l, _mesh_coords(v - self.level_offsets[l], self.level_strides[l])
 
     def level_vertices(self, level: int) -> list[int]:
         off = self.level_offsets[level]
@@ -426,20 +472,13 @@ class PyramidInfo:
 def _pyramid_edges(info: PyramidInfo, all_children: bool) -> list[tuple[int, int]]:
     es = []
     for l in range(info.m):
-        lengths = info.lengths(l)
         off = info.level_offsets[l]
-        for v in info.level_vertices(l):
-            coords = mesh_coords(v - off, lengths)
-            for i, L in enumerate(lengths):
-                if coords[i] < L:
-                    nb = list(coords)
-                    nb[i] += 1
-                    es.append((v, off + mesh_vertex(nb, lengths)))
+        es += _mesh_edges(info.lengths(l), off)
         if l > 0:
-            for v in info.level_vertices(l):
-                _, c = info.coords(v)
+            for v, c in enumerate(_mesh_points(info.lengths(l)), off + 1):
                 if all_children or all(x % 2 == 1 for x in c):
-                    es.append((info.parent(v), v))
+                    pc = tuple((x + 1) // 2 for x in c)
+                    es.append((info.vertex(l - 1, pc), v))
     return es
 
 
@@ -749,7 +788,9 @@ def graph_from_doc(doc) -> Graph:
     is built from its edges and compared with the label, generated at most
     once, so each refusal has one source.  A document with more than
     GENERATE_CAP vertices plus edges is refused with CapError before
-    anything is built, as generate refuses such a spec.
+    anything is built, as generate refuses such a spec.  Any other fault,
+    a generator label that is no valid spec among them, is malformed input
+    and raises StructureError.
     """
     try:
         n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
@@ -770,13 +811,18 @@ def graph_from_doc(doc) -> Graph:
         name = (g.family or "").partition(":")[0]
     except KeyError as e:
         raise StructureError(f"graph JSON missing {e}") from e
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ParameterError) as e:
         raise StructureError(f"malformed graph JSON: {e}") from e
     if name in _FAMILIES:
         # compare sizes first: regenerating a huge label costs its size
-        shape = _spec_shape(*_parse_spec(g.family), g.n)
-        if shape not in (None, (g.n, len(g.edges))) or g.edges != (
-                made if made is not None else generate(g.family)).edges:
+        try:
+            shape = _spec_shape(*_parse_spec(g.family), g.n)
+            same = shape in (None, (g.n, len(g.edges))) and g.edges == (
+                made if made is not None else generate(g.family)).edges
+        except ParameterError as e:  # "path:x", "mesh:0": not a spec
+            raise StructureError(
+                f"bad family label {g.family!r}: {e}") from e
+        if not same:
             raise StructureError(
                 f"graph does not match its family label {g.family!r}")
     return g

@@ -43,9 +43,10 @@ once, which the kernel then keeps.  The writers skip json's circular
 check (a third of the time to encode a stage list): each document is a
 tree of fresh dicts and lists they build, so only a provenance made
 cyclic by hand can loop, and it raises RecursionError, not ValueError.
-A comparator fault in a file (a non-edge, an aliased or shared vertex)
-is malformed input, so the readers raise it as StructureError; builders
-keep ConstructionError.
+A comparator fault in a file (a non-edge, an aliased or shared vertex),
+like an order that is not a permutation, is malformed input, so the
+readers raise it as StructureError; builders keep ConstructionError and
+TaskError.
 
 _gc_paused keeps CPython's cyclic collector out of the code that builds
 a plan or network: routing.route_auto, plan_from_json and
@@ -352,8 +353,8 @@ def network_from_json(text: str) -> SortingNetwork:
             return make_network(g, doc["order"], stages,
                                 provenance=doc.get("provenance") or {},
                                 certificate=doc.get("certificate"))
-        except ConstructionError as e:  # a bad comparator in the file
-            raise StructureError(str(e)) from e
+        except (ConstructionError, TaskError) as e:  # a bad comparator or
+            raise StructureError(str(e)) from e  # order in the file
 
 
 def plan_from_json(text: str) -> RoutingPlan:

@@ -42,14 +42,16 @@ array of visited states, and merge the rest into it.
   prefix sorts toward pi iff its image set lies inside the n+1 pi-sorted
   configs, and since every image set keeps a config of each weight, iff
   it equals them: each sorted layer is searched for all pending orders
-  at once.  One BFS therefore answers st(G, pi) for every pi; each stage
-  acts through byte lookup tables built with numpy over the 2^n
-  configurations.  The mask's word is chosen from n in one place,
-  _st_word: np.uint32 while the 2^n configs fit in 32 bits (n <= 5),
-  np.uint64 for n = 6.  The tables, layers, visited array and target
-  masks all use it, so for n <= 5 each lookup gathers and each sort moves
-  half the bytes.  The rt keys stay uint64: 4 bits for each of up to
-  RT_LIMIT vertices plus the 28 bits of a candidate's index.
+  at once.  One BFS therefore answers st(G, pi) for every pi; the stages
+  act through byte lookup tables built with numpy over the 2^n
+  configurations, stage index innermost, so each mask byte gathers its
+  images under every stage as one contiguous row.  The mask's word is
+  chosen from n in one place, _st_word: np.uint32 while the 2^n configs
+  fit in 32 bits (n <= 5), np.uint64 for n = 6.  The tables, layers,
+  visited array and target masks all use it, so for n <= 5 each lookup
+  gathers and each sort moves half the bytes.  The rt keys stay uint64:
+  4 bits for each of up to RT_LIMIT vertices plus the 28 bits of a
+  candidate's index.
 - sandwich_check: one st BFS for all orders (st(G) is the minimum) and
   one rt BFS.
 """
@@ -261,32 +263,9 @@ def verify_auto(net: network.SortingNetwork, cap: int | None = None) -> Verifica
 
 
 def all_matchings(g: graphs.Graph) -> list[tuple]:
-    """Every nonempty matching of g (order deterministic)."""
-    adj = graphs.adjacency(g)
-    n = g.n
-    out: list[tuple] = []
-
-    def rec(v: int, used: set, cur: list):
-        if v > n:
-            if cur:
-                out.append(tuple(cur))
-            return
-        if v in used:
-            rec(v + 1, used, cur)
-            return
-        rec(v + 1, used, cur)  # leave v unmatched
-        for w in adj[v]:
-            if w > v and w not in used:
-                cur.append((v, w))
-                used.add(v)
-                used.add(w)
-                rec(v + 1, used, cur)
-                used.discard(v)
-                used.discard(w)
-                cur.pop()
-
-    rec(1, set(), [])
-    return out
+    """Every nonempty matching of g (order deterministic), a list of its own;
+    the matchings are enumerated once per graph and cached on it."""
+    return list(g._matchings)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +532,15 @@ def _st_word(n: int) -> type:
 
 
 def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
-    """Byte-indexed OR-image tables, luts[stage, byte, b], in the word of n:
-    applying a stage to an image-set mask is one lookup per mask byte, ORed
-    together."""
+    """Byte-indexed OR-image tables, luts[byte, value, stage], C-contiguous,
+    in the word of n.
+
+    luts[bp, b, s] is the OR of the images under stage s of the configs
+    8 bp + i for every set bit i of b, so a mask's image under s is the OR
+    over its bytes of luts[bp, byte_bp, s].  The stage index is innermost:
+    one mask byte selects a whole contiguous row, its images under every
+    stage.
+    """
     word = _st_word(n)
     size = 1 << n
     nbytes = (size + 7) // 8
@@ -565,14 +550,14 @@ def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:
     cols = np.array([network.run_stages((stage,), list(bits), _and_or)
                      for stage in stages], dtype=word)
     cols = cols.reshape(len(stages), n, size)  # [stage, vertex, config]
-    img = np.zeros((len(stages), nbytes * 8), dtype=word)
-    img[:, :size] = word(1) << (cols << place).sum(axis=1, dtype=word)
-    img = img.reshape(len(stages), nbytes, 2, 4)  # low and high nibble
-    nib = np.zeros((len(stages), nbytes, 2, 16), dtype=word)
+    img = np.zeros((nbytes * 8, len(stages)), dtype=word)
+    img[:size] = (word(1) << (cols << place).sum(axis=1, dtype=word)).T
+    img = img.reshape(nbytes, 2, 4, len(stages))  # low and high nibble
+    nib = np.zeros((nbytes, 2, 16, len(stages)), dtype=word)
     for bit in range(4):  # nibbles with top bit `bit` extend those below it
-        nib[..., 1 << bit:2 << bit] = nib[..., :1 << bit] | img[..., bit, None]
-    luts = nib[:, :, 1, :, None] | nib[:, :, 0, None, :]  # byte = 16 hi + lo
-    return luts.reshape(len(stages), nbytes, 256)
+        nib[:, :, 1 << bit:2 << bit] = nib[:, :, :1 << bit] | img[:, :, bit, None]
+    luts = nib[:, 1, :, None] | nib[:, 0, None, :]  # byte = 16 hi + lo
+    return luts.reshape(nbytes, 256, len(stages))
 
 
 def _sort_targets(n: int, pi: tuple | None = None) -> dict:
@@ -593,12 +578,16 @@ def _all_order_masks(n: int) -> tuple[tuple, tuple]:
 
 
 def _apply_stages(frontier: np.ndarray, luts: np.ndarray) -> np.ndarray:
-    """Images of every frontier mask under every stage, shape (stages, masks),
-    C-contiguous (take along the byte axis; fancy indexing would return a
-    transposed block that every ravel copies)."""
-    acc = luts[:, 0].take(frontier & 0xFF, axis=1)
-    for bp in range(1, luts.shape[1]):
-        acc |= luts[:, bp].take((frontier >> 8 * bp) & 0xFF, axis=1)
+    """Images of every frontier mask under every stage of luts (laid out as
+    _stage_luts builds them), shape (masks, stages), C-contiguous.
+
+    Each mask byte gathers whole rows, luts[bp].take(byte, axis=0), and the
+    rows of a mask's bytes are ORed.  Row i is mask i's images in stage
+    order, so the block read transposed is stage-major.
+    """
+    acc = luts[0].take(frontier & 0xFF, axis=0)
+    for bp in range(1, luts.shape[0]):
+        acc |= luts[bp].take((frontier >> 8 * bp) & 0xFF, axis=0)
     return acc
 
 
@@ -689,16 +678,21 @@ class _StSearch:
         return chosen
 
     def _first_parent(self, prev: np.ndarray, target) -> tuple[int, int]:
-        """(stage, index) of the first image of prev equal to target, in
-        stage-major order.  A block of about CHUNK images is several stages
-        over all of prev, or one stage over a slice of it, so the first hit
-        in block order is the first overall."""
+        """(stage, index) of the first image of prev equal to target in
+        stage-major order: the smallest stage with a hit, then the smallest
+        index in prev.
+
+        A block of about CHUNK images is several stages, luts[:, :, s0:],
+        over all of prev, or one stage over a slice of it.  The block comes
+        back mask-major, so it is searched transposed (images.T, row = stage)
+        and its first hit is the first overall.
+        """
         rows = max(1, CHUNK // len(prev))
         for s0 in range(0, len(self.stages), rows):
-            luts = self.luts[s0:s0 + rows]
+            luts = self.luts[:, :, s0:s0 + rows]
             for c0 in range(0, len(prev), CHUNK):
                 images = _apply_stages(prev[c0:c0 + CHUNK], luts)
-                hits = np.argwhere(images == target)
+                hits = np.argwhere(images.T == target)
                 if len(hits):
                     return s0 + int(hits[0][0]), c0 + int(hits[0][1])
         raise ConstructionError("BFS layer bookkeeping broken")

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -73,6 +74,57 @@ def test_mesh_numbering_last_coordinate_fastest():
     for v in range(1, 7):
         assert mesh_vertex(mesh_coords(v, (2, 3)), (2, 3)) == v
     assert (1, 4) in g.edges and (1, 2) in g.edges and (1, 5) not in g.edges
+
+
+def _loop_mesh_edges(lengths, off=0):
+    """Reference: the per-vertex, per-neighbour coordinate loop."""
+    es = []
+    for v in range(1, math.prod(lengths) + 1):
+        coords = mesh_coords(v, lengths)
+        for i, L in enumerate(lengths):
+            if coords[i] < L:
+                nb = list(coords)
+                nb[i] += 1
+                es.append((off + v, off + mesh_vertex(nb, lengths)))
+    return es
+
+
+def _loop_pyramid_edges(m, d, all_children):
+    info = PyramidInfo(m, d)
+    es = []
+    for l in range(m):
+        off = info.level_offsets[l]
+        es += _loop_mesh_edges(info.lengths(l), off)
+        for v in info.level_vertices(l) if l else ():
+            c = mesh_coords(v - off, info.lengths(l))
+            if all_children or all(x % 2 == 1 for x in c):
+                pc = tuple((x + 1) // 2 for x in c)
+                es.append((info.level_offsets[l - 1]
+                           + mesh_vertex(pc, info.lengths(l - 1)), v))
+    return es
+
+
+@pytest.mark.parametrize("lengths", [(1,), (5,), (3, 1), (2, 3), (1, 2, 3),
+                                     (3, 4, 2), (2, 2, 2, 2)])
+def test_mesh_edges_match_the_coordinate_loop(lengths):
+    g = mesh_graph(lengths)
+    want = graph(g.n, _loop_mesh_edges(lengths), family=g.family)
+    assert list(g.edges) == list(want.edges)  # same set, same build order
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                                  (4, 2), (3, 3)])
+def test_pyramid_edges_match_the_coordinate_loop(m, d):
+    for make, all_children in ((pyramid_graph, True),
+                               (multigrid_graph, False)):
+        g = make(m, d)
+        want = graph(g.n, _loop_pyramid_edges(m, d, all_children))
+        assert list(g.edges) == list(want.edges)
+    info = PyramidInfo(m, d)
+    for v in range(1, info.n + 1):
+        l, c = info.coords(v)
+        assert c == mesh_coords(v - info.level_offsets[l], info.lengths(l))
+        assert info.vertex(l, c) == v
 
 
 def test_multipartite_parts_and_edges():
@@ -248,7 +300,7 @@ def test_json_family_label_is_rederived():
                   graph(4, cycle_graph(4).edges, family="complete:4"),
                   graph(5, path_graph(5).edges, family="path:4"),
                   graph(3, path_graph(3).edges, family="path:x")]:
-        with pytest.raises((StructureError, ParameterError)):
+        with pytest.raises(StructureError):
             from_json(to_json(wrong))
 
 

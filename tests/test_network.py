@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet import network
+from matchnet import constructions as cons, graphs, network
 from matchnet.errors import ConstructionError, StructureError, TaskError
-from matchnet.graphs import (complete_graph, graph, graph_from_doc, path_graph,
-                             random_tree)
+from matchnet.graphs import (complete_graph, generate, graph, graph_from_doc,
+                             path_graph, random_tree)
 from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
                               network_from_json, network_to_json,
@@ -354,3 +354,65 @@ def test_a_cyclic_provenance_still_raises_in_the_writer():
         path_graph(2), (1, 2), [[(1, 2, DIR)]],
         provenance={"built_by": {"step": "tree"}})))["provenance"] == {
             "built_by": {"step": "tree"}}
+
+
+def _json_values():
+    """Any JSON document: finite floats only, since nan != nan."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 10)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+
+# labelled networks with certificates, one per sorter family
+_ROUND_TRIP_NETS = [cons.odd_even_transposition(5),
+                    cons.BUILDERS["bitonic"](generate("hypercube:2")),
+                    cons.BUILDERS["batcher"](generate("complete:4")),
+                    cons.BUILDERS["product"](generate("mesh:2,3"))]
+
+
+@st.composite
+def _mutated_network_docs(draw):
+    """The JSON document of a labelled network with its certificate (or a
+    value inside it), its graph's family label or its order replaced."""
+    net = draw(st.sampled_from(_ROUND_TRIP_NETS))
+    doc = json.loads(network_to_json(net))
+    n = net.graph.n
+    field = draw(st.sampled_from(["certificate", "claimed_bound", "family",
+                                  "order"]))
+    if field == "certificate":
+        doc["certificate"] = draw(_json_values())
+    elif field == "claimed_bound":
+        doc["certificate"]["claimed_bound"] = draw(_json_values())
+    elif field == "family":
+        spec = st.builds(lambda name, args: f"{name}:{','.join(args)}",
+                         st.sampled_from(sorted(graphs._FAMILIES)),
+                         st.lists(st.sampled_from(
+                             ["0", "1", "2", "3", "4", "5", "-1", "x", ""]),
+                             max_size=3))
+        doc["graph"]["family"] = draw(spec | st.sampled_from(
+            [f"path:{n}", f"complete:{n}", f"mesh:{n}", "product", ""])
+            | _json_values())
+    else:
+        doc["order"] = draw(st.permutations(range(1, n + 1)).map(list)
+                            | st.lists(st.integers(0, n + 1), max_size=n + 1)
+                            | _json_values())
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_network_docs())
+def test_mutated_network_json_is_refused_or_reloads_identical(doc):
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    try:
+        back = network_from_json(text)
+    except StructureError:
+        return
+    again = network_to_json(back)
+    if doc.get("certificate", 0) is None:  # a null certificate is not written
+        del doc["certificate"]
+    assert again == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert network_to_json(network_from_json(again)) == again

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
@@ -211,21 +211,23 @@ def test_sandwich_check_small_graphs():
         assert rep.passed, g.family
 
 
+def _loop_config_image(stage, cfg):
+    """The config a stage sends cfg to, one comparator at a time."""
+    for u, v, kind in stage:
+        a, b = (cfg >> (u - 1)) & 1, (cfg >> (v - 1)) & 1
+        na, nb = (a & b, a | b) if kind == DIR else (b, a)
+        cfg = (cfg & ~(1 << (u - 1)) & ~(1 << (v - 1))) \
+            | (na << (u - 1)) | (nb << (v - 1))
+    return cfg
+
+
 def _loop_stage_luts(stages, n):
     """Reference: the per-configuration, per-byte loop the numpy tables
-    replaced, one Python int per table entry."""
+    replaced, one Python int per table entry, indexed [stage][byte][value]."""
     size = 1 << n
     luts = []
     for stage in stages:
-        img = []
-        for cfg in range(size):
-            c = cfg
-            for u, v, kind in stage:
-                a, b = (c >> (u - 1)) & 1, (c >> (v - 1)) & 1
-                na, nb = (a & b, a | b) if kind == DIR else (b, a)
-                c = (c & ~(1 << (u - 1)) & ~(1 << (v - 1))) \
-                    | (na << (u - 1)) | (nb << (v - 1))
-            img.append(1 << c)
+        img = [1 << _loop_config_image(stage, cfg) for cfg in range(size)]
         per_stage = []
         for bp in range((size + 7) // 8):
             lut = [0] * 256
@@ -245,7 +247,79 @@ def test_stage_luts_match_the_loop_reference(g, comparator_only):
     stages = verify._decorated_stages(g, comparator_only)
     luts = verify._stage_luts(stages, g.n)
     assert luts.dtype == (np.uint32 if g.n <= 5 else np.uint64)
-    assert luts.tolist() == _loop_stage_luts(stages, g.n)
+    assert luts.shape == (((1 << g.n) + 7) // 8, 256, len(stages))
+    assert luts.flags.c_contiguous  # luts[byte, value] is one stage row
+    assert luts.transpose(2, 0, 1).tolist() == _loop_stage_luts(stages, g.n)
+
+
+def _loop_images(masks, stages, n):
+    """Reference: image[i][s] = OR of 1 << stage_s(cfg) over the configs
+    cfg in masks[i], one config at a time."""
+    table = [[_loop_config_image(stage, cfg) for cfg in range(1 << n)]
+             for stage in stages]
+    return [[sum({1 << to[cfg] for cfg in range(1 << n) if mask >> cfg & 1})
+             for to in table] for mask in masks]
+
+
+@st.composite
+def st_image_cases(draw):
+    """A connected graph on n <= 6 vertices and up to six image-set masks
+    (any 2^n-bit values, not only reachable ones)."""
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    masks = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1),
+                          min_size=1, max_size=6))
+    return graph(n, edges), masks, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_image_cases())
+@example((path_graph(1), [0, 1, 3], False))  # no stages
+@example((path_graph(6), [(1 << 64) - 1, 1 << 63 | 1, 0x0123456789ABCDEF],
+          False))  # 8-byte words, the top bit set
+def test_apply_stages_matches_the_per_mask_stage_loop(case):
+    g, masks, comparator_only = case
+    stages = verify._decorated_stages(g, comparator_only)
+    luts = verify._stage_luts(stages, g.n)
+    word = verify._st_word(g.n)
+    images = verify._apply_stages(np.array(masks, dtype=word), luts)
+    assert images.dtype == word and images.flags.c_contiguous
+    assert images.shape == (len(masks), len(stages))
+    assert images.tolist() == _loop_images(masks, stages, g.n)
+
+
+@pytest.mark.parametrize("chunk", [verify.CHUNK, 2, 1])
+def test_first_parent_takes_the_smallest_stage_then_index(chunk,
+                                                          monkeypatch):
+    """prev = [y, x, x]: y reaches the target through a late stage, the
+    planted duplicate x through an earlier one, so the mask-major first hit
+    (index 0) is not the stage-major one (the earlier stage, index 1)."""
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    search = verify._StSearch(path_graph(4), comparator_only=False)
+    search.grow()
+    layer = search.grow()
+    images = _loop_images(layer.tolist(), search.stages, search.n)
+    plant = None
+    for (i, x_img), (j, y_img) in itertools.product(enumerate(images),
+                                                    repeat=2):
+        for late, target in enumerate(y_img):
+            early = x_img.index(target) if target in x_img else len(x_img)
+            if i != j and early < late and target not in y_img[:late]:
+                plant = layer[i], layer[j], target
+                break
+        if plant:
+            break
+    x, y, target = plant
+    prev = np.array([y, x, x], dtype=search.word)
+    hits = [(s, k) for k, row in enumerate(_loop_images(prev.tolist(),
+                                                        search.stages, 4))
+            for s, image in enumerate(row) if image == target]
+    assert min(hits) != min(hits, key=lambda h: (h[1], h[0]))
+    assert min(hits)[1] == 1  # the earlier stage, on the first of x's copies
+    assert search._first_parent(prev, search.word(target)) == min(hits)
 
 
 @pytest.mark.parametrize("g, word", [
@@ -668,7 +742,8 @@ class _ReferenceStSearch:
         target = self.layers[depth][idx]
         for d in range(depth, 0, -1):
             prev = self.layers[d - 1]
-            hits = np.argwhere(verify._apply_stages(prev, self.luts) == target)
+            images = verify._apply_stages(prev, self.luts)  # (masks, stages)
+            hits = np.argwhere(images.T == target)  # stage-major
             si, i = hits[0]
             chosen.append(self.stages[si])
             target = prev[i]
