@@ -18,9 +18,10 @@ from .graphs import (Graph, PyramidInfo, adjacency, cartesian_product,
                      path_graph, pyramid_graph, spanning_tree, tree_contour,
                      tree_diameter_path)
 from .network import (DIR, SWAP, SortingNetwork, make_network)
-from .perms import identity
-from .routing import (complete_assignment, route_auto, route_depth_bound,
-                      route_multigrid, route_to_path)
+from .perms import identity, inverse
+from .routing import (_checked, _multigrid_depth_bound, _multigrid_rounds,
+                      _rounds, _to_path_rounds, complete_assignment,
+                      route_depth_bound)
 
 
 def _cert(name: str, parameters: dict, claimed: int, achieved: int) -> dict:
@@ -159,6 +160,7 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
     contour = tree_contour(t)
     tour = contour.walk
     marks = sorted(contour.marks.values())
+    # first visit on even depth, last on odd: no input reaches a wider gap
     assert all(b - a <= 3 for a, b in zip(marks, marks[1:]))
     order = contour.rank_order()
 
@@ -204,34 +206,21 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
 # ---------------------------------------------------------------------------
 # simulation of a complete-graph sorter through routing
 
-def _advance(pos: list[int], realized) -> None:
-    for i in range(len(pos)):
-        pos[i] = realized[pos[i] - 1]
+def _follow(rounds, want_pairs, rb: int, pos: list, stages_out) -> None:
+    """Append checked rounds' stages and move the labels in pos with them."""
+    stages, realized = _checked(len(pos), rounds, want_pairs, rb)
+    stages_out.extend(stages)
+    pos[:] = [realized[v - 1] for v in pos]
 
 
-def _follow(plan, rb: int, pos: list[int], stages_out: list) -> None:
-    """Append a routed plan's nonempty stages and move the labels in pos
-    with it; refuses a plan deeper than the router's bound rb."""
-    if plan.depth > rb:
-        raise ConstructionError(
-            f"router exceeded its depth bound: depth {plan.depth} > {rb}")
-    stages_out.extend(s for s in plan.stages if s)
-    _advance(pos, plan.realized)
-
-
-def _fixup(g: Graph, pos: list[int], router, rb: int, stages_out: list) -> None:
+def _fixup(g: Graph, pos: list[int], stages_out: list) -> None:
     """Route every logical label back to its own vertex."""
-    if pos == list(range(1, g.n + 1)):
-        return
-    perm = [0] * g.n
-    for label, vertex in enumerate(pos, start=1):
-        perm[vertex - 1] = label
-    _follow(router(tuple(perm)), rb, pos, stages_out)
-    assert pos == list(range(1, g.n + 1))
+    perm = inverse(pos)  # perm[vertex-1] = the label on it
+    _follow(_rounds(g, perm), enumerate(perm, 1), route_depth_bound(g), pos,
+            stages_out)
 
 
-def simulate_complete(g: Graph, base: SortingNetwork, router=None,
-                      router_bound: int | None = None) -> SortingNetwork:
+def simulate_complete(g: Graph, base: SortingNetwork) -> SortingNetwork:
     """Run a complete-graph sorter on g by routing pairs onto a matching.
 
     Each base stage is split into groups no larger than the maximal
@@ -243,9 +232,7 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
     n = g.n
     if base.graph.n != n or not _is_complete(base.graph):
         raise ParameterError("base network must sort the complete graph on n")
-    if router is None:
-        router = lambda pi: route_auto(g, pi)
-    rb = route_depth_bound(g) if router_bound is None else router_bound
+    rb = route_depth_bound(g)
     matching = maximal_matching(g)
     nu = len(matching)
     # a connected graph on n >= 2 vertices has an edge; no input reaches this
@@ -265,10 +252,11 @@ def simulate_complete(g: Graph, base: SortingNetwork, router=None,
             for (u, v, _), (a, b) in zip(group, matching):
                 want[pos[u - 1]] = a
                 want[pos[v - 1]] = b
-            _follow(router(complete_assignment(n, want)), rb, pos, stages_out)
+            _follow(_rounds(g, complete_assignment(n, want)), want.items(),
+                    rb, pos, stages_out)
             stages_out.append([(pos[u - 1], pos[v - 1], kind)
                                for u, v, kind in group])
-    _fixup(g, pos, router, rb, stages_out)
+    _fixup(g, pos, stages_out)
 
     t = -(-n // nu) if nu else 1
     claimed = base.depth * t * (rb + 1) + rb
@@ -337,6 +325,7 @@ def _padded_parts(n: int, size: int) -> list[list[int]]:
     """
     parts = [list(range(lo, min(lo + size - 1, n) + 1))
              for lo in range(1, n + 1, size)]
+    # blocks start every size labels: no input reaches this
     assert all(len(p) == size for p in parts[:-1])
     return parts
 
@@ -352,6 +341,10 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
     h_net restricted to the occupied prefix, and rebinds block labels to
     the sorted prefix.  h_net must be standard (all minima toward lower
     ranks) for the restriction to be sound.
+
+    partial_router(sources, targets) returns swap rounds on g and the
+    (source, target) pairs they deliver, pairing each source with one of
+    targets; the default pairs them in list order, routed as route_auto.
     """
     check_connected(g)
     n = g.n
@@ -366,13 +359,15 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
     if not 2 <= c <= p:
         raise ParameterError("merge capacity must be between 2 and |H|")
     if partial_router is None:
-        partial_router = lambda src, dst: route_auto(
-            g, complete_assignment(n, dict(zip(src, dst))))
+        partial_router = lambda src, dst: (
+            _rounds(g, complete_assignment(n, dict(zip(src, dst)))),
+            zip(src, dst))
     rb = route_depth_bound(g) if router_bound is None else router_bound
 
     half = c // 2
     q = -(-n // half)
     parts = _padded_parts(n, half)
+    # q = ceil(n / half) blocks of at most half labels: no input reaches this
     assert len(parts) == q and max(len(a) for a in parts) <= half
     comps = sequential_sorter(q)
 
@@ -383,9 +378,8 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
         k = len(block)
         sources = [pos[l - 1] for l in block]
         targets = hv[:k]
-        _follow(partial_router(sources, targets), rb, pos, stages_out)
         # any arrangement inside H works, the merge sorts the block anyway
-        assert sorted(pos[l - 1] for l in block) == sorted(targets)
+        _follow(*partial_router(sources, targets), rb, pos, stages_out)
         for stage in h_net.stages:
             kept = [(hv[u - 1], hv[v - 1], DIR)
                     for u, v, _ in stage if v <= k]
@@ -393,10 +387,9 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
                 stages_out.append(kept)
         for r, label in enumerate(block):
             pos[label - 1] = hv[r]
-    fix_bound = route_depth_bound(g)
-    _fixup(g, pos, lambda pi: route_auto(g, pi), fix_bound, stages_out)
+    _fixup(g, pos, stages_out)
 
-    claimed = len(comps) * (rb + h_net.depth) + fix_bound
+    claimed = len(comps) * (rb + h_net.depth) + route_depth_bound(g)
     cert = _cert("subgraph",
                  {"n": n, "p": p, "q": q, "rt_used": rb,
                   "base_depth": len(comps)},
@@ -423,7 +416,7 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
     h_net = odd_even_transposition(d + 1)
     k_max = 2 * (d // 2)
     rb = d + 2 * (k_max - 1)
-    router = lambda src, dst: route_to_path(tree, src, dst)
+    router = lambda src, dst: _to_path_rounds(tree, src, dst)
     net = subgraph_sort(g, path, h_net, partial_router=router,
                         capacity=d, router_bound=rb)
     cert = _cert("longest_path",
@@ -436,9 +429,7 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
 # ---------------------------------------------------------------------------
 # parallel merges in disjoint subgraphs
 
-def parallel_subgraph_sort(g: Graph, partition, nets,
-                           router=None,
-                           router_bound: int | None = None) -> SortingNetwork:
+def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
     """Sort g with one merge arena per partition class, merges in parallel.
 
     The partition classes are halved into 2q blocks; a parallel sorter on
@@ -464,9 +455,7 @@ def parallel_subgraph_sort(g: Graph, partition, nets,
         _check_embedding(g, pv, net, "arena sorter")
         if tuple(net.order) != identity(size):
             raise StructureError("arena sorter must sort into identity order")
-    if router is None:
-        router = lambda pi: route_auto(g, pi)
-    rb = route_depth_bound(g) if router_bound is None else router_bound
+    rb = route_depth_bound(g)
 
     halves = []
     for pv in parts:
@@ -486,7 +475,8 @@ def parallel_subgraph_sort(g: Graph, partition, nets,
             for r, label in enumerate(block):
                 want[pos[label - 1]] = arena[r]
             merges.append((idx, block))
-        _follow(router(complete_assignment(n, want)), rb, pos, stages_out)
+        _follow(_rounds(g, complete_assignment(n, want)), want.items(), rb,
+                pos, stages_out)
         active = [nets[idx] for idx, _ in merges]
         arenas = [parts[idx] for idx, _ in merges]
         for step in zip_longest(*(net.stages for net in active)):
@@ -504,22 +494,10 @@ def parallel_subgraph_sort(g: Graph, partition, nets,
     # wire w of the block sorter ends holding ranks (w-1)h+1..wh, bound to
     # halves[w-1] in list order; route each pebble to the vertex of its rank
     # so the network sorts into identity order even for scattered classes
-    half = size // 2
-    final_rank = [0] * (n + 1)
-    for w, blk in enumerate(halves):
-        for off, label in enumerate(blk):
-            final_rank[label] = w * half + off + 1
-    perm = [0] * n
-    for label in range(1, n + 1):
-        perm[pos[label - 1] - 1] = final_rank[label]
-    if perm != list(range(1, n + 1)):
-        plan = route_auto(g, tuple(perm))
-        for s in plan.stages:
-            if s:
-                stages_out.append(s)
+    _fixup(g, [pos[label - 1] for blk in halves for label in blk], stages_out)
 
     max_net = max((net.depth for net in nets), default=0)
-    claimed = base.depth * (rb + max_net) + route_depth_bound(g)
+    claimed = base.depth * (rb + max_net) + rb
     cert = _cert("parallel_subgraph",
                  {"n": n, "q": q, "rt_used": rb, "base_depth": base.depth},
                  claimed, len(stages_out))
@@ -608,22 +586,25 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     base0 = bottom[0] - 1
     upper = n - nb
     n_mid = info.level_sizes[m - 2]
-    assert upper <= nb
-    assert upper <= 2 * n_mid - 1
+    # level l has 2^(l d) vertices: no input reaches this
+    assert upper <= 2 * n_mid - 1 < nb
 
     mesh = mesh_graph(info.lengths(m - 1))
+    rt_mesh = route_depth_bound(mesh)
     mesh_net = _factor_sorter(mesh)
     mesh_sort = [[(u + base0, v + base0, kind) for u, v, kind in stage]
                  for stage in mesh_net.stages if stage]
 
     def pyramid_route(want: dict) -> list:
-        plan = route_multigrid(m, d, complete_assignment(n, want))
-        return [s for s in plan.stages if s]
+        # the multigrid planner, also on pyramid:2,1, which family_of names K3
+        rounds = _multigrid_rounds(m, d, complete_assignment(n, want), {})
+        return _checked(n, rounds, want.items(),
+                        _multigrid_depth_bound(m, d))[0]
 
     def mesh_route(want: dict) -> list:
-        plan = route_auto(mesh, complete_assignment(nb, want))
+        rounds = _rounds(mesh, complete_assignment(nb, want))
         return [[(u + base0, v + base0, kind) for u, v, kind in s]
-                for s in plan.stages if s]
+                for s in _checked(nb, rounds, want.items(), rt_mesh)[0]]
 
     mids = info.level_vertices(m - 2)
     merge_stage = []
@@ -631,6 +612,7 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     for i in range(1, n_mid + 1):
         parent = mids[n_mid - i]
         child = info.first_child(parent)
+        # first_child halves back to its parent: no input reaches this
         assert info.parent(child) == parent
         step4_want[i] = child - base0
         merge_stage.append((parent, child, DIR))
@@ -649,7 +631,6 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     stages += pool_out + mesh_sort
 
     rt_pyr = route_depth_bound(host)
-    rt_mesh = route_depth_bound(mesh)
     claimed = 6 * rt_pyr + 6 * _claimed(mesh_net) + 2 * rt_mesh + 2
     cert = _cert("pyramid", {"n": n, "d": d, "m": m, "rt_used": rt_pyr},
                  claimed, len(stages))

@@ -20,7 +20,8 @@ run_stages is the one simulation kernel: execute, plan_realized, the
 verifiers and the st stage tables hand it one column per vertex and a
 compare-exchange, so only it knows how comparators act on values.
 
-_freeze is the one validation kernel: make_network and make_plan hand it
+_freeze is the one validation kernel: make_network, make_plan and
+routing._finish, which every public router's plan goes through, hand it
 a whole stage list, and it checks every comparator in one array pass.
 It gathers u, v and kind of all comparators at once, requires each kind
 to be allowed (only "swap" in a plan) and each vertex id to be a plain
@@ -319,8 +320,8 @@ def plan_to_json(plan: RoutingPlan) -> str:
 
 
 def _read(text: str) -> tuple[graphs.Graph, list, dict]:
-    """Host graph, stage tuples, and order, provenance and certificate of
-    network or plan JSON; the rest of the parse is dropped on return."""
+    """Host graph, stage tuples, and the order, provenance, certificate and
+    plan flag of network or plan JSON; the rest of the parse is dropped."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -342,7 +343,8 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     if not set(map(len, chain.from_iterable(stages))) <= {3}:
         raise StructureError("malformed stage in network JSON: a comparator "
                              "is not a [u, v, kind] triple")
-    kept = {k: doc.get(k) for k in ("order", "provenance", "certificate")}
+    kept = {k: doc.get(k)
+            for k in ("order", "provenance", "certificate", "plan")}
     return graphs.graph_from_doc(doc["graph"]), stages, kept
 
 
@@ -360,6 +362,8 @@ def network_from_json(text: str) -> SortingNetwork:
 def plan_from_json(text: str) -> RoutingPlan:
     with _gc_paused():
         g, stages, doc = _read(text)
+        if doc["plan"] is not True:  # plan_to_json writes it, always true
+            raise StructureError('plan JSON must have "plan": true')
         try:
             plan = make_plan(g, stages)
         except ConstructionError as e:  # a bad comparator in the file

@@ -6,8 +6,9 @@ realizes a permutation pi, meaning the pebble from v ends on pi(v).  The
 planners are deterministic: same input, same plan, byte for byte.
 
 Internally all planners work with "rounds": plain lists of swap pairs.
-Public entry points wrap the rounds into a RoutingPlan and re-check both
-correctness (realized permutation) and the advertised depth bound.
+Every route passes _checked, which raises when a wanted pebble ends off
+its target or the depth passes its bound; public routers freeze its stages
+into a RoutingPlan, builders leave them to their closing make_network.
 
 route_auto runs with CPython's cyclic collector paused
 (network._gc_paused): its planners allocate hundreds of thousands of
@@ -45,7 +46,8 @@ from .graphs import (
     path_projection,
     spanning_tree,
 )
-from .network import SWAP, RoutingPlan, _gc_paused, make_plan
+from . import network
+from .network import SWAP, RoutingPlan, _gc_paused, plan_realized
 from .perms import check_permutation, compose, cycles, identity
 
 # rounds: list of rounds, each round a list of disjoint (u, v) swap pairs
@@ -55,19 +57,15 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _stages_from_rounds(rounds):
-    """Swap stages of the non-empty rounds; make_plan validates them."""
-    return [[(u, v, SWAP) for u, v in rnd] for rnd in rounds if rnd]
-
-
 def _relabel_rounds(rounds, order):
-    """Map local vertex i+1 to order[i] in every pair, smaller id first."""
+    """Map local vertex i+1 to order[i]; every caller's order increases.
+    Plain loops: a comprehension per round is a call, and rounds are short."""
+    at = [0, *order]
     out = []
     for rnd in rounds:
         pairs = []
         for u, v in rnd:
-            a, b = order[u - 1], order[v - 1]
-            pairs.append((a, b) if a < b else (b, a))
+            pairs.append((at[u], at[v]))
         out.append(pairs)
     return out
 
@@ -82,13 +80,26 @@ def _merge_parallel(blocks):
     return merged
 
 
-def _finish(host: Graph, rounds, pi, bound: int) -> RoutingPlan:
-    plan = make_plan(host, _stages_from_rounds(rounds))
-    if list(plan.realized) != list(pi):
-        raise ConstructionError("plan does not realize the permutation")
-    if plan.depth > bound:
-        raise ConstructionError(f"depth {plan.depth} exceeds bound {bound}")
-    return plan
+def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple]:
+    """Swap stages of the non-empty rounds, not yet validated, and the
+    permutation they realize; refuses any (s, u) in want_pairs whose
+    pebble from s ends off u, and depth past bound."""
+    stages = [[(u, v, SWAP) for u, v in rnd] for rnd in rounds if rnd]
+    realized = plan_realized(n, stages)
+    for s, u in want_pairs:
+        if realized[s - 1] != u:
+            raise ConstructionError(
+                f"route does not realize its targets: pebble {s} ends on "
+                f"{realized[s - 1]}, not on its target {u}")
+    if len(stages) > bound:
+        raise ConstructionError(f"depth {len(stages)} exceeds bound {bound}")
+    return stages, realized
+
+
+def _finish(host: Graph, rounds, want_pairs, bound) -> RoutingPlan:
+    stages, realized = _checked(host.n, rounds, want_pairs, bound)
+    return RoutingPlan(host, network._freeze(host, stages, swaps_only=True),
+                       realized)
 
 
 def complete_assignment(n: int, want: dict[int, int]) -> list[int]:
@@ -101,9 +112,7 @@ def complete_assignment(n: int, want: dict[int, int]) -> list[int]:
     if len(targets) != len(want):
         raise ParameterError("duplicate targets in partial assignment")
     free = iter(sorted(set(range(1, n + 1)) - targets))
-    pi = []
-    for pos in range(1, n + 1):
-        pi.append(want[pos] if pos in want else next(free))
+    pi = [want[v] if v in want else next(free) for v in range(1, n + 1)]
     check_permutation(pi, n)
     return pi
 
@@ -155,7 +164,7 @@ def _complete_rounds(pi):
 def route_complete(n: int, pi) -> RoutingPlan:
     """Route any permutation on K_n in at most two swap rounds."""
     check_permutation(pi, n)
-    return _finish(complete_graph(n), _complete_rounds(pi), pi, 2)
+    return _finish(complete_graph(n), _complete_rounds(pi), enumerate(pi, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +191,7 @@ def route_path(g: Graph, pi) -> RoutingPlan:
     if family_of(g)[0] != "path":
         raise StructureError("route_path needs the canonical path graph")
     check_permutation(pi, g.n)
-    return _finish(g, _path_rounds(g.n, pi), pi, g.n)
+    return _finish(g, _path_rounds(g.n, pi), enumerate(pi, 1), g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +245,8 @@ def _tree_rounds(t: Graph, pi):
         order = _path_order(t)
         posin = {v: i + 1 for i, v in enumerate(order)}
         sub = [posin[dest[order[i]]] for i in range(n)]
-        return _relabel_rounds(_path_rounds(n, sub), order)
+        edge = [_norm(a, b) for a, b in zip(order, order[1:])]  # (i, i+1)
+        return [[edge[i - 1] for i, _ in rnd] for rnd in _path_rounds(n, sub)]
 
     # BFS from the centroid c, in flat lists indexed by vertex: comp[v] is
     # the root neighbour above v (0 for c, -1 before v is reached), so v
@@ -334,14 +344,20 @@ def route_tree(t: Graph, pi) -> RoutingPlan:
     """
     check_tree(t)
     check_permutation(pi, t.n)
-    return _finish(t, _tree_rounds(t, pi), pi, 3 * t.n)
+    return _finish(t, _tree_rounds(t, pi), enumerate(pi, 1), 3 * t.n)
 
 
 # ---------------------------------------------------------------------------
 # partial routing onto a diameter path
 
 def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
-    """Bring k tagged pebbles onto targets lying on a diameter path.
+    """Bring k tagged pebbles onto diameter-path targets (_to_path_rounds)."""
+    return _finish(t, *_to_path_rounds(t, sources, targets), math.inf)
+
+
+def _to_path_rounds(t: Graph, sources, targets):
+    """Rounds bringing k tagged pebbles onto targets on a diameter path,
+    and the (source, target) pairs they deliver.
 
     Targets are assigned farthest-source-first to its nearest remaining
     target (ties by smallest vertex id).  Pebble i in that reversed order
@@ -373,7 +389,7 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
     if k > d:
         raise TaskError(f"cannot place {k} pebbles with diameter {d}")
     if k == 0:
-        return make_plan(t, [])
+        return [], []
     for s in sources:
         if not 1 <= s <= t.n:
             raise ParameterError(f"source {s} is not a vertex")
@@ -457,13 +473,7 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
                 settled[i] = True
 
     assert len(rounds) <= d + 2 * (k - 1)
-    plan = make_plan(t, _stages_from_rounds(rounds))
-    for s, u in selection:
-        if plan.realized[s - 1] != u:
-            raise ConstructionError(
-                f"partial routing left pebble {s} on {plan.realized[s - 1]}, "
-                f"not on its target {u}")
-    return plan
+    return rounds, selection
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +615,7 @@ def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """
     host = cartesian_product(g1, g2)
     check_permutation(pi, host.n)
-    return _finish(host, _product_rounds(g1, g2, pi, {}), pi,
+    return _finish(host, _product_rounds(g1, g2, pi, {}), enumerate(pi, 1),
                    _product_bound(route_depth_bound(g1), route_depth_bound(g2)))
 
 
@@ -683,7 +693,7 @@ def route_multipartite(p: int, s: int, pi) -> RoutingPlan:
     """Route on the complete p-partite graph with parts of size s; depth <= 6."""
     host = multipartite_graph(p, s)
     check_permutation(pi, host.n)
-    return _finish(host, _multipartite_rounds(p, s, pi), pi, 6)
+    return _finish(host, _multipartite_rounds(p, s, pi), enumerate(pi, 1), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +849,7 @@ def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
     """
     host = multigrid_graph(m, d)
     check_permutation(pi, host.n)
-    return _finish(host, _multigrid_rounds(m, d, pi, {}), pi,
+    return _finish(host, _multigrid_rounds(m, d, pi, {}), enumerate(pi, 1),
                    _multigrid_depth_bound(m, d))
 
 
@@ -847,10 +857,7 @@ def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
 # generic fallback and dispatch
 
 def _generic_rounds(g: Graph, pi):
-    if is_tree(g):
-        return _tree_rounds(g, pi)
-    tree = spanning_tree(g)
-    return _tree_rounds(tree, pi)
+    return _tree_rounds(g if is_tree(g) else spanning_tree(g), pi)
 
 
 def _product_bound(b1: int, b2: int) -> int:
@@ -923,6 +930,12 @@ def _auto_rounds(g: Graph, pi, memo: dict):
     return memo[key]
 
 
+def _rounds(g: Graph, pi):
+    """route_auto's rounds, unchecked, with the collector paused."""
+    with _gc_paused():
+        return _auto_rounds(g, pi, {})
+
+
 def route_auto(g: Graph, pi) -> RoutingPlan:
     """Route on any connected graph, dispatching to the family planner.
 
@@ -931,7 +944,8 @@ def route_auto(g: Graph, pi) -> RoutingPlan:
     with _gc_paused():
         check_connected(g)
         check_permutation(pi, g.n)
-        return _finish(g, _auto_rounds(g, pi, {}), pi, route_depth_bound(g))
+        return _finish(g, _auto_rounds(g, pi, {}), enumerate(pi, 1),
+                       route_depth_bound(g))
 
 
 def route_depth_bound(g: Graph) -> int:

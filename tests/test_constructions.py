@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet import constructions
+from matchnet import constructions, routing
 from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     contour_tree_sort, longest_path_sort,
                                     odd_even_transposition,
@@ -16,10 +16,9 @@ from matchnet.graphs import (complete_graph, cycle_graph, hypercube_graph,
                              max_degree, mesh_graph, multipartite_graph,
                              path_graph, pyramid_graph, random_tree,
                              star_graph, tree_contour, tree_diameter_path)
-from matchnet.network import (DIR, SWAP, execute, make_network, make_plan,
+from matchnet.network import (DIR, SWAP, execute, make_network,
                               network_to_json)
-from matchnet.routing import (complete_assignment, route_auto,
-                              route_depth_bound, route_multipartite)
+from matchnet.routing import route_depth_bound
 from matchnet.verify import verify_auto, verify_exhaustive
 
 
@@ -128,11 +127,9 @@ def test_simulate_complete_star_and_multipartite():
         net = simulate_complete(g, batcher_complete(g.n))
         assert verify_auto(net).passed
         _assert_certified(net)
-    g = multipartite_graph(3, 2)
-    net = simulate_complete(
-        g, batcher_complete(6),
-        router=lambda pi: route_multipartite(3, 2, pi),
-        router_bound=6)
+    g = multipartite_graph(3, 2)  # route_auto's multipartite planner, bound 6
+    net = simulate_complete(g, batcher_complete(6))
+    assert net.certificate["parameters"]["rt_used"] == 6
     assert verify_exhaustive(net).passed
     _assert_certified(net)
 
@@ -142,28 +139,73 @@ def test_simulate_complete_rejects_wrong_base():
         simulate_complete(star_graph(5), batcher_complete(4))
 
 
-def _padded_router(g):
-    """A router that realizes pi but overruns route_depth_bound(g)."""
-    pad = [[]] * (route_depth_bound(g) + 1)
-    return lambda pi: make_plan(g, list(route_auto(g, pi).stages) + pad)
+def _padded_rounds(g, pi):
+    """route_auto's rounds for pi, then pairs of swaps on one edge that
+    cancel: the same permutation, past route_depth_bound(g)."""
+    edge = min(g.edges)
+    pad = [[edge]] * (2 * route_depth_bound(g) + 2)
+    return routing._rounds(g, pi) + pad
 
 
-def test_router_bound_raises_without_asserts():
+def _short_rounds(g, pi):
+    """route_auto's rounds for pi without their last round."""
+    return routing._rounds(g, pi)[:-1]
+
+
+def test_router_bound_raises_without_asserts(monkeypatch):
     # the check is a raise, not an assert, so it also holds under python -O
-    g = star_graph(6)
-    with pytest.raises(ConstructionError, match="depth bound"):
-        simulate_complete(g, batcher_complete(6), router=_padded_router(g))
-    g = cycle_graph(6)
-    route = _padded_router(g)
-    with pytest.raises(ConstructionError, match="depth bound"):
-        subgraph_sort(g, [1, 2, 3, 4], odd_even_transposition(4),
-                      partial_router=lambda src, dst: route(
-                          complete_assignment(6, dict(zip(src, dst)))))
+    monkeypatch.setattr(constructions, "_rounds", _padded_rounds)
+    with pytest.raises(ConstructionError, match="exceeds bound"):
+        simulate_complete(star_graph(6), batcher_complete(6))
+    with pytest.raises(ConstructionError, match="exceeds bound"):
+        subgraph_sort(cycle_graph(6), [1, 2, 3, 4], odd_even_transposition(4))
     g = mesh_graph((3, 4))
     rows = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
-    with pytest.raises(ConstructionError, match="depth bound"):
-        parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3,
-                               router=_padded_router(g))
+    with pytest.raises(ConstructionError, match="exceeds bound"):
+        parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3)
+
+
+def test_simulate_complete_route_check_raises_without_asserts(monkeypatch):
+    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    with pytest.raises(ConstructionError, match="not on its target"):
+        simulate_complete(star_graph(6), batcher_complete(6))
+
+
+def test_subgraph_sort_route_check_raises_without_asserts(monkeypatch):
+    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    with pytest.raises(ConstructionError, match="not on its target"):
+        subgraph_sort(cycle_graph(6), [1, 2, 3, 4], odd_even_transposition(4))
+    monkeypatch.undo()
+
+    def short_to_path(t, sources, targets):
+        rounds, selection = routing._to_path_rounds(t, sources, targets)
+        return rounds[:-1], selection
+
+    # longest_path_sort's merge routes are checked against their selection
+    monkeypatch.setattr(constructions, "_to_path_rounds", short_to_path)
+    with pytest.raises(ConstructionError, match="not on its target"):
+        longest_path_sort(mesh_graph((3, 4)))
+
+
+def test_parallel_subgraph_sort_route_check_raises_without_asserts(
+        monkeypatch):
+    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    g = mesh_graph((3, 4))
+    rows = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    with pytest.raises(ConstructionError, match="not on its target"):
+        parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3)
+
+
+def test_pyramid_sort_route_check_raises_without_asserts(monkeypatch):
+    real = routing._multigrid_rounds
+    monkeypatch.setattr(constructions, "_multigrid_rounds",
+                        lambda *args: real(*args)[:-1])
+    with pytest.raises(ConstructionError, match="not on its target"):
+        pyramid_sort(3, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    with pytest.raises(ConstructionError, match="not on its target"):
+        pyramid_sort(3, 1)
 
 
 def test_contour_color_cap_raises_without_asserts(monkeypatch):

@@ -13,6 +13,7 @@ from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
                               network_from_json, network_to_json,
                               plan_from_json, plan_realized, plan_to_json)
+from matchnet.routing import route_auto
 from matchnet.verify import all_matchings
 
 
@@ -416,3 +417,56 @@ def test_mutated_network_json_is_refused_or_reloads_identical(doc):
         del doc["certificate"]
     assert again == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert network_to_json(network_from_json(again)) == again
+
+
+# plans on labelled hosts, one per family planner
+_ROUND_TRIP_PLANS = [
+    route_auto(g, random.Random(g.n).sample(range(1, g.n + 1), g.n))
+    for g in map(generate, ["path:5", "complete:4", "mesh:2,3", "hypercube:3",
+                            "multipartite:2,2", "pyramid:2,2", "star:5"])]
+
+
+@st.composite
+def _mutated_plan_docs(draw):
+    """The JSON document of a routing plan with its order, its graph's
+    family label, one comparator's kind or vertex, or its plan flag
+    replaced (or the flag dropped)."""
+    plan = draw(st.sampled_from(_ROUND_TRIP_PLANS))
+    doc = json.loads(plan_to_json(plan))
+    n = plan.graph.n
+    field = draw(st.sampled_from(["order", "family", "kind", "vertex",
+                                  "plan"]))
+    if field == "order":
+        doc["order"] = draw(st.permutations(range(1, n + 1)).map(list)
+                            | st.lists(st.integers(0, n + 1), max_size=n + 1)
+                            | _json_values())
+    elif field == "family":
+        doc["graph"]["family"] = draw(
+            st.sampled_from([f"path:{n}", f"complete:{n}", f"star:{n}",
+                             f"mesh:{n}", "product", "", None])
+            | _json_values())
+    elif field == "plan":
+        if draw(st.booleans()):
+            del doc["plan"]
+        else:
+            doc["plan"] = draw(_json_values())
+    else:
+        stage = draw(st.sampled_from(doc["stages"]))["cmp"]
+        cmp = stage[draw(st.integers(0, len(stage) - 1))]
+        if field == "kind":
+            cmp[2] = draw(st.sampled_from([DIR, SWAP, "x"]) | _json_values())
+        else:
+            cmp[draw(st.integers(0, 1))] = draw(st.integers(-1, n + 1)
+                                                | _json_values())
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_plan_docs())
+def test_mutated_plan_json_is_refused_or_reloads_identical(doc):
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    try:
+        back = plan_from_json(text)
+    except StructureError:
+        return
+    assert plan_to_json(back) == text

@@ -24,13 +24,25 @@ from matchnet.network import (_gc_paused, make_network, make_plan,
                               plan_from_json, plan_realized, plan_to_json)
 from matchnet.perms import all_permutations, identity, random_permutation
 from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
-                              _path_order, _path_rounds, _relabel_rounds,
-                              _stages_from_rounds, _tree_rounds,
+                              _path_order, _path_rounds, _tree_rounds,
                               complete_assignment,
                               multigrid_accounting, route_auto, route_complete,
                               route_depth_bound, route_multigrid,
                               route_multipartite, route_path, route_product,
                               route_to_path, route_tree, two_cycle_decompose)
+
+
+def _relabel_rounds(rounds, order):
+    """The relabel of the reference planners: local vertex i+1 becomes
+    order[i], smaller id first, for any order."""
+    out = []
+    for rnd in rounds:
+        pairs = []
+        for u, v in rnd:
+            a, b = order[u - 1], order[v - 1]
+            pairs.append((a, b) if a < b else (b, a))
+        out.append(pairs)
+    return out
 
 
 def _check(plan, pi):
@@ -166,7 +178,8 @@ def test_route_to_path_depth_bound(n, seed):
 
 
 def test_route_to_path_target_check_raises_without_asserts(monkeypatch):
-    monkeypatch.setattr(routing, "_stages_from_rounds", lambda rounds: [])
+    monkeypatch.setattr(routing, "_to_path_rounds",
+                        lambda t, sources, targets: ([], [(1, 6)]))
     with pytest.raises(ConstructionError, match="not on its target"):
         route_to_path(path_graph(6), [1], [6])
 
@@ -271,7 +284,7 @@ def _reference_route_to_path(t, sources, targets):
     # the library (pytest keeps the asserts of a test module on)
     if __debug__ and len(rounds) > d + 2 * (k - 1):
         raise AssertionError
-    plan = make_plan(t, _stages_from_rounds(rounds))
+    plan = make_plan(t, [[(u, v, "swap") for u, v in r] for r in rounds if r])
     want = dict(selection)
     for s in sources:
         if __debug__ and plan.realized[s - 1] != want[s]:
@@ -319,14 +332,15 @@ def test_route_to_path_matches_the_bfs_router_on_spanning_trees(spec):
     "random_tree:64,430817319"])
 def test_longest_path_sort_routes_as_the_bfs_router(monkeypatch, spec):
     outcomes = []
+    real = constructions._to_path_rounds
 
     def both(t, sources, targets):
         outcomes.append((_routed(route_to_path, t, sources, targets),
                          _routed(_reference_route_to_path, t, sources,
                                  targets)))
-        return route_to_path(t, sources, targets)
+        return real(t, sources, targets)
 
-    monkeypatch.setattr(constructions, "route_to_path", both)
+    monkeypatch.setattr(constructions, "_to_path_rounds", both)
     try:
         net = constructions.longest_path_sort(generate(spec))
         raised = None
@@ -446,10 +460,10 @@ def test_route_rejects_non_permutation():
 def test_plan_checks_raise_even_without_asserts():
     g = path_graph(3)
     with pytest.raises(ConstructionError, match="realize"):
-        _finish(g, [[(1, 2)]], (1, 2, 3), 3)
+        _finish(g, [[(1, 2)]], enumerate((1, 2, 3), 1), 3)
     with pytest.raises(ConstructionError, match="exceeds bound"):
-        _finish(g, [[(1, 2)], [(2, 3)]], (3, 1, 2), 1)
-    assert _finish(g, [[(1, 2)]], (2, 1, 3), 1).depth == 1
+        _finish(g, [[(1, 2)], [(2, 3)]], enumerate((3, 1, 2), 1), 1)
+    assert _finish(g, [[(1, 2)]], enumerate((2, 1, 3), 1), 1).depth == 1
 
 
 def _reference_tree_rounds(t, pi):
@@ -686,11 +700,14 @@ def _outcome(planner, t, pi):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["random", "star", "broom", "caterpillar", "spanning"]),
+@given(st.sampled_from(["random", "star", "broom", "caterpillar", "spanning",
+                        "path"]),
        st.integers(1, 200), st.integers(0, 2**31 - 1))
 def test_tree_rounds_match_the_dict_planner(shape, n, seed):
     rng = random.Random(seed)
-    if shape == "random":
+    if shape == "path":  # shuffled labels: the path order is not increasing
+        t = _broom(n, 0, rng)
+    elif shape == "random":
         t = random_tree(n, seed)
     elif shape == "star":
         t = _star(max(n, 2), rng)
@@ -723,7 +740,8 @@ def test_route_auto_and_the_spanning_tree_planner_both_realize_pi(
         g = generate(spec.format(low + size % (small - low + 1)))
     pi = random_permutation(g.n, rng)
     plan = route_auto(g, pi)
-    tree_plan = _finish(g, routing._generic_rounds(g, pi), pi, 3 * g.n)
+    tree_plan = _finish(g, routing._generic_rounds(g, pi), enumerate(pi, 1),
+                        3 * g.n)
     assert plan.realized == tree_plan.realized == tuple(pi)
     assert plan.depth <= route_depth_bound(g)
     assert tree_plan.depth <= 3 * g.n
