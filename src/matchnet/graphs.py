@@ -465,6 +465,8 @@ class PyramidInfo:
                     while self.level_of(p[-1]) < self.m - 1:
                         p.append(self.first_child(p[-1]))
                     paths.append(p)
+        # every vertex tops one path or is the first child on the path of
+        # its parent: no input reaches this
         assert sum(len(p) for p in paths) == self.n
         return paths
 
@@ -654,6 +656,7 @@ def spanning_tree(g: Graph) -> Graph:
                     es.append((v, x))
                     nxt.append(x)
         frontier = nxt
+    # g passed check_connected: no input reaches this
     assert len(seen) == g.n
     return graph(g.n, es)
 
@@ -733,6 +736,8 @@ def tree_contour(t: Graph, root: int = 1) -> Contour:
             stack.pop()
             if stack:
                 walk.append(stack[-1][0])
+    # the walk steps down and back up each of the n - 1 tree edges once:
+    # no input reaches this
     assert len(walk) == 2 * t.n - 1
     dist = bfs_dist(t, root)
     first: dict[int, int] = {}
@@ -742,6 +747,8 @@ def tree_contour(t: Graph, root: int = 1) -> Contour:
         last[v] = i
     marks = {v: (first[v] if dist[v] % 2 == 0 else last[v])
              for v in range(1, t.n + 1)}
+    # each walk step lands on one vertex, and the first and last visits of
+    # a vertex are its own steps: no input reaches this
     assert len(set(marks.values())) == t.n
     return Contour(root=root, walk=tuple(walk), marks=marks)
 

@@ -47,7 +47,10 @@ cyclic by hand can loop, and it raises RecursionError, not ValueError.
 A comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
-TaskError.
+TaskError.  Neither reader takes the other's document: network JSON
+carrying "plan", or plan JSON carrying "provenance" or "certificate",
+is refused as StructureError, after the stage checks, so a file with a
+bad comparator gets the same text from either reader.
 
 _gc_paused keeps CPython's cyclic collector out of the code that builds
 a plan or network: routing.route_auto, plan_from_json and
@@ -320,8 +323,9 @@ def plan_to_json(plan: RoutingPlan) -> str:
 
 
 def _read(text: str) -> tuple[graphs.Graph, list, dict]:
-    """Host graph, stage tuples, and the order, provenance, certificate and
-    plan flag of network or plan JSON; the rest of the parse is dropped."""
+    """Host graph, stage tuples, and whichever of order, provenance,
+    certificate and plan flag a network or plan JSON document carries;
+    the rest of the parse is dropped."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -343,8 +347,8 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     if not set(map(len, chain.from_iterable(stages))) <= {3}:
         raise StructureError("malformed stage in network JSON: a comparator "
                              "is not a [u, v, kind] triple")
-    kept = {k: doc.get(k)
-            for k in ("order", "provenance", "certificate", "plan")}
+    kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
+            if k in doc}
     return graphs.graph_from_doc(doc["graph"]), stages, kept
 
 
@@ -352,22 +356,30 @@ def network_from_json(text: str) -> SortingNetwork:
     with _gc_paused():
         g, stages, doc = _read(text)
         try:
-            return make_network(g, doc["order"], stages,
-                                provenance=doc.get("provenance") or {},
-                                certificate=doc.get("certificate"))
+            net = make_network(g, doc["order"], stages,
+                               provenance=doc.get("provenance") or {},
+                               certificate=doc.get("certificate"))
         except (ConstructionError, TaskError) as e:  # a bad comparator or
             raise StructureError(str(e)) from e  # order in the file
+        if "plan" in doc:
+            raise StructureError('network JSON must not carry "plan": '
+                                 'it is a routing plan (read it as one)')
+        return net
 
 
 def plan_from_json(text: str) -> RoutingPlan:
     with _gc_paused():
         g, stages, doc = _read(text)
-        if doc["plan"] is not True:  # plan_to_json writes it, always true
+        if doc.get("plan") is not True:  # plan_to_json writes it as true
             raise StructureError('plan JSON must have "plan": true')
         try:
             plan = make_plan(g, stages)
         except ConstructionError as e:  # a bad comparator in the file
             raise StructureError(str(e)) from e
+        for key in ("provenance", "certificate"):
+            if key in doc:
+                raise StructureError(f"plan JSON must not carry {key!r}: "
+                                     "it is a network's key")
     if tuple(doc["order"]) != plan.realized:
         raise StructureError("stored plan permutation disagrees with simulation")
     return plan

@@ -10,6 +10,20 @@ Every route passes _checked, which raises when a wanted pebble ends off
 its target or the depth passes its bound; public routers freeze its stages
 into a RoutingPlan, builders leave them to their closing make_network.
 
+The product router (route_product, and through it meshes, hypercubes and
+the level meshes of pyramids and multigrids) keeps the shallower of its
+two phase orders, inner-first on a tie, without planning both in full.
+Each of the six phases first gets a lower bound: the most edges any
+pebble must cross inside its factor copy, since a swap round moves a
+pebble along one edge at most and a phase swaps on copy edges only.  The
+order with the smaller bound sum is planned in full; the other is planned
+copy by copy and dropped once its rounds so far, plus its longest copy so
+far, plus the bounds of the phases left pass the first order's depth (or
+reach it, when the other order is outer-first and so loses ties).  The
+dropped order would have come out deeper, or as deep and losing the tie,
+so it could not have been kept, and the plan is byte for byte the one
+that planning both orders in full gives.
+
 route_auto runs with CPython's cyclic collector paused
 (network._gc_paused): its planners allocate hundreds of thousands of
 rounds, pairs and comparators that stay alive until the plan is built,
@@ -22,6 +36,7 @@ garbage: reference counting frees everything they drop.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, zip_longest
@@ -30,6 +45,7 @@ from .errors import ConstructionError, ParameterError, StructureError, TaskError
 from .graphs import (
     Graph,
     PyramidInfo,
+    _mesh_points,
     adjacency,
     cartesian_product,
     check_connected,
@@ -182,6 +198,7 @@ def _path_rounds(n: int, pi):
                 pairs.append((i, i + 1))
         if pairs:
             rounds.append(pairs)
+    # n odd-even rounds sort any n keys: no input reaches this
     assert key == list(range(1, n + 1))
     return rounds
 
@@ -229,6 +246,8 @@ def _path_order(t: Graph) -> list[int]:
     prev = 0
     while len(order) < t.n:
         nxt = [w for w in adj[order[-1]] if w != prev]
+        # a connected graph of degree <= 2 and n - 1 edges is a path, so
+        # each vertex short of its far end has one next: no input reaches this
         assert len(nxt) == 1
         prev = order[-1]
         order.append(nxt[0])
@@ -523,17 +542,21 @@ def _augment(a, seen, cols, match_l, match_r) -> bool:
     return False
 
 
-def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool, memo):
-    """Three-phase product routing; phases alternate factor directions.
+def _product_phases(g1: Graph, g2: Graph, pi):
+    """The three phases of each phase order of the product router, the
+    inner-first order first.
 
-    inner_first: inner(g2 copies) -> outer(g1 copies) -> inner, with the
-    intermediate coordinate chosen by decomposing the row-to-row demand
-    matrix into perfect matchings.  Otherwise the mirrored order.
+    Inner-first runs inner (g2 copies) -> outer (g1 copies) -> inner, with
+    the intermediate coordinate chosen by decomposing the row-to-row demand
+    matrix into perfect matchings; outer-first is its mirror.  Each phase
+    is (inner, fixed, start, target): lists indexed by pebble of the
+    coordinate the phase keeps, and of the coordinate along its factor
+    before and after it.
     """
     n1, n2 = g1.n, g2.n
     n = n1 * n2
-    row = [0] * (n + 1)  # current g1 coordinate of each pebble
-    col = [0] * (n + 1)  # current g2 coordinate
+    row = [0] * (n + 1)  # start g1 coordinate of each pebble
+    col = [0] * (n + 1)  # start g2 coordinate
     drow = [0] * (n + 1)
     dcol = [0] * (n + 1)
     for p in range(1, n + 1):
@@ -541,77 +564,123 @@ def _product_rounds_one(g1: Graph, g2: Graph, pi, inner_first: bool, memo):
         q = pi[p - 1]
         drow[p], dcol[p] = (q - 1) // n2 + 1, (q - 1) % n2 + 1
 
-    def placed():
-        at = [0] * (n + 1)  # at[v] = the pebble now on vertex v
+    mids = []
+    for axis, dest_axis, mid_n, deg in ((row, drow, n1, n2),
+                                        (col, dcol, n2, n1)):
+        count = [[0] * (mid_n + 1) for _ in range(mid_n + 1)]
         for p in range(1, n + 1):
-            at[(row[p] - 1) * n2 + col[p]] = p
-        return at
+            count[axis[p]][dest_axis[p]] += 1
+        matchings = _regular_bipartite_matchings(count, mid_n, deg)
+        slots = defaultdict(list)
+        for idx, m in enumerate(matchings):
+            for a, b in m.items():
+                slots[(a, b)].append(idx)
+        buckets = defaultdict(list)  # each in increasing pebble order
+        for p in range(1, n + 1):
+            buckets[(axis[p], dest_axis[p])].append(p)
+        mid = [0] * (n + 1)
+        for key, pebbles in buckets.items():
+            for p, idx in zip(pebbles, slots[key]):
+                mid[p] = idx + 1
+        mids.append(mid)
+    mid_in, mid_out = mids
+    return (((True, row, col, mid_in), (False, mid_in, row, drow),
+             (True, drow, mid_in, dcol)),
+            ((False, col, row, mid_out), (True, mid_out, col, dcol),
+             (False, dcol, mid_out, drow)))
 
-    def inner_phase(target_col):
-        at = placed()
+
+def _hop_bound(g: Graph, start, target) -> int:
+    """The most edges of g any pebble p must cross, from vertex start[p]
+    to target[p].  A swap round moves a pebble along at most one edge, so
+    no plan on g is shallower.  Distances are exact on paths, meshes,
+    hypercubes and complete graphs; any other graph gets 0."""
+    name, params = family_of(g)
+    if name == "path":
+        return max(map(abs, map(operator.sub, start, target)))
+    if name == "complete":
+        return int(start != target)
+    if name == "hypercube":
+        return max(((a - 1) ^ (b - 1)).bit_count()
+                   for a, b in zip(start, target))
+    if name == "mesh":
+        at = [(), *_mesh_points(params)]  # at[v] = coordinates of v
+        return max(sum(map(abs, map(operator.sub, at[a], at[b])))
+                   for a, b in zip(start, target))
+    return 0
+
+
+def _order_rounds(g1: Graph, g2: Graph, phases, bounds, memo, limit):
+    """The rounds of one phase order, planned phase by phase and copy by
+    copy, or None as soon as they must take more than limit rounds.
+
+    Every planner's rounds are non-empty, so a phase takes as many rounds
+    as its longest copy, and at least its hop bound.  The order needs at
+    least the rounds of its done phases, plus the longest copy so far
+    (or the current phase's bound), plus the bounds of the phases left.
+    """
+    n2 = g2.n
+    n = g1.n * n2
+    rounds = []
+    for k, (inner, fixed, start, target) in enumerate(phases):
+        g = g2 if inner else g1
+        floor = len(rounds) + sum(bounds[k + 1:])
+        longest = bounds[k]
+        if floor + longest > limit:
+            return None
+        subs = [[0] * g.n for _ in range(n // g.n)]  # one per copy
+        for p in range(1, n + 1):
+            subs[fixed[p] - 1][start[p] - 1] = target[p]
         blocks = []
-        for a in range(1, n1 + 1):
-            verts = [(a - 1) * n2 + b for b in range(1, n2 + 1)]
-            sub = [target_col[at[v]] for v in verts]
-            blocks.append(_relabel_rounds(_auto_rounds(g2, sub, memo), verts))
-        for p in range(1, n + 1):
-            col[p] = target_col[p]
-        return _merge_parallel(blocks)
-
-    def outer_phase(target_row):
-        at = placed()
-        blocks = []
-        for b in range(1, n2 + 1):
-            verts = [(a - 1) * n2 + b for a in range(1, n1 + 1)]
-            sub = [target_row[at[v]] for v in verts]
-            blocks.append(_relabel_rounds(_auto_rounds(g1, sub, memo), verts))
-        for p in range(1, n + 1):
-            row[p] = target_row[p]
-        return _merge_parallel(blocks)
-
-    if inner_first:
-        axis, deg, mid_n = row, n2, n1
-        dest_axis = drow
-    else:
-        axis, deg, mid_n = col, n1, n2
-        dest_axis = dcol
-    count = [[0] * (mid_n + 1) for _ in range(mid_n + 1)]
-    for p in range(1, n + 1):
-        count[axis[p]][dest_axis[p]] += 1
-    matchings = _regular_bipartite_matchings(count, mid_n, deg)
-    slots = defaultdict(list)
-    for idx, m in enumerate(matchings):
-        for a, b in m.items():
-            slots[(a, b)].append(idx)
-    buckets = defaultdict(list)
-    for p in range(1, n + 1):
-        buckets[(axis[p], dest_axis[p])].append(p)
-    mid = [0] * (n + 1)
-    for key in buckets:
-        for p, idx in zip(sorted(buckets[key]), slots[key]):
-            mid[p] = idx + 1
-
-    if inner_first:
-        return (inner_phase(mid)
-                + outer_phase(drow)
-                + inner_phase(dcol))
-    return (outer_phase(mid)
-            + inner_phase(dcol)
-            + outer_phase(drow))
+        for c, sub in enumerate(subs):
+            block = _auto_rounds(g, sub, memo)
+            if len(block) > longest:
+                longest = len(block)
+                if floor + longest > limit:
+                    return None
+            verts = (range(c * n2 + 1, c * n2 + n2 + 1) if inner
+                     else range(c + 1, n + 1, n2))
+            blocks.append(_relabel_rounds(block, verts))
+        rounds += _merge_parallel(blocks)
+    return rounds
 
 
 def _product_rounds(g1: Graph, g2: Graph, pi, memo):
-    first = _product_rounds_one(g1, g2, pi, True, memo)
-    second = _product_rounds_one(g1, g2, pi, False, memo)
-    return first if len(first) <= len(second) else second
+    """The shallower of the two phase orders, inner-first on a tie.
+
+    The order with the smaller sum of phase hop bounds is planned in full
+    first; the other is dropped as soon as its lower bound shows it cannot
+    beat that depth (or tie it, for inner-first), so the plan kept is the
+    one planning both in full would keep."""
+    (in_phases, in_bounds), (out_phases, out_bounds) = (
+        (phases, [_hop_bound(g2 if inner else g1, start, target)
+                  for inner, _, start, target in phases])
+        for phases in _product_phases(g1, g2, pi))
+    if sum(out_bounds) < sum(in_bounds):
+        outer = _order_rounds(g1, g2, out_phases, out_bounds, memo, math.inf)
+        inner = _order_rounds(g1, g2, in_phases, in_bounds, memo, len(outer))
+    else:
+        inner = _order_rounds(g1, g2, in_phases, in_bounds, memo, math.inf)
+        outer = _order_rounds(g1, g2, out_phases, out_bounds, memo,
+                              len(inner) - 1)
+    if outer is None or (inner is not None and len(inner) <= len(outer)):
+        return inner
+    return outer
 
 
 def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """Route on the cartesian product of two routable factors.
 
-    Both phase orders (inner-outer-inner and its mirror) are planned and
-    the shallower one is kept; either is within bound(g1) + bound(g2) +
-    min(bound(g1), bound(g2)).
+    Of the two phase orders (inner-outer-inner and its mirror) the
+    shallower is kept, inner-first on a tie; either is within bound(g1) +
+    bound(g2) + min(bound(g1), bound(g2)).  The order with the smaller sum
+    of phase lower bounds (the most edges a pebble must cross in its
+    factor copy; exact on paths, meshes, hypercubes and complete factors,
+    0 on others) is planned in full.  The other is dropped once its rounds
+    so far, its longest copy so far and the bounds of its phases left
+    exceed that depth, or reach it when it is outer-first: it could then
+    only be deeper or lose the tie, so the plan equals the one planning
+    both in full would give.
     """
     host = cartesian_product(g1, g2)
     check_permutation(pi, host.n)
@@ -673,7 +742,9 @@ def _multipartite_involution_rounds(p: int, s: int, pairs):
                 slots[0] += [_norm(u, a), _norm(v, b)]
                 slots[1] += [_norm(u, b), _norm(v, a)]
             else:
-                assert idle, "no escape vertex for a same-part transposition"
+                if not idle:
+                    raise ConstructionError(
+                        "no escape vertex for a same-part transposition")
                 w = idle.pop(0)
                 slots[0].append(_norm(u, w))
                 slots[1].append(_norm(w, v))
@@ -764,6 +835,8 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
             req = {}
             for pebble, seat in boarding:
                 if info.level_of(spot[pebble]) == level:
+                    # seats are taken on the pebble's own level of its
+                    # path: no input reaches this
                     assert info.level_of(seat) == level
                     req[seat] = pebble
             placed = set(req.values())
@@ -782,7 +855,9 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
         for (u, v, lu, lv), path in assignments:
             top = info.level_of(path[0])
             hi, lo = lu - top + 1, lv - top + 1
-            assert at[path[hi - 1]] == u and at[path[lo - 1]] == v
+            if at[path[hi - 1]] != u or at[path[lo - 1]] != v:
+                raise ConstructionError(
+                    f"pebbles {u} and {v} are not on their path seats")
             sub = list(range(1, len(path) + 1))
             sub[hi - 1], sub[lo - 1] = lo, hi
             blocks.append(_relabel_rounds(_path_rounds(len(path), sub), path))
@@ -809,12 +884,13 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
         sub = []
         for v in verts:
             target = mu[at[v] - 1]
-            assert info.level_of(target) == level, "pebble on wrong level"
+            if info.level_of(target) != level:
+                raise ConstructionError(f"pebble {at[v]} on the wrong level")
             sub.append(target - base)
         blocks.append(_level_mesh_rounds(info, level, sub, memo))
     rounds += run(_merge_parallel(blocks))
-    for v in range(1, n + 1):
-        assert spot[v] == mu[v - 1]
+    if spot[1:] != list(mu):
+        raise ConstructionError("multigrid involution rounds miss a target")
     return rounds
 
 

@@ -266,6 +266,16 @@ def test_malformed_corpus_exits_1_or_2_with_one_line(capsys, command, path):
     _one_line_error(code, err, code)
 
 
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_a_plan_file_is_refused_as_a_network(capsys, command):
+    # a valid plan is malformed network input: StructureError, so exit 1
+    path = Path(__file__).parent / "corpus" / "plan_document.json"
+    code, out, err = run([command, "--net", str(path)], capsys)
+    assert out == ""
+    _one_line_error(code, err, 1)
+    assert 'must not carry "plan"' in err
+
 GRAPH_CORPUS = sorted((Path(__file__).parent / "corpus" / "graphs")
                       .glob("*.json"))
 

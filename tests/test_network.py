@@ -334,6 +334,27 @@ def test_comparator_faults_in_files_are_structure_errors(name):
     assert str(read.value) == str(built.value)
 
 
+
+def test_each_reader_refuses_the_other_document():
+    text = (Path(__file__).parent / "corpus" / "plan_document.json"
+            ).read_text().strip()
+    plan = plan_from_json(text)  # a valid plan file, written by plan_to_json
+    assert plan_to_json(plan) == text
+    with pytest.raises(StructureError, match='must not carry "plan"'):
+        network_from_json(text)
+    doc = json.loads(text)
+    for key, value in (("provenance", {"built_by": "test"}),
+                       ("certificate", None)):
+        with pytest.raises(StructureError, match=f"must not carry '{key}'"):
+            plan_from_json(json.dumps({**doc, key: value}))
+    net = make_network(plan.graph, plan.realized, plan.stages,
+                       provenance={"built_by": "test"})
+    net_doc = json.loads(network_to_json(net))
+    assert network_from_json(json.dumps(net_doc)) == net
+    for flag in (True, False, None):  # any "plan" key, whatever its value
+        with pytest.raises(StructureError, match='must not carry "plan"'):
+            network_from_json(json.dumps({**net_doc, "plan": flag}))
+
 def test_deeply_nested_json_is_a_structure_error():
     text = "[" * 5000 + "]" * 5000
     for read in (network_from_json, plan_from_json):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import weakref
 from contextlib import contextmanager
@@ -13,7 +14,8 @@ from collections import defaultdict
 from matchnet import constructions, network, routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
 from matchnet.graphs import (PyramidInfo, adjacency, bfs_dist,
-                             cartesian_product, check_tree, cycle_graph,
+                             cartesian_product, check_tree, complete_graph,
+                             cycle_graph,
                              generate, graph,
                              hypercube_graph, mesh_graph, multigrid_graph,
                              multipartite_graph, path_graph, pyramid_graph,
@@ -406,6 +408,25 @@ def test_multigrid_path_capacity_raises_without_asserts():
         routing._multigrid_involution_rounds(info, (2, 1, 3), {})
 
 
+
+def test_multigrid_involution_checks_raise_without_asserts(monkeypatch):
+    # pyramid:3,1 has vertical paths [1, 2, 4], [3, 6], [5], [7]
+    info = PyramidInfo(3, 1)
+    swap = lambda u, v: tuple(v if w == u else u if w == v else w
+                              for w in range(1, info.n + 1))
+    # level meshes that move nobody: pebble 7 never boards its seat 4
+    monkeypatch.setattr(routing, "_level_mesh_rounds", lambda *args: [])
+    with pytest.raises(ConstructionError, match="not on their path seats"):
+        routing._multigrid_involution_rounds(info, swap(1, 7), {})
+    # nor does the final settle move pebbles 4 and 5 within level 2
+    with pytest.raises(ConstructionError, match="miss a target"):
+        routing._multigrid_involution_rounds(info, swap(4, 5), {})
+    monkeypatch.undo()
+    # a vertical ride that moves nobody leaves pebble 1 on level 0
+    monkeypatch.setattr(routing, "_path_rounds", lambda n, sub: [])
+    with pytest.raises(ConstructionError, match="pebble 1 on the wrong level"):
+        routing._multigrid_involution_rounds(info, swap(1, 4), {})
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_route_multigrid_fuzz(seed):
@@ -431,6 +452,193 @@ def test_route_product_fuzz(seed):
     _check(plan, pi)
     b1, b2 = route_depth_bound(g1), route_depth_bound(g2)
     assert plan.depth <= b1 + b2 + min(b1, b2)
+
+
+def _reference_product_rounds_one(g1, g2, pi, inner_first, memo):
+    """The product router's one phase order as first written: all three
+    phases planned in full."""
+    n1, n2 = g1.n, g2.n
+    n = n1 * n2
+    row = [0] * (n + 1)  # current g1 coordinate of each pebble
+    col = [0] * (n + 1)  # current g2 coordinate
+    drow = [0] * (n + 1)
+    dcol = [0] * (n + 1)
+    for p in range(1, n + 1):
+        row[p], col[p] = (p - 1) // n2 + 1, (p - 1) % n2 + 1
+        q = pi[p - 1]
+        drow[p], dcol[p] = (q - 1) // n2 + 1, (q - 1) % n2 + 1
+
+    def placed():
+        at = [0] * (n + 1)  # at[v] = the pebble now on vertex v
+        for p in range(1, n + 1):
+            at[(row[p] - 1) * n2 + col[p]] = p
+        return at
+
+    def inner_phase(target_col):
+        at = placed()
+        blocks = []
+        for a in range(1, n1 + 1):
+            verts = [(a - 1) * n2 + b for b in range(1, n2 + 1)]
+            sub = [target_col[at[v]] for v in verts]
+            blocks.append(routing._relabel_rounds(
+                routing._auto_rounds(g2, sub, memo), verts))
+        for p in range(1, n + 1):
+            col[p] = target_col[p]
+        return _merge_parallel(blocks)
+
+    def outer_phase(target_row):
+        at = placed()
+        blocks = []
+        for b in range(1, n2 + 1):
+            verts = [(a - 1) * n2 + b for a in range(1, n1 + 1)]
+            sub = [target_row[at[v]] for v in verts]
+            blocks.append(routing._relabel_rounds(
+                routing._auto_rounds(g1, sub, memo), verts))
+        for p in range(1, n + 1):
+            row[p] = target_row[p]
+        return _merge_parallel(blocks)
+
+    if inner_first:
+        axis, deg, mid_n = row, n2, n1
+        dest_axis = drow
+    else:
+        axis, deg, mid_n = col, n1, n2
+        dest_axis = dcol
+    count = [[0] * (mid_n + 1) for _ in range(mid_n + 1)]
+    for p in range(1, n + 1):
+        count[axis[p]][dest_axis[p]] += 1
+    matchings = routing._regular_bipartite_matchings(count, mid_n, deg)
+    slots = defaultdict(list)
+    for idx, m in enumerate(matchings):
+        for a, b in m.items():
+            slots[(a, b)].append(idx)
+    buckets = defaultdict(list)
+    for p in range(1, n + 1):
+        buckets[(axis[p], dest_axis[p])].append(p)
+    mid = [0] * (n + 1)
+    for key in buckets:
+        for p, idx in zip(sorted(buckets[key]), slots[key]):
+            mid[p] = idx + 1
+
+    if inner_first:
+        return (inner_phase(mid)
+                + outer_phase(drow)
+                + inner_phase(dcol))
+    return (outer_phase(mid)
+            + inner_phase(dcol)
+            + outer_phase(drow))
+
+
+def _reference_product_rounds(g1, g2, pi, memo):
+    """Both phase orders planned in full, the shallower kept."""
+    first = _reference_product_rounds_one(g1, g2, pi, True, memo)
+    second = _reference_product_rounds_one(g1, g2, pi, False, memo)
+    return first if len(first) <= len(second) else second
+
+
+def _small_factor(kind, size, rng):
+    if kind == "star":
+        return star_graph(size + 1)
+    if kind == "cycle":
+        return cycle_graph(size + 2)
+    if kind == "complete":
+        return complete_graph(size)
+    if kind == "path":
+        return path_graph(size)
+    return random_tree(size, rng.randrange(2**31))
+
+
+def _product_task(kind, a, b, rng):
+    """(route(pi), pi): a random task for the product router, on route_auto
+    hosts that route through it or on route_product over two factors."""
+    if kind == "mesh":
+        g = generate("mesh:" + ",".join(str(rng.randint(1, 6))
+                                        for _ in range(rng.randint(2, 3))))
+    elif kind == "hypercube":
+        g = generate(f"hypercube:{rng.randint(1, 6)}")
+    elif kind in ("pyramid", "multigrid"):
+        g = generate(kind + ":" + rng.choice(["2,1", "3,1", "4,1", "2,2",
+                                               "3,2", "2,3"]))
+    else:
+        g1, g2 = (_small_factor(rng.choice(["star", "cycle", "complete",
+                                            "tree", "path"]), size, rng)
+                  for size in (a, b))
+        pi = random_permutation(g1.n * g2.n, rng)
+        return lambda: routing._product_rounds(g1, g2, pi, {}), pi
+    pi = random_permutation(g.n, rng)
+    return lambda: routing._auto_rounds(g, pi, {}), pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["mesh", "hypercube", "pyramid", "multigrid",
+                        "product"]),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_product_rounds_match_the_two_order_planner(kind, a, b, seed):
+    route, pi = _product_task(kind, a, b, random.Random(seed))
+    got = route()
+    with pytest.MonkeyPatch.context() as patch:  # every level: both orders
+        patch.setattr(routing, "_product_rounds", _reference_product_rounds)
+        want = route()
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["mesh", "hypercube", "product"]),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_phase_hop_bounds_never_exceed_the_planned_phase(kind, a, b, seed):
+    rng = random.Random(seed)
+    if kind == "mesh":
+        g1 = path_graph(rng.randint(1, 6))
+        g2 = mesh_graph([rng.randint(1, 6) for _ in range(rng.randint(1, 2))])
+    elif kind == "hypercube":
+        g1, g2 = path_graph(2), hypercube_graph(rng.randint(1, 5))
+    else:
+        g1, g2 = (_small_factor(rng.choice(["star", "cycle", "complete",
+                                            "tree", "path"]), size, rng)
+                  for size in (a, b))
+    pi = random_permutation(g1.n * g2.n, rng)
+    memo = {}
+    for phases in routing._product_phases(g1, g2, pi):
+        for phase in phases:
+            inner, _, start, target = phase
+            bound = routing._hop_bound(g2 if inner else g1, start, target)
+            depth = len(routing._order_rounds(g1, g2, [phase], [0], memo,
+                                              math.inf))
+            assert 0 <= bound <= depth
+
+
+@pytest.mark.parametrize("spec", ["path:7", "mesh:3,4", "mesh:2,3,2",
+                                  "hypercube:1", "hypercube:4",
+                                  "complete:5", "star:5", "cycle:6"])
+def test_hop_bound_is_the_graph_distance(spec):
+    g = generate(spec)
+    exact = spec.partition(":")[0] in ("path", "mesh", "hypercube",
+                                       "complete")
+    for a in range(1, g.n + 1):
+        dist = bfs_dist(g, a)
+        for b in range(1, g.n + 1):
+            hops = routing._hop_bound(g, [0, a], [0, b])
+            assert hops == (dist[b] if exact else 0)
+
+
+def test_product_router_drops_an_order_that_cannot_win(monkeypatch):
+    g = hypercube_graph(6)
+    pi = random_permutation(g.n, random.Random(1))
+    calls = []
+    real = routing._auto_rounds
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return real(*args)
+
+    monkeypatch.setattr(routing, "_auto_rounds", counted)
+    got = route_auto(g, pi)
+    pruned = len(calls)
+    calls.clear()
+    monkeypatch.setattr(routing, "_product_rounds", _reference_product_rounds)
+    assert route_auto(g, pi) == got
+    assert 4 * pruned < len(calls)
 
 
 def test_route_auto_dispatch_families():
