@@ -1,7 +1,7 @@
 """Benchmark suites: build networks, verify them, report depth vs bound.
 
-Row order is fixed by the suite definition, never by completion order, so
-the CSV is byte-identical across runs with the same seed.  Wall time is
+Rows come in suite-definition order, one after another, so the CSV is
+byte-identical across runs with the same seed.  Wall time is
 shown in the text table only; it can never be byte-stable.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import constructions as cons
@@ -95,15 +94,10 @@ def _suite_specs(suite: str, seed: int) -> list[tuple[str, str, str, int]]:
 SUITES = ["paths", "trees", "meshes", "hypercubes", "multipartite", "pyramids"]
 
 
-def run_suite(suite: str, seed: int = 0, jobs: int = 1) -> list[BenchRow]:
+def run_suite(suite: str, seed: int = 0) -> list[BenchRow]:
     names = SUITES if suite == "all" else [suite]
-    specs = []
-    for name in names:
-        specs += _suite_specs(name, seed)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_row, specs))
-    return [_run_row(s) for s in specs]
+    return [_run_row(spec) for name in names
+            for spec in _suite_specs(name, seed)]
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

@@ -156,7 +156,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = run_suite(args.suite, seed=args.seed, jobs=args.jobs)
+    rows = run_suite(args.suite, seed=args.seed)
     if args.format == "csv":
         _write(rows_to_csv(rows), args.out)
     else:
@@ -244,7 +244,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("--suite", default="all", choices=SUITES + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="also write the CSV here")
     p.add_argument("--format", default="table", choices=["table", "csv"])
     p.set_defaults(fn=cmd_bench)

@@ -26,6 +26,12 @@ Vertex ids are ints (a bool or float is refused).  The edge views derive
 from one key array, u*(n+1) + v per edge, cached on the Graph like its
 adjacency; sorted_edges() reads it in key order, which is (u, v) order.
 
+bfs is the one breadth-first search of the graph layer: connectivity,
+the double-sweep diameter path, the spanning tree, the path projection
+and the contour parities here, and the centroid, path order and component
+search of the tree router, all read its flat lists.  The contour's Euler
+walk is the one traversal that must be depth-first.
+
 The family string stored on a Graph is exactly the generator spec
 ("mesh:3,3").  family_of turns it, after the path and complete structure
 tests, into the family whose sorter and router serve the graph; reading a
@@ -120,19 +126,12 @@ class Graph:
     @cached_property
     def _path_projection(self) -> PathProjection:  # trees: see path_projection
         path = _sweep_path(self)
+        order, up, height = bfs(self, path)
         anchor = [0] * (self.n + 1)
-        height, up = anchor[:], anchor[:]
-        seen = [False] * (self.n + 1)
         for i, v in enumerate(path):
-            anchor[v], seen[v] = i, True
-        adj = self._adjacency
-        order = list(path)
-        for v in order:  # BFS from the whole path: order grows as it is read
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    anchor[w], height[w], up[w] = anchor[v], height[v] + 1, v
-                    order.append(w)
+            anchor[v] = i
+        for v in order[len(path):]:
+            anchor[v] = anchor[up[v]]
         return PathProjection(tuple(path), tuple(anchor), tuple(height),
                               tuple(up))
 
@@ -182,23 +181,32 @@ def edge_keys(g: Graph) -> np.ndarray:
     return g._edge_keys
 
 
-def bfs_dist(g: Graph, src: int) -> dict[int, int]:
-    adj = adjacency(g)
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def bfs(g: Graph, sources: Sequence[int]
+        ) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from every (distinct) source at once.
+
+    order lists the reached vertices as visited, the sources first and in
+    the order given; neighbours are taken in increasing id.  parent and
+    dist are indexed by vertex: parent[v] is the vertex v was reached from
+    (0 at a source) and dist[v] the hop count from the nearest source, -1
+    when v is unreached.  Slot 0 of both holds 0.
+    """
+    adj = g._adjacency
+    parent, dist = [0] * (g.n + 1), [0] + [-1] * g.n
+    order = list(sources)
+    for s in order:
+        dist[s] = 0
+    for v in order:  # order grows as it is read
+        d = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w], parent[w] = d, v
+                order.append(w)
+    return order, parent, dist
 
 
 def is_connected(g: Graph) -> bool:
-    return len(bfs_dist(g, 1)) == g.n
+    return len(bfs(g, [1])[0]) == g.n
 
 
 def check_connected(g: Graph) -> None:
@@ -218,27 +226,6 @@ def check_tree(g: Graph) -> None:
 def max_degree(g: Graph) -> int:
     adj = adjacency(g)
     return max(len(adj[v]) for v in range(1, g.n + 1))
-
-
-def shortest_path(g: Graph, src: int, dst: int) -> list[int]:
-    """One shortest path src..dst (BFS, smallest-id tie-break)."""
-    adj = adjacency(g)
-    parent = {src: None}
-    frontier = [src]
-    while frontier and dst not in parent:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    if dst not in parent:
-        raise StructureError(f"no path {src}..{dst}")
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +605,23 @@ def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
 # trees: spanning tree, diameter path, contour
 
 
-def _farthest(g: Graph, src: int) -> int:
-    """Smallest id among the vertices farthest from src."""
-    dist = bfs_dist(g, src)
-    far = max(dist.values())
-    return min(v for v, dv in dist.items() if dv == far)
+def _farthest(g: Graph, src: int) -> tuple[int, list[int]]:
+    """Smallest id among the vertices farthest from src, and the BFS
+    parents from src."""
+    _, parent, dist = bfs(g, [src])
+    return dist.index(max(dist), 1), parent
 
 
 def _sweep_path(g: Graph) -> list[int]:
-    """Double sweep: u farthest from 1, w farthest from u, a u..w shortest
-    path (smallest ids on ties); in a tree it is a longest path."""
-    u = _farthest(g, 1)
-    return shortest_path(g, u, _farthest(g, u))
+    """Double sweep: u farthest from 1, w farthest from u, and the u..w
+    path of BFS parents from u (smallest ids on ties); in a tree it is a
+    longest path."""
+    u = _farthest(g, 1)[0]
+    w, parent = _farthest(g, u)
+    path = [w]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def spanning_tree(g: Graph) -> Graph:
@@ -643,22 +635,11 @@ def spanning_tree(g: Graph) -> Graph:
     if g.n == 1:
         return graph(1, [], family=g.family and f"tree-of-{g.family}")
     path = _sweep_path(g)
-    es = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    seen = set(path)
-    adj = adjacency(g)
-    frontier = list(path)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in adj[v]:
-                if x not in seen:
-                    seen.add(x)
-                    es.append((v, x))
-                    nxt.append(x)
-        frontier = nxt
+    order, parent, _ = bfs(g, path)
     # g passed check_connected: no input reaches this
-    assert len(seen) == g.n
-    return graph(g.n, es)
+    assert len(order) == g.n
+    return graph(g.n, list(zip(path, path[1:]))
+                 + [(parent[x], x) for x in order[len(path):]])
 
 
 def tree_diameter_path(t: Graph) -> list[int]:
@@ -712,22 +693,18 @@ class Contour:
         return tuple(pi)
 
 
-def tree_contour(t: Graph, root: int = 1) -> Contour:
+def tree_contour(t: Graph) -> Contour:
+    """The Contour of t rooted at vertex 1."""
     check_tree(t)
-    if not (1 <= root <= t.n):
-        raise ParameterError(f"root {root} out of range")
     adj = adjacency(t)
-    if t.n == 1:
-        return Contour(root=root, walk=(root,), marks={root: 0})
-    walk = [root]
-    parent = {root: None}
-    stack = [(root, iter(adj[root]))]
+    _, parent, dist = bfs(t, [1])  # a tree's parents are the walk's too
+    walk = [1]
+    stack = [(1, iter(adj[1]))]
     while stack:
         v, it = stack[-1]
         advanced = False
         for w in it:
             if w != parent[v]:
-                parent[w] = v
                 walk.append(w)
                 stack.append((w, iter(adj[w])))
                 advanced = True
@@ -739,7 +716,6 @@ def tree_contour(t: Graph, root: int = 1) -> Contour:
     # the walk steps down and back up each of the n - 1 tree edges once:
     # no input reaches this
     assert len(walk) == 2 * t.n - 1
-    dist = bfs_dist(t, root)
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, v in enumerate(walk):
@@ -750,7 +726,7 @@ def tree_contour(t: Graph, root: int = 1) -> Contour:
     # each walk step lands on one vertex, and the first and last visits of
     # a vertex are its own steps: no input reaches this
     assert len(set(marks.values())) == t.n
-    return Contour(root=root, walk=tuple(walk), marks=marks)
+    return Contour(root=1, walk=tuple(walk), marks=marks)
 
 
 # ---------------------------------------------------------------------------

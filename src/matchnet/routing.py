@@ -47,6 +47,7 @@ from .graphs import (
     PyramidInfo,
     _mesh_points,
     adjacency,
+    bfs,
     cartesian_product,
     check_connected,
     check_tree,
@@ -217,17 +218,10 @@ def route_path(g: Graph, pi) -> RoutingPlan:
 def _centroid(t: Graph) -> int:
     adj = adjacency(t)
     n = t.n
-    parent = {1: 0}
-    order = [1]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    size = {v: 1 for v in range(1, n + 1)}
+    order, parent, _ = bfs(t, [1])
+    size = [1] * (n + 1)
     for v in reversed(order):
-        if parent[v]:
-            size[parent[v]] += size[v]
+        size[parent[v]] += size[v]  # slot 0 collects the root, unread
     best, best_v = n + 1, 0
     for v in range(1, n + 1):
         heaviest = n - size[v]
@@ -240,18 +234,10 @@ def _centroid(t: Graph) -> int:
 
 
 def _path_order(t: Graph) -> list[int]:
+    """The vertices of a path-shaped tree from its smaller end."""
     adj = adjacency(t)
     end = min(v for v in range(1, t.n + 1) if len(adj[v]) <= 1)
-    order = [end]
-    prev = 0
-    while len(order) < t.n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        # a connected graph of degree <= 2 and n - 1 edges is a path, so
-        # each vertex short of its far end has one next: no input reaches this
-        assert len(nxt) == 1
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    return bfs(t, [end])[0]
 
 
 def _tree_rounds(t: Graph, pi):
@@ -268,19 +254,13 @@ def _tree_rounds(t: Graph, pi):
         return [[edge[i - 1] for i, _ in rnd] for rnd in _path_rounds(n, sub)]
 
     # BFS from the centroid c, in flat lists indexed by vertex: comp[v] is
-    # the root neighbour above v (0 for c, -1 before v is reached), so v
-    # is proper when comp[dest[v]] == comp[v], for c too
+    # the root neighbour above v (0 for c), so v is proper when
+    # comp[dest[v]] == comp[v], for c too
     c = _centroid(t)
-    comp, depth, parent = [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    comp[c] = 0
-    order = [c]
-    for v in order:
-        for w in adj[v]:
-            if comp[w] < 0:
-                comp[w] = w if v == c else comp[v]
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                order.append(w)
+    order, parent, depth = bfs(t, [c])
+    comp = [0] * (n + 1)
+    for v in order[1:]:
+        comp[v] = v if parent[v] == c else comp[parent[v]]
     rank = [d * (n + 1) + v for v, d in enumerate(depth)]  # (depth, v) order
 
     # Each round swaps the centre with one root neighbour, and every proper

@@ -211,7 +211,11 @@ def verify_random(net: network.SortingNetwork, trials: int = RANDOM_DEFAULT_TRIA
     """Seeded spot check: half permutations, half keys with repeats.
 
     Non-certifying; this is the only method available past the caps.
+    Fewer than one trial checks nothing and is refused with ParameterError.
     """
+    if trials < 1:
+        raise ParameterError(f"random verification needs trials >= 1, "
+                             f"not {trials}")
     checked = 0
     for arr in _random_blocks(np.random.default_rng(seed), net.graph.n, trials):
         ok = _sorted_rows(net, arr)

@@ -191,6 +191,18 @@ def _one_line_error(code, err, expected_code):
     assert err.count("\n") == 1 and err.startswith(("error:", "refused:"))
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_random_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
+    npath = tmp_path / "net.json"
+    run(["build", "--construction", "odd_even", "--graph", "path:4",
+         "--out", str(npath)], capsys)
+    code, out, err = run(["verify", "--net", str(npath), "--method", "random",
+                          "--trials", trials], capsys)
+    assert out == ""
+    _one_line_error(code, err, 1)
+    assert "trials >= 1" in err
+
+
 def _relabelled(tmp_path, spec, label):
     data = json.loads(to_json(generate(spec)))
     data["family"] = label

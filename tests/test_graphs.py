@@ -1,23 +1,24 @@
 import json
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet import graphs
+from matchnet import graphs, routing
 from matchnet.errors import CapError, ParameterError, StructureError
-from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs_dist,
+from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs,
                              cartesian_product, check_connected, check_tree,
                              complete_graph, cycle_graph, family_of,
                              from_json, generate, graph, hypercube_graph,
                              max_degree, maximal_matching, mesh_coords,
                              mesh_graph, mesh_vertex, multigrid_graph,
                              multipartite_graph, path_graph, path_projection,
-                             pyramid_graph, random_tree, shortest_path,
-                             spanning_tree, star_graph, to_dot, to_json,
-                             tree_contour, tree_diameter_path)
+                             pyramid_graph, random_tree, spanning_tree,
+                             star_graph, to_dot, to_json, tree_contour,
+                             tree_diameter_path)
 
 
 def test_generators_basic():
@@ -188,18 +189,18 @@ def test_diameter_path_is_eccentric():
     for seed in range(5):
         t = random_tree(14, seed)
         path = tree_diameter_path(t)
-        d = bfs_dist(t, path[0])
-        assert d[path[-1]] == max(d.values())
+        d = bfs(t, [path[0]])[2]
+        assert d[path[-1]] == max(d)
         assert len(path) - 1 == d[path[-1]]
 
 
 def _reference_sweep(g):
     """The double sweep as first written, rescanning the maximum per vertex."""
-    d1 = bfs_dist(g, 1)
+    d1 = _reference_bfs_dist(g, 1)
     u = min(v for v in d1 if d1[v] == max(d1.values()))
-    du = bfs_dist(g, u)
+    du = _reference_bfs_dist(g, u)
     w = min(v for v in du if du[v] == max(du.values()))
-    return shortest_path(g, u, w)
+    return _reference_shortest_path(g, u, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,7 +212,7 @@ def test_path_projection_gives_every_tree_distance(n, seed):
     assert tree_diameter_path(t) == list(proj.path)
     adj = adjacency(t)
     for j, u in enumerate(proj.path):
-        dist = bfs_dist(t, u)
+        dist = bfs(t, [u])[2]
         assert all(dist[v] == proj.height[v] + abs(proj.anchor[v] - j)
                    for v in range(1, n + 1))
     for v in range(1, n + 1):
@@ -237,6 +238,190 @@ def test_contour_walk_and_marks():
         marks = sorted(c.marks.values())
         assert len(set(marks)) == t.n
         assert all(b - a <= 3 for a, b in zip(marks, marks[1:]))
+    c = tree_contour(graph(1, []))
+    assert (c.root, c.walk, c.marks) == (1, (1,), {1: 0})
+
+
+# References for graphs.bfs: the hand-written traversals it replaced in
+# graphs and routing, kept verbatim apart from names; the spanning tree's
+# returns its edges in the order it made them.
+
+
+def _reference_bfs_dist(g, src):
+    adj = adjacency(g)
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _reference_shortest_path(g, src, dst):
+    """One shortest path src..dst (BFS, smallest-id tie-break)."""
+    adj = adjacency(g)
+    parent = {src: None}
+    frontier = [src]
+    while frontier and dst not in parent:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    if dst not in parent:
+        raise StructureError(f"no path {src}..{dst}")
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _reference_spanning_edges(g):
+    """The spanning tree's edges in the order the frontier search made
+    them: the diameter path, then (v, x) as BFS from the path reaches x."""
+    path = _reference_sweep(g)
+    es = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    seen = set(path)
+    adj = adjacency(g)
+    frontier = list(path)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for x in adj[v]:
+                if x not in seen:
+                    seen.add(x)
+                    es.append((v, x))
+                    nxt.append(x)
+        frontier = nxt
+    assert len(seen) == g.n
+    return es
+
+
+def _reference_path_projection(t):
+    path = _reference_sweep(t)
+    anchor = [0] * (t.n + 1)
+    height, up = anchor[:], anchor[:]
+    seen = [False] * (t.n + 1)
+    for i, v in enumerate(path):
+        anchor[v], seen[v] = i, True
+    adj = adjacency(t)
+    order = list(path)
+    for v in order:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                anchor[w], height[w], up[w] = anchor[v], height[v] + 1, v
+                order.append(w)
+    return tuple(path), tuple(anchor), tuple(height), tuple(up)
+
+
+def _reference_centroid(t):
+    adj = adjacency(t)
+    n = t.n
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    size = {v: 1 for v in range(1, n + 1)}
+    for v in reversed(order):
+        if parent[v]:
+            size[parent[v]] += size[v]
+    best, best_v = n + 1, 0
+    for v in range(1, n + 1):
+        heaviest = n - size[v]
+        for w in adj[v]:
+            if w != parent[v]:
+                heaviest = max(heaviest, size[w])
+        if heaviest < best or (heaviest == best and v < best_v):
+            best, best_v = heaviest, v
+    return best_v
+
+
+def _reference_path_order(t):
+    adj = adjacency(t)
+    end = min(v for v in range(1, t.n + 1) if len(adj[v]) <= 1)
+    order = [end]
+    prev = 0
+    while len(order) < t.n:
+        nxt = [w for w in adj[order[-1]] if w != prev]
+        assert len(nxt) == 1
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
+
+
+def _bfs_host(kind, n, rng):
+    """A host on 1..n with shuffled labels: a random tree plus chords
+    ("connected"), a random edge set that may fall apart ("any"), a random
+    tree, a path, a star, or a broom (a path ending in a star)."""
+    name = list(range(1, n + 1))
+    rng.shuffle(name)
+    if kind == "tree":
+        return random_tree(n, rng.randrange(2**31))
+    if kind in ("connected", "any"):
+        es = set() if kind == "any" else {
+            (name[rng.randrange(i)], name[i]) for i in range(1, n)}
+        for _ in range(rng.randrange(2 * n) if n > 1 else 0):
+            es.add(tuple(rng.sample(range(1, n + 1), 2)))
+        return graph(n, es)
+    handle = {"path": n, "star": 1, "broom": rng.randrange(1, n + 1)}[kind]
+    es = [(name[i - 1], name[i]) for i in range(1, handle)]
+    es += [(name[handle - 1], name[i]) for i in range(handle, n)]
+    return graph(n, es)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["connected", "any", "tree", "path", "star", "broom"]),
+       st.integers(1, 200), st.integers(0, 2**31 - 1))
+def test_bfs_matches_the_reference_traversals(kind, n, seed):
+    rng = random.Random(seed)
+    g = _bfs_host(kind, n, rng)
+    for src in {1, rng.randrange(1, n + 1), n}:
+        order, parent, dist = bfs(g, [src])
+        ref = _reference_bfs_dist(g, src)
+        assert dist == [0] + [ref.get(v, -1) for v in range(1, n + 1)]
+        assert sorted(order) == sorted(ref) and order[0] == src
+        for dst in rng.sample(order, min(len(order), 8)):
+            walk = [dst]
+            for _ in range(dist[dst]):
+                walk.append(parent[walk[-1]])
+            assert walk[::-1] == _reference_shortest_path(g, src, dst)
+    assert graphs.is_connected(g) == (len(_reference_bfs_dist(g, 1)) == n)
+    if kind == "any":
+        return
+    path = graphs._sweep_path(g)
+    assert path == _reference_sweep(g)
+    order, parent, _ = bfs(g, path)
+    assert list(zip(path, path[1:])) + [
+        (parent[x], x) for x in order[len(path):]] \
+        == _reference_spanning_edges(g)
+    assert spanning_tree(g).edges == graph(n, _reference_spanning_edges(g)).edges
+    if kind == "connected":
+        return
+    assert tuple(path_projection(g)) == _reference_path_projection(g)
+    assert routing._centroid(g) == _reference_centroid(g)
+    if kind == "path" or n <= 2:
+        assert routing._path_order(g) == _reference_path_order(g)
+
+
+def test_bfs_searches_from_every_source_at_once():
+    order, parent, dist = bfs(path_graph(7), [4, 1])
+    assert order == [4, 1, 3, 5, 2, 6, 7]
+    assert parent == [0, 0, 1, 4, 0, 4, 5, 6]
+    assert dist == [0, 0, 1, 1, 0, 1, 2, 3]
+    order, parent, dist = bfs(graph(4, [(1, 2), (3, 4)]), [2])
+    assert order == [2, 1] and parent == [0, 2, 0, 0, 0]
+    assert dist == [0, 1, 0, -1, -1]
 
 
 def test_maximal_matching_is_maximal():

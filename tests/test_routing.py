@@ -13,7 +13,7 @@ from collections import defaultdict
 
 from matchnet import constructions, network, routing
 from matchnet.errors import ConstructionError, ParameterError, TaskError
-from matchnet.graphs import (PyramidInfo, adjacency, bfs_dist,
+from matchnet.graphs import (PyramidInfo, adjacency, bfs,
                              cartesian_product, check_tree, complete_graph,
                              cycle_graph,
                              generate, graph,
@@ -214,7 +214,7 @@ def _reference_route_to_path(t, sources, targets):
     if k == 0:
         return make_plan(t, [])
 
-    dist = {s: bfs_dist(t, s) for s in sources}
+    dist = {s: bfs(t, [s])[2] for s in sources}
     remaining_s = sorted(sources)
     remaining_t = sorted(targets)
     selection = []
@@ -616,7 +616,7 @@ def test_hop_bound_is_the_graph_distance(spec):
     exact = spec.partition(":")[0] in ("path", "mesh", "hypercube",
                                        "complete")
     for a in range(1, g.n + 1):
-        dist = bfs_dist(g, a)
+        dist = bfs(g, [a])[2]
         for b in range(1, g.n + 1):
             hops = routing._hop_bound(g, [0, a], [0, b])
             assert hops == (dist[b] if exact else 0)

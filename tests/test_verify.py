@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchnet import verify
 from matchnet.constructions import batcher_complete, odd_even_transposition
-from matchnet.errors import CapError, ConstructionError, TaskError
+from matchnet.errors import (CapError, ConstructionError, ParameterError,
+                             TaskError)
 from matchnet.graphs import (complete_graph, graph, is_connected, path_graph,
                              star_graph)
 from matchnet.network import (DIR, SWAP, execute, is_sorted_for,
@@ -618,6 +619,12 @@ def test_verify_random_deterministic_and_seeded():
     assert a.passed and b.passed
     assert a.inputs_checked == b.inputs_checked == 5_000
     assert RANDOM_DEFAULT_TRIALS == 200_000
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_verify_random_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ParameterError, match="trials >= 1"):
+        verify_random(odd_even_transposition(4), trials=trials)
 
 
 # References for the layered array BFS: the per-state dict BFS over
