@@ -73,7 +73,7 @@ def _parse_order(raw: str, n: int) -> tuple[int, ...]:
 # subcommands
 
 def cmd_generate(args) -> int:
-    g = generate(args.graph)
+    g = _load_graph(args.graph)
     _write(to_json(g), args.out)
     return 0
 

@@ -611,9 +611,7 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     step4_want = {}
     for i in range(1, n_mid + 1):
         parent = mids[n_mid - i]
-        child = info.first_child(parent)
-        # first_child halves back to its parent: no input reaches this
-        assert info.parent(child) == parent
+        child = info.child[parent]
         step4_want[i] = child - base0
         merge_stage.append((parent, child, DIR))
 

@@ -124,8 +124,8 @@ class Graph:
         return tuple(out)
 
     @cached_property
-    def _path_projection(self) -> PathProjection:  # trees: see path_projection
-        path = _sweep_path(self)
+    def _path_projection(self) -> PathProjection:  # see path_projection
+        path = _sweep_path(self, check_tree(self))
         order, up, height = bfs(self, path)
         anchor = [0] * (self.n + 1)
         for i, v in enumerate(path):
@@ -209,18 +209,25 @@ def is_connected(g: Graph) -> bool:
     return len(bfs(g, [1])[0]) == g.n
 
 
-def check_connected(g: Graph) -> None:
-    if not is_connected(g):
+def check_connected(g: Graph) -> list[int]:
+    """Raise unless g is connected; return bfs(g, [1])'s dist."""
+    order, _, dist = bfs(g, [1])
+    if len(order) != g.n:
         raise StructureError("graph is not connected")
+    return dist
 
 
 def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and is_connected(g)
 
 
-def check_tree(g: Graph) -> None:
-    if not is_tree(g):
-        raise StructureError("graph is not a tree")
+def check_tree(g: Graph) -> list[int]:
+    """Raise unless g is a tree; return bfs(g, [1])'s dist."""
+    if len(g.edges) == g.n - 1:
+        order, _, dist = bfs(g, [1])
+        if len(order) == g.n:
+            return dist
+    raise StructureError("graph is not a tree")
 
 
 def max_degree(g: Graph) -> int:
@@ -289,25 +296,8 @@ def mesh_strides(lengths: Sequence[int]) -> list[int]:
     return strides
 
 
-def mesh_vertex(coords: Sequence[int], lengths: Sequence[int]) -> int:
-    return _mesh_vertex(coords, mesh_strides(lengths))
-
-
-def mesh_coords(v: int, lengths: Sequence[int]) -> tuple[int, ...]:
-    return _mesh_coords(v, mesh_strides(lengths))
-
-
 def _mesh_vertex(coords: Sequence[int], strides: Sequence[int]) -> int:
     return 1 + sum((c - 1) * s for c, s in zip(coords, strides))
-
-
-def _mesh_coords(v: int, strides: Sequence[int]) -> tuple[int, ...]:
-    rem = v - 1
-    out = []
-    for s in strides:
-        out.append(rem // s + 1)
-        rem %= s
-    return tuple(out)
 
 
 def _mesh_points(lengths: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -369,11 +359,13 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 
 
 class PyramidInfo:
-    """Coordinate bookkeeping shared by pyramid and multigrid families.
+    """Level bookkeeping shared by pyramid and multigrid families.
 
     Level l (0-based from the apex) is a d-dimensional mesh of side 2^l
     with n_l = 2^(l*d) vertices.  Vertices are numbered level-major; the
-    in-level numbering is the mesh numbering above.
+    in-level numbering is the mesh numbering above.  level[v] is the level
+    of vertex v, and child[v] its child with all-odd local coordinates (the
+    kept multigrid edge), 0 on the bottom level.
     """
 
     def __init__(self, m: int, d: int):
@@ -387,74 +379,41 @@ class PyramidInfo:
             self.level_offsets.append(self.level_offsets[-1] + s)
         self.n = sum(self.level_sizes)
         self.level_strides = [mesh_strides(self.lengths(l)) for l in range(m)]
-
-    def side(self, level: int) -> int:
-        return 1 << level
+        self.level = [0]
+        self.child = [0] * (self.n + 1)
+        for l, size in enumerate(self.level_sizes):
+            self.level += [l] * size
+            if l < m - 1:
+                off = self.level_offsets[l]
+                for v, c in enumerate(_mesh_points(self.lengths(l)), off + 1):
+                    self.child[v] = self.vertex(l + 1, [2 * x - 1 for x in c])
 
     def lengths(self, level: int) -> tuple[int, ...]:
-        return (self.side(level),) * self.d
-
-    def level_of(self, v: int) -> int:
-        for l in range(self.m - 1, -1, -1):
-            if v > self.level_offsets[l]:
-                return l
-        raise StructureError(f"vertex {v} out of range")
+        return (1 << level,) * self.d
 
     def vertex(self, level: int, coords: Sequence[int]) -> int:
         return self.level_offsets[level] + _mesh_vertex(
             coords, self.level_strides[level])
 
-    def coords(self, v: int) -> tuple[int, tuple[int, ...]]:
-        l = self.level_of(v)
-        return l, _mesh_coords(v - self.level_offsets[l], self.level_strides[l])
-
     def level_vertices(self, level: int) -> list[int]:
         off = self.level_offsets[level]
         return list(range(off + 1, off + self.level_sizes[level] + 1))
 
-    def parent(self, v: int) -> int:
-        l, c = self.coords(v)
-        if l == 0:
-            raise StructureError("apex has no parent")
-        pc = tuple((x + 1) // 2 for x in c)
-        return self.vertex(l - 1, pc)
-
-    def first_child(self, v: int) -> int:
-        """Child with all-odd local coordinates (the kept multigrid edge)."""
-        l, c = self.coords(v)
-        if l == self.m - 1:
-            raise StructureError("bottom level has no children")
-        cc = tuple(2 * x - 1 for x in c)
-        return self.vertex(l + 1, cc)
-
-    def phi(self, k: int) -> int:
-        """Number of maximal vertical multigrid paths with k edges."""
-        if k == self.m - 1:
-            return 1
-        if 0 <= k < self.m - 1:
-            lvl = self.m - 1 - k
-            return self.level_sizes[lvl] - self.level_sizes[lvl - 1]
-        raise ParameterError(f"no vertical paths of length {k}")
-
     def vertical_paths(self) -> list[list[int]]:
         """Maximal vertical paths of the multigrid, as vertex lists top-down.
 
-        Each vertex lies on exactly one path.  A path starts at the apex
-        or at any vertex with at least one even local coordinate, and
-        follows first_child down to the bottom level.
+        Each vertex lies on exactly one path: one starts at every vertex
+        that is no vertex's child, in increasing id, and follows child down
+        to the bottom level.
         """
+        children = set(self.child)
         paths = []
-        for l in range(self.m):
-            for v in self.level_vertices(l):
-                _, c = self.coords(v)
-                if l == 0 or any(x % 2 == 0 for x in c):
-                    p = [v]
-                    while self.level_of(p[-1]) < self.m - 1:
-                        p.append(self.first_child(p[-1]))
-                    paths.append(p)
-        # every vertex tops one path or is the first child on the path of
-        # its parent: no input reaches this
-        assert sum(len(p) for p in paths) == self.n
+        for v in range(1, self.n + 1):
+            if v not in children:
+                p = [v]
+                while self.child[p[-1]]:
+                    p.append(self.child[p[-1]])
+                paths.append(p)
         return paths
 
 
@@ -605,19 +564,13 @@ def family_of(g: Graph) -> tuple[str | None, tuple[int, ...]]:
 # trees: spanning tree, diameter path, contour
 
 
-def _farthest(g: Graph, src: int) -> tuple[int, list[int]]:
-    """Smallest id among the vertices farthest from src, and the BFS
-    parents from src."""
-    _, parent, dist = bfs(g, [src])
-    return dist.index(max(dist), 1), parent
-
-
-def _sweep_path(g: Graph) -> list[int]:
-    """Double sweep: u farthest from 1, w farthest from u, and the u..w
-    path of BFS parents from u (smallest ids on ties); in a tree it is a
-    longest path."""
-    u = _farthest(g, 1)[0]
-    w, parent = _farthest(g, u)
+def _sweep_path(g: Graph, dist: list[int]) -> list[int]:
+    """Double sweep: u farthest from 1 by dist, the BFS hop counts from 1,
+    w farthest from u, and the u..w path of BFS parents from u (smallest
+    ids on ties); in a tree it is a longest path."""
+    u = dist.index(max(dist), 1)
+    _, parent, dist = bfs(g, [u])
+    w = dist.index(max(dist), 1)
     path = [w]
     while path[-1] != u:
         path.append(parent[path[-1]])
@@ -631,10 +584,10 @@ def spanning_tree(g: Graph) -> Graph:
     picks w; the u..w shortest path seeds the tree and the rest of the
     graph is attached by BFS from the path.
     """
-    check_connected(g)
+    dist = check_connected(g)
     if g.n == 1:
         return graph(1, [], family=g.family and f"tree-of-{g.family}")
-    path = _sweep_path(g)
+    path = _sweep_path(g, dist)
     order, parent, _ = bfs(g, path)
     # g passed check_connected: no input reaches this
     assert len(order) == g.n
@@ -665,8 +618,8 @@ class PathProjection(NamedTuple):
 
 def path_projection(t: Graph) -> PathProjection:
     """The tree's PathProjection: one BFS from the whole diameter path,
-    made on the first call and cached on t, like its adjacency."""
-    check_tree(t)
+    made, with the tree check, on the first call and cached on t, like
+    its adjacency."""
     return t._path_projection
 
 

@@ -752,148 +752,117 @@ def route_multipartite(p: int, s: int, pi) -> RoutingPlan:
 
 def _level_mesh_rounds(info: PyramidInfo, level: int, sub, memo):
     """Route a permutation inside one level's mesh; local ids are mesh ids."""
-    side = info.side(level)
-    if side == 1:
+    if level == 0:
         return []
     local_mesh = _factor(memo, mesh_graph, info.lengths(level))
     return _relabel_rounds(_auto_rounds(local_mesh, sub, memo),
                            info.level_vertices(level))
 
 
-def _multigrid_involution_rounds(info: PyramidInfo, mu, memo, accounting=None):
-    """Five macro-rounds for one involution: position pebbles onto vertical
-    paths inside their levels, ride the paths in two waves, then settle
-    every level.  Wave capacity per upper level i is the number of maximal
-    vertical paths topping out at i, and |P_i| never exceeds twice that."""
-    n = info.n
-    m = info.m
-    if all(mu[v - 1] == v for v in range(1, n + 1)):
-        return []
+def _multigrid_groups(info: PyramidInfo, mu):
+    """The level-crossing pairs (u, v) of the involution mu, u above v,
+    grouped by u's level i: (i, the pairs sorted, the vertical paths that
+    top out at i), in increasing i.  Each path seats one pair per wave, so
+    a level with more than twice as many pairs as paths raises."""
     paths_at = defaultdict(list)
     for path in info.vertical_paths():
-        paths_at[info.level_of(path[0])].append(path)
-
+        paths_at[info.level[path[0]]].append(path)
     by_upper = defaultdict(list)
     for u, v in _involution_pairs(mu):
-        lu, lv = info.level_of(u), info.level_of(v)
-        if lu == lv:
-            continue
-        if lu > lv:
-            u, v, lu, lv = v, u, lv, lu
-        by_upper[lu].append((u, v, lu, lv))
-    waves = ([], [])
+        if info.level[u] > info.level[v]:
+            u, v = v, u
+        if info.level[u] < info.level[v]:
+            by_upper[info.level[u]].append((u, v))
+    groups = []
     for i in sorted(by_upper):
-        cap = len(paths_at[i])
-        group = sorted(by_upper[i])
-        # PyramidInfo's own count of its paths; no input reaches a mismatch
-        assert cap == info.phi(m - 1 - i)
-        if len(group) > 2 * cap:
+        group, paths = sorted(by_upper[i]), paths_at[i]
+        if len(group) > 2 * len(paths):
             raise ConstructionError(
                 f"vertical path capacity exceeded at level {i}: "
-                f"{len(group)} pairs, {2 * cap} seats")
-        if accounting is not None:
-            accounting[i] = (len(group), 2 * cap)
-        waves[0].extend(zip(group, paths_at[i]))
-        waves[1].extend(zip(group[cap:], paths_at[i]))
+                f"{len(group)} pairs, {2 * len(paths)} seats")
+        groups.append((i, group, paths))
+    return groups
+
+
+def _multigrid_involution_rounds(info: PyramidInfo, mu, memo):
+    """Five macro-rounds for one involution: seat pebbles on vertical paths
+    inside their levels, ride the paths in two waves, then settle every
+    level.  Pair (u, v) rides a path topping out at u's level, from its
+    first vertex to its vertex on v's level."""
+    n = info.n
+    if all(mu[v - 1] == v for v in range(1, n + 1)):
+        return []
+    waves = ([], [])
+    for i, group, paths in _multigrid_groups(info, mu):
+        rides = [(u, v, info.level[v] - i) for u, v in group]
+        waves[0].extend(zip(rides, paths))
+        waves[1].extend(zip(rides[len(paths):], paths))
 
     at = list(range(n + 1))  # at[vertex] = pebble (named by start vertex)
-    spot = list(range(n + 1))  # spot[pebble] = vertex
 
     def run(rounds):
         for rnd in rounds:
             for a, b in rnd:
                 at[a], at[b] = at[b], at[a]
-                spot[at[a]], spot[at[b]] = a, b
         return rounds
 
-    def intra_round(boarding):
-        """Per-level permutation sending each listed pebble to its path seat."""
+    def settle(goal):
+        """Route every level in its own mesh: each pebble in goal to its goal
+        vertex, which must be on its level, and the others, in vertex
+        order, to the vertices left."""
         blocks = []
-        for level in range(m):
+        for level in range(info.m):
             verts = info.level_vertices(level)
             base = verts[0] - 1
-            req = {}
-            for pebble, seat in boarding:
-                if info.level_of(spot[pebble]) == level:
-                    # seats are taken on the pebble's own level of its
-                    # path: no input reaches this
-                    assert info.level_of(seat) == level
-                    req[seat] = pebble
-            placed = set(req.values())
-            sub = [0] * len(verts)
-            free = iter([v for v in verts if v not in req])
-            for seat, pebble in sorted(req.items()):
-                sub[spot[pebble] - base - 1] = seat - base
+            sub = []
             for v in verts:
-                if at[v] not in placed:
-                    sub[v - base - 1] = next(free) - base
+                target = goal.get(at[v], 0)
+                if target and info.level[target] != level:
+                    raise ConstructionError(f"pebble {at[v]} on the wrong level")
+                sub.append(target and target - base)
+            free = iter(sorted(set(range(1, len(verts) + 1)).difference(sub)))
+            sub = [s or next(free) for s in sub]
             blocks.append(_level_mesh_rounds(info, level, sub, memo))
         return run(_merge_parallel(blocks))
 
-    def vertical_round(assignments):
-        blocks = []
-        for (u, v, lu, lv), path in assignments:
-            top = info.level_of(path[0])
-            hi, lo = lu - top + 1, lv - top + 1
-            if at[path[hi - 1]] != u or at[path[lo - 1]] != v:
+    rounds = []
+    for wave in waves:
+        seats, blocks = {}, []
+        for (u, v, k), path in wave:
+            seats[u], seats[v] = path[0], path[k]
+        rounds += settle(seats)
+        for (u, v, k), path in wave:
+            if at[path[0]] != u or at[path[k]] != v:
                 raise ConstructionError(
                     f"pebbles {u} and {v} are not on their path seats")
             sub = list(range(1, len(path) + 1))
-            sub[hi - 1], sub[lo - 1] = lo, hi
+            sub[0], sub[k] = k + 1, 1
             blocks.append(_relabel_rounds(_path_rounds(len(path), sub), path))
-        return run(_merge_parallel(blocks))
-
-    rounds = []
-    seats1 = []
-    for (u, v, lu, lv), path in waves[0]:
-        top = info.level_of(path[0])
-        seats1 += [(u, path[lu - top]), (v, path[lv - top])]
-    rounds += intra_round(seats1)
-    rounds += vertical_round(waves[0])
-    seats2 = []
-    for (u, v, lu, lv), path in waves[1]:
-        top = info.level_of(path[0])
-        seats2 += [(u, path[lu - top]), (v, path[lv - top])]
-    rounds += intra_round(seats2)
-    rounds += vertical_round(waves[1])
-    # final settle: everyone is on the right level now
-    blocks = []
-    for level in range(m):
-        verts = info.level_vertices(level)
-        base = verts[0] - 1
-        sub = []
-        for v in verts:
-            target = mu[at[v] - 1]
-            if info.level_of(target) != level:
-                raise ConstructionError(f"pebble {at[v]} on the wrong level")
-            sub.append(target - base)
-        blocks.append(_level_mesh_rounds(info, level, sub, memo))
-    rounds += run(_merge_parallel(blocks))
-    if spot[1:] != list(mu):
+        rounds += run(_merge_parallel(blocks))
+    rounds += settle(dict(enumerate(mu, 1)))
+    if any(at[t] != p for p, t in enumerate(mu, 1)):
         raise ConstructionError("multigrid involution rounds miss a target")
     return rounds
 
 
-def _multigrid_rounds(m: int, d: int, pi, memo, accounting=None):
+def _multigrid_rounds(m: int, d: int, pi, memo):
     info = PyramidInfo(m, d)
     rounds = []
     for mu in two_cycle_decompose(pi):
-        acct = {} if accounting is not None else None
-        rounds += _multigrid_involution_rounds(info, mu, memo, acct)
-        if accounting is not None:
-            accounting.append(acct)
+        rounds += _multigrid_involution_rounds(info, mu, memo)
     return rounds
 
 
 def multigrid_accounting(m: int, d: int, pi) -> list[dict]:
     """Per-involution vertical-pair counts: {upper level: (count, capacity)}."""
-    accounting: list[dict] = []
-    _multigrid_rounds(m, d, pi, {}, accounting)
-    return accounting
+    info = PyramidInfo(m, d)
+    return [{i: (len(group), 2 * len(paths))
+             for i, group, paths in _multigrid_groups(info, mu)}
+            for mu in two_cycle_decompose(pi)]
 
 
 def _multigrid_depth_bound(m: int, d: int) -> int:
-    mesh_bound = _mesh_bound(PyramidInfo(m, d).lengths(m - 1))
+    mesh_bound = _mesh_bound((1 << (m - 1),) * d)
     return 2 * (3 * mesh_bound + 2 * m)
 
 

@@ -34,6 +34,25 @@ def test_generate_to_file_then_build_from_file(tmp_path, capsys):
     assert len(data["stages"]) == 6
 
 
+@pytest.mark.parametrize("spec", ["path:3", "mesh:3,2", "multigrid:3,1"])
+def test_generate_from_a_graph_file_prints_the_spec_bytes(tmp_path, capsys,
+                                                          spec):
+    gpath = tmp_path / "g.json"
+    code, _, _ = run(["generate", "--graph", spec, "--out", str(gpath)], capsys)
+    assert code == 0
+    from_spec = run(["generate", "--graph", spec], capsys)
+    assert from_spec[0] == 0 and from_spec[2] == ""
+    assert run(["generate", "--graph", str(gpath)], capsys) == from_spec
+
+
+def test_generate_refuses_a_mislabelled_graph_file(capsys):
+    path = Path(__file__).parent / "corpus" / "graphs" / "label_mismatch.json"
+    code, out, err = run(["generate", "--graph", str(path)], capsys)
+    assert out == ""
+    _one_line_error(code, err, 1)
+    assert "family label" in err
+
+
 def test_build_verify_roundtrip(tmp_path, capsys):
     npath = tmp_path / "net.json"
     code, _, _ = run(["build", "--construction", "odd_even",

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs,
                              cartesian_product, check_connected, check_tree,
                              complete_graph, cycle_graph, family_of,
                              from_json, generate, graph, hypercube_graph,
-                             max_degree, maximal_matching, mesh_coords,
-                             mesh_graph, mesh_vertex, multigrid_graph,
+                             max_degree, maximal_matching, mesh_graph,
+                             multigrid_graph,
                              multipartite_graph, path_graph, path_projection,
                              pyramid_graph, random_tree, spanning_tree,
                              star_graph, to_dot, to_json, tree_contour,
@@ -67,6 +68,23 @@ def test_hypercube_edges_flip_one_bit():
     assert len(g.edges) == 4 * 16 // 2
 
 
+def mesh_vertex(coords, lengths):
+    """Reference: the id of the vertex at 1-based coords, last one fastest."""
+    v = 0
+    for c, L in zip(coords, lengths):
+        v = v * L + c - 1
+    return v + 1
+
+
+def mesh_coords(v, lengths):
+    """Reference: the 1-based coordinates of vertex v (mesh_vertex's inverse)."""
+    out, rem = [], v - 1
+    for L in reversed(lengths):
+        out.append(rem % L + 1)
+        rem //= L
+    return tuple(out[::-1])
+
+
 def test_mesh_numbering_last_coordinate_fastest():
     g = mesh_graph((2, 3))
     assert mesh_vertex((1, 1), (2, 3)) == 1
@@ -75,6 +93,9 @@ def test_mesh_numbering_last_coordinate_fastest():
     for v in range(1, 7):
         assert mesh_vertex(mesh_coords(v, (2, 3)), (2, 3)) == v
     assert (1, 4) in g.edges and (1, 2) in g.edges and (1, 5) not in g.edges
+    info = PyramidInfo(3, 2)
+    for v in range(1, 17):
+        assert info.vertex(2, mesh_coords(v, (4, 4))) == 5 + v
 
 
 def _loop_mesh_edges(lengths, off=0):
@@ -105,6 +126,81 @@ def _loop_pyramid_edges(m, d, all_children):
     return es
 
 
+class _ReferencePyramid:
+    """The coordinate walk that PyramidInfo's level and child tables
+    replaced: a vertex's level by scanning the level offsets, its
+    coordinates, its parent, its all-odd first child, phi(k) in closed
+    form (the number of maximal vertical paths with k edges), and the
+    vertical paths from the apex and every vertex with an even coordinate."""
+
+    def __init__(self, m, d):
+        self.m, self.d = m, d
+        self.sizes = [1 << (l * d) for l in range(m)]
+        self.offsets = [sum(self.sizes[:l]) for l in range(m)]
+        self.n = sum(self.sizes)
+
+    def lengths(self, l):
+        return (1 << l,) * self.d
+
+    def level_of(self, v):
+        for l in range(self.m - 1, -1, -1):
+            if v > self.offsets[l]:
+                return l
+        raise ValueError(v)
+
+    def coords(self, v):
+        l = self.level_of(v)
+        return l, mesh_coords(v - self.offsets[l], self.lengths(l))
+
+    def vertex(self, l, c):
+        return self.offsets[l] + mesh_vertex(c, self.lengths(l))
+
+    def parent(self, v):
+        l, c = self.coords(v)
+        return self.vertex(l - 1, [(x + 1) // 2 for x in c])
+
+    def first_child(self, v):
+        l, c = self.coords(v)
+        return self.vertex(l + 1, [2 * x - 1 for x in c])
+
+    def phi(self, k):
+        if k == self.m - 1:
+            return 1
+        return self.sizes[self.m - 1 - k] - self.sizes[self.m - 2 - k]
+
+    def vertical_paths(self):
+        paths = []
+        for v in range(1, self.n + 1):
+            l, c = self.coords(v)
+            if l == 0 or any(x % 2 == 0 for x in c):
+                p = [v]
+                while self.level_of(p[-1]) < self.m - 1:
+                    p.append(self.first_child(p[-1]))
+                paths.append(p)
+        return paths
+
+
+PYRAMID_SHAPES = [(m, d) for m in range(1, 14) for d in range(1, 13)
+                  if sum(1 << (l * d) for l in range(m)) <= 5000]
+
+
+def test_pyramid_tables_match_the_coordinate_walk():
+    assert (12, 1) in PYRAMID_SHAPES and (5, 3) in PYRAMID_SHAPES
+    for m, d in PYRAMID_SHAPES:
+        info, ref = PyramidInfo(m, d), _ReferencePyramid(m, d)
+        vs = range(1, ref.n + 1)
+        assert info.n == ref.n
+        assert info.level == [0] + [ref.level_of(v) for v in vs]
+        assert info.child == [0] + [ref.first_child(v)
+                                    if ref.level_of(v) < m - 1 else 0
+                                    for v in vs]
+        assert all(ref.parent(info.child[v]) == v for v in vs if info.child[v])
+        paths = info.vertical_paths()
+        assert paths == ref.vertical_paths()
+        assert Counter(len(p) - 1 for p in paths) == {
+            k: ref.phi(k) for k in range(m)}
+
+
 @pytest.mark.parametrize("lengths", [(1,), (5,), (3, 1), (2, 3), (1, 2, 3),
                                      (3, 4, 2), (2, 2, 2, 2)])
 def test_mesh_edges_match_the_coordinate_loop(lengths):
@@ -121,10 +217,9 @@ def test_pyramid_edges_match_the_coordinate_loop(m, d):
         g = make(m, d)
         want = graph(g.n, _loop_pyramid_edges(m, d, all_children))
         assert list(g.edges) == list(want.edges)
-    info = PyramidInfo(m, d)
+    info, ref = PyramidInfo(m, d), _ReferencePyramid(m, d)
     for v in range(1, info.n + 1):
-        l, c = info.coords(v)
-        assert c == mesh_coords(v - info.level_offsets[l], info.lengths(l))
+        l, c = ref.coords(v)
         assert info.vertex(l, c) == v
 
 
@@ -136,7 +231,7 @@ def test_multipartite_parts_and_edges():
 
 
 def test_pyramid_structure():
-    info = PyramidInfo(3, 2)
+    info, ref = PyramidInfo(3, 2), _ReferencePyramid(3, 2)
     assert info.level_sizes == [1, 4, 16]
     assert info.level_vertices(0) == [1]
     assert info.level_vertices(1) == [2, 3, 4, 5]
@@ -144,7 +239,7 @@ def test_pyramid_structure():
     assert g.n == 21
     # every non-apex vertex has exactly one parent edge
     for v in info.level_vertices(1) + info.level_vertices(2):
-        assert (min(info.parent(v), v), max(info.parent(v), v)) in g.edges
+        assert (ref.parent(v), v) in g.edges
 
 
 def test_multigrid_keeps_all_odd_child_edge_only():
@@ -152,19 +247,18 @@ def test_multigrid_keeps_all_odd_child_edge_only():
     g = multigrid_graph(2, 2)
     # level 1 is a 2x2 mesh: 4 mesh edges, plus exactly one vertical edge
     vertical = [e for e in g.edges if 1 in e]
-    assert vertical == [(1, info.first_child(1))]
+    assert vertical == [(1, info.child[1])] == [(1, 2)]
     assert len(g.edges) == 4 + 1
 
 
 def test_multigrid_phi_counts():
     info = PyramidInfo(3, 2)
-    assert info.phi(2) == 1
-    assert info.phi(1) == 3
+    assert info.level == [0, 0, 1, 1, 1, 1] + [2] * 16
+    assert info.child == [0, 2, 6, 8, 14, 16] + [0] * 16
     paths = info.vertical_paths()
     assert sum(len(p) - 1 == 2 for p in paths) == 1
     assert sum(len(p) - 1 == 1 for p in paths) == 3
-    with pytest.raises(ParameterError):
-        info.phi(5)
+    assert sum(len(p) - 1 == 0 for p in paths) == 12
 
 
 def test_cartesian_product_ids():
@@ -399,7 +493,7 @@ def test_bfs_matches_the_reference_traversals(kind, n, seed):
     assert graphs.is_connected(g) == (len(_reference_bfs_dist(g, 1)) == n)
     if kind == "any":
         return
-    path = graphs._sweep_path(g)
+    path = graphs._sweep_path(g, bfs(g, [1])[2])
     assert path == _reference_sweep(g)
     order, parent, _ = bfs(g, path)
     assert list(zip(path, path[1:])) + [
@@ -422,6 +516,35 @@ def test_bfs_searches_from_every_source_at_once():
     order, parent, dist = bfs(graph(4, [(1, 2), (3, 4)]), [2])
     assert order == [2, 1] and parent == [0, 2, 0, 0, 0]
     assert dist == [0, 1, 0, -1, -1]
+
+
+def test_tree_checks_hand_their_search_to_the_sweep(monkeypatch):
+    mesh, tree = generate("mesh:8,8"), generate("random_tree:50,1")
+    want = spanning_tree(mesh).edges, graphs._sweep_path(
+        tree, bfs(tree, [1])[2])
+    sources = []
+
+    def counted(g, srcs):
+        sources.append(list(srcs))
+        return bfs(g, srcs)
+
+    monkeypatch.setattr(graphs, "bfs", counted)
+    # the connectivity or tree check's search from 1 feeds the sweep
+    assert spanning_tree(mesh).edges == want[0]
+    assert len(sources) == 3 and sources[0] == [1]
+    sources.clear()
+    proj = path_projection(tree)
+    assert list(proj.path) == want[1]
+    assert len(sources) == 3 and sources[0] == [1]
+    sources.clear()
+    # the second call reads the cache: no check, no search
+    assert path_projection(tree) is proj and sources == []
+    with pytest.raises(StructureError, match="not a tree"):
+        path_projection(cycle_graph(5))
+    with pytest.raises(StructureError, match="not a tree"):
+        path_projection(graph(4, [(1, 2), (3, 4), (2, 3), (1, 3)]))
+    with pytest.raises(StructureError, match="not a tree"):
+        path_projection(graph(5, [(1, 2), (3, 4), (4, 5), (3, 5)]))
 
 
 def test_maximal_matching_is_maximal():

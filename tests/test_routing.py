@@ -390,19 +390,51 @@ def test_multigrid_accounting_caps():
                 assert pairs <= cap
 
 
+def _reference_accounting(m, d, pi):
+    """Per involution of pi, {upper level i: (level-crossing pairs with
+    their upper end on i, 2 * phi)}, phi in closed form: one path from the
+    apex, else n_i - n_(i-1) paths topping out at level i."""
+    sizes = [1 << (l * d) for l in range(m)]
+
+    def level_of(v):
+        l = 0
+        while v > sum(sizes[:l + 1]):
+            l += 1
+        return l
+
+    rows = []
+    for mu in two_cycle_decompose(pi):
+        count = defaultdict(int)
+        for v, w in enumerate(mu, 1):
+            if w > v and level_of(v) != level_of(w):
+                count[min(level_of(v), level_of(w))] += 1
+        rows.append({i: (count[i], 2 * (sizes[i] - sizes[i - 1] if i else 1))
+                     for i in sorted(count)})
+    return rows
+
+
+@pytest.mark.parametrize("m, d", [(3, 2), (4, 1)])
+def test_multigrid_accounting_matches_the_reference_counts(m, d):
+    n = multigrid_graph(m, d).n
+    crossing = 0
+    for seed in range(200):
+        pi = random_permutation(n, random.Random(seed))
+        rows = multigrid_accounting(m, d, pi)
+        assert rows == _reference_accounting(m, d, pi)
+        crossing += sum(pairs for row in rows for pairs, _ in row.values())
+    assert crossing > 200
+
+
 class _NoApexPath(PyramidInfo):
-    """A multigrid whose apex path is lost, its own path count agreeing."""
+    """A multigrid whose apex path is lost."""
 
     def vertical_paths(self):
-        return [p for p in super().vertical_paths() if self.level_of(p[0])]
-
-    def phi(self, k):
-        return 0 if k == self.m - 1 else super().phi(k)
+        return [p for p in super().vertical_paths() if self.level[p[0]]]
 
 
 def test_multigrid_path_capacity_raises_without_asserts():
     info = _NoApexPath(2, 1)
-    assert info.level_of(1) == 0 and info.level_of(2) == 1
+    assert info.level[1:] == [0, 1, 1]
     # swapping the apex with a vertex below needs a seat on the apex path
     with pytest.raises(ConstructionError, match="capacity exceeded at level 0"):
         routing._multigrid_involution_rounds(info, (2, 1, 3), {})
