@@ -17,7 +17,7 @@ from .bench import SUITES, rows_to_csv, rows_to_table, run_suite
 from .errors import CapError, ConstructionError
 from .graphs import from_json, generate, to_json
 from .network import network_from_json, network_to_json, plan_to_json
-from .perms import check_permutation
+from .perms import check_permutation, random_permutation
 from .routing import route_auto, route_depth_bound
 from .verify import (RANDOM_DEFAULT_TRIALS, exact_rt, exact_rt_p, exact_st,
                      sandwich_check, verify_auto, verify_exhaustive,
@@ -127,9 +127,7 @@ def cmd_route(args) -> int:
     if args.order is not None:
         perm = _parse_order(args.order, g.n)
     else:
-        vals = list(range(1, g.n + 1))
-        random.Random(args.seed).shuffle(vals)
-        perm = tuple(vals)
+        perm = random_permutation(g.n, random.Random(args.seed))
     plan = route_auto(g, perm)
     if args.out:
         _write(plan_to_json(plan), args.out)

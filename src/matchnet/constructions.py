@@ -13,10 +13,10 @@ from itertools import zip_longest
 
 from .errors import ConstructionError, ParameterError, StructureError
 from .graphs import (Graph, PyramidInfo, adjacency, cartesian_product,
-                     check_connected, check_tree, complete_graph, family_of,
-                     hypercube_graph, max_degree, maximal_matching, mesh_graph,
-                     path_graph, pyramid_graph, spanning_tree, tree_contour,
-                     tree_diameter_path)
+                     check_connected, complete_graph, family_of, graph,
+                     hypercube_graph, is_connected, max_degree,
+                     maximal_matching, mesh_graph, path_graph, pyramid_graph,
+                     spanning_tree, tree_contour, tree_diameter_path)
 from .network import (DIR, SWAP, SortingNetwork, make_network)
 from .perms import identity, inverse
 from .routing import (_checked, _multigrid_depth_bound, _multigrid_rounds,
@@ -35,12 +35,6 @@ def _cert(name: str, parameters: dict, claimed: int, achieved: int) -> dict:
 def _is_complete(g: Graph) -> bool:
     name = family_of(g)[0]
     return name == "complete" or (name == "path" and g.n <= 2)  # K1, K2
-
-
-def _claimed(net: SortingNetwork) -> int:
-    if net.certificate is not None:
-        return net.certificate["claimed_bound"]
-    return net.depth
 
 
 # ---------------------------------------------------------------------------
@@ -149,29 +143,27 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
     so consecutive marks are at most three walk steps apart.  Each round
     of the virtual transposition sort is split into color classes of
     non-interfering walk intervals, and each comparison expands to walk
-    in, compare, walk back (at most five stages).  Marked order is the
+    in, compare, walk back (at most five stages).  Round r compares the
+    marks i - 1 and i with i of r's parity, so the stages of an odd and of
+    an even round are built once and alternate.  Marked order is the
     target order.
     """
-    check_tree(t)
+    contour = tree_contour(t)
     n = t.n
     if n == 1:
         return make_network(t, (1,), [],
                             certificate=_cert("contour", {"n": 1}, 0, 0))
-    contour = tree_contour(t)
     tour = contour.walk
     marks = sorted(contour.marks.values())
     # first visit on even depth, last on odd: no input reaches a wider gap
     assert all(b - a <= 3 for a, b in zip(marks, marks[1:]))
-    order = contour.rank_order()
+    order = inverse(sorted(contour.marks, key=contour.marks.get))
 
     delta = max_degree(t)
     color_cap = 4 * delta - 3
-    stages = []
-    for rnd in range(1, n + 1):
-        intervals = [(marks[i - 1], marks[i])
-                     for i in range(1, n) if i % 2 == rnd % 2]
-        if not intervals:
-            continue
+    odd, even = [], []
+    for first, rnd in ((1, odd), (2, even)):
+        intervals = [(marks[i - 1], marks[i]) for i in range(first, n, 2)]
         proj = [frozenset(tour[a:b + 1]) for a, b in intervals]
         colors = []
         for i in range(len(intervals)):
@@ -180,11 +172,12 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
             while c in used:
                 c += 1
             colors.append(c)
-        if max(colors) >= color_cap:
+        n_colors = max(colors, default=-1) + 1
+        if n_colors > color_cap:
             raise ConstructionError(
-                f"interval coloring used {max(colors) + 1} colors, "
+                f"interval coloring used {n_colors} colors, "
                 f"over its cap {color_cap}")
-        for c in range(max(colors) + 1):
+        for c in range(n_colors):
             group = [intervals[i] for i in range(len(intervals))
                      if colors[i] == c]
             plans = []
@@ -195,7 +188,8 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
                             for x in range(b - 2, a - 1, -1)]
                 plans.append(walk_in + compare + walk_out)
             for step in zip_longest(*plans):
-                stages.append([cmp for cmp in step if cmp is not None])
+                rnd.append(tuple(cmp for cmp in step if cmp is not None))
+    stages = (odd + even) * (n // 2) + odd * (n % 2)  # rounds 1..n
     bound = 5 * color_cap * n
     return make_network(t, order, stages,
                         certificate=_cert("contour",
@@ -283,20 +277,6 @@ def _check_standard(net: SortingNetwork, what: str) -> None:
                     f"{what} must direct minima toward lower ranks")
 
 
-def _induced_connected(g: Graph, verts: list[int]) -> bool:
-    inside = set(verts)
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    adj = adjacency(g)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(inside)
-
-
 def _check_embedding(g: Graph, verts: list[int], net: SortingNetwork,
                      what: str) -> None:
     if len(set(verts)) != len(verts) or not all(1 <= v <= g.n for v in verts):
@@ -309,7 +289,11 @@ def _check_embedding(g: Graph, verts: list[int], net: SortingNetwork,
             if (min(a, b), max(a, b)) not in g.edges:
                 raise StructureError(
                     f"{what}: comparator ({u},{v}) maps off the host edges")
-    if not _induced_connected(g, verts):
+    local = {v: i for i, v in enumerate(verts, 1)}
+    adj = adjacency(g)
+    induced = [(i, local[w]) for v, i in local.items() for w in adj[v]
+               if local.get(w, 0) > i]
+    if not is_connected(graph(len(verts), induced)):
         raise StructureError(f"{what}: induced subgraph is disconnected")
 
 
@@ -629,7 +613,8 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     stages += pool_out + mesh_sort
 
     rt_pyr = route_depth_bound(host)
-    claimed = 6 * rt_pyr + 6 * _claimed(mesh_net) + 2 * rt_mesh + 2
+    claimed = (6 * rt_pyr + 6 * mesh_net.certificate["claimed_bound"]
+               + 2 * rt_mesh + 2)
     cert = _cert("pyramid", {"n": n, "d": d, "m": m, "rt_used": rt_pyr},
                  claimed, len(stages))
     return make_network(host, identity(n), stages, certificate=cert)

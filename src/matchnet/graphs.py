@@ -637,27 +637,18 @@ class Contour:
     walk: tuple
     marks: dict  # vertex -> walk index
 
-    def rank_order(self) -> tuple:
-        """Target order: rank vertices by mark position (1-based ranks)."""
-        by_mark = sorted(self.marks, key=lambda v: self.marks[v])
-        pi = [0] * len(by_mark)
-        for r, v in enumerate(by_mark, start=1):
-            pi[v - 1] = r
-        return tuple(pi)
-
 
 def tree_contour(t: Graph) -> Contour:
     """The Contour of t rooted at vertex 1."""
-    check_tree(t)
+    dist = check_tree(t)
     adj = adjacency(t)
-    _, parent, dist = bfs(t, [1])  # a tree's parents are the walk's too
     walk = [1]
     stack = [(1, iter(adj[1]))]
     while stack:
         v, it = stack[-1]
         advanced = False
         for w in it:
-            if w != parent[v]:
+            if dist[w] > dist[v]:  # a child; the parent is nearer 1
                 walk.append(w)
                 stack.append((w, iter(adj[w])))
                 advanced = True

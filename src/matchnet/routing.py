@@ -350,8 +350,11 @@ def route_tree(t: Graph, pi) -> RoutingPlan:
 # partial routing onto a diameter path
 
 def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
-    """Bring k tagged pebbles onto diameter-path targets (_to_path_rounds)."""
-    return _finish(t, *_to_path_rounds(t, sources, targets), math.inf)
+    """Bring k tagged pebbles onto diameter-path targets (_to_path_rounds)
+    in at most d + 2(k-1) rounds, none for k = 0."""
+    rounds, pairs = _to_path_rounds(t, sources, targets)
+    k, d = len(pairs), len(path_projection(t).path) - 1
+    return _finish(t, rounds, pairs, d + 2 * (k - 1) if k else 0)
 
 
 def _to_path_rounds(t: Graph, sources, targets):

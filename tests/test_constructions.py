@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet import constructions, routing
+from matchnet import constructions, graphs, routing
 from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     contour_tree_sort, longest_path_sort,
                                     odd_even_transposition,
@@ -12,10 +13,11 @@ from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     pyramid_sort, sequential_sorter,
                                     simulate_complete, subgraph_sort)
 from matchnet.errors import ConstructionError, ParameterError, StructureError
-from matchnet.graphs import (complete_graph, cycle_graph, hypercube_graph,
-                             max_degree, mesh_graph, multipartite_graph,
-                             path_graph, pyramid_graph, random_tree,
-                             star_graph, tree_contour, tree_diameter_path)
+from matchnet.graphs import (check_tree, complete_graph, cycle_graph,
+                             generate, graph, hypercube_graph, max_degree,
+                             mesh_graph, multipartite_graph, path_graph,
+                             pyramid_graph, random_tree, star_graph,
+                             tree_contour, tree_diameter_path)
 from matchnet.network import (DIR, SWAP, execute, make_network,
                               network_to_json)
 from matchnet.routing import route_depth_bound
@@ -112,6 +114,94 @@ def test_contour_marks_are_walk_positions():
 def test_contour_rejects_non_tree():
     with pytest.raises(StructureError):
         contour_tree_sort(cycle_graph(4))
+
+
+def _reference_contour_tree_sort(t):
+    """contour_tree_sort as it was before the two round types: every round
+    of the transposition sort coloured and laid out on its own."""
+    check_tree(t)
+    n = t.n
+    if n == 1:
+        return make_network(t, (1,), [], certificate=constructions._cert(
+            "contour", {"n": 1}, 0, 0))
+    contour = tree_contour(t)
+    tour = contour.walk
+    marks = sorted(contour.marks.values())
+    by_mark = sorted(contour.marks, key=lambda v: contour.marks[v])
+    order = [0] * n
+    for r, v in enumerate(by_mark, start=1):
+        order[v - 1] = r
+    delta = max_degree(t)
+    color_cap = 4 * delta - 3
+    stages = []
+    for rnd in range(1, n + 1):
+        intervals = [(marks[i - 1], marks[i])
+                     for i in range(1, n) if i % 2 == rnd % 2]
+        if not intervals:
+            continue
+        proj = [frozenset(tour[a:b + 1]) for a, b in intervals]
+        colors = []
+        for i in range(len(intervals)):
+            used = {colors[j] for j in range(i) if proj[i] & proj[j]}
+            c = 0
+            while c in used:
+                c += 1
+            colors.append(c)
+        if max(colors) >= color_cap:
+            raise ConstructionError("over its cap")
+        for c in range(max(colors) + 1):
+            plans = []
+            for a, b in [iv for iv, col in zip(intervals, colors) if col == c]:
+                plans.append(
+                    [(tour[x], tour[x + 1], SWAP) for x in range(a, b - 1)]
+                    + [(tour[b - 1], tour[b], DIR)]
+                    + [(tour[x], tour[x + 1], SWAP)
+                       for x in range(b - 2, a - 1, -1)])
+            for step in zip_longest(*plans):
+                stages.append([cmp for cmp in step if cmp is not None])
+    return make_network(t, order, stages, certificate=constructions._cert(
+        "contour", {"n": n, "delta": delta}, 5 * color_cap * n, len(stages)))
+
+
+def _assert_contour_like_the_reference(t):
+    assert network_to_json(contour_tree_sort(t)) == \
+        network_to_json(_reference_contour_tree_sort(t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**31 - 1))
+def test_contour_matches_the_per_round_reference(n, seed):
+    _assert_contour_like_the_reference(random_tree(n, seed))
+
+
+def _broom(handle, bristles):
+    """Path 1..handle whose last vertex carries `bristles` more leaves."""
+    return graph(handle + bristles,
+                 [(i, i + 1) for i in range(1, handle)]
+                 + [(handle, handle + j) for j in range(1, bristles + 1)])
+
+
+@pytest.mark.parametrize("t", [
+    star_graph(2), star_graph(3), star_graph(17), star_graph(64),
+    path_graph(2), path_graph(3), path_graph(16), path_graph(65),
+    _broom(1, 5), _broom(8, 8), _broom(30, 3), generate("random_tree:512,1")],
+    ids=repr)
+def test_contour_matches_the_per_round_reference_on_shapes(t):
+    _assert_contour_like_the_reference(t)
+
+
+def test_contour_makes_one_search(monkeypatch):
+    t = generate("random_tree:50,1")
+    sources = []
+    real = graphs.bfs
+
+    def counting(g, src):
+        sources.append(list(src))
+        return real(g, src)
+
+    monkeypatch.setattr(graphs, "bfs", counting)
+    contour_tree_sort(t)
+    assert sources == [[1]]
 
 
 def test_simulate_complete_on_kn_keeps_base_depth():
@@ -240,6 +330,18 @@ def test_subgraph_sort_rejects_disconnected_induced():
     # vertices 1,2,4,5 induce two disjoint edges in C_6
     with pytest.raises(StructureError):
         subgraph_sort(g, [1, 2, 4, 5], odd_even_transposition(4))
+    # with no comparators to map off the host, only the induced check fails
+    with pytest.raises(StructureError, match="induced subgraph is disconn"):
+        subgraph_sort(g, [1, 2, 4, 5],
+                      make_network(path_graph(4), (1, 2, 3, 4), []))
+
+
+def test_parallel_subgraph_sort_rejects_disconnected_arena():
+    g = cycle_graph(8)
+    # the class 1,2,5,6 induces two disjoint edges in C_8
+    idle = make_network(path_graph(4), (1, 2, 3, 4), [])
+    with pytest.raises(StructureError, match="induced subgraph is disconn"):
+        parallel_subgraph_sort(g, [[1, 2, 5, 6], [3, 4, 7, 8]], [idle] * 2)
 
 
 def test_longest_path_sort_families():

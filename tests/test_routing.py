@@ -186,6 +186,22 @@ def test_route_to_path_target_check_raises_without_asserts(monkeypatch):
         route_to_path(path_graph(6), [1], [6])
 
 
+def test_route_to_path_bound_check_raises_without_asserts(monkeypatch):
+    # the pebble from 1 reaches 6 on P6 (d = 5, k = 1), then two more rounds
+    # swap 1 and 2 back and forth: on target, but 7 rounds against 5
+    real = routing._to_path_rounds
+
+    def overlong(t, sources, targets):
+        rounds, pairs = real(t, sources, targets)
+        return rounds + [[(1, 2)], [(1, 2)]], pairs
+
+    monkeypatch.setattr(routing, "_to_path_rounds", overlong)
+    with pytest.raises(ConstructionError, match="depth 7 exceeds bound 5"):
+        route_to_path(path_graph(6), [1], [6])
+    with pytest.raises(ConstructionError, match="depth 2 exceeds bound 0"):
+        route_to_path(path_graph(6), [], [])
+
+
 def test_route_to_path_refuses_a_source_outside_the_tree():
     for s in (0, 7):
         with pytest.raises(ParameterError, match="not a vertex"):
@@ -283,9 +299,10 @@ def _reference_route_to_path(t, sources, targets):
                 settled[i] = True
 
     # its two asserts, spelled so that they are off under python -O as in
-    # the library (pytest keeps the asserts of a test module on)
-    if __debug__ and len(rounds) > d + 2 * (k - 1):
-        raise AssertionError
+    # the library (pytest keeps the asserts of a test module on); there
+    # route_to_path's bound check raises on an overrun instead
+    if len(rounds) > d + 2 * (k - 1):
+        raise AssertionError if __debug__ else ConstructionError
     plan = make_plan(t, [[(u, v, "swap") for u, v in r] for r in rounds if r])
     want = dict(selection)
     for s in sources:
