@@ -1,6 +1,7 @@
 """Golden outputs: bench CSV, CLI networks, longest_path_sort networks,
-route_auto plans and bounds, verify_random reports, and the exact
-oracles' values, witnesses and explored-state counts.
+route_auto plans and bounds, the public family routers' plans,
+verify_random reports, and the exact oracles' values, witnesses and
+explored-state counts.
 
 The expected values live in golden.json next to this file.  They pin the
 exact bytes the package emits, so a refactor that changes any output, on
@@ -21,9 +22,13 @@ import pytest
 
 from matchnet import cli
 from matchnet.constructions import longest_path_sort, odd_even_transposition
-from matchnet.graphs import cartesian_product, generate, graph
+from matchnet.graphs import (cartesian_product, generate, graph,
+                             tree_diameter_path)
 from matchnet.network import make_network, network_to_json, plan_to_json
-from matchnet.routing import route_auto, route_depth_bound
+from matchnet.perms import all_permutations
+from matchnet.routing import (route_auto, route_complete, route_depth_bound,
+                              route_multigrid, route_multipartite, route_path,
+                              route_product, route_to_path, route_tree)
 from matchnet.verify import (connected_graphs_upto_iso, exact_rt, exact_rt_p,
                              exact_rt_partial, exact_st, exact_st_all_orders,
                              sandwich_check, verify_random)
@@ -54,6 +59,18 @@ ROUTES = ["path:9", "cycle:8", "star:7", "complete:6", "multipartite:3,2",
           "random_tree:64,1", "random_tree:256,2", "random_tree:1024,3",
           "star:256", "broom:40,120", "caterpillar:15,8", "hypercube:6",
           "hypercube:7", "pyramid:4,3", "mesh:8,8,8"]
+
+# the public family routers on their own hosts, with the degenerate shapes
+# family_of names otherwise: multipartite:4,1 is K4 and multipartite:2,1,
+# multigrid:2,1 and path:1 times a factor are paths
+ROUTERS = ([f"complete:{n}" for n in range(1, 5)]
+           + ["multipartite:3,2", "multipartite:4,1", "multipartite:2,1",
+              "multigrid:2,1", "multigrid:2,2", "multigrid:3,1",
+              "product path:1*path:4", "product path:2*path:2",
+              "product complete:3*path:2", "product star:4*path:3",
+              "tree path:6", "tree random_tree:30,4",
+              "tree path:1*random_tree:7,1", "path:9"])
+TO_PATH_TREES = ["random_tree:40,7", "caterpillar:6,2", "star:9"]
 
 # longest_path_sort routes every merge through route_to_path: a full path,
 # a star (d = 2), and two hosts whose spanning trees branch off the path
@@ -136,6 +153,48 @@ def plan_digests() -> dict:
         pi = list(range(1, g.n + 1))
         random.Random(spec).shuffle(pi)
         out[spec] = _sha(plan_to_json(route_auto(g, tuple(pi))))
+    return out
+
+
+def _router(key: str):
+    """(the router of key as a function of pi, its host's vertex count)."""
+    kind, _, spec = key.rpartition(" ")
+    if kind == "product":
+        g1, g2 = (_host(s) for s in spec.split("*"))
+        return lambda pi: route_product(g1, g2, pi), g1.n * g2.n
+    if kind == "tree":
+        t = _host(spec)
+        return lambda pi: route_tree(t, pi), t.n
+    name, _, args = spec.partition(":")
+    ints = [int(a) for a in args.split(",")]
+    g = generate(spec)
+    if name == "path":
+        return lambda pi: route_path(g, pi), g.n
+    route = {"complete": route_complete, "multipartite": route_multipartite,
+             "multigrid": route_multigrid}[name]
+    return lambda pi: route(*ints, pi), g.n
+
+
+def router_digests() -> dict:
+    """Plans of the public routers: a seeded permutation per host, every
+    permutation on multigrid:2,1, and route_to_path from seeded sources to
+    seeded diameter-path targets."""
+    out = {}
+    for key in ROUTERS:
+        route, n = _router(key)
+        pis = (all_permutations(n) if key == "multigrid:2,1"
+               else [_shuffled(key, n)])
+        for pi in pis:
+            out[f"{key} pi={tuple(pi)}"] = _sha(plan_to_json(route(pi)))
+    for spec in TO_PATH_TREES:
+        t = _host(spec)
+        rng = random.Random(spec)
+        dpath = tree_diameter_path(t)
+        k = rng.randint(1, len(dpath) - 1)
+        sources = rng.sample(range(1, t.n + 1), k)
+        targets = rng.sample(dpath, k)
+        out[f"to_path {spec} {sources}->{targets}"] = _sha(
+            plan_to_json(route_to_path(t, sources, targets)))
     return out
 
 
@@ -278,6 +337,10 @@ def test_route_auto_plans_are_unchanged(golden):
     assert plan_digests() == golden["plans"]
 
 
+def test_public_router_plans_are_unchanged(golden):
+    assert router_digests() == golden["routers"]
+
+
 def test_route_depth_bounds_are_unchanged(golden):
     assert bounds() == golden["bounds"]
 
@@ -302,7 +365,8 @@ if __name__ == "__main__":
                "networks": network_digests(Path(d)),
                "longest_path": longest_path_digests(),
                "verify_random": random_reports(),
-               "plans": plan_digests(), "bounds": bounds(),
+               "plans": plan_digests(), "routers": router_digests(),
+               "bounds": bounds(),
                "sandwich": sandwich_outputs(), "st": st_outputs(),
                "rt": rt_outputs()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
