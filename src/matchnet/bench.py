@@ -41,8 +41,7 @@ class BenchRow:
         return [getattr(self, c) for c in CSV_COLUMNS]
 
 
-def _run_row(args) -> BenchRow:
-    suite, construction, spec, seed = args
+def _run_row(suite: str, construction: str, spec: str, seed: int) -> BenchRow:
     t0 = time.perf_counter()
     net = cons.BUILDERS[construction](generate(spec))
     report = verify_auto(net)
@@ -62,42 +61,35 @@ def _run_row(args) -> BenchRow:
     )
 
 
-def _suite_specs(suite: str, seed: int) -> list[tuple[str, str, str, int]]:
-    if suite == "paths":
-        return [("paths", "odd_even", f"path:{n}", seed) for n in (4, 8, 16)]
-    if suite == "trees":
-        rows = [("trees", "contour", f"random_tree:{n},{seed + i}", seed)
-                for i, n in enumerate((8, 10, 12))]
-        rows.append(("trees", "contour", "star:8", seed))
-        rows.append(("trees", "longest_path", f"random_tree:12,{seed}", seed))
-        return rows
-    if suite == "meshes":
-        return [("meshes", "product", "mesh:2,4", seed),
-                ("meshes", "product", "mesh:4,4", seed),
-                ("meshes", "longest_path", "mesh:3,3", seed)]
-    if suite == "hypercubes":
-        return [("hypercubes", "bitonic", f"hypercube:{d}", seed)
-                for d in (1, 2, 3, 4)]
-    if suite == "multipartite":
-        return [("multipartite", "simulate_complete", "multipartite:2,2", seed),
-                ("multipartite", "simulate_complete", "multipartite:3,2", seed),
-                ("multipartite", "simulate_complete", "multipartite:2,4", seed),
-                ("multipartite", "batcher", "complete:8", seed)]
-    if suite == "pyramids":
-        return [("pyramids", "pyramid", "pyramid:2,1", seed),
-                ("pyramids", "pyramid", "pyramid:2,2", seed),
-                ("pyramids", "pyramid", "pyramid:3,1", seed),
-                ("pyramids", "pyramid", "pyramid:4,1", seed)]
-    raise ParameterError(f"unknown suite {suite!r}")
+def _suite_specs(seed: int) -> dict[str, list[tuple[str, str]]]:
+    """Each suite's (construction, spec) rows, suites in run order."""
+    return {
+        "paths": [("odd_even", f"path:{n}") for n in (4, 8, 16)],
+        "trees": [("contour", f"random_tree:{n},{seed + i}")
+                  for i, n in enumerate((8, 10, 12))]
+                 + [("contour", "star:8"),
+                    ("longest_path", f"random_tree:12,{seed}")],
+        "meshes": [("product", "mesh:2,4"), ("product", "mesh:4,4"),
+                   ("longest_path", "mesh:3,3")],
+        "hypercubes": [("bitonic", f"hypercube:{d}") for d in (1, 2, 3, 4)],
+        "multipartite": [("simulate_complete", f"multipartite:{ps}")
+                         for ps in ("2,2", "3,2", "2,4")]
+                        + [("batcher", "complete:8")],
+        "pyramids": [("pyramid", f"pyramid:{md}")
+                     for md in ("2,1", "2,2", "3,1", "4,1")],
+    }
 
 
-SUITES = ["paths", "trees", "meshes", "hypercubes", "multipartite", "pyramids"]
+SUITES = list(_suite_specs(0))
 
 
 def run_suite(suite: str, seed: int = 0) -> list[BenchRow]:
+    specs = _suite_specs(seed)
+    if suite != "all" and suite not in specs:
+        raise ParameterError(f"unknown suite {suite!r}")
     names = SUITES if suite == "all" else [suite]
-    return [_run_row(spec) for name in names
-            for spec in _suite_specs(name, seed)]
+    return [_run_row(name, construction, spec, seed) for name in names
+            for construction, spec in specs[name]]
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

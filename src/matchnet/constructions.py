@@ -19,9 +19,7 @@ from .graphs import (Graph, PyramidInfo, adjacency, cartesian_product,
                      spanning_tree, tree_contour, tree_diameter_path)
 from .network import (DIR, SWAP, SortingNetwork, make_network)
 from .perms import identity, inverse
-from .routing import (_checked, _multigrid_depth_bound, _multigrid_rounds,
-                      _rounds, _to_path_rounds, complete_assignment,
-                      route_depth_bound)
+from .routing import _routed, _to_path_stages, route_depth_bound
 
 
 def _cert(name: str, parameters: dict, claimed: int, achieved: int) -> dict:
@@ -200,18 +198,17 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
 # ---------------------------------------------------------------------------
 # simulation of a complete-graph sorter through routing
 
-def _follow(rounds, want_pairs, rb: int, pos: list, stages_out) -> None:
-    """Append checked rounds' stages and move the labels in pos with them."""
-    stages, realized = _checked(len(pos), rounds, want_pairs, rb)
+def _follow(routed, pos: list, stages_out) -> None:
+    """Append a checked route's stages and move the labels in pos with them."""
+    stages, realized = routed
     stages_out.extend(stages)
     pos[:] = [realized[v - 1] for v in pos]
 
 
 def _fixup(g: Graph, pos: list[int], stages_out: list) -> None:
     """Route every logical label back to its own vertex."""
-    perm = inverse(pos)  # perm[vertex-1] = the label on it
-    _follow(_rounds(g, perm), enumerate(perm, 1), route_depth_bound(g), pos,
-            stages_out)
+    # inverse(pos)[vertex-1] = the label on it
+    _follow(_routed(g, enumerate(inverse(pos), 1)), pos, stages_out)
 
 
 def simulate_complete(g: Graph, base: SortingNetwork) -> SortingNetwork:
@@ -246,8 +243,7 @@ def simulate_complete(g: Graph, base: SortingNetwork) -> SortingNetwork:
             for (u, v, _), (a, b) in zip(group, matching):
                 want[pos[u - 1]] = a
                 want[pos[v - 1]] = b
-            _follow(_rounds(g, complete_assignment(n, want)), want.items(),
-                    rb, pos, stages_out)
+            _follow(_routed(g, want), pos, stages_out)
             stages_out.append([(pos[u - 1], pos[v - 1], kind)
                                for u, v, kind in group])
     _fixup(g, pos, stages_out)
@@ -326,9 +322,11 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
     the sorted prefix.  h_net must be standard (all minima toward lower
     ranks) for the restriction to be sound.
 
-    partial_router(sources, targets) returns swap rounds on g and the
-    (source, target) pairs they deliver, pairing each source with one of
-    targets; the default pairs them in list order, routed as route_auto.
+    partial_router(sources, targets) returns swap stages on g and the
+    permutation they realize, taking each source to one of targets; the
+    default pairs them in list order, routed as route_auto.  A merge route
+    that lands a source off targets or takes more stages than router_bound
+    (route_depth_bound(g) by default) raises, also under python -O.
     """
     check_connected(g)
     n = g.n
@@ -343,9 +341,7 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
     if not 2 <= c <= p:
         raise ParameterError("merge capacity must be between 2 and |H|")
     if partial_router is None:
-        partial_router = lambda src, dst: (
-            _rounds(g, complete_assignment(n, dict(zip(src, dst)))),
-            zip(src, dst))
+        partial_router = lambda src, dst: _routed(g, zip(src, dst))
     rb = route_depth_bound(g) if router_bound is None else router_bound
 
     half = c // 2
@@ -363,7 +359,12 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
         sources = [pos[l - 1] for l in block]
         targets = hv[:k]
         # any arrangement inside H works, the merge sorts the block anyway
-        _follow(*partial_router(sources, targets), rb, pos, stages_out)
+        stages, realized = partial_router(sources, targets)
+        if len(stages) > rb:
+            raise ConstructionError(f"depth {len(stages)} exceeds bound {rb}")
+        if {realized[s - 1] for s in sources} != set(targets):
+            raise ConstructionError("merge route lands a pebble off H")
+        _follow((stages, realized), pos, stages_out)
         for stage in h_net.stages:
             kept = [(hv[u - 1], hv[v - 1], DIR)
                     for u, v, _ in stage if v <= k]
@@ -400,7 +401,8 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
     h_net = odd_even_transposition(d + 1)
     k_max = 2 * (d // 2)
     rb = d + 2 * (k_max - 1)
-    router = lambda src, dst: _to_path_rounds(tree, src, dst)
+    # each merge is checked against its own d + 2(k-1), at most rb
+    router = lambda src, dst: _to_path_stages(tree, src, dst)
     net = subgraph_sort(g, path, h_net, partial_router=router,
                         capacity=d, router_bound=rb)
     cert = _cert("longest_path",
@@ -459,8 +461,7 @@ def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
             for r, label in enumerate(block):
                 want[pos[label - 1]] = arena[r]
             merges.append((idx, block))
-        _follow(_rounds(g, complete_assignment(n, want)), want.items(), rb,
-                pos, stages_out)
+        _follow(_routed(g, want), pos, stages_out)
         active = [nets[idx] for idx, _ in merges]
         arenas = [parts[idx] for idx, _ in merges]
         for step in zip_longest(*(net.stages for net in active)):
@@ -517,21 +518,16 @@ def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
         return make_network(host, inner.order, inner.stages,
                             certificate=inner.certificate)
 
+    # side 0: the n1 rows are copies of g2; side 1: the n2 columns, of g1
+    rows = [list(range(a * n2 + 1, a * n2 + n2 + 1)) for a in range(n1)]
     options = []
-    if n2 % 2 == 0:
-        net2 = _factor_sorter(g2)
-        parts = [[(a - 1) * n2 + b for b in range(1, n2 + 1)]
-                 for a in range(1, n1 + 1)]
-        score = batcher_complete(2 * n1).depth * \
-            (route_depth_bound(host) + net2.depth)
-        options.append((score, 0, parts, net2))
-    if n1 % 2 == 0:
-        net1 = _factor_sorter(g1)
-        parts = [[(a - 1) * n2 + b for a in range(1, n1 + 1)]
-                 for b in range(1, n2 + 1)]
-        score = batcher_complete(2 * n2).depth * \
-            (route_depth_bound(host) + net1.depth)
-        options.append((score, 1, parts, net1))
+    for side, (parts, arena) in enumerate(
+            ((rows, g2), ([list(col) for col in zip(*rows)], g1))):
+        if arena.n % 2 == 0:
+            net = _factor_sorter(arena)
+            score = batcher_complete(2 * len(parts)).depth * \
+                (route_depth_bound(host) + net.depth)
+            options.append((score, side, parts, net))
     if not options:
         net = longest_path_sort(host)
         cert = dict(net.certificate)
@@ -579,17 +575,6 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
     mesh_sort = [[(u + base0, v + base0, kind) for u, v, kind in stage]
                  for stage in mesh_net.stages if stage]
 
-    def pyramid_route(want: dict) -> list:
-        # the multigrid planner, also on pyramid:2,1, which family_of names K3
-        rounds = _multigrid_rounds(m, d, complete_assignment(n, want), {})
-        return _checked(n, rounds, want.items(),
-                        _multigrid_depth_bound(m, d))[0]
-
-    def mesh_route(want: dict) -> list:
-        rounds = _rounds(mesh, complete_assignment(nb, want))
-        return [[(u + base0, v + base0, kind) for u, v, kind in s]
-                for s in _checked(nb, rounds, want.items(), rt_mesh)[0]]
-
     mids = info.level_vertices(m - 2)
     merge_stage = []
     step4_want = {}
@@ -599,9 +584,12 @@ def pyramid_sort(m: int, d: int) -> SortingNetwork:
         step4_want[i] = child - base0
         merge_stage.append((parent, child, DIR))
 
-    pool_in = pyramid_route({s: bottom[s - 1] for s in range(1, upper + 1)})
-    pool_out = pyramid_route({bottom[r - 1]: r for r in range(1, upper + 1)})
-    raise_smallest = mesh_route(step4_want)
+    # the multigrid planner, also on pyramid:2,1, which family_of names K3
+    multigrid = ("multigrid", (m, d))
+    pool_in = _routed(host, zip(range(1, upper + 1), bottom), multigrid)[0]
+    pool_out = _routed(host, zip(bottom, range(1, upper + 1)), multigrid)[0]
+    raise_smallest = [[(u + base0, v + base0, kind) for u, v, kind in s]
+                      for s in _routed(mesh, step4_want)[0]]
 
     stages: list = []
     for _ in range(2):

@@ -481,9 +481,12 @@ _FAMILIES = {
 def _parse_spec(spec: str) -> tuple[str, list[int]]:
     name, _, rest = spec.partition(":")
     try:
-        return name.strip(), [int(a) for a in rest.split(",") if a.strip()]
+        ints = [int(a) for a in rest.split(",") if a.strip()]
     except ValueError as e:
         raise ParameterError(f"non-integer parameter in {spec!r}") from e
+    if name.strip() == "random_tree" and len(ints) == 1:
+        ints.append(0)  # the seed defaults to 0
+    return name.strip(), ints
 
 
 GENERATE_CAP = 1 << 20  # vertices plus edges of one generated graph
@@ -503,8 +506,6 @@ def generate(spec: str) -> Graph:
         raise CapError(f"graph {spec!r} has more than {GENERATE_CAP} "
                        f"vertices plus edges")
     fn, arity = _FAMILIES[name]
-    if name == "random_tree" and len(ints) == 1:
-        ints.append(0)  # seed defaults to 0
     if arity is not None and len(ints) != arity:
         raise ParameterError(f"family {name!r} takes {arity} parameter(s)")
     return fn(*ints)
@@ -517,8 +518,6 @@ def _spec_shape(name: str, ints: list[int], cap: int) -> tuple[int, int] | None:
     above 2 cap is built, so a label like hypercube:40 costs nothing.  None
     when the arity is wrong or a size is below 1; generate names the fault.
     """
-    if name == "random_tree" and len(ints) == 1:
-        ints = ints + [0]
     sizes = ints[:1] if name == "random_tree" else ints
     arity = _FAMILIES[name][1]
     if (arity is not None and len(ints) != arity) or not sizes \

@@ -21,8 +21,8 @@ verifiers and the st stage tables hand it one column per vertex and a
 compare-exchange, so only it knows how comparators act on values.
 
 _freeze is the one validation kernel: make_network, make_plan and
-routing._finish, which every public router's plan goes through, hand it
-a whole stage list, and it checks every comparator in one array pass.
+routing._plan, which freezes every public router's checked stages, hand
+it a whole stage list, and it checks every comparator in one array pass.
 It gathers u, v and kind of all comparators at once, requires each kind
 to be allowed (only "swap" in a plan) and each vertex id to be a plain
 int in 1..n.  The range check comes before keying: without it (0, 7) on

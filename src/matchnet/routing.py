@@ -6,9 +6,11 @@ realizes a permutation pi, meaning the pebble from v ends on pi(v).  The
 planners are deterministic: same input, same plan, byte for byte.
 
 Internally all planners work with "rounds": plain lists of swap pairs.
-Every route passes _checked, which raises when a wanted pebble ends off
-its target or the depth passes its bound; public routers freeze its stages
-into a RoutingPlan, builders leave them to their closing make_network.
+_ROUTES is the one table of family planners and bounds.  Every route
+leaves through _routed or _to_path_stages, which pass _checked: it raises,
+also under python -O, when a wanted pebble ends off its target or the
+depth passes its bound.  Public routers freeze the checked stages into a
+RoutingPlan, builders leave them to their closing make_network.
 
 The product router (route_product, and through it meshes, hypercubes and
 the level meshes of pyramids and multigrids) keeps the shallower of its
@@ -74,24 +76,17 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _relabel_rounds(rounds, order):
-    """Map local vertex i+1 to order[i]; every caller's order increases.
-    Plain loops: a comprehension per round is a call, and rounds are short."""
-    at = [0, *order]
-    out = []
-    for rnd in rounds:
-        pairs = []
-        for u, v in rnd:
-            pairs.append((at[u], at[v]))
-        out.append(pairs)
-    return out
-
-
 def _merge_parallel(blocks):
-    """Interleave round lists that touch disjoint vertex sets."""
+    """Interleave (rounds, verts) blocks on disjoint vertex sets, local
+    vertex i+1 of a block becoming verts[i]; every caller's verts increase.
+    Plain loops: a comprehension per round is a call, and rounds are short."""
+    ats = [[0, *verts] for _, verts in blocks]
     merged = []
-    for chunk in zip_longest(*blocks, fillvalue=()):
-        pairs = [p for part in chunk for p in part]
+    for chunk in zip_longest(*(rounds for rounds, _ in blocks), fillvalue=()):
+        pairs = []
+        for at, rnd in zip(ats, chunk):
+            for u, v in rnd:
+                pairs.append((at[u], at[v]))
         if pairs:
             merged.append(pairs)
     return merged
@@ -113,8 +108,9 @@ def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple]:
     return stages, realized
 
 
-def _finish(host: Graph, rounds, want_pairs, bound) -> RoutingPlan:
-    stages, realized = _checked(host.n, rounds, want_pairs, bound)
+def _plan(host: Graph, routed) -> RoutingPlan:
+    """The RoutingPlan of a checked route's (stages, realized)."""
+    stages, realized = routed
     return RoutingPlan(host, network._freeze(host, stages, swaps_only=True),
                        realized)
 
@@ -181,7 +177,8 @@ def _complete_rounds(pi):
 def route_complete(n: int, pi) -> RoutingPlan:
     """Route any permutation on K_n in at most two swap rounds."""
     check_permutation(pi, n)
-    return _finish(complete_graph(n), _complete_rounds(pi), enumerate(pi, 1), 2)
+    host = complete_graph(n)
+    return _plan(host, _routed(host, enumerate(pi, 1), ("complete", (n,))))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def route_path(g: Graph, pi) -> RoutingPlan:
     if family_of(g)[0] != "path":
         raise StructureError("route_path needs the canonical path graph")
     check_permutation(pi, g.n)
-    return _finish(g, _path_rounds(g.n, pi), enumerate(pi, 1), g.n)
+    return _plan(g, _routed(g, enumerate(pi, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +325,7 @@ def _tree_rounds(t: Graph, pi):
     blocks = []
     for r, vs in comps.items():
         sub_pi = [local[dest[v]] for v in vs]
-        blocks.append(_relabel_rounds(
-            _tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))
+        blocks.append((_tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))
     return rounds + _merge_parallel(blocks)
 
 
@@ -343,18 +339,24 @@ def route_tree(t: Graph, pi) -> RoutingPlan:
     """
     check_tree(t)
     check_permutation(pi, t.n)
-    return _finish(t, _tree_rounds(t, pi), enumerate(pi, 1), 3 * t.n)
+    return _plan(t, _routed(t, enumerate(pi, 1), ("tree", ())))
 
 
 # ---------------------------------------------------------------------------
 # partial routing onto a diameter path
 
 def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
-    """Bring k tagged pebbles onto diameter-path targets (_to_path_rounds)
-    in at most d + 2(k-1) rounds, none for k = 0."""
+    """Bring k tagged pebbles onto diameter-path targets (_to_path_rounds),
+    checked against d + 2(k-1) rounds, none for k = 0; the schedule still
+    overruns that on about 1.3 % of random trees, and the call raises."""
+    return _plan(t, _to_path_stages(t, sources, targets))
+
+
+def _to_path_stages(t: Graph, sources, targets):
+    """_to_path_rounds' (stages, realized), checked against d + 2(k-1)."""
     rounds, pairs = _to_path_rounds(t, sources, targets)
     k, d = len(pairs), len(path_projection(t).path) - 1
-    return _finish(t, rounds, pairs, d + 2 * (k - 1) if k else 0)
+    return _checked(t.n, rounds, pairs, d + 2 * (k - 1) if k else 0)
 
 
 def _to_path_rounds(t: Graph, sources, targets):
@@ -365,7 +367,8 @@ def _to_path_rounds(t: Graph, sources, targets):
     target (ties by smallest vertex id).  Pebble i in that reversed order
     gets the arrival deadline d + 2i and starts walking just in time, so
     walks overlap without ever displacing an already delivered pebble.
-    Depth is at most d + 2(k-1) for k >= 1.
+    Depth is meant to be at most d + 2(k-1) for k >= 1, as _to_path_stages
+    checks, but about 1.3 % of random trees overrun it (assert below).
 
     Distances come from the tree's projection onto its diameter path
     (graphs.path_projection, one BFS cached on t): dist(s, path[j]) is
@@ -623,7 +626,7 @@ def _order_rounds(g1: Graph, g2: Graph, phases, bounds, memo, limit):
                     return None
             verts = (range(c * n2 + 1, c * n2 + n2 + 1) if inner
                      else range(c + 1, n + 1, n2))
-            blocks.append(_relabel_rounds(block, verts))
+            blocks.append((block, verts))
         rounds += _merge_parallel(blocks)
     return rounds
 
@@ -667,8 +670,7 @@ def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """
     host = cartesian_product(g1, g2)
     check_permutation(pi, host.n)
-    return _finish(host, _product_rounds(g1, g2, pi, {}), enumerate(pi, 1),
-                   _product_bound(route_depth_bound(g1), route_depth_bound(g2)))
+    return _plan(host, _routed(host, enumerate(pi, 1), ("product", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -747,20 +749,11 @@ def route_multipartite(p: int, s: int, pi) -> RoutingPlan:
     """Route on the complete p-partite graph with parts of size s; depth <= 6."""
     host = multipartite_graph(p, s)
     check_permutation(pi, host.n)
-    return _finish(host, _multipartite_rounds(p, s, pi), enumerate(pi, 1), 6)
+    return _plan(host, _routed(host, enumerate(pi, 1), ("multipartite", (p, s))))
 
 
 # ---------------------------------------------------------------------------
 # multigrids (and pyramids, whose edges are a superset)
-
-def _level_mesh_rounds(info: PyramidInfo, level: int, sub, memo):
-    """Route a permutation inside one level's mesh; local ids are mesh ids."""
-    if level == 0:
-        return []
-    local_mesh = _factor(memo, mesh_graph, info.lengths(level))
-    return _relabel_rounds(_auto_rounds(local_mesh, sub, memo),
-                           info.level_vertices(level))
-
 
 def _multigrid_groups(info: PyramidInfo, mu):
     """The level-crossing pairs (u, v) of the involution mu, u above v,
@@ -810,9 +803,9 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo):
         return rounds
 
     def settle(goal):
-        """Route every level in its own mesh: each pebble in goal to its goal
-        vertex, which must be on its level, and the others, in vertex
-        order, to the vertices left."""
+        """Route every level in its own mesh (local ids are mesh ids): each
+        pebble in goal to its goal vertex, which must be on its level, and
+        the others, in vertex order, to the vertices left."""
         blocks = []
         for level in range(info.m):
             verts = info.level_vertices(level)
@@ -825,7 +818,8 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo):
                 sub.append(target and target - base)
             free = iter(sorted(set(range(1, len(verts) + 1)).difference(sub)))
             sub = [s or next(free) for s in sub]
-            blocks.append(_level_mesh_rounds(info, level, sub, memo))
+            mesh = _factor(memo, mesh_graph, info.lengths(level))
+            blocks.append((_auto_rounds(mesh, sub, memo), verts))
         return run(_merge_parallel(blocks))
 
     rounds = []
@@ -840,7 +834,7 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo):
                     f"pebbles {u} and {v} are not on their path seats")
             sub = list(range(1, len(path) + 1))
             sub[0], sub[k] = k + 1, 1
-            blocks.append(_relabel_rounds(_path_rounds(len(path), sub), path))
+            blocks.append((_path_rounds(len(path), sub), path))
         rounds += run(_merge_parallel(blocks))
     rounds += settle(dict(enumerate(mu, 1)))
     if any(at[t] != p for p, t in enumerate(mu, 1)):
@@ -864,11 +858,6 @@ def multigrid_accounting(m: int, d: int, pi) -> list[dict]:
             for mu in two_cycle_decompose(pi)]
 
 
-def _multigrid_depth_bound(m: int, d: int) -> int:
-    mesh_bound = _mesh_bound((1 << (m - 1),) * d)
-    return 2 * (3 * mesh_bound + 2 * m)
-
-
 def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
     """Route on the multigrid (pyramid with thinned vertical edges).
 
@@ -877,16 +866,11 @@ def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
     """
     host = multigrid_graph(m, d)
     check_permutation(pi, host.n)
-    return _finish(host, _multigrid_rounds(m, d, pi, {}), enumerate(pi, 1),
-                   _multigrid_depth_bound(m, d))
+    return _plan(host, _routed(host, enumerate(pi, 1), ("multigrid", (m, d))))
 
 
 # ---------------------------------------------------------------------------
 # generic fallback and dispatch
-
-def _generic_rounds(g: Graph, pi):
-    return _tree_rounds(g if is_tree(g) else spanning_tree(g), pi)
-
 
 def _product_bound(b1: int, b2: int) -> int:
     return b1 + b2 + min(b1, b2)
@@ -907,9 +891,11 @@ def _factor(memo: dict, build, *args) -> Graph:
     return memo[key]
 
 
-# family_of name -> (rounds(g, params, pi, memo), depth bound(g, params)).
+# family_of name -> (rounds(g, params, pi, memo), depth bound(g, params));
+# "tree", which family_of never names, is route_tree's spanning-tree planner.
 # The hypercube routes as path:2 times the cube one dimension down; its
-# bound 4 dim - 2 is that product bound unrolled from the 1-cube's 2.
+# bound 4 dim - 2 is that product bound unrolled from the 1-cube's 2.  Each
+# multigrid involution takes three level settles and two rides of <= m.
 _ROUTES = {
     "path": (lambda g, ps, pi, memo: _path_rounds(g.n, pi),
              lambda g, ps: g.n),
@@ -926,14 +912,17 @@ _ROUTES = {
                  _factor(memo, mesh_graph, ps[1:]), pi, memo),
              lambda g, ps: _mesh_bound(ps)),
     "multigrid": (lambda g, ps, pi, memo: _multigrid_rounds(*ps, pi, memo),
-                  lambda g, ps: _multigrid_depth_bound(*ps)),
+                  lambda g, ps: 2 * (3 * _mesh_bound(
+                      (1 << (ps[0] - 1),) * ps[1]) + 2 * ps[0])),
     "product": (lambda g, ps, pi, memo: _product_rounds(*g.factors, pi, memo),
                 lambda g, ps: _product_bound(
                     *(route_depth_bound(f) for f in g.factors))),
+    "tree": (lambda g, ps, pi, memo: _tree_rounds(g, pi),
+             lambda g, ps: 3 * g.n),
 }
 _ROUTES["pyramid"] = _ROUTES["multigrid"]  # pyramid edges are a superset
-_GENERIC = (lambda g, ps, pi, memo: _generic_rounds(g, pi),
-            lambda g, ps: 3 * g.n)
+_GENERIC = (lambda g, ps, pi, memo: _tree_rounds(
+                g if is_tree(g) else spanning_tree(g), pi), _ROUTES["tree"][1])
 
 
 def _auto_rounds(g: Graph, pi, memo: dict):
@@ -958,10 +947,20 @@ def _auto_rounds(g: Graph, pi, memo: dict):
     return memo[key]
 
 
-def _rounds(g: Graph, pi):
-    """route_auto's rounds, unchecked, with the collector paused."""
+def _routed(g: Graph, want, family=None) -> tuple[list, tuple]:
+    """The checked (stages, realized) of a route on g that takes pebble s
+    to u for each (s, u) in want (a dict or pairs) and the rest as
+    complete_assignment does, planned and bounded by _ROUTES for family:
+    family_of(g) unless given, since family_of names multigrid:2,1 a path,
+    pyramid:2,1 and path:1 x K3 triangles.  The collector stays paused."""
+    want = dict(want)
+    pi = complete_assignment(g.n, want)
+    name, params = family or family_of(g)
+    planner, bound = _ROUTES.get(name, _GENERIC)
     with _gc_paused():
-        return _auto_rounds(g, pi, {})
+        rounds = (_auto_rounds(g, pi, {}) if family is None
+                  else planner(g, params, pi, {}))
+        return _checked(g.n, rounds, want.items(), bound(g, params))
 
 
 def route_auto(g: Graph, pi) -> RoutingPlan:
@@ -972,8 +971,7 @@ def route_auto(g: Graph, pi) -> RoutingPlan:
     with _gc_paused():
         check_connected(g)
         check_permutation(pi, g.n)
-        return _finish(g, _auto_rounds(g, pi, {}), enumerate(pi, 1),
-                       route_depth_bound(g))
+        return _plan(g, _routed(g, enumerate(pi, 1)))
 
 
 def route_depth_bound(g: Graph) -> int:

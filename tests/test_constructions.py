@@ -20,7 +20,6 @@ from matchnet.graphs import (check_tree, complete_graph, cycle_graph,
                              tree_contour, tree_diameter_path)
 from matchnet.network import (DIR, SWAP, execute, make_network,
                               network_to_json)
-from matchnet.routing import route_depth_bound
 from matchnet.verify import verify_auto, verify_exhaustive
 
 
@@ -229,22 +228,29 @@ def test_simulate_complete_rejects_wrong_base():
         simulate_complete(star_graph(5), batcher_complete(4))
 
 
-def _padded_rounds(g, pi):
-    """route_auto's rounds for pi, then pairs of swaps on one edge that
-    cancel: the same permutation, past route_depth_bound(g)."""
-    edge = min(g.edges)
-    pad = [[edge]] * (2 * route_depth_bound(g) + 2)
-    return routing._rounds(g, pi) + pad
+def _corrupt(monkeypatch, change):
+    """Make every route check in routing see change(n, rounds, bound) for
+    the rounds its planner made, so that a builder passes only if none of
+    its routes reaches the check."""
+    real = routing._checked
+    monkeypatch.setattr(routing, "_checked", lambda n, rounds, pairs, bound:
+                        real(n, change(n, rounds, bound), pairs, bound))
 
 
-def _short_rounds(g, pi):
-    """route_auto's rounds for pi without their last round."""
-    return routing._rounds(g, pi)[:-1]
+def _padded_rounds(n, rounds, bound):
+    """The rounds, then pairs of swaps on (1, 2) that cancel: the same
+    permutation, past the bound."""
+    return rounds + [[(1, 2)]] * (2 * bound + 2)
+
+
+def _short_rounds(n, rounds, bound):
+    """The rounds without their last."""
+    return rounds[:-1]
 
 
 def test_router_bound_raises_without_asserts(monkeypatch):
     # the check is a raise, not an assert, so it also holds under python -O
-    monkeypatch.setattr(constructions, "_rounds", _padded_rounds)
+    _corrupt(monkeypatch, _padded_rounds)
     with pytest.raises(ConstructionError, match="exceeds bound"):
         simulate_complete(star_graph(6), batcher_complete(6))
     with pytest.raises(ConstructionError, match="exceeds bound"):
@@ -256,30 +262,67 @@ def test_router_bound_raises_without_asserts(monkeypatch):
 
 
 def test_simulate_complete_route_check_raises_without_asserts(monkeypatch):
-    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    _corrupt(monkeypatch, _short_rounds)
     with pytest.raises(ConstructionError, match="not on its target"):
         simulate_complete(star_graph(6), batcher_complete(6))
 
 
 def test_subgraph_sort_route_check_raises_without_asserts(monkeypatch):
-    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    _corrupt(monkeypatch, _short_rounds)
     with pytest.raises(ConstructionError, match="not on its target"):
         subgraph_sort(cycle_graph(6), [1, 2, 3, 4], odd_even_transposition(4))
     monkeypatch.undo()
+    real = routing._to_path_rounds
 
     def short_to_path(t, sources, targets):
-        rounds, selection = routing._to_path_rounds(t, sources, targets)
+        rounds, selection = real(t, sources, targets)
         return rounds[:-1], selection
 
     # longest_path_sort's merge routes are checked against their selection
-    monkeypatch.setattr(constructions, "_to_path_rounds", short_to_path)
+    monkeypatch.setattr(routing, "_to_path_rounds", short_to_path)
     with pytest.raises(ConstructionError, match="not on its target"):
         longest_path_sort(mesh_graph((3, 4)))
 
 
+def test_longest_path_sort_checks_each_merge_against_its_own_bound(
+        monkeypatch):
+    # path:8 has d = 7 and merge capacity 7: blocks of 3, 3 and 2 vertices,
+    # so the merges with the short block route k = 5 pebbles, bound
+    # d + 2(k-1) = 15, while a full merge (k_max = 6) may take 17 rounds.
+    # Padding such a merge to 16 or 17 rounds with swap pairs that cancel
+    # must raise, also under python -O.
+    real = routing._to_path_rounds
+    padded = []
+
+    def overlong(t, sources, targets):
+        rounds, selection = real(t, sources, targets)
+        if len(selection) == 5:
+            padded.append(len(rounds))
+            rounds = rounds + [[(1, 2)]] * (2 * ((17 - len(rounds)) // 2))
+        return rounds, selection
+
+    monkeypatch.setattr(routing, "_to_path_rounds", overlong)
+    with pytest.raises(ConstructionError, match="exceeds bound 15"):
+        longest_path_sort(path_graph(8))
+    assert len(padded) == 1 and padded[0] <= 15
+
+
+def test_subgraph_sort_checks_its_partial_router_without_asserts():
+    # a caller's router_bound and partial_router are held per merge, as
+    # raises: a route past the bound, and one that leaves the block off H
+    g, h_net = cycle_graph(6), odd_even_transposition(4)
+    with pytest.raises(ConstructionError, match="exceeds bound 0"):
+        subgraph_sort(g, [1, 2, 3, 4], h_net, router_bound=0)
+    stay = lambda sources, targets: ([], tuple(range(1, 7)))
+    with pytest.raises(ConstructionError, match="pebble off H"):
+        subgraph_sort(g, [1, 2, 3, 4], h_net, partial_router=stay)
+    net = subgraph_sort(g, [1, 2, 3, 4], h_net, router_bound=6)
+    assert net.certificate["parameters"]["rt_used"] == 6
+
+
 def test_parallel_subgraph_sort_route_check_raises_without_asserts(
         monkeypatch):
-    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
+    _corrupt(monkeypatch, _short_rounds)
     g = mesh_graph((3, 4))
     rows = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
     with pytest.raises(ConstructionError, match="not on its target"):
@@ -287,15 +330,13 @@ def test_parallel_subgraph_sort_route_check_raises_without_asserts(
 
 
 def test_pyramid_sort_route_check_raises_without_asserts(monkeypatch):
-    real = routing._multigrid_rounds
-    monkeypatch.setattr(constructions, "_multigrid_rounds",
-                        lambda *args: real(*args)[:-1])
-    with pytest.raises(ConstructionError, match="not on its target"):
-        pyramid_sort(3, 1)
-    monkeypatch.undo()
-    monkeypatch.setattr(constructions, "_rounds", _short_rounds)
-    with pytest.raises(ConstructionError, match="not on its target"):
-        pyramid_sort(3, 1)
+    # the pool routes on all 7 vertices, then the route in the bottom mesh
+    for n in (7, 4):
+        _corrupt(monkeypatch, lambda k, rounds, bound:
+                 rounds[:-1] if k == n else rounds)
+        with pytest.raises(ConstructionError, match="not on its target"):
+            pyramid_sort(3, 1)
+        monkeypatch.undo()
 
 
 def test_contour_color_cap_raises_without_asserts(monkeypatch):

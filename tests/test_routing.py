@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from contextlib import contextmanager
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +26,7 @@ from matchnet.network import (_gc_paused, make_network, make_plan,
                               network_from_json, network_to_json,
                               plan_from_json, plan_realized, plan_to_json)
 from matchnet.perms import all_permutations, identity, random_permutation
-from matchnet.routing import (_centroid, _finish, _merge_parallel, _norm,
+from matchnet.routing import (_centroid, _norm,
                               _path_order, _path_rounds, _tree_rounds,
                               complete_assignment,
                               multigrid_accounting, route_auto, route_complete,
@@ -45,6 +46,17 @@ def _relabel_rounds(rounds, order):
             pairs.append((a, b) if a < b else (b, a))
         out.append(pairs)
     return out
+
+
+def _merge_parallel(blocks):
+    """The merge of the reference planners: interleave round lists that
+    touch disjoint vertex sets."""
+    merged = []
+    for chunk in zip_longest(*blocks, fillvalue=()):
+        pairs = [p for part in chunk for p in part]
+        if pairs:
+            merged.append(pairs)
+    return merged
 
 
 def _check(plan, pi):
@@ -351,7 +363,7 @@ def test_route_to_path_matches_the_bfs_router_on_spanning_trees(spec):
     "random_tree:64,430817319"])
 def test_longest_path_sort_routes_as_the_bfs_router(monkeypatch, spec):
     outcomes = []
-    real = constructions._to_path_rounds
+    real = constructions._to_path_stages
 
     def both(t, sources, targets):
         outcomes.append((_routed(route_to_path, t, sources, targets),
@@ -359,7 +371,7 @@ def test_longest_path_sort_routes_as_the_bfs_router(monkeypatch, spec):
                                  targets)))
         return real(t, sources, targets)
 
-    monkeypatch.setattr(constructions, "_to_path_rounds", both)
+    monkeypatch.setattr(constructions, "_to_path_stages", both)
     try:
         net = constructions.longest_path_sort(generate(spec))
         raised = None
@@ -367,7 +379,7 @@ def test_longest_path_sort_routes_as_the_bfs_router(monkeypatch, spec):
         raised = type(e)
     assert outcomes and all(got == want for got, want in outcomes)
     if spec.startswith("random_tree"):
-        # the router's round-count assert, or _follow's bound check under -O
+        # the router's round-count assert, or its bound check under -O
         assert raised is (AssertionError if __debug__ else ConstructionError)
         assert outcomes[-1][0] == raised or not __debug__
     else:
@@ -464,7 +476,7 @@ def test_multigrid_involution_checks_raise_without_asserts(monkeypatch):
     swap = lambda u, v: tuple(v if w == u else u if w == v else w
                               for w in range(1, info.n + 1))
     # level meshes that move nobody: pebble 7 never boards its seat 4
-    monkeypatch.setattr(routing, "_level_mesh_rounds", lambda *args: [])
+    monkeypatch.setattr(routing, "_auto_rounds", lambda *args: [])
     with pytest.raises(ConstructionError, match="not on their path seats"):
         routing._multigrid_involution_rounds(info, swap(1, 7), {})
     # nor does the final settle move pebbles 4 and 5 within level 2
@@ -529,7 +541,7 @@ def _reference_product_rounds_one(g1, g2, pi, inner_first, memo):
         for a in range(1, n1 + 1):
             verts = [(a - 1) * n2 + b for b in range(1, n2 + 1)]
             sub = [target_col[at[v]] for v in verts]
-            blocks.append(routing._relabel_rounds(
+            blocks.append(_relabel_rounds(
                 routing._auto_rounds(g2, sub, memo), verts))
         for p in range(1, n + 1):
             col[p] = target_col[p]
@@ -541,7 +553,7 @@ def _reference_product_rounds_one(g1, g2, pi, inner_first, memo):
         for b in range(1, n2 + 1):
             verts = [(a - 1) * n2 + b for a in range(1, n1 + 1)]
             sub = [target_row[at[v]] for v in verts]
-            blocks.append(routing._relabel_rounds(
+            blocks.append(_relabel_rounds(
                 routing._auto_rounds(g1, sub, memo), verts))
         for p in range(1, n + 1):
             row[p] = target_row[p]
@@ -717,10 +729,12 @@ def test_route_rejects_non_permutation():
 def test_plan_checks_raise_even_without_asserts():
     g = path_graph(3)
     with pytest.raises(ConstructionError, match="realize"):
-        _finish(g, [[(1, 2)]], enumerate((1, 2, 3), 1), 3)
+        routing._checked(g.n, [[(1, 2)]], enumerate((1, 2, 3), 1), 3)
     with pytest.raises(ConstructionError, match="exceeds bound"):
-        _finish(g, [[(1, 2)], [(2, 3)]], enumerate((3, 1, 2), 1), 1)
-    assert _finish(g, [[(1, 2)]], enumerate((2, 1, 3), 1), 1).depth == 1
+        routing._checked(g.n, [[(1, 2)], [(2, 3)]], enumerate((3, 1, 2), 1), 1)
+    stages, realized = routing._checked(g.n, [[(1, 2)]],
+                                        enumerate((2, 1, 3), 1), 1)
+    assert len(stages) == 1 and realized == (2, 1, 3)
 
 
 def _reference_tree_rounds(t, pi):
@@ -997,8 +1011,10 @@ def test_route_auto_and_the_spanning_tree_planner_both_realize_pi(
         g = generate(spec.format(low + size % (small - low + 1)))
     pi = random_permutation(g.n, rng)
     plan = route_auto(g, pi)
-    tree_plan = _finish(g, routing._generic_rounds(g, pi), enumerate(pi, 1),
-                        3 * g.n)
+    # (None, ()) names no family: the generic spanning-tree planner, bound
+    # 3n; _plan freezes its stages, so each must be a matching of host edges
+    tree_plan = routing._plan(g, routing._routed(g, enumerate(pi, 1),
+                                                 (None, ())))
     assert plan.realized == tree_plan.realized == tuple(pi)
     assert plan.depth <= route_depth_bound(g)
     assert tree_plan.depth <= 3 * g.n
