@@ -520,13 +520,13 @@ def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
 
     # side 0: the n1 rows are copies of g2; side 1: the n2 columns, of g1
     rows = [list(range(a * n2 + 1, a * n2 + n2 + 1)) for a in range(n1)]
+    rb = route_depth_bound(host)
     options = []
     for side, (parts, arena) in enumerate(
             ((rows, g2), ([list(col) for col in zip(*rows)], g1))):
         if arena.n % 2 == 0:
             net = _factor_sorter(arena)
-            score = batcher_complete(2 * len(parts)).depth * \
-                (route_depth_bound(host) + net.depth)
+            score = batcher_complete(2 * len(parts)).depth * (rb + net.depth)
             options.append((score, side, parts, net))
     if not options:
         net = longest_path_sort(host)
@@ -536,12 +536,8 @@ def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
 
     _, _, parts, arena_net = min(options, key=lambda o: (o[0], o[1]))
     net = parallel_subgraph_sort(host, parts, [arena_net] * len(parts))
-    cert = _cert("product",
-                 {"n": host.n, "q": len(parts),
-                  "rt_used": route_depth_bound(host),
-                  "base_depth": batcher_complete(2 * len(parts)).depth},
-                 net.certificate["claimed_bound"], net.depth)
-    return replace(net, certificate=cert)
+    return replace(net, certificate={**net.certificate,
+                                     "formula_name": "product"})
 
 
 def pyramid_sort(m: int, d: int) -> SortingNetwork:

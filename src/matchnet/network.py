@@ -50,7 +50,10 @@ readers raise it as StructureError; builders keep ConstructionError and
 TaskError.  Neither reader takes the other's document: network JSON
 carrying "plan", or plan JSON carrying "provenance" or "certificate",
 is refused as StructureError, after the stage checks, so a file with a
-bad comparator gets the same text from either reader.
+bad comparator gets the same text from either reader.  A network's
+certificate, when not null, must hold integer achieved_depth and
+claimed_bound, the bound no lower than that depth or the stage count,
+as a plan's stored order must be the one its stages realize.
 
 _gc_paused keeps CPython's cyclic collector out of the code that builds
 a plan or network: routing.route_auto, plan_from_json and
@@ -364,7 +367,15 @@ def network_from_json(text: str) -> SortingNetwork:
         if "plan" in doc:
             raise StructureError('network JSON must not carry "plan": '
                                  'it is a routing plan (read it as one)')
-        return net
+    cert = net.certificate
+    if cert is not None and not (
+            type(cert) is dict and type(cert.get("achieved_depth")) is int
+            and type(cert.get("claimed_bound")) is int
+            and cert["claimed_bound"] >= max(cert["achieved_depth"], net.depth)):
+        raise StructureError(
+            "network JSON certificate must have integer achieved_depth and "
+            f"claimed_bound, the bound no lower than it or {net.depth} stages")
+    return net
 
 
 def plan_from_json(text: str) -> RoutingPlan:

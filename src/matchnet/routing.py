@@ -16,15 +16,18 @@ The product router (route_product, and through it meshes, hypercubes and
 the level meshes of pyramids and multigrids) keeps the shallower of its
 two phase orders, inner-first on a tie, without planning both in full.
 Each of the six phases first gets a lower bound: the most edges any
-pebble must cross inside its factor copy, since a swap round moves a
-pebble along one edge at most and a phase swaps on copy edges only.  The
-order with the smaller bound sum is planned in full; the other is planned
-copy by copy and dropped once its rounds so far, plus its longest copy so
-far, plus the bounds of the phases left pass the first order's depth (or
-reach it, when the other order is outer-first and so loses ties).  The
-dropped order would have come out deeper, or as deep and losing the tie,
-so it could not have been kept, and the plan is byte for byte the one
-that planning both orders in full gives.
+pebble must cross inside its factor copy (exact on paths, meshes,
+hypercubes and complete factors, 0 on others), since a swap round moves
+a pebble along one edge at most and a phase swaps on copy edges only.
+The outer-first order is planned in full first when its bound sum is
+smaller, else the inner-first one.  The other is planned copy by copy
+and dropped once its rounds so far, plus its longest copy so far, plus
+the bounds of the phases left pass the depth it must meet to be kept:
+the first order's depth when it is inner-first, one less when it is
+outer-first and so loses ties.  A dropped order would have come out
+deeper, or as deep and losing the tie; one that is not dropped meets
+that depth and is kept.  So the plan is byte for byte the one that
+planning both orders in full gives.
 
 route_auto runs with CPython's cyclic collector paused
 (network._gc_paused): its planners allocate hundreds of thousands of
@@ -41,6 +44,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections import defaultdict
+from functools import partial
 from itertools import chain, zip_longest
 
 from .errors import ConstructionError, ParameterError, StructureError, TaskError
@@ -162,23 +166,21 @@ def _involution_pairs(mu) -> list[tuple[int, int]]:
     return [(v, mu[v - 1]) for v in range(1, len(mu) + 1) if mu[v - 1] > v]
 
 
+def _by_involutions(pi, involution_rounds) -> list:
+    """The non-empty rounds of involution_rounds(mu) for each involution
+    mu of two_cycle_decompose(pi), in order: the complete, multipartite
+    and multigrid planners route pi as two involutions."""
+    return [rnd for mu in two_cycle_decompose(pi)
+            for rnd in involution_rounds(mu) if rnd]
+
+
 # ---------------------------------------------------------------------------
 # complete graphs
-
-def _complete_rounds(pi):
-    rounds = []
-    for mu in two_cycle_decompose(pi):
-        pairs = _involution_pairs(mu)
-        if pairs:
-            rounds.append(pairs)
-    return rounds
-
 
 def route_complete(n: int, pi) -> RoutingPlan:
     """Route any permutation on K_n in at most two swap rounds."""
     check_permutation(pi, n)
-    host = complete_graph(n)
-    return _plan(host, _routed(host, enumerate(pi, 1), ("complete", (n,))))
+    return _route(complete_graph(n), pi, ("complete", (n,)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +207,7 @@ def route_path(g: Graph, pi) -> RoutingPlan:
     """Route on the path 1-2-..-n; depth at most n."""
     if family_of(g)[0] != "path":
         raise StructureError("route_path needs the canonical path graph")
-    check_permutation(pi, g.n)
-    return _plan(g, _routed(g, enumerate(pi, 1)))
+    return _route(g, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,7 @@ def route_tree(t: Graph, pi) -> RoutingPlan:
     parallel, halving the problem size each level.
     """
     check_tree(t)
-    check_permutation(pi, t.n)
-    return _plan(t, _routed(t, enumerate(pi, 1), ("tree", ())))
+    return _route(t, pi, ("tree", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -528,52 +528,50 @@ def _augment(a, seen, cols, match_l, match_r) -> bool:
     return False
 
 
-def _product_phases(g1: Graph, g2: Graph, pi):
-    """The three phases of each phase order of the product router, the
-    inner-first order first.
+def _phase_order(a, b, da, db, mid_n: int, inner: bool):
+    """The three phases of one phase order of the product router.
 
-    Inner-first runs inner (g2 copies) -> outer (g1 copies) -> inner, with
-    the intermediate coordinate chosen by decomposing the row-to-row demand
-    matrix into perfect matchings; outer-first is its mirror.  Each phase
-    is (inner, fixed, start, target): lists indexed by pebble of the
-    coordinate the phase keeps, and of the coordinate along its factor
-    before and after it.
+    Pebble p starts at coordinates (a[p], b[p]) and ends at (da[p],
+    db[p]); a is the coordinate along the factor of order mid_n.  The
+    phases move b to an intermediate coordinate, in the inner (g2) copies
+    when inner, else in the outer (g1) ones, then a to da along the other
+    factor, then the intermediate to db.  The intermediate coordinates
+    come from decomposing the a-to-da demand matrix into perfect
+    matchings: the k-th pebble of a group with the same (a, da) gets the
+    index of the k-th matching that pairs them.  Each phase is (inner,
+    fixed, start, target): lists indexed by pebble of the coordinate the
+    phase keeps, and of the coordinate along its factor before and after.
     """
-    n1, n2 = g1.n, g2.n
-    n = n1 * n2
-    row = [0] * (n + 1)  # start g1 coordinate of each pebble
-    col = [0] * (n + 1)  # start g2 coordinate
-    drow = [0] * (n + 1)
-    dcol = [0] * (n + 1)
+    n = len(a) - 1
+    groups = defaultdict(list)  # each in increasing pebble order
     for p in range(1, n + 1):
-        row[p], col[p] = (p - 1) // n2 + 1, (p - 1) % n2 + 1
-        q = pi[p - 1]
-        drow[p], dcol[p] = (q - 1) // n2 + 1, (q - 1) % n2 + 1
+        groups[(a[p], da[p])].append(p)
+    count = [[0] * (mid_n + 1) for _ in range(mid_n + 1)]
+    for (x, y), pebbles in groups.items():
+        count[x][y] = len(pebbles)
+    matchings = _regular_bipartite_matchings(count, mid_n, n // mid_n)
+    groups = {key: iter(pebbles) for key, pebbles in groups.items()}
+    mid = [0] * (n + 1)
+    for idx, m in enumerate(matchings, 1):
+        for key in m.items():
+            mid[next(groups[key])] = idx
+    return ((inner, a, b, mid), (not inner, mid, a, da), (inner, da, mid, db))
 
-    mids = []
-    for axis, dest_axis, mid_n, deg in ((row, drow, n1, n2),
-                                        (col, dcol, n2, n1)):
-        count = [[0] * (mid_n + 1) for _ in range(mid_n + 1)]
-        for p in range(1, n + 1):
-            count[axis[p]][dest_axis[p]] += 1
-        matchings = _regular_bipartite_matchings(count, mid_n, deg)
-        slots = defaultdict(list)
-        for idx, m in enumerate(matchings):
-            for a, b in m.items():
-                slots[(a, b)].append(idx)
-        buckets = defaultdict(list)  # each in increasing pebble order
-        for p in range(1, n + 1):
-            buckets[(axis[p], dest_axis[p])].append(p)
-        mid = [0] * (n + 1)
-        for key, pebbles in buckets.items():
-            for p, idx in zip(pebbles, slots[key]):
-                mid[p] = idx + 1
-        mids.append(mid)
-    mid_in, mid_out = mids
-    return (((True, row, col, mid_in), (False, mid_in, row, drow),
-             (True, drow, mid_in, dcol)),
-            ((False, col, row, mid_out), (True, mid_out, col, dcol),
-             (False, dcol, mid_out, drow)))
+
+def _product_phases(g1: Graph, g2: Graph, pi):
+    """The phases of the product router's two phase orders (_phase_order):
+    inner-first, inner -> outer -> inner through an intermediate g2
+    coordinate, and its mirror outer-first."""
+    n2 = g2.n
+
+    def coords(vs):  # the g1 and g2 coordinates of each of vs, from index 1
+        return ([0, *((v - 1) // n2 + 1 for v in vs)],
+                [0, *((v - 1) % n2 + 1 for v in vs)])
+
+    row, col = coords(range(1, len(pi) + 1))  # where each pebble starts
+    drow, dcol = coords(pi)  # and where it ends
+    return (_phase_order(row, col, drow, dcol, g1.n, True),
+            _phase_order(col, row, dcol, drow, n2, False))
 
 
 def _hop_bound(g: Graph, start, target) -> int:
@@ -632,45 +630,28 @@ def _order_rounds(g1: Graph, g2: Graph, phases, bounds, memo, limit):
 
 
 def _product_rounds(g1: Graph, g2: Graph, pi, memo):
-    """The shallower of the two phase orders, inner-first on a tie.
-
-    The order with the smaller sum of phase hop bounds is planned in full
-    first; the other is dropped as soon as its lower bound shows it cannot
-    beat that depth (or tie it, for inner-first), so the plan kept is the
-    one planning both in full would keep."""
-    (in_phases, in_bounds), (out_phases, out_bounds) = (
-        (phases, [_hop_bound(g2 if inner else g1, start, target)
-                  for inner, _, start, target in phases])
-        for phases in _product_phases(g1, g2, pi))
-    if sum(out_bounds) < sum(in_bounds):
-        outer = _order_rounds(g1, g2, out_phases, out_bounds, memo, math.inf)
-        inner = _order_rounds(g1, g2, in_phases, in_bounds, memo, len(outer))
-    else:
-        inner = _order_rounds(g1, g2, in_phases, in_bounds, memo, math.inf)
-        outer = _order_rounds(g1, g2, out_phases, out_bounds, memo,
-                              len(inner) - 1)
-    if outer is None or (inner is not None and len(inner) <= len(outer)):
-        return inner
-    return outer
+    """The shallower of the two phase orders, inner-first on a tie, the
+    second one planned only up to the depth it must meet to be kept (see
+    the module docstring)."""
+    orders = [(phases, [_hop_bound(g2 if inner else g1, start, target)
+                        for inner, _, start, target in phases])
+              for phases in _product_phases(g1, g2, pi)]
+    outer_first = sum(orders[1][1]) < sum(orders[0][1])
+    first, second = orders[::-1] if outer_first else orders
+    best = _order_rounds(g1, g2, *first, memo, math.inf)
+    rounds = _order_rounds(g1, g2, *second, memo,
+                           len(best) if outer_first else len(best) - 1)
+    return best if rounds is None else rounds
 
 
 def route_product(g1: Graph, g2: Graph, pi) -> RoutingPlan:
     """Route on the cartesian product of two routable factors.
 
-    Of the two phase orders (inner-outer-inner and its mirror) the
-    shallower is kept, inner-first on a tie; either is within bound(g1) +
-    bound(g2) + min(bound(g1), bound(g2)).  The order with the smaller sum
-    of phase lower bounds (the most edges a pebble must cross in its
-    factor copy; exact on paths, meshes, hypercubes and complete factors,
-    0 on others) is planned in full.  The other is dropped once its rounds
-    so far, its longest copy so far and the bounds of its phases left
-    exceed that depth, or reach it when it is outer-first: it could then
-    only be deeper or lose the tie, so the plan equals the one planning
-    both in full would give.
+    The plan takes the shallower of the two phase orders (inner-outer-inner
+    and its mirror), inner-first on a tie, and is within bound(g1) +
+    bound(g2) + min(bound(g1), bound(g2)) rounds.
     """
-    host = cartesian_product(g1, g2)
-    check_permutation(pi, host.n)
-    return _plan(host, _routed(host, enumerate(pi, 1), ("product", ())))
+    return _route(cartesian_product(g1, g2), pi, ("product", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -738,18 +719,9 @@ def _multipartite_involution_rounds(p: int, s: int, pairs):
     return [sorted(slot) for slot in slots if slot]
 
 
-def _multipartite_rounds(p: int, s: int, pi):
-    rounds = []
-    for mu in two_cycle_decompose(pi):
-        rounds += _multipartite_involution_rounds(p, s, _involution_pairs(mu))
-    return rounds
-
-
 def route_multipartite(p: int, s: int, pi) -> RoutingPlan:
     """Route on the complete p-partite graph with parts of size s; depth <= 6."""
-    host = multipartite_graph(p, s)
-    check_permutation(pi, host.n)
-    return _plan(host, _routed(host, enumerate(pi, 1), ("multipartite", (p, s))))
+    return _route(multipartite_graph(p, s), pi, ("multipartite", (p, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +736,7 @@ def _multigrid_groups(info: PyramidInfo, mu):
     for path in info.vertical_paths():
         paths_at[info.level[path[0]]].append(path)
     by_upper = defaultdict(list)
-    for u, v in _involution_pairs(mu):
-        if info.level[u] > info.level[v]:
-            u, v = v, u
+    for u, v in _involution_pairs(mu):  # u < v, so level[u] <= level[v]
         if info.level[u] < info.level[v]:
             by_upper[info.level[u]].append((u, v))
     groups = []
@@ -842,14 +812,6 @@ def _multigrid_involution_rounds(info: PyramidInfo, mu, memo):
     return rounds
 
 
-def _multigrid_rounds(m: int, d: int, pi, memo):
-    info = PyramidInfo(m, d)
-    rounds = []
-    for mu in two_cycle_decompose(pi):
-        rounds += _multigrid_involution_rounds(info, mu, memo)
-    return rounds
-
-
 def multigrid_accounting(m: int, d: int, pi) -> list[dict]:
     """Per-involution vertical-pair counts: {upper level: (count, capacity)}."""
     info = PyramidInfo(m, d)
@@ -864,9 +826,7 @@ def route_multigrid(m: int, d: int, pi) -> RoutingPlan:
     The plan is also valid on the full pyramid, whose edge set is a
     superset.
     """
-    host = multigrid_graph(m, d)
-    check_permutation(pi, host.n)
-    return _plan(host, _routed(host, enumerate(pi, 1), ("multigrid", (m, d))))
+    return _route(multigrid_graph(m, d), pi, ("multigrid", (m, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -893,15 +853,19 @@ def _factor(memo: dict, build, *args) -> Graph:
 
 # family_of name -> (rounds(g, params, pi, memo), depth bound(g, params));
 # "tree", which family_of never names, is route_tree's spanning-tree planner.
+# Complete, multipartite and multigrid hosts route pi as two involutions.
 # The hypercube routes as path:2 times the cube one dimension down; its
 # bound 4 dim - 2 is that product bound unrolled from the 1-cube's 2.  Each
 # multigrid involution takes three level settles and two rides of <= m.
 _ROUTES = {
     "path": (lambda g, ps, pi, memo: _path_rounds(g.n, pi),
              lambda g, ps: g.n),
-    "complete": (lambda g, ps, pi, memo: _complete_rounds(pi),
+    "complete": (lambda g, ps, pi, memo: _by_involutions(
+                     pi, lambda mu: [_involution_pairs(mu)]),
                  lambda g, ps: 2),
-    "multipartite": (lambda g, ps, pi, memo: _multipartite_rounds(*ps, pi),
+    "multipartite": (lambda g, ps, pi, memo: _by_involutions(
+                         pi, lambda mu: _multipartite_involution_rounds(
+                             *ps, _involution_pairs(mu))),
                      lambda g, ps: 6),
     "hypercube": (lambda g, ps, pi, memo: _product_rounds(
                       _factor(memo, path_graph, 2),
@@ -911,7 +875,9 @@ _ROUTES = {
                  _factor(memo, path_graph, ps[0]),
                  _factor(memo, mesh_graph, ps[1:]), pi, memo),
              lambda g, ps: _mesh_bound(ps)),
-    "multigrid": (lambda g, ps, pi, memo: _multigrid_rounds(*ps, pi, memo),
+    "multigrid": (lambda g, ps, pi, memo: _by_involutions(
+                      pi, partial(_multigrid_involution_rounds,
+                                  PyramidInfo(*ps), memo=memo)),
                   lambda g, ps: 2 * (3 * _mesh_bound(
                       (1 << (ps[0] - 1),) * ps[1]) + 2 * ps[0])),
     "product": (lambda g, ps, pi, memo: _product_rounds(*g.factors, pi, memo),
@@ -963,6 +929,13 @@ def _routed(g: Graph, want, family=None) -> tuple[list, tuple]:
         return _checked(g.n, rounds, want.items(), bound(g, params))
 
 
+def _route(host: Graph, pi, family=None) -> RoutingPlan:
+    """The plan of a public router: pi checked, then routed on host as
+    _routed does for family."""
+    check_permutation(pi, host.n)
+    return _plan(host, _routed(host, enumerate(pi, 1), family))
+
+
 def route_auto(g: Graph, pi) -> RoutingPlan:
     """Route on any connected graph, dispatching to the family planner.
 
@@ -970,8 +943,7 @@ def route_auto(g: Graph, pi) -> RoutingPlan:
     """
     with _gc_paused():
         check_connected(g)
-        check_permutation(pi, g.n)
-        return _plan(g, _routed(g, enumerate(pi, 1)))
+        return _route(g, pi)
 
 
 def route_depth_bound(g: Graph) -> int:

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from matchnet import cli
-from matchnet.errors import ConstructionError
+from matchnet.bench import run_suite
+from matchnet.errors import ConstructionError, ParameterError
 from matchnet.graphs import generate, to_json
 
 
@@ -103,6 +104,13 @@ def test_cap_override_env_clamped(tmp_path, capsys, monkeypatch):
                         "--method", "zero_one"], capsys)
     assert code == 0
     assert "clamp" in err.lower()
+    # a value that is not a positive integer is ignored with a warning
+    for raw, text in (("abc", "non-integer"), ("0", "non-positive")):
+        monkeypatch.setenv("MATCHNET_CAP_OVERRIDE", raw)
+        code, _, err = run(["verify", "--net", str(npath),
+                            "--method", "zero_one"], capsys)
+        assert code == 2
+        assert f"ignoring {text} MATCHNET_CAP_OVERRIDE" in err
 
 
 def test_route_realizes_order(tmp_path, capsys):
@@ -161,6 +169,15 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0
     assert out.startswith("graph")
     assert out.count(" -- ") == 3
+    # an edge no stage uses is drawn without a label
+    data = json.loads(npath.read_text())
+    data["stages"] = data["stages"][:1]  # (1,2) and (3,4) only
+    del data["certificate"]
+    npath.write_text(json.dumps(data))
+    code, out, _ = run(["export", "--net", str(npath), "--format", "dot"],
+                       capsys)
+    assert code == 0
+    assert "  2 -- 3;\n" in out and '  1 -- 2 [label="1"];' in out
 
 
 def test_export_json_roundtrips(tmp_path, capsys):
@@ -185,11 +202,20 @@ def test_bench_mini_suite_csv(tmp_path, capsys):
                for ln in lines[1:])
 
 
-def test_bench_table_output(capsys):
+def test_bench_table_output(tmp_path, capsys):
     code, out, _ = run(["bench", "--suite", "paths"], capsys)
     assert code == 0
     assert "odd_even" in out
     assert "pass" in out
+    # the table goes to stdout, and --out also writes the CSV
+    csv = tmp_path / "paths.csv"
+    code, again, _ = run(["bench", "--suite", "paths", "--format", "table",
+                          "--out", str(csv)], capsys)
+    assert code == 0 and again == out
+    assert csv.read_text().startswith("suite,")
+    # --suite takes only known names; the library refuses the rest too
+    with pytest.raises(ParameterError, match="unknown suite 'bogus'"):
+        run_suite("bogus")
 
 
 def test_usage_error_exit_2(capsys):

@@ -364,6 +364,15 @@ def test_subgraph_sort_rejects_nonstandard_helper():
                             [[(1, 2, SWAP)]])
     with pytest.raises(StructureError):
         subgraph_sort(g, [1, 2, 3, 4], swap_net)
+    for verts, text in (([1, 2, 2, 3], "not a subset of the host"),
+                        ([1, 2, 3, 7], "not a subset of the host"),
+                        ([1, 2, 3], "network size differs")):
+        with pytest.raises(ParameterError, match=text):
+            subgraph_sort(g, verts, odd_even_transposition(4))
+    for capacity in (1, 5):
+        with pytest.raises(ParameterError, match="capacity must be between 2"):
+            subgraph_sort(g, [1, 2, 3, 4], odd_even_transposition(4),
+                          capacity=capacity)
 
 
 def test_subgraph_sort_rejects_disconnected_induced():
@@ -432,6 +441,15 @@ def test_parallel_subgraph_sort_partition_errors():
     with pytest.raises(ParameterError):
         parallel_subgraph_sort(g, [[1, 2, 3], [4, 5, 6], [7, 8]],
                                [odd_even_transposition(3)] * 3)
+    with pytest.raises(ParameterError, match="even size"):
+        parallel_subgraph_sort(mesh_graph((2, 3)), [[1, 2, 3], [4, 5, 6]],
+                               [odd_even_transposition(3)] * 2)
+    rows = [[1, 2, 3, 4], [5, 6, 7, 8]]
+    with pytest.raises(ParameterError, match="one arena network per"):
+        parallel_subgraph_sort(g, rows, [odd_even_transposition(4)] * 3)
+    reversed_order = make_network(path_graph(4), (4, 3, 2, 1), [])
+    with pytest.raises(StructureError, match="into identity order"):
+        parallel_subgraph_sort(g, rows, [reversed_order] * 2)
 
 
 def test_product_sort_meshes():
@@ -452,6 +470,19 @@ def test_product_sort_both_factors_odd_falls_back():
 def test_product_sort_degenerate_factor():
     net = product_sort(path_graph(1), path_graph(5))
     assert net.graph.n == 5
+    assert verify_auto(net).passed
+
+
+def test_family_builders_refuse_other_hosts():
+    for name, spec, text in (("odd_even", "cycle:5", "needs a path host"),
+                             ("batcher", "path:4", "needs a complete host"),
+                             ("product", "cycle:4", "needs a mesh host")):
+        with pytest.raises(StructureError, match=text):
+            constructions.BUILDERS[name](generate(spec))
+    # a product built in memory is sorted through its own two factors
+    g1, g2 = path_graph(2), star_graph(3)
+    net = constructions.BUILDERS["product"](graphs.cartesian_product(g1, g2))
+    assert network_to_json(net) == network_to_json(product_sort(g1, g2))
     assert verify_auto(net).passed
 
 

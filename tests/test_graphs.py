@@ -42,6 +42,16 @@ def test_generate_specs():
         generate("moebius:5")
     with pytest.raises(ParameterError):
         generate("path:x")
+    for spec, text in (("path:0", "path needs n >= 1"),
+                       ("cycle:2", "cycle needs n >= 3"),
+                       ("complete:0", "complete graph needs n >= 1"),
+                       ("star:1", "star needs n >= 2"),
+                       ("multipartite:1,2", "needs p >= 2 parts"),
+                       ("hypercube:0", "hypercube needs dim >= 1"),
+                       ("random_tree:0", "tree needs n >= 1"),
+                       ("pyramid:0,1", "pyramid needs m >= 1, d >= 1")):
+        with pytest.raises(ParameterError, match=text):
+            generate(spec)
 
 
 def test_generate_refuses_specs_past_the_size_cap_before_building():
@@ -191,6 +201,8 @@ def test_pyramid_tables_match_the_coordinate_walk():
         vs = range(1, ref.n + 1)
         assert info.n == ref.n
         assert info.level == [0] + [ref.level_of(v) for v in vs]
+        # routing's _multigrid_groups reads the smaller of u < v as upper
+        assert info.level == sorted(info.level)
         assert info.child == [0] + [ref.first_child(v)
                                     if ref.level_of(v) < m - 1 else 0
                                     for v in vs]

@@ -92,6 +92,27 @@ def test_network_json_roundtrip():
     assert plan_from_json(plan_to_json(plan)) == plan
 
 
+def test_network_json_refuses_a_certificate_that_misstates_the_depth():
+    net = cons.longest_path_sort(generate("mesh:3,3"))
+    assert net.depth == 60
+    doc = json.loads(network_to_json(net))
+    cert = doc["certificate"]
+    for good in (cert, {**cert, "claimed_bound": 61}, None):
+        back = network_from_json(json.dumps({**doc, "certificate": good}))
+        assert back.certificate == good
+    bad_depth = [{**cert, "achieved_depth": depth}
+                 for depth in (85, True, 60.0, "60", None)]
+    low_bound = [{**cert, "claimed_bound": bound}
+                 for bound in (0, 59, 60.5, "99", None, [99])]
+    missing = [{k: v for k, v in cert.items() if k != key}
+               for key in ("achieved_depth", "claimed_bound")]
+    for bad in bad_depth + low_bound + missing + [
+            {**cert, "achieved_depth": 1, "claimed_bound": 0},
+            {**cert, "achieved_depth": 62, "claimed_bound": 61}, [], 60, "x"]:
+        with pytest.raises(StructureError, match="no lower than it or 60 "):
+            network_from_json(json.dumps({**doc, "certificate": bad}))
+
+
 def test_network_json_rejects_malformed_documents():
     good = json.loads(network_to_json(make_network(path_graph(2), (1, 2),
                                                    [[(1, 2, DIR)]])))

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from collections import defaultdict
 
 from matchnet import constructions, network, routing
-from matchnet.errors import ConstructionError, ParameterError, TaskError
+from matchnet.errors import (ConstructionError, ParameterError, StructureError,
+                             TaskError)
 from matchnet.graphs import (PyramidInfo, adjacency, bfs,
                              cartesian_product, check_tree, complete_graph,
                              cycle_graph,
@@ -174,6 +175,12 @@ def test_route_to_path_rejects_off_path_target():
     off = [v for v in range(1, 6) if v not in path]
     with pytest.raises(ParameterError):
         route_to_path(t, [1], [off[0]])
+    for sources, targets, text in (([1, 4], [path[0]], "must pair up"),
+                                   ([1, 1], path[:2], "distinct vertices"),
+                                   ([1, 4], [path[0]] * 2,
+                                    "distinct vertices")):
+        with pytest.raises(ParameterError, match=text):
+            route_to_path(t, sources, targets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,6 +219,14 @@ def test_route_to_path_bound_check_raises_without_asserts(monkeypatch):
         route_to_path(path_graph(6), [1], [6])
     with pytest.raises(ConstructionError, match="depth 2 exceeds bound 0"):
         route_to_path(path_graph(6), [], [])
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, ConstructionError),
+                   reason="a non-full merge onto targets that are not a path "
+                          "prefix takes 19 rounds against its bound 17")
+def test_route_to_path_meets_its_bound_on_a_non_prefix_merge():
+    route_to_path(random_tree(28, 1807238681), [5, 15, 20, 9],
+                  [20, 11, 13, 7])  # d = 11, k = 4
 
 
 def test_route_to_path_refuses_a_source_outside_the_tree():
@@ -724,6 +739,10 @@ def test_route_rejects_non_permutation():
         route_path(path_graph(3), (1, 1, 2))
     with pytest.raises(TaskError):
         route_complete(3, (1, 2))
+    # route_path also refuses a host that is not the canonical path 1-2-..-n
+    for g in (graph(3, [(1, 3), (2, 3)]), star_graph(4)):
+        with pytest.raises(StructureError, match="canonical path graph"):
+            route_path(g, tuple(range(1, g.n + 1)))
 
 
 def test_plan_checks_raise_even_without_asserts():

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -198,12 +199,20 @@ def test_exact_rt_partial():
     assert res.value == 3
     res2 = exact_rt_partial(path_graph(4), [1, 4], [4, 1])
     assert res2.value >= 3
+    for A, B, text in (([1, 2], [3], "need |A| = |B| >= 1"),
+                       ([], [], "need |A| = |B| >= 1"),
+                       ([1], [5], "vertex 5 out of range"),
+                       ([0], [2], "vertex 0 out of range")):
+        with pytest.raises(TaskError, match=re.escape(text)):
+            exact_rt_partial(path_graph(4), A, B)
 
 
 def test_exact_rt_p():
     assert exact_rt_p(complete_graph(4), 2).value == 1
     assert exact_rt_p(complete_graph(4), 3).value == 2
     assert exact_rt_p(complete_graph(4), 100).value == 2
+    with pytest.raises(TaskError, match="p >= 1 required"):
+        exact_rt_p(complete_graph(4), 0)
 
 
 def test_sandwich_check_small_graphs():
@@ -588,6 +597,9 @@ def test_connected_graphs_counts():
     assert len(connected_graphs_upto_iso(2)) == 1
     assert len(connected_graphs_upto_iso(3)) == 2
     assert len(connected_graphs_upto_iso(4)) == 6
+    for n in (0, 6):
+        with pytest.raises(ParameterError, match="supports 1 <= n <= 5"):
+            connected_graphs_upto_iso(n)
 
 
 def test_all_matchings_k3():
