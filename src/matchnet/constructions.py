@@ -4,11 +4,18 @@ Every builder returns a SortingNetwork whose stages are matchings of host
 edges, with a depth certificate recording the claimed bound next to the
 achieved depth.  Builders are pure: the same parameters always produce the
 same network, byte for byte.
+
+The three merge builders (subgraph_sort, longest_path_sort and
+parallel_subgraph_sort) sort by Batcher's merge-split step: route two label
+blocks into a subgraph, merge them there and rebind the labels.  They
+differ only in blocks, merge schedule, arenas and router, and share the
+one loop _arena_merges.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from itertools import zip_longest
 
 from .errors import ConstructionError, ParameterError, StructureError
@@ -257,15 +264,13 @@ def simulate_complete(g: Graph, base: SortingNetwork) -> SortingNetwork:
 
 
 # ---------------------------------------------------------------------------
-# sorting through a distinguished subgraph
+# sorting by merges of vertex blocks inside subgraphs
 
 def _check_standard(net: SortingNetwork, what: str) -> None:
     # Filtering a network to an occupied prefix is only sound when every
     # comparator directs its minimum to the lower rank and nothing swaps
     # unconditionally: virtual maximal keys on the empty slots then never
     # move.
-    if tuple(net.order) != identity(net.graph.n):
-        raise StructureError(f"{what} must sort into identity order")
     for stage in net.stages:
         for u, v, kind in stage:
             if kind != DIR or u >= v:
@@ -275,7 +280,8 @@ def _check_standard(net: SortingNetwork, what: str) -> None:
 
 def _check_embedding(g: Graph, verts: list[int], net: SortingNetwork,
                      what: str) -> None:
-    if len(set(verts)) != len(verts) or not all(1 <= v <= g.n for v in verts):
+    if not all(type(v) is int and 1 <= v <= g.n for v in verts) \
+            or len(set(verts)) != len(verts):
         raise ParameterError(f"{what}: vertex list is not a subset of the host")
     if net.graph.n != len(verts):
         raise ParameterError(f"{what}: network size differs from vertex list")
@@ -291,10 +297,49 @@ def _check_embedding(g: Graph, verts: list[int], net: SortingNetwork,
                if local.get(w, 0) > i]
     if not is_connected(graph(len(verts), induced)):
         raise StructureError(f"{what}: induced subgraph is disconnected")
+    if tuple(net.order) != identity(net.graph.n):
+        raise StructureError(f"{what} must sort into identity order")
 
 
-def _padded_parts(n: int, size: int) -> list[list[int]]:
-    """Consecutive label blocks of exactly `size`, short remainder last.
+def _arena_merges(g: Graph, blocks: list[list[int]], schedule,
+                  arenas: list, route) -> list:
+    """The stages of a merge-split sort of g over label blocks.
+
+    Each stage of the schedule lists block pairs (i, j), 1-based; its k-th
+    merge takes arena k = (verts, net).  One route(sources, targets) per
+    schedule stage brings every merged block onto the first |block|
+    vertices of its arena, lowest ranks first; the arena nets then run in
+    lockstep, each keeping the comparators (u, v) with v <= |block|, and
+    the block's labels rebind to those vertices in rank order.  A final
+    route takes the labels, in block order, to vertices 1..n.
+    """
+    pos = list(range(1, g.n + 1))
+    stages_out: list = []
+    for stage in schedule:
+        merges = [(blocks[i - 1] + blocks[j - 1], verts, net)
+                  for (i, j), (verts, net) in zip(stage, arenas)]
+        sources = [pos[label - 1] for block, _, _ in merges for label in block]
+        targets = [v for block, verts, _ in merges for v in verts[:len(block)]]
+        _follow(route(sources, targets), pos, stages_out)
+        for step in zip_longest(*(net.stages for _, _, net in merges),
+                                fillvalue=()):
+            merged = [(verts[u - 1], verts[v - 1], kind)
+                      for (block, verts, _), sub in zip(merges, step)
+                      for u, v, kind in sub if v <= len(block)]
+            if merged:
+                stages_out.append(merged)
+        for block, verts, _ in merges:
+            for r, label in enumerate(block):
+                pos[label - 1] = verts[r]
+    _fixup(g, [pos[label - 1] for block in blocks for label in block],
+           stages_out)
+    return stages_out
+
+
+def _sequential_merges(n: int, size: int) -> tuple[list, list]:
+    """Consecutive label blocks of exactly `size`, short remainder last,
+    and a schedule of one merge per stage: Batcher's comparisons over the
+    blocks, one at a time.
 
     Merge-split over a comparison network only sorts when blocks share one
     size; a short block is sound only as the LAST one, where it behaves as
@@ -307,26 +352,18 @@ def _padded_parts(n: int, size: int) -> list[list[int]]:
              for lo in range(1, n + 1, size)]
     # blocks start every size labels: no input reaches this
     assert all(len(p) == size for p in parts[:-1])
-    return parts
+    return parts, [[pair] for pair in sequential_sorter(len(parts))]
 
 
-def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
-                  partial_router=None, capacity: int | None = None,
-                  router_bound: int | None = None) -> SortingNetwork:
+def subgraph_sort(g: Graph, h_vertices,
+                  h_net: SortingNetwork) -> SortingNetwork:
     """Sort g by repeatedly merging pairs of vertex blocks inside H.
 
-    The vertex set is split into blocks of at most half the merge
-    capacity; a sequential comparison list over blocks drives merges:
-    each merge routes both blocks into H (lowest ranks first), applies
-    h_net restricted to the occupied prefix, and rebinds block labels to
-    the sorted prefix.  h_net must be standard (all minima toward lower
-    ranks) for the restriction to be sound.
-
-    partial_router(sources, targets) returns swap stages on g and the
-    permutation they realize, taking each source to one of targets; the
-    default pairs them in list order, routed as route_auto.  A merge route
-    that lands a source off targets or takes more stages than router_bound
-    (route_depth_bound(g) by default) raises, also under python -O.
+    The labels are split into blocks of |H| // 2, the last one short; a
+    sequential comparison list over the blocks drives one merge at a time,
+    each routed into H as route_auto routes on g and within
+    route_depth_bound(g).  h_net must be standard (all minima toward lower
+    ranks), so that running it on the occupied prefix of H is sound.
     """
     check_connected(g)
     n = g.n
@@ -337,53 +374,28 @@ def subgraph_sort(g: Graph, h_vertices, h_net: SortingNetwork,
     _check_embedding(g, hv, h_net, "subgraph sorter")
     _check_standard(h_net, "subgraph sorter")
     p = len(hv)
-    c = p if capacity is None else capacity
-    if not 2 <= c <= p:
+    if p < 2:
         raise ParameterError("merge capacity must be between 2 and |H|")
-    if partial_router is None:
-        partial_router = lambda src, dst: _routed(g, zip(src, dst))
-    rb = route_depth_bound(g) if router_bound is None else router_bound
+    rb = route_depth_bound(g)
 
-    half = c // 2
-    q = -(-n // half)
-    parts = _padded_parts(n, half)
-    # q = ceil(n / half) blocks of at most half labels: no input reaches this
-    assert len(parts) == q and max(len(a) for a in parts) <= half
-    comps = sequential_sorter(q)
-
-    pos = list(range(1, n + 1))
-    stages_out: list = []
-    for i, j in comps:
-        block = parts[i - 1] + parts[j - 1]
-        k = len(block)
-        sources = [pos[l - 1] for l in block]
-        targets = hv[:k]
-        # any arrangement inside H works, the merge sorts the block anyway
-        stages, realized = partial_router(sources, targets)
-        if len(stages) > rb:
-            raise ConstructionError(f"depth {len(stages)} exceeds bound {rb}")
-        if {realized[s - 1] for s in sources} != set(targets):
-            raise ConstructionError("merge route lands a pebble off H")
-        _follow((stages, realized), pos, stages_out)
-        for stage in h_net.stages:
-            kept = [(hv[u - 1], hv[v - 1], DIR)
-                    for u, v, _ in stage if v <= k]
-            if kept:
-                stages_out.append(kept)
-        for r, label in enumerate(block):
-            pos[label - 1] = hv[r]
-    _fixup(g, pos, stages_out)
-
-    claimed = len(comps) * (rb + h_net.depth) + route_depth_bound(g)
+    parts, schedule = _sequential_merges(n, p // 2)
+    stages_out = _arena_merges(g, parts, schedule, [(hv, h_net)],
+                               lambda src, dst: _routed(g, zip(src, dst)))
+    claimed = len(schedule) * (rb + h_net.depth) + rb
     cert = _cert("subgraph",
-                 {"n": n, "p": p, "q": q, "rt_used": rb,
-                  "base_depth": len(comps)},
+                 {"n": n, "p": p, "q": len(parts), "rt_used": rb,
+                  "base_depth": len(schedule)},
                  claimed, len(stages_out))
     return make_network(g, identity(n), stages_out, certificate=cert)
 
 
 def longest_path_sort(g: Graph) -> SortingNetwork:
-    """Sort any connected graph through the diameter path of a spanning tree."""
+    """Sort any connected graph through the diameter path of a spanning tree.
+
+    H is the diameter path of d edges, blocks hold d // 2 labels, and
+    every merge is routed to the path by route_to_path on the tree, each
+    checked against its own d + 2(k - 1) for k pebbles.
+    """
     check_connected(g)
     n = g.n
     if n == 1:
@@ -399,36 +411,33 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
     path = tree_diameter_path(tree)
     d = len(path) - 1
     h_net = odd_even_transposition(d + 1)
-    k_max = 2 * (d // 2)
-    rb = d + 2 * (k_max - 1)
-    # each merge is checked against its own d + 2(k-1), at most rb
-    router = lambda src, dst: _to_path_stages(tree, src, dst)
-    net = subgraph_sort(g, path, h_net, partial_router=router,
-                        capacity=d, router_bound=rb)
+    rb = d + 2 * (2 * (d // 2) - 1)  # a full merge routes k = 2(d // 2)
+
+    parts, schedule = _sequential_merges(n, d // 2)
+    stages_out = _arena_merges(g, parts, schedule, [(path, h_net)],
+                               partial(_to_path_stages, tree))
+    claimed = len(schedule) * (rb + h_net.depth) + route_depth_bound(g)
     cert = _cert("longest_path",
-                 {"n": n, "d": d, "q": net.certificate["parameters"]["q"],
-                  "rt_used": rb},
-                 net.certificate["claimed_bound"], net.depth)
-    return replace(net, certificate=cert)
+                 {"n": n, "d": d, "q": len(parts), "rt_used": rb},
+                 claimed, len(stages_out))
+    return make_network(g, identity(n), stages_out, certificate=cert)
 
-
-# ---------------------------------------------------------------------------
-# parallel merges in disjoint subgraphs
 
 def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
     """Sort g with one merge arena per partition class, merges in parallel.
 
     The partition classes are halved into 2q blocks; a parallel sorter on
-    2q wires drives the merges, and every merge fills one arena exactly,
-    so the arena nets run unfiltered.  Needs equal class sizes and an
-    even class size (each merge of two blocks must fill an arena).
+    2q wires drives the merges through _arena_merges, and every merge
+    fills one arena exactly, so the arena nets run unfiltered.  Needs equal
+    class sizes and an even class size (each merge of two blocks must fill
+    an arena).
     """
     check_connected(g)
     n = g.n
     parts = [list(pv) for pv in partition]
     q = len(parts)
-    flat = sorted(v for pv in parts for v in pv)
-    if flat != list(range(1, n + 1)):
+    flat = [v for pv in parts for v in pv]
+    if len(flat) != n or set(flat) != set(range(1, n + 1)):
         raise ParameterError("partition must cover every vertex exactly once")
     size = n // q
     if any(len(pv) != size for pv in parts):
@@ -439,47 +448,16 @@ def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
         raise ParameterError("need one arena network per partition class")
     for pv, net in zip(parts, nets):
         _check_embedding(g, pv, net, "arena sorter")
-        if tuple(net.order) != identity(size):
-            raise StructureError("arena sorter must sort into identity order")
     rb = route_depth_bound(g)
 
-    halves = []
-    for pv in parts:
-        halves.append(pv[:size // 2])
-        halves.append(pv[size // 2:])
-    base = batcher_complete(2 * q)
-
-    pos = list(range(1, n + 1))
-    stages_out: list = []
-    for stage in base.stages:
-        pairs = [(u, v) for u, v, kind in stage]
-        want = {}
-        merges = []
-        for idx, (u, v) in enumerate(pairs):
-            arena = parts[idx]
-            block = halves[u - 1] + halves[v - 1]
-            for r, label in enumerate(block):
-                want[pos[label - 1]] = arena[r]
-            merges.append((idx, block))
-        _follow(_routed(g, want), pos, stages_out)
-        active = [nets[idx] for idx, _ in merges]
-        arenas = [parts[idx] for idx, _ in merges]
-        for step in zip_longest(*(net.stages for net in active)):
-            merged = []
-            for arena, sub in zip(arenas, step):
-                if sub:
-                    merged += [(arena[u - 1], arena[v - 1], kind)
-                               for u, v, kind in sub]
-            if merged:
-                stages_out.append(merged)
-        for (idx, block) in merges:
-            for r, label in enumerate(block):
-                pos[label - 1] = parts[idx][r]
-
     # wire w of the block sorter ends holding ranks (w-1)h+1..wh, bound to
-    # halves[w-1] in list order; route each pebble to the vertex of its rank
-    # so the network sorts into identity order even for scattered classes
-    _fixup(g, [pos[label - 1] for blk in halves for label in blk], stages_out)
+    # halves[w-1] in list order; the final route takes each pebble to the
+    # vertex of its rank, so scattered classes sort into identity order too
+    halves = [h for pv in parts for h in (pv[:size // 2], pv[size // 2:])]
+    base = batcher_complete(2 * q)
+    schedule = [[(u, v) for u, v, _ in stage] for stage in base.stages]
+    stages_out = _arena_merges(g, halves, schedule, list(zip(parts, nets)),
+                               lambda src, dst: _routed(g, zip(src, dst)))
 
     max_net = max((net.depth for net in nets), default=0)
     claimed = base.depth * (rb + max_net) + rb

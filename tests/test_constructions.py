@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import zip_longest
 
 import pytest
@@ -13,13 +14,15 @@ from matchnet.constructions import (batcher_complete, bitonic_hypercube,
                                     pyramid_sort, sequential_sorter,
                                     simulate_complete, subgraph_sort)
 from matchnet.errors import ConstructionError, ParameterError, StructureError
-from matchnet.graphs import (check_tree, complete_graph, cycle_graph,
-                             generate, graph, hypercube_graph, max_degree,
-                             mesh_graph, multipartite_graph, path_graph,
-                             pyramid_graph, random_tree, star_graph,
-                             tree_contour, tree_diameter_path)
+from matchnet.graphs import (check_connected, check_tree, complete_graph,
+                             cycle_graph, generate, graph, hypercube_graph,
+                             max_degree, mesh_graph, multipartite_graph,
+                             path_graph, pyramid_graph, random_tree,
+                             spanning_tree, star_graph, tree_contour,
+                             tree_diameter_path)
 from matchnet.network import (DIR, SWAP, execute, make_network,
                               network_to_json)
+from matchnet.routing import route_depth_bound
 from matchnet.verify import verify_auto, verify_exhaustive
 
 
@@ -307,19 +310,6 @@ def test_longest_path_sort_checks_each_merge_against_its_own_bound(
     assert len(padded) == 1 and padded[0] <= 15
 
 
-def test_subgraph_sort_checks_its_partial_router_without_asserts():
-    # a caller's router_bound and partial_router are held per merge, as
-    # raises: a route past the bound, and one that leaves the block off H
-    g, h_net = cycle_graph(6), odd_even_transposition(4)
-    with pytest.raises(ConstructionError, match="exceeds bound 0"):
-        subgraph_sort(g, [1, 2, 3, 4], h_net, router_bound=0)
-    stay = lambda sources, targets: ([], tuple(range(1, 7)))
-    with pytest.raises(ConstructionError, match="pebble off H"):
-        subgraph_sort(g, [1, 2, 3, 4], h_net, partial_router=stay)
-    net = subgraph_sort(g, [1, 2, 3, 4], h_net, router_bound=6)
-    assert net.certificate["parameters"]["rt_used"] == 6
-
-
 def test_parallel_subgraph_sort_route_check_raises_without_asserts(
         monkeypatch):
     _corrupt(monkeypatch, _short_rounds)
@@ -364,15 +354,17 @@ def test_subgraph_sort_rejects_nonstandard_helper():
                             [[(1, 2, SWAP)]])
     with pytest.raises(StructureError):
         subgraph_sort(g, [1, 2, 3, 4], swap_net)
+    # ids must be plain ints: 1.0, "a" and True are refused as graph() does
     for verts, text in (([1, 2, 2, 3], "not a subset of the host"),
                         ([1, 2, 3, 7], "not a subset of the host"),
+                        ([1.0, 2, 3, 4], "not a subset of the host"),
+                        (["a", 2, 3, 4], "not a subset of the host"),
+                        ([True, 2, 3, 4], "not a subset of the host"),
                         ([1, 2, 3], "network size differs")):
         with pytest.raises(ParameterError, match=text):
             subgraph_sort(g, verts, odd_even_transposition(4))
-    for capacity in (1, 5):
-        with pytest.raises(ParameterError, match="capacity must be between 2"):
-            subgraph_sort(g, [1, 2, 3, 4], odd_even_transposition(4),
-                          capacity=capacity)
+    with pytest.raises(ParameterError, match="capacity must be between 2"):
+        subgraph_sort(g, [1], odd_even_transposition(1))
 
 
 def test_subgraph_sort_rejects_disconnected_induced():
@@ -450,6 +442,12 @@ def test_parallel_subgraph_sort_partition_errors():
     reversed_order = make_network(path_graph(4), (4, 3, 2, 1), [])
     with pytest.raises(StructureError, match="into identity order"):
         parallel_subgraph_sort(g, rows, [reversed_order] * 2)
+    for first, text in (([True, 2, 3, 4], "not a subset of the host"),
+                        ([1.0, 2, 3, 4], "not a subset of the host"),
+                        (["a", 2, 3, 4], "cover every vertex")):
+        with pytest.raises(ParameterError, match=text):
+            parallel_subgraph_sort(g, [first, [5, 6, 7, 8]],
+                                   [odd_even_transposition(4)] * 2)
 
 
 def test_product_sort_meshes():
@@ -471,6 +469,216 @@ def test_product_sort_degenerate_factor():
     net = product_sort(path_graph(1), path_graph(5))
     assert net.graph.n == 5
     assert verify_auto(net).passed
+
+
+def _reference_subgraph_sort(g, h_vertices, h_net, partial_router=None,
+                             capacity=None, router_bound=None):
+    """subgraph_sort as it was before the shared merge loop, with its own
+    router, merge capacity and router bound as options."""
+    check_connected(g)
+    n = g.n
+    hv = list(h_vertices)
+    if n == 1:
+        return make_network(g, (1,), [], certificate=constructions._cert(
+            "subgraph", {"n": 1}, 0, 0))
+    constructions._check_embedding(g, hv, h_net, "subgraph sorter")
+    constructions._check_standard(h_net, "subgraph sorter")
+    p = len(hv)
+    c = p if capacity is None else capacity
+    if not 2 <= c <= p:
+        raise ParameterError("merge capacity must be between 2 and |H|")
+    if partial_router is None:
+        partial_router = lambda src, dst: routing._routed(g, zip(src, dst))
+    rb = route_depth_bound(g) if router_bound is None else router_bound
+    half = c // 2
+    q = -(-n // half)
+    parts = [list(range(lo, min(lo + half - 1, n) + 1))
+             for lo in range(1, n + 1, half)]
+    comps = sequential_sorter(q)
+    pos = list(range(1, n + 1))
+    stages_out = []
+    for i, j in comps:
+        block = parts[i - 1] + parts[j - 1]
+        k = len(block)
+        sources = [pos[label - 1] for label in block]
+        targets = hv[:k]
+        stages, realized = partial_router(sources, targets)
+        if len(stages) > rb:
+            raise ConstructionError(f"depth {len(stages)} exceeds bound {rb}")
+        if {realized[s - 1] for s in sources} != set(targets):
+            raise ConstructionError("merge route lands a pebble off H")
+        constructions._follow((stages, realized), pos, stages_out)
+        for stage in h_net.stages:
+            kept = [(hv[u - 1], hv[v - 1], DIR) for u, v, _ in stage if v <= k]
+            if kept:
+                stages_out.append(kept)
+        for r, label in enumerate(block):
+            pos[label - 1] = hv[r]
+    constructions._fixup(g, pos, stages_out)
+    claimed = len(comps) * (rb + h_net.depth) + route_depth_bound(g)
+    cert = constructions._cert(
+        "subgraph", {"n": n, "p": p, "q": q, "rt_used": rb,
+                     "base_depth": len(comps)}, claimed, len(stages_out))
+    return make_network(g, tuple(range(1, n + 1)), stages_out,
+                        certificate=cert)
+
+
+def _reference_longest_path_sort(g):
+    """longest_path_sort as it was: the reference subgraph sort with the
+    diameter path's router, and a second certificate in place of its.
+    Hosts on one or two vertices take the unchanged direct branch."""
+    check_connected(g)
+    n = g.n
+    if n <= 2:
+        return longest_path_sort(g)
+    tree = spanning_tree(g)
+    path = tree_diameter_path(tree)
+    d = len(path) - 1
+    rb = d + 2 * (2 * (d // 2) - 1)
+    router = lambda src, dst: routing._to_path_stages(tree, src, dst)
+    net = _reference_subgraph_sort(g, path, odd_even_transposition(d + 1),
+                                   partial_router=router, capacity=d,
+                                   router_bound=rb)
+    cert = constructions._cert(
+        "longest_path", {"n": n, "d": d,
+                         "q": net.certificate["parameters"]["q"],
+                         "rt_used": rb},
+        net.certificate["claimed_bound"], net.depth)
+    return replace(net, certificate=cert)
+
+
+def _reference_parallel_subgraph_sort(g, partition, nets):
+    """parallel_subgraph_sort as it was before the shared merge loop."""
+    check_connected(g)
+    n = g.n
+    parts = [list(pv) for pv in partition]
+    q = len(parts)
+    if sorted(v for pv in parts for v in pv) != list(range(1, n + 1)):
+        raise ParameterError("partition must cover every vertex exactly once")
+    size = n // q
+    if any(len(pv) != size for pv in parts):
+        raise ParameterError("partition classes must have equal sizes")
+    if size % 2 != 0:
+        raise ParameterError("partition classes must have even size")
+    if len(nets) != q:
+        raise ParameterError("need one arena network per partition class")
+    for pv, net in zip(parts, nets):
+        constructions._check_embedding(g, pv, net, "arena sorter")
+    rb = route_depth_bound(g)
+    halves = []
+    for pv in parts:
+        halves.append(pv[:size // 2])
+        halves.append(pv[size // 2:])
+    base = batcher_complete(2 * q)
+    pos = list(range(1, n + 1))
+    stages_out = []
+    for stage in base.stages:
+        want = {}
+        merges = []
+        for idx, (u, v, _) in enumerate(stage):
+            block = halves[u - 1] + halves[v - 1]
+            for r, label in enumerate(block):
+                want[pos[label - 1]] = parts[idx][r]
+            merges.append((idx, block))
+        constructions._follow(routing._routed(g, want), pos, stages_out)
+        active = [nets[idx] for idx, _ in merges]
+        for step in zip_longest(*(net.stages for net in active)):
+            merged = []
+            for (idx, _), sub in zip(merges, step):
+                if sub:
+                    merged += [(parts[idx][u - 1], parts[idx][v - 1], kind)
+                               for u, v, kind in sub]
+            if merged:
+                stages_out.append(merged)
+        for idx, block in merges:
+            for r, label in enumerate(block):
+                pos[label - 1] = parts[idx][r]
+    constructions._fixup(
+        g, [pos[label - 1] for blk in halves for label in blk], stages_out)
+    max_net = max((net.depth for net in nets), default=0)
+    claimed = base.depth * (rb + max_net) + rb
+    cert = constructions._cert(
+        "parallel_subgraph", {"n": n, "q": q, "rt_used": rb,
+                              "base_depth": base.depth},
+        claimed, len(stages_out))
+    return make_network(g, tuple(range(1, n + 1)), stages_out,
+                        certificate=cert)
+
+
+def _reference_product_sort(g1, g2):
+    """product_sort with the reference merge builders in its place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "parallel_subgraph_sort",
+                   _reference_parallel_subgraph_sort)
+        mp.setattr(constructions, "longest_path_sort",
+                   _reference_longest_path_sort)
+        mp.setitem(constructions.BUILDERS, "longest_path",
+                   _reference_longest_path_sort)
+        return product_sort(g1, g2)
+
+
+def _outcome(build, *args):
+    """The network JSON of build(*args), or its exception's type and text."""
+    try:
+        return network_to_json(build(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_like_the_reference(build, reference, *args):
+    assert _outcome(build, *args) == _outcome(reference, *args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**31 - 1), st.integers(0, 30))
+def test_subgraph_sort_matches_the_reference(n, seed, extra):
+    # H is a shortest path between two random vertices of a random
+    # connected graph: a random tree with extra random edges
+    rng = random.Random(seed)
+    edges = set(random_tree(n, seed).edges)
+    edges |= {tuple(sorted(rng.sample(range(1, n + 1), 2)))
+              for _ in range(extra)}
+    g = graph(n, sorted(edges))
+    a, b = rng.sample(range(1, n + 1), 2)
+    _, parent, _ = graphs.bfs(g, [a])
+    h = [b]
+    while h[-1] != a:
+        h.append(parent[h[-1]])
+    _assert_like_the_reference(subgraph_sort, _reference_subgraph_sort,
+                               g, h, odd_even_transposition(len(h)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_longest_path_sort_matches_the_reference(n, seed):
+    _assert_like_the_reference(longest_path_sort,
+                               _reference_longest_path_sort,
+                               random_tree(n, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6))
+def test_parallel_subgraph_sort_matches_the_reference(a, b):
+    g = mesh_graph((a, b))
+    rows = [list(range(r * b + 1, r * b + b + 1)) for r in range(a)]
+    for parts in (rows, [list(col) for col in zip(*rows)]):
+        if len(parts[0]) % 2 == 0:
+            nets = [odd_even_transposition(len(parts[0]))] * len(parts)
+            _assert_like_the_reference(parallel_subgraph_sort,
+                                       _reference_parallel_subgraph_sort,
+                                       g, parts, nets)
+
+
+FACTORS = ["path:1", "path:2", "path:3", "path:4", "cycle:4", "cycle:5",
+           "star:4", "complete:3", "complete:4", "multipartite:2,2",
+           "hypercube:2", "mesh:2,2", "random_tree:5,1"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FACTORS), st.sampled_from(FACTORS))
+def test_product_sort_matches_the_reference(spec1, spec2):
+    _assert_like_the_reference(product_sort, _reference_product_sort,
+                               generate(spec1), generate(spec2))
 
 
 def test_family_builders_refuse_other_hosts():

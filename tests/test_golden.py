@@ -1,7 +1,7 @@
 """Golden outputs: bench CSV, CLI networks, longest_path_sort networks,
-route_auto plans and bounds, the public family routers' plans,
-verify_random reports, and the exact oracles' values, witnesses and
-explored-state counts.
+direct calls of the merge builders, route_auto plans and bounds, the
+public family routers' plans, verify_random reports, and the exact
+oracles' values, witnesses and explored-state counts.
 
 The expected values live in golden.json next to this file.  They pin the
 exact bytes the package emits, so a refactor that changes any output, on
@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from matchnet import cli
-from matchnet.constructions import longest_path_sort, odd_even_transposition
+from matchnet.constructions import (longest_path_sort, odd_even_transposition,
+                                    parallel_subgraph_sort, product_sort,
+                                    subgraph_sort)
 from matchnet.graphs import (cartesian_product, generate, graph,
                              tree_diameter_path)
 from matchnet.network import make_network, network_to_json, plan_to_json
@@ -75,6 +77,14 @@ TO_PATH_TREES = ["random_tree:40,7", "caterpillar:6,2", "star:9"]
 # longest_path_sort routes every merge through route_to_path: a full path,
 # a star (d = 2), and two hosts whose spanning trees branch off the path
 LONGEST_PATHS = ["path:32", "star:24", "mesh:4,8", "hypercube:5"]
+
+# merge-builder calls no CLI build makes: subgraph_sort with an H of odd
+# size (the last block is short) and with an H that bends, the scattered
+# columns of a mesh, and products whose arena nets swap, with 2q = 6
+SUBGRAPHS = [("cycle:6", [1, 2, 3, 4]), ("cycle:8", [2, 3, 4, 5, 6]),
+             ("mesh:3,4", [1, 2, 3, 4, 8, 12])]
+COLUMNS = ("mesh:2,4", [[1, 5], [2, 6], [3, 7], [4, 8]])
+PRODUCTS = [("multipartite:2,2", "path:3"), ("cycle:4", "path:3")]
 
 # exact oracles: every connected graph with n <= 4 is a sandwich host too
 SANDWICH_HOSTS = ["path:5", "star:5", "cycle:5", "random_tree:5,1"]
@@ -207,6 +217,21 @@ def longest_path_digests() -> dict:
             for spec in LONGEST_PATHS}
 
 
+def merge_digests() -> dict:
+    out = {}
+    for spec, h in SUBGRAPHS:
+        net = subgraph_sort(generate(spec), h, odd_even_transposition(len(h)))
+        out[f"subgraph_sort {spec} {h}"] = _sha(network_to_json(net))
+    spec, cols = COLUMNS
+    net = parallel_subgraph_sort(generate(spec), cols,
+                                 [odd_even_transposition(2)] * len(cols))
+    out[f"parallel_subgraph_sort {spec} {cols}"] = _sha(network_to_json(net))
+    for a, b in PRODUCTS:
+        net = product_sort(generate(a), generate(b))
+        out[f"product_sort {a}*{b}"] = _sha(network_to_json(net))
+    return out
+
+
 def _random_report(rep) -> dict:
     return {"passed": rep.passed, "method": rep.method,
             "inputs_checked": rep.inputs_checked,
@@ -329,6 +354,10 @@ def test_longest_path_networks_are_unchanged(golden):
     assert longest_path_digests() == golden["longest_path"]
 
 
+def test_merge_networks_are_unchanged(golden):
+    assert merge_digests() == golden["merges"]
+
+
 def test_verify_random_reports_are_unchanged(golden):
     assert _json(random_reports()) == golden["verify_random"]
 
@@ -364,6 +393,7 @@ if __name__ == "__main__":
         doc = {"bench_csv": bench_csv(Path(d)),
                "networks": network_digests(Path(d)),
                "longest_path": longest_path_digests(),
+               "merges": merge_digests(),
                "verify_random": random_reports(),
                "plans": plan_digests(), "routers": router_digests(),
                "bounds": bounds(),
