@@ -22,38 +22,50 @@ compare-exchange, so only it knows how comparators act on values.
 
 _freeze is the one validation kernel: make_network, make_plan and
 routing._plan, which freezes every public router's checked stages, hand
-it a whole stage list, and it checks every comparator in one array pass.
-It gathers u, v and kind of all comparators at once, requires each kind
-to be allowed (only "swap" in a plan) and each vertex id to be a plain
-int in 1..n.  The range check comes before keying: without it (0, 7) on
-n = 4 would get the key of edge (1, 2).  An edge {lo, hi} is keyed
-lo*(n+1) + hi, and membership is one searchsorted against the graph's
-sorted edge-key array (graphs.edge_keys, cached on the Graph like its
-adjacency).  The matching test is one sort of (stage, vertex) keys.
-Comparators that are already canonical (u, v, kind) tuples are kept as
-they are, so a stage list built once is never copied comparator by
-comparator; swaps with u > v are flipped.  When any check fails, the
-stages go through make_stage one by one (after make_plan's swap-only
-test, stage by stage), so errors keep the type and text of the
-per-comparator checks: make_stage stays the single-stage API and the
-only per-comparator validation loop.
+it a whole stage list, and it checks the comparators in one array pass.
+It holds each repeat once, keyed by identity, not by value (hashing
+every stage would cost more than the repeats save): a stage object that
+recurs, as the contour and pyramid sorters' rounds do, is checked once
+and frozen into one tuple that every repeat shares, and inside the pass
+a comparator object that recurs, as a route's swaps and a read file's
+comparators do, has its kind, ids and edge checked once; only the
+matching test reads every occurrence.  The pass gathers u, v and kind of
+the distinct comparators at once, requires each kind to be allowed (only
+"swap" in a plan) and each vertex id to be a plain int in 1..n.  The
+range check comes before keying: without it (0, 7) on n = 4 would get
+the key of edge (1, 2).  An edge {lo, hi} is keyed lo*(n+1) + hi, and
+membership is one searchsorted against the graph's sorted edge-key array
+(graphs.edge_keys, cached on the Graph like its adjacency).  The
+matching test is one sort of (stage, vertex) keys.  Comparators that
+are already canonical (u, v, kind) tuples are kept as they are, so a
+stage list built once is never copied comparator by comparator; swaps
+with u > v are flipped.  When any check fails, the distinct stages go through
+make_stage one by one in order of first appearance (after make_plan's
+swap-only test, stage by stage): a repeat passed where it first
+appeared, so this raises what make_stage on every stage would, and
+errors keep the type and text of the per-comparator checks.  make_stage
+stays the single-stage API and the only per-comparator validation loop.
 
 Serialization writes the frozen tuples straight through json.dumps,
-which emits tuples as arrays, and reading builds each comparator tuple
-once, which the kernel then keeps.  The writers skip json's circular
-check (a third of the time to encode a stage list): each document is a
-tree of fresh dicts and lists they build, so only a provenance made
-cyclic by hand can loop, and it raises RecursionError, not ValueError.
-A comparator fault in a file (a non-edge, an aliased or shared vertex),
+which emits tuples as arrays.  Reading converts the parsed stages one at
+a time and drops each parsed stage as soon as its tuples exist, so the
+parse and the new tuples are never all alive at once; then, once every
+cell is exactly an int or a str (True and 1.0 equal 1, and the kernel
+must still refuse them), it shares one tuple per distinct comparator,
+which the kernel then keeps.  The writers skip json's circular check (a
+third of the time to encode a stage list): each document is a tree of
+fresh dicts and lists they build, so only a provenance made cyclic by
+hand can loop, and it raises RecursionError, not ValueError.  A
+comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
 TaskError.  Neither reader takes the other's document: network JSON
-carrying "plan", or plan JSON carrying "provenance" or "certificate",
-is refused as StructureError, after the stage checks, so a file with a
-bad comparator gets the same text from either reader.  A network's
+carrying "plan", or plan JSON carrying "provenance" or "certificate", is
+refused as StructureError, after the stage checks, so a file with a bad
+comparator gets the same text from either reader.  A network's
 certificate, when not null, must hold integer achieved_depth and
-claimed_bound, the bound no lower than that depth or the stage count,
-as a plan's stored order must be the one its stages realize.
+claimed_bound, the bound no lower than that depth or the stage count, as
+a plan's stored order must be the one its stages realize.
 
 _gc_paused keeps CPython's cyclic collector out of the code that builds
 a plan or network: routing.route_auto, plan_from_json and
@@ -180,7 +192,18 @@ def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
     The result equals make_stage on every stage, after make_plan's
     swap-only test when swaps_only; so does any exception raised.
     """
-    held = []  # each stage iterated once, so generators survive a retry
+    stages = list(stages)  # keeps every caller's stage, and so its id, alive
+    at = None  # where each stage's frozen one is, when a stage object repeats
+    if len(set(map(id, stages))) < len(stages):
+        first, at, distinct = {}, [], []
+        for k, s in enumerate(stages):  # an iterator yields once: no repeat
+            key = id(s) if type(s) in (tuple, list) else -1 - k
+            if key not in first:
+                first[key] = len(distinct)
+                distinct.append(s)
+            at.append(first[key])
+        stages = distinct
+    held = []  # each iterated once, so generators survive a retry
     for s in stages:
         try:
             held.append(s if type(s) is tuple else tuple(s))
@@ -190,35 +213,42 @@ def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
         frozen = _checked(g, held, swaps_only)
     except (TypeError, ValueError, OverflowError):
         frozen = None  # malformed comparators: make_stage names the fault
-    if frozen is not None:
-        return frozen
-    out = []
-    for s in held:
-        if swaps_only and any(kind != SWAP for _, _, kind in s):
-            raise StructureError("routing plans may only contain swaps")
-        out.append(make_stage(g, s))
-    return tuple(out)
+    if frozen is None:  # a repeat passed where it first appeared, so this
+        frozen = []  # raises what make_stage on every stage would
+        for s in held:
+            if swaps_only and any(kind != SWAP for _, _, kind in s):
+                raise StructureError("routing plans may only contain swaps")
+            frozen.append(make_stage(g, s))
+    return tuple(frozen if at is None else map(frozen.__getitem__, at))
 
 
 def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
-    """The array pass of _freeze: frozen stages, or None on any fault."""
+    """The array pass of _freeze: frozen stages, or None on any fault.
+
+    Each comparator object is checked once, however many stages hold it:
+    only the matching test reads every occurrence.
+    """
     flat = list(chain.from_iterable(held))
     if not flat:
         return tuple(held)
-    if set(map(len, flat)) != {3}:
+    # each comparator object once, and which one each occurrence is
+    _, first, which = np.unique(np.fromiter(map(id, flat), np.intp, len(flat)),
+                                return_index=True, return_inverse=True)
+    cmps = list(map(flat.__getitem__, first.tolist()))
+    if set(map(len, cmps)) != {3}:
         return None
-    cells = list(chain.from_iterable(flat))
+    cells = list(chain.from_iterable(cmps))
     us, vs, ks = cells[0::3], cells[1::3], cells[2::3]
     del cells
     if not set(ks) <= ({SWAP} if swaps_only else {DIR, SWAP}) \
             or set(map(type, us)) | set(map(type, vs)) != {int}:
         return None
-    n, m = g.n, len(flat)
-    uv = np.fromiter(chain(us, vs), np.int32, 2 * m)  # OverflowError past 2^31
+    n, d = g.n, len(cmps)
+    uv = np.fromiter(chain(us, vs), np.int32, 2 * d)  # OverflowError past 2^31
     del us, vs
     if uv.min() < 1 or uv.max() > n:  # before keying: (0, 7) keys (1, 2)
         return None
-    u, v = uv[:m], uv[m:]
+    u, v = uv[:d], uv[d:]
     key = np.minimum(u, v).astype(np.int64) * (n + 1) + np.maximum(u, v)
     edge_keys = graphs.edge_keys(g)
     if not len(edge_keys) or (edge_keys.take(np.searchsorted(
@@ -227,19 +257,19 @@ def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
     del key
     stage_of = np.repeat(np.arange(len(held), dtype=np.int64) * (n + 1),
                          list(map(len, held)))
-    ends = uv + np.tile(stage_of, 2)
+    ends = np.sort(uv.reshape(2, d)[:, which] + stage_of, axis=None)
     del stage_of
-    ends.sort()
     if (ends[1:] == ends[:-1]).any():
         return None
     del ends
     flip = [i for i in np.flatnonzero(u > v).tolist() if ks[i] == SWAP]
     del uv, u, v
-    if not flip and set(map(type, flat)) == {tuple}:
+    if not flip and set(map(type, cmps)) == {tuple}:
         return tuple(held)
-    flat = list(map(tuple, flat))
+    cmps = list(map(tuple, cmps))
     for i in flip:
-        flat[i] = (flat[i][1], flat[i][0], SWAP)
+        cmps[i] = (cmps[i][1], cmps[i][0], SWAP)
+    flat = list(map(cmps.__getitem__, which.tolist()))
     bounds = list(accumulate(map(len, held), initial=0))
     return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
@@ -343,13 +373,27 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     if type(doc["order"]) is not list \
             or not {int}.issuperset(map(type, doc["order"])):
         raise StructureError("network JSON order must be a list of integers")
+    stages = []
     try:
-        stages = [tuple(map(tuple, s["cmp"])) for s in doc["stages"]]
+        parsed = doc.pop("stages")
+        if type(parsed) is not list:
+            parsed = list(parsed)
+        for k, s in enumerate(parsed):
+            stages.append(tuple(map(tuple, s["cmp"])))
+            parsed[k] = None  # its parse dies when s moves on
     except (KeyError, IndexError, TypeError) as e:
         raise StructureError(f"malformed stage in network JSON: {e!r}") from e
-    if not set(map(len, chain.from_iterable(stages))) <= {3}:
+    flat = list(chain.from_iterable(stages))
+    if not set(map(len, flat)) <= {3}:
         raise StructureError("malformed stage in network JSON: a comparator "
                              "is not a [u, v, kind] triple")
+    # equal comparators are shared, once every cell is exactly an int or a
+    # str: True and 1.0 equal 1, and the checks must still see them
+    if {int, str}.issuperset(map(type, chain.from_iterable(flat))):
+        shared = {}
+        flat = list(map(shared.setdefault, flat, flat))
+        bounds = list(accumulate(map(len, stages), initial=0))
+        stages = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
             if k in doc}
     return graphs.graph_from_doc(doc["graph"]), stages, kept

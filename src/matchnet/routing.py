@@ -10,7 +10,19 @@ _ROUTES is the one table of family planners and bounds.  Every route
 leaves through _routed or _to_path_stages, which pass _checked: it raises,
 also under python -O, when a wanted pebble ends off its target or the
 depth passes its bound.  Public routers freeze the checked stages into a
-RoutingPlan, builders leave them to their closing make_network.
+RoutingPlan, builders leave them to their closing make_network.  A plan
+of depth d is a sequence of matchings of the host, so it holds up to
+d*n/2 swaps but only |E| distinct ones: _checked builds every stage
+from one (u, v, SWAP) tuple per distinct pair of its route, so each
+plan, and each builder stage list a route feeds, holds each comparator
+once, and network._freeze checks each of them once.
+
+The tree planner (_tree_rounds, route_tree and the spanning-tree
+fallback) recurses over the host's own vertex ids: each centroid
+component is found by a search over the vertices still alive, works in
+flat lists of the host that it writes only for its own vertices, and
+the components' rounds are interleaved as they come back, so no
+component builds a graph or relabels its rounds.
 
 The product router (route_product, and through it meshes, hypercubes and
 the level meshes of pyramids and multigrids) keeps the shallower of its
@@ -53,13 +65,11 @@ from .graphs import (
     PyramidInfo,
     _mesh_points,
     adjacency,
-    bfs,
     cartesian_product,
     check_connected,
     check_tree,
     complete_graph,
     family_of,
-    graph,
     hypercube_graph,
     is_tree,
     mesh_graph,
@@ -99,8 +109,11 @@ def _merge_parallel(blocks):
 def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple]:
     """Swap stages of the non-empty rounds, not yet validated, and the
     permutation they realize; refuses any (s, u) in want_pairs whose
-    pebble from s ends off u, and depth past bound."""
-    stages = [[(u, v, SWAP) for u, v in rnd] for rnd in rounds if rnd]
+    pebble from s ends off u, and depth past bound.  The stages share
+    one (u, v, SWAP) tuple per distinct pair, looked up through map in a
+    table made once from the rounds."""
+    swap = {p: (*p, SWAP) for p in set(chain.from_iterable(rounds))}
+    stages = [list(map(swap.__getitem__, rnd)) for rnd in rounds if rnd]
     realized = plan_realized(n, stages)
     for s, u in want_pairs:
         if realized[s - 1] != u:
@@ -213,65 +226,95 @@ def route_path(g: Graph, pi) -> RoutingPlan:
 # ---------------------------------------------------------------------------
 # trees
 
-def _centroid(t: Graph) -> int:
-    adj = adjacency(t)
-    n = t.n
-    order, parent, _ = bfs(t, [1])
-    size = [1] * (n + 1)
-    for v in reversed(order):
-        size[parent[v]] += size[v]  # slot 0 collects the root, unread
-    best, best_v = n + 1, 0
-    for v in range(1, n + 1):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best or (heaviest == best and v < best_v):
-            best, best_v = heaviest, v
-    return best_v
-
-
-def _path_order(t: Graph) -> list[int]:
-    """The vertices of a path-shaped tree from its smaller end."""
-    adj = adjacency(t)
-    end = min(v for v in range(1, t.n + 1) if len(adj[v]) <= 1)
-    return bfs(t, [end])[0]
-
-
 def _tree_rounds(t: Graph, pi):
-    n = t.n
-    dest = [0] + list(pi)  # dest[v] = target of the pebble now on v
-    if all(dest[v] == v for v in range(1, n + 1)):
-        return []
-    adj = adjacency(t)
-    if max(len(adj[v]) for v in range(1, n + 1)) <= 2:
-        order = _path_order(t)
-        posin = {v: i + 1 for i, v in enumerate(order)}
-        sub = [posin[dest[order[i]]] for i in range(n)]
-        edge = [_norm(a, b) for a, b in zip(order, order[1:])]  # (i, i+1)
-        return [[edge[i - 1] for i, _ in rnd] for rnd in _path_rounds(n, sub)]
+    """The rounds of the centroid planner on the tree t (see route_tree).
 
-    # BFS from the centroid c, in flat lists indexed by vertex: comp[v] is
-    # the root neighbour above v (0 for c), so v is proper when
-    # comp[dest[v]] == comp[v], for c too
-    c = _centroid(t)
-    order, parent, depth = bfs(t, [c])
-    comp = [0] * (n + 1)
+    Every centroid component is planned in host labels by _tree_part,
+    over flat lists of the host that each call writes only for its own
+    component, so no component builds a graph or relabels its rounds.
+    """
+    n = t.n
+    return _tree_part(adjacency(t), 1, [0, *pi], [True] * (n + 1),
+                      *([0] * (n + 1) for _ in range(5)),
+                      [set() for _ in range(n + 1)])
+
+
+def _alive_bfs(adj, alive, parent, root) -> list:
+    """The alive vertices reachable from root in BFS order, neighbours in
+    increasing id, each one's parent written (0 for root)."""
+    parent[root] = 0
+    order = [root]
+    for v in order:  # order grows as it is read
+        p = parent[v]
+        for w in adj[v]:
+            if w != p and alive[w]:
+                parent[w] = v
+                order.append(w)
+    return order
+
+
+def _tree_part(adj, root, dest, alive, parent, size, comp, ok, rank,
+               bad_kids):
+    """The rounds, in host labels, that route the component of root among
+    the alive vertices, dest[v] being the target of the pebble now on v.
+
+    A component's vertices rank by host id as they did by local id when
+    each component was its own graph numbered in vertex order, so every
+    tie-break is unchanged: the centroid, the (depth, v) rank, the
+    smallest improper child, neighbour order and the path's smaller end.
+    The centroid's components then recurse, and their rounds interleave.
+    """
+    order = _alive_bfs(adj, alive, parent, root)
+    if all(dest[v] == v for v in order):
+        return []
+    m = len(order)
+    if all(sum(map(alive.__getitem__, adj[v])) <= 2 for v in order):
+        end = min(v for v in order
+                  if sum(map(alive.__getitem__, adj[v])) <= 1)
+        line = _alive_bfs(adj, alive, parent, end)
+        at = {v: i for i, v in enumerate(line, 1)}
+        edge = [_norm(a, b) for a, b in zip(line, line[1:])]  # (i, i+1)
+        return [[edge[i - 1] for i, _ in rnd]
+                for rnd in _path_rounds(m, [at[dest[v]] for v in line])]
+
+    # the centroid: its largest component is smallest, the smaller id on
+    # a tie (size[0] collects the root, unread)
+    for v in order:
+        size[v] = 1
+    for v in reversed(order):
+        size[parent[v]] += size[v]
+    best, c = m + 1, 0
+    for v in order:
+        heaviest, p = m - size[v], parent[v]
+        for w in adj[v]:
+            if w != p and alive[w] and size[w] > heaviest:
+                heaviest = size[w]
+        if heaviest < best or (heaviest == best and v < c):
+            best, c = heaviest, v
+
+    # BFS from c: comp[v] is the root neighbour above v (0 for c), so v is
+    # proper when comp[dest[v]] == comp[v], for c too; rank[v] orders by
+    # (depth, v) as depth * step + v
+    order = _alive_bfs(adj, alive, parent, c)
+    step = len(dest)
+    comp[c], rank[c] = 0, c
     for v in order[1:]:
-        comp[v] = v if parent[v] == c else comp[parent[v]]
-    rank = [d * (n + 1) + v for v, d in enumerate(depth)]  # (depth, v) order
+        p = parent[v]
+        comp[v] = v if p == c else comp[p]
+        rank[v] = rank[p] - p + step + v
 
     # Each round swaps the centre with one root neighbour, and every proper
     # non-centre parent with its smallest improper child.  The improper
     # vertices are kept per parent, and the parents that can swap in a
     # frontier, so a round costs what it swaps, not a scan of the tree.
-    ok = [comp[dest[v]] == comp[v] for v in range(n + 1)]
-    bad_kids = [set() for _ in range(n + 1)]  # improper kids ([0]: c, unread)
-    for v in range(1, n + 1):
+    # Every pebble ends proper, so bad_kids ends empty for the next call.
+    bad = 0
+    for v in order:
+        ok[v] = comp[dest[v]] == comp[v]
         if not ok[v]:
-            bad_kids[parent[v]].add(v)
-    bad = ok.count(False)
-    frontier = {p for p in range(1, n + 1) if p != c and ok[p] and bad_kids[p]}
+            bad += 1
+            bad_kids[parent[v]].add(v)  # [0]: c
+    frontier = {p for p in order if p != c and ok[p] and bad_kids[p]}
     rounds = []
     while bad:
         pairs = []
@@ -307,27 +350,15 @@ def _tree_rounds(t: Graph, pi):
             else:
                 frontier.discard(v)
         rounds.append(pairs)
-        if len(rounds) > 6 * n:
+        if len(rounds) > 6 * m:
             raise ConstructionError("tree routing did not converge")
 
-    # recurse into the centroid components, numbered by vertex id inside
-    # each; every edge not at c is a BFS edge (parent[v], v) inside one
-    comps = {r: [] for r in adj[c]}
-    local = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if v != c:
-            vs = comps[comp[v]]
-            vs.append(v)
-            local[v] = len(vs)
-    sub_edges = {r: [] for r in adj[c]}
-    for v in range(1, n + 1):
-        if v != c and parent[v] != c:
-            sub_edges[comp[v]].append((local[parent[v]], local[v]))
-    blocks = []
-    for r, vs in comps.items():
-        sub_pi = [local[dest[v]] for v in vs]
-        blocks.append((_tree_rounds(graph(len(vs), sub_edges[r]), sub_pi), vs))
-    return rounds + _merge_parallel(blocks)
+    # the components of c route in parallel on disjoint vertices
+    alive[c] = False
+    parts = [_tree_part(adj, r, dest, alive, parent, size, comp, ok, rank,
+                        bad_kids) for r in adj[c] if alive[r]]
+    return rounds + [list(chain.from_iterable(chunk))
+                     for chunk in zip_longest(*parts, fillvalue=())]
 
 
 def route_tree(t: Graph, pi) -> RoutingPlan:

@@ -428,44 +428,6 @@ def _reference_path_projection(t):
     return tuple(path), tuple(anchor), tuple(height), tuple(up)
 
 
-def _reference_centroid(t):
-    adj = adjacency(t)
-    n = t.n
-    parent = {1: 0}
-    order = [1]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    size = {v: 1 for v in range(1, n + 1)}
-    for v in reversed(order):
-        if parent[v]:
-            size[parent[v]] += size[v]
-    best, best_v = n + 1, 0
-    for v in range(1, n + 1):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best or (heaviest == best and v < best_v):
-            best, best_v = heaviest, v
-    return best_v
-
-
-def _reference_path_order(t):
-    adj = adjacency(t)
-    end = min(v for v in range(1, t.n + 1) if len(adj[v]) <= 1)
-    order = [end]
-    prev = 0
-    while len(order) < t.n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        assert len(nxt) == 1
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
 def _bfs_host(kind, n, rng):
     """A host on 1..n with shuffled labels: a random tree plus chords
     ("connected"), a random edge set that may fall apart ("any"), a random
@@ -515,9 +477,10 @@ def test_bfs_matches_the_reference_traversals(kind, n, seed):
     if kind == "connected":
         return
     assert tuple(path_projection(g)) == _reference_path_projection(g)
-    assert routing._centroid(g) == _reference_centroid(g)
-    if kind == "path" or n <= 2:
-        assert routing._path_order(g) == _reference_path_order(g)
+    # the tree planner's search over its alive vertices, all alive here
+    parent = [0] * (n + 1)
+    order = routing._alive_bfs(adjacency(g), [True] * (n + 1), parent, 1)
+    assert (order, parent) == bfs(g, [1])[:2]
 
 
 def test_bfs_searches_from_every_source_at_once():

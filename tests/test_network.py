@@ -276,6 +276,48 @@ def test_kernel_matches_make_stage_stage_by_stage(case, swaps_only):
                     assert f is c
 
 
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_stages(), st.booleans(), st.data())
+def test_kernel_checks_each_repeated_stage_object_once(case, swaps_only,
+                                                       data):
+    g, stages = case
+    picks = st.lists(st.integers(0, len(stages) - 1), max_size=12)
+    stages = [stages[i] for i in data.draw(picks)] if stages else []
+    want = _outcome(_stage_by_stage, g, stages, swaps_only)
+    got = _outcome(network._freeze, g, stages, swaps_only)
+    assert got == want
+    if want[0] == "ok":  # every repeat of a stage object is one frozen one
+        frozen = {}
+        for s, f in zip(stages, got[1]):
+            assert frozen.setdefault(id(s), f) is f
+        kept = [f for f in frozen.values() if f]  # () is one object
+        assert len(set(map(id, kept))) == len(kept)
+
+
+def test_kernel_checks_a_repeated_stage_once(monkeypatch):
+    g = path_graph(4)
+    flips = [(2, 1, SWAP), (4, 3, SWAP)]  # swaps with u > v are flipped
+    kept = ((2, 3, DIR),)
+    bad = [(1, 3, SWAP)]  # not an edge
+    held = []
+    real = network._checked
+    monkeypatch.setattr(network, "_checked", lambda g, stages, swaps_only: (
+        held.append(len(stages)), real(g, stages, swaps_only))[1])
+    stages = [flips, kept, flips, kept, flips]
+    frozen = network._freeze(g, stages)
+    assert frozen == _stage_by_stage(g, stages, False) and held == [2]
+    assert frozen[0] is frozen[2] is frozen[4] and frozen[0][0] == (1, 2, SWAP)
+    assert frozen[1] is frozen[3] == kept
+    for stages in ([kept, bad, kept, bad], [bad, flips, bad], [flips, flips]):
+        for swaps_only in (False, True):
+            assert _outcome(network._freeze, g, stages, swaps_only) \
+                == _outcome(_stage_by_stage, g, stages, swaps_only)
+    # a builder's repeated rounds: the contour sorter alternates two
+    held.clear()
+    net = cons.contour_tree_sort(random_tree(64, 1))
+    assert held == [len({id(s) for s in net.stages})] and held[0] < net.depth
+
+
 def test_kernel_refuses_ids_that_alias_an_edge():
     g = path_graph(4)  # 0*5 + 7 and -1*5 + 12 are the key of edge (1, 2)
     for u, v in [(0, 7), (7, 0), (-1, 12)]:
@@ -318,6 +360,19 @@ def test_plan_and_graph_json_refuse_non_int_ids():
         doc["order"] = order
         for read in (plan_from_json, network_from_json):
             with pytest.raises(StructureError, match="order must be a list"):
+                read(json.dumps(doc))
+
+
+def test_the_readers_share_no_comparator_before_checking_its_ids():
+    # (True, 2, "swap") and (1.0, 2, "swap") equal (1, 2, "swap"): sharing
+    # an earlier clean comparator for them would hide their fault
+    plan = make_plan(path_graph(3), [[(1, 2, SWAP)], [(2, 3, SWAP)],
+                                     [(1, 2, SWAP)]])
+    for bad in (True, 1.0):
+        doc = json.loads(plan_to_json(plan))
+        doc["stages"][2]["cmp"][0][0] = bad
+        for read in (plan_from_json, network_from_json):
+            with pytest.raises(StructureError, match="non-integer vertex id"):
                 read(json.dumps(doc))
 
 

@@ -2,9 +2,10 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 import weakref
 from contextlib import contextmanager
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from types import SimpleNamespace
 
 import pytest
@@ -27,8 +28,7 @@ from matchnet.network import (_gc_paused, make_network, make_plan,
                               network_from_json, network_to_json,
                               plan_from_json, plan_realized, plan_to_json)
 from matchnet.perms import all_permutations, identity, random_permutation
-from matchnet.routing import (_centroid, _norm,
-                              _path_order, _path_rounds, _tree_rounds,
+from matchnet.routing import (_norm, _path_rounds, _tree_rounds,
                               complete_assignment,
                               multigrid_accounting, route_auto, route_complete,
                               route_depth_bound, route_multigrid,
@@ -756,6 +756,44 @@ def test_plan_checks_raise_even_without_asserts():
     assert len(stages) == 1 and realized == (2, 1, 3)
 
 
+def _reference_centroid(t):
+    adj = adjacency(t)
+    n = t.n
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    size = {v: 1 for v in range(1, n + 1)}
+    for v in reversed(order):
+        if parent[v]:
+            size[parent[v]] += size[v]
+    best, best_v = n + 1, 0
+    for v in range(1, n + 1):
+        heaviest = n - size[v]
+        for w in adj[v]:
+            if w != parent[v]:
+                heaviest = max(heaviest, size[w])
+        if heaviest < best or (heaviest == best and v < best_v):
+            best, best_v = heaviest, v
+    return best_v
+
+
+def _reference_path_order(t):
+    adj = adjacency(t)
+    end = min(v for v in range(1, t.n + 1) if len(adj[v]) <= 1)
+    order = [end]
+    prev = 0
+    while len(order) < t.n:
+        nxt = [w for w in adj[order[-1]] if w != prev]
+        assert len(nxt) == 1
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
+
+
 def _reference_tree_rounds(t, pi):
     """The tree planner as first written: every round re-scans the tree."""
     n = t.n
@@ -764,12 +802,12 @@ def _reference_tree_rounds(t, pi):
         return []
     adj = adjacency(t)
     if max(len(adj[v]) for v in range(1, n + 1)) <= 2:
-        order = _path_order(t)
+        order = _reference_path_order(t)
         posin = {v: i + 1 for i, v in enumerate(order)}
         sub = [posin[dest[order[i]]] for i in range(n)]
         return _relabel_rounds(_path_rounds(n, sub), order)
 
-    c = _centroid(t)
+    c = _reference_centroid(t)
     comp = {c: 0}  # component label = id of the root neighbour
     depth = {c: 0}
     parent = {c: 0}
@@ -877,12 +915,12 @@ def _dict_tree_rounds(t, pi):
         return []
     adj = adjacency(t)
     if max(len(adj[v]) for v in range(1, n + 1)) <= 2:
-        order = _path_order(t)
+        order = _reference_path_order(t)
         posin = {v: i + 1 for i, v in enumerate(order)}
         sub = [posin[dest[order[i]]] for i in range(n)]
         return _relabel_rounds(_path_rounds(n, sub), order)
 
-    c = _centroid(t)
+    c = _reference_centroid(t)
     comp = {c: 0}  # component label = id of the root neighbour
     depth = {c: 0}
     parent = {c: 0}
@@ -1270,3 +1308,72 @@ def test_the_readers_free_their_document_inside_the_pause(monkeypatch):
     assert network_from_json(network_to_json(net)).provenance == {
         "built_by": "test"}
     assert alive_at_exit == [False, False]
+
+
+def test_the_readers_drop_each_parsed_stage_as_they_convert(monkeypatch):
+    # the parse of a stage dies once its tuples exist, so a reader never
+    # holds the whole parse and all the new tuples at once
+    class Cmp(list):  # a parsed comparator list that takes a weak reference
+        def __iter__(self):  # the last read of stage k converts it
+            converting[self.at] = all(r() is None for r in refs[:self.at])
+            return super().__iter__()
+
+    refs, converting, at_freeze = [], {}, []
+    real_loads, real_freeze = json.loads, network._freeze
+
+    def loads(text):
+        doc = real_loads(text)
+        refs.clear()
+        for k, s in enumerate(doc["stages"]):
+            s["cmp"] = Cmp(s["cmp"])
+            s["cmp"].at = k
+            refs.append(weakref.ref(s["cmp"]))
+        return doc
+
+    def freeze(*args, **kwargs):
+        at_freeze.append(all(r() is None for r in refs))
+        return real_freeze(*args, **kwargs)
+
+    monkeypatch.setattr(network, "json", SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    monkeypatch.setattr(network, "_freeze", freeze)
+    g = generate("mesh:4,4")
+    plan = route_auto(g, random_permutation(g.n, random.Random(5)))
+    net = make_network(g, identity(g.n), plan.stages)
+    at_freeze.clear()
+    assert plan_from_json(plan_to_json(plan)) == plan
+    assert plan.depth > 1 and len(converting) == plan.depth
+    assert all(converting.values()) and at_freeze == [True]
+    converting.clear()
+    at_freeze.clear()
+    assert network_from_json(network_to_json(net)) == net
+    assert len(converting) == plan.depth
+    assert all(converting.values()) and at_freeze == [True]
+
+
+@pytest.mark.parametrize("spec", ["path:64", "mesh:8,8", "random_tree:128,1",
+                                  "multipartite:4,4", "product"])
+def test_a_routed_plan_holds_each_comparator_once(spec):
+    g = (cartesian_product(path_graph(3), cycle_graph(5)) if spec == "product"
+         else generate(spec))
+    plan = route_auto(g, random_permutation(g.n, random.Random(7)))
+    back = plan_from_json(plan_to_json(plan))
+    assert back == plan
+    for p in (plan, back):  # the reader shares equal comparators too
+        cmps = list(chain.from_iterable(p.stages))
+        assert len(set(map(id, cmps))) == len(set(cmps)) < len(cmps)
+
+
+def test_a_routed_plan_holds_little_more_than_a_pointer_per_swap():
+    g = generate("path:256")
+    pi = random_permutation(g.n, random.Random(8))
+    route_auto(g, pi)  # the graph's cached adjacency and edge keys
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = route_auto(g, pi)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    swaps = sum(map(len, plan.stages))
+    assert swaps > 10_000 and held <= 32 * swaps
