@@ -18,7 +18,12 @@ which is recomputed by simulation and never trusted from input.
 
 run_stages is the one simulation kernel: execute, plan_realized, the
 verifiers and the st stage tables hand it one column per vertex and a
-compare-exchange, so only it knows how comparators act on values.
+compare-exchange, so only it knows how comparators act on values.  It
+rebinds the caller's list in place: for the run the list holds one
+leading slot, so vertex v is cols[v] with no offset, a swap is a plain
+two-target assignment, and the slot is removed in a finally.  A copy of
+the list would keep every replaced column alive for the whole run (the
+0-1 verifier's columns are 2^n bits each).
 
 _freeze is the one validation kernel: make_network, make_plan and
 routing._plan, which freezes every public router's checked stages, hand
@@ -29,34 +34,51 @@ recurs, as the contour and pyramid sorters' rounds do, is checked once
 and frozen into one tuple that every repeat shares, and inside the pass
 a comparator object that recurs, as a route's swaps and a read file's
 comparators do, has its kind, ids and edge checked once; only the
-matching test reads every occurrence.  The pass gathers u, v and kind of
-the distinct comparators at once, requires each kind to be allowed (only
-"swap" in a plan) and each vertex id to be a plain int in 1..n.  The
-range check comes before keying: without it (0, 7) on n = 4 would get
-the key of edge (1, 2).  An edge {lo, hi} is keyed lo*(n+1) + hi, and
-membership is one searchsorted against the graph's sorted edge-key array
-(graphs.edge_keys, cached on the Graph like its adjacency).  The
-matching test is one sort of (stage, vertex) keys.  Comparators that
-are already canonical (u, v, kind) tuples are kept as they are, so a
-stage list built once is never copied comparator by comparator; swaps
-with u > v are flipped.  When any check fails, the distinct stages go through
-make_stage one by one in order of first appearance (after make_plan's
-swap-only test, stage by stage): a repeat passed where it first
-appeared, so this raises what make_stage on every stage would, and
-errors keep the type and text of the per-comparator checks.  make_stage
-stays the single-stage API and the only per-comparator validation loop.
+matching test reads every occurrence.  One np.unique of the occurrences'
+ids finds the distinct objects, with return_inverse only (return_index
+would make numpy sort stably, at twice the cost): any occurrence stands
+for its object.  The pass gathers u, v and kind of the distinct
+comparators at once, requires each kind to be allowed (only "swap" in a
+plan) and each vertex id to be a plain int in 1..n.  The range check
+comes before keying: without it (0, 7) on n = 4 would get the key of
+edge (1, 2).  An edge {lo, hi} is keyed lo*(n+1) + hi, and membership is
+one searchsorted against the graph's sorted edge-key array
+(graphs.edge_keys, cached on the Graph like its adjacency).  The matching
+test is one sort of (stage, vertex) keys.  Comparators that are already
+canonical (u, v, kind) tuples are kept as they are, so a stage list
+built once is never copied comparator by comparator; swaps with u > v
+are flipped and other sequences made tuples, and only the stages that
+hold such a comparator are rebuilt: every other stage object is kept.
+When any check fails, the distinct stages go through make_stage one by
+one in order of first appearance (after make_plan's swap-only test,
+stage by stage): a repeat passed where it first appeared, so this raises
+what make_stage on every stage would, and errors keep the type and text
+of the per-comparator checks.  make_stage stays the single-stage API and
+the only per-comparator validation loop.
 
-Serialization writes the frozen tuples straight through json.dumps,
-which emits tuples as arrays.  Reading converts the parsed stages one at
-a time and drops each parsed stage as soon as its tuples exist, so the
-parse and the new tuples are never all alive at once; then, once every
-cell is exactly an int or a str (True and 1.0 equal 1, and the kernel
-must still refuse them), it shares one tuple per distinct comparator,
-which the kernel then keeps.  The writers skip json's circular check (a
-third of the time to encode a stage list): each document is a tree of
-fresh dicts and lists they build, so only a provenance made cyclic by
-hand can loop, and it raises RecursionError, not ValueError.  A
-comparator fault in a file (a non-edge, an aliased or shared vertex),
+The writers put out exactly what json.dumps of the whole document
+(sort_keys, compact separators) would, but build the text of each
+distinct comparator once: _distinct finds the distinct objects by
+identity, as _freeze's pass does (a route plan holds about twenty
+occurrences of each), and when every one is a canonical triple (exact-int
+ids, kind exactly "dir" or "swap") equal triples are equal text, so each
+value is formatted once as [u,v,"kind"] (a builder makes equal
+comparators as separate tuples).  Otherwise each goes through json.dumps
+with the writers' settings.  The stage texts are then joined.
+json.dumps still writes the head (graph, order, plan flag, provenance,
+certificate), and "stages" and "version" are appended after it, as they
+sort after every other top-level key.  A stage list holding anything but
+tuples and lists goes through json.dumps whole.  The writers skip json's
+circular check: each head is a tree of fresh dicts and lists they build,
+so only a provenance made cyclic by hand can loop, and it raises
+RecursionError, not ValueError.
+
+Reading converts the parsed stages one at a time and drops each parsed
+stage as soon as its tuples exist, so the parse and the new tuples are
+never all alive at once; then, once every cell is exactly an int or a
+str (True and 1.0 equal 1, and the kernel must still refuse them), it
+shares one tuple per distinct comparator, which the kernel then keeps.
+A comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
 TaskError.  Neither reader takes the other's document: network JSON
@@ -231,10 +253,8 @@ def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
     flat = list(chain.from_iterable(held))
     if not flat:
         return tuple(held)
-    # each comparator object once, and which one each occurrence is
-    _, first, which = np.unique(np.fromiter(map(id, flat), np.intp, len(flat)),
-                                return_index=True, return_inverse=True)
-    cmps = list(map(flat.__getitem__, first.tolist()))
+    cmps, which = _distinct(flat)
+    del flat
     if set(map(len, cmps)) != {3}:
         return None
     cells = list(chain.from_iterable(cmps))
@@ -255,23 +275,40 @@ def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
             edge_keys, key), mode="clip") != key).any():
         return None
     del key
-    stage_of = np.repeat(np.arange(len(held), dtype=np.int64) * (n + 1),
-                         list(map(len, held)))
-    ends = np.sort(uv.reshape(2, d)[:, which] + stage_of, axis=None)
-    del stage_of
+    lens = list(map(len, held))
+    stage = np.repeat(np.arange(len(held), dtype=np.int64), lens)
+    ends = np.sort(uv.reshape(2, d)[:, which] + stage * (n + 1), axis=None)
     if (ends[1:] == ends[:-1]).any():
         return None
     del ends
-    flip = [i for i in np.flatnonzero(u > v).tolist() if ks[i] == SWAP]
+    # swaps with u > v are flipped and other sequences made tuples; only
+    # the stages that hold one are rebuilt
+    change = [i for i in np.flatnonzero(u > v).tolist() if ks[i] == SWAP]
+    change += [i for i, t in enumerate(map(type, cmps)) if t is not tuple]
     del uv, u, v
-    if not flip and set(map(type, cmps)) == {tuple}:
+    if not change:
         return tuple(held)
-    cmps = list(map(tuple, cmps))
-    for i in flip:
-        cmps[i] = (cmps[i][1], cmps[i][0], SWAP)
-    flat = list(map(cmps.__getitem__, which.tolist()))
-    bounds = list(accumulate(map(len, held), initial=0))
-    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    for i in change:
+        a, b, kind = cmps[i]
+        cmps[i] = (b, a, SWAP) if kind == SWAP and a > b else (a, b, kind)
+    changed = np.zeros(d, bool)
+    changed[change] = True
+    frozen = list(held)
+    bounds = list(accumulate(lens, initial=0))
+    for k in np.unique(stage[changed[which]]).tolist():
+        frozen[k] = tuple(map(cmps.__getitem__,
+                              which[bounds[k]:bounds[k + 1]].tolist()))
+    return tuple(frozen)
+
+
+def _distinct(flat: list) -> tuple[list, np.ndarray]:
+    """Each object of flat once, keyed by identity, and for each item of
+    flat its index in that list."""
+    ids, which = np.unique(np.fromiter(map(id, flat), np.intp, len(flat)),
+                           return_inverse=True)
+    # any occurrence stands for its object (return_index would sort stably)
+    ids[which] = np.arange(len(flat))
+    return list(map(flat.__getitem__, ids.tolist())), which
 
 
 def plan_realized(n: int, stages: Sequence) -> tuple:
@@ -287,12 +324,20 @@ def run_stages(stages: Sequence, cols: list, cx) -> list:
     """Run every stage over cols in place, cols[v-1] = what vertex v holds.
 
     A swap exchanges two entries; a dir comparator (u, v) sets
-    (cols[u-1], cols[v-1]) = cx(a, b).  Returns cols.
+    (cols[u-1], cols[v-1]) = cx(a, b).  Returns cols.  For the run, cols
+    holds one leading slot, so vertex v is cols[v]; the slot goes again
+    on the way out, also when cx raises.
     """
-    for s in stages:
-        for u, v, kind in s:
-            a, b = cols[u - 1], cols[v - 1]
-            cols[u - 1], cols[v - 1] = cx(a, b) if kind == DIR else (b, a)
+    cols.insert(0, None)
+    try:
+        for s in stages:
+            for u, v, kind in s:
+                if kind == SWAP:
+                    cols[u], cols[v] = cols[v], cols[u]
+                else:
+                    cols[u], cols[v] = cx(cols[u], cols[v])
+    finally:
+        del cols[0]
     return cols
 
 
@@ -324,35 +369,56 @@ def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:
 # serialization
 
 
-def _stages_doc(stages: Sequence) -> list:
-    return [{"cmp": s} for s in stages]  # json.dumps writes tuples as arrays
+_WRITE = dict(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _cmp_texts(cmps: list) -> list:
+    """Each comparator as json.dumps writes it with the writers' settings.
+
+    When every one is a canonical triple, equal ones are equal text, so
+    each value is formatted once, as [u,v,"kind"].
+    """
+    if set(map(type, cmps)) == {tuple} and set(map(len, cmps)) == {3}:
+        cells = list(chain.from_iterable(cmps))
+        ends, kinds = cells[0::3] + cells[1::3], cells[2::3]
+        if set(map(type, ends)) == {int} and set(map(type, kinds)) == {str} \
+                and set(kinds) <= {DIR, SWAP}:
+            values = list(dict.fromkeys(cmps))
+            text = dict(zip(values, [f'[{u},{v},"{kind}"]'
+                                     for u, v, kind in values]))
+            return list(map(text.__getitem__, cmps))
+    return [json.dumps(c, **_WRITE) for c in cmps]
+
+
+def _to_json(head: dict, stages: Sequence) -> str:
+    """json.dumps of head with "stages" and "version" added (both sort
+    after every head key), each distinct comparator's text built once."""
+    text = json.dumps(head, **_WRITE)[:-1] + ',"stages":'
+    stages = list(stages)
+    if not {tuple, list}.issuperset(map(type, stages)):  # not a stage list
+        return text + json.dumps([{"cmp": s} for s in stages], **_WRITE) \
+            + ',"version":1}'
+    cmps, which = _distinct(list(chain.from_iterable(stages)))
+    texts = np.array(_cmp_texts(cmps), object)[which].tolist()
+    del cmps, which
+    bounds = list(accumulate(map(len, stages), initial=0))
+    return text + "[" + ",".join(['{"cmp":[' + ",".join(texts[a:b]) + "]}"
+                                  for a, b in zip(bounds, bounds[1:])]) \
+        + '],"version":1}'
 
 
 def network_to_json(net: SortingNetwork) -> str:
-    doc = {
-        "version": 1,
-        "graph": graphs.graph_doc(net.graph),
-        "order": list(net.order),
-        "stages": _stages_doc(net.stages),
-    }
+    head = {"graph": graphs.graph_doc(net.graph), "order": list(net.order)}
     if net.provenance:
-        doc["provenance"] = net.provenance
+        head["provenance"] = net.provenance
     if net.certificate is not None:
-        doc["certificate"] = net.certificate
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False)
+        head["certificate"] = net.certificate
+    return _to_json(head, net.stages)
 
 
 def plan_to_json(plan: RoutingPlan) -> str:
-    doc = {
-        "version": 1,
-        "graph": graphs.graph_doc(plan.graph),
-        "order": list(plan.realized),
-        "stages": _stages_doc(plan.stages),
-        "plan": True,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False)
+    return _to_json({"graph": graphs.graph_doc(plan.graph),
+                     "order": list(plan.realized), "plan": True}, plan.stages)
 
 
 def _read(text: str) -> tuple[graphs.Graph, list, dict]:

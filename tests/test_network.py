@@ -1,7 +1,9 @@
 import json
 import random
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,8 @@ from matchnet import constructions as cons, graphs, network
 from matchnet.errors import ConstructionError, StructureError, TaskError
 from matchnet.graphs import (complete_graph, generate, graph, graph_from_doc,
                              path_graph, random_tree)
-from matchnet.network import (DIR, SWAP, concatenate, execute, is_sorted_for,
+from matchnet.network import (DIR, SWAP, RoutingPlan, SortingNetwork,
+                              concatenate, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
                               network_from_json, network_to_json,
                               plan_from_json, plan_realized, plan_to_json)
@@ -154,6 +157,37 @@ def test_execute_is_monotone(n, seed, data):
     assert all(a <= b for a, b in zip(out_x, out_y))
 
 
+def test_run_stages_works_in_the_callers_list():
+    stages = [((1, 2, DIR),), ((2, 3, SWAP),), ((1, 2, DIR),)]
+    cols = [3, 2, 1]
+    out = network.run_stages(stages, cols,
+                             lambda a, b: (min(a, b), max(a, b)))
+    assert out is cols and cols == [1, 2, 3]
+
+    def fails(a, b):
+        raise ValueError("cx")
+    for stages in ([((1, 2, DIR),)], [((2, 3, SWAP),), ((1, 2, DIR),)]):
+        cols = [3, 2, 1]
+        with pytest.raises(ValueError, match="cx"):
+            network.run_stages(stages, cols, fails)
+        assert len(cols) == 3 and None not in cols
+
+
+def test_run_stages_keeps_no_replaced_column_alive():
+    # the 0-1 verifier's columns are 2^n bits each: a kernel that copied
+    # the caller's list would hold every input column for the whole run
+    cols = [np.array([0, 1, 0, 1], bool), np.array([0, 0, 1, 1], bool)]
+    first = weakref.ref(cols[0])
+    alive = []
+
+    def cx(a, b):
+        alive.append(first() is not None)
+        return a & b, a | b
+    network.run_stages([((1, 2, DIR),)] * 3, cols, cx)
+    assert alive == [True, False, False]
+    assert cols[0].tolist() == [0, 0, 0, 1] and len(cols) == 2
+
+
 def test_execute_needs_matching_length():
     net = make_network(path_graph(3), (1, 2, 3), [])
     with pytest.raises(TaskError):
@@ -269,11 +303,15 @@ def test_kernel_matches_make_stage_stage_by_stage(case, swaps_only):
     else:
         assert _outcome(lambda: make_network(
             g, tuple(range(1, g.n + 1)), stages).stages) == want
-    if want[0] == "ok":  # canonical comparators are kept, never copied
-        for s, frozen in zip(stages, got[1]):
-            for c, f in zip(s, frozen):
-                if type(c) is tuple and (c[2] == DIR or c[0] < c[1]):
+    if want[0] == "ok":  # canonical comparators are kept, never copied,
+        for s, frozen in zip(stages, got[1]):  # and so are stages of them
+            canonical = [type(c) is tuple and (c[2] == DIR or c[0] < c[1])
+                         for c in s]
+            for c, f, keep in zip(s, frozen, canonical):
+                if keep:
                     assert f is c
+            if type(s) is tuple and all(canonical):
+                assert frozen is s
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,7 +345,7 @@ def test_kernel_checks_a_repeated_stage_once(monkeypatch):
     frozen = network._freeze(g, stages)
     assert frozen == _stage_by_stage(g, stages, False) and held == [2]
     assert frozen[0] is frozen[2] is frozen[4] and frozen[0][0] == (1, 2, SWAP)
-    assert frozen[1] is frozen[3] == kept
+    assert frozen[1] is frozen[3] is kept  # its stage is not rebuilt
     for stages in ([kept, bad, kept, bad], [bad, flips, bad], [flips, flips]):
         for swaps_only in (False, True):
             assert _outcome(network._freeze, g, stages, swaps_only) \
@@ -567,3 +605,101 @@ def test_mutated_plan_json_is_refused_or_reloads_identical(doc):
     except StructureError:
         return
     assert plan_to_json(back) == text
+
+
+# ---------------------------------------------------------------------------
+# the writers against json.dumps of the whole document
+
+
+def _dumped(obj) -> str:
+    """What the writers wrote as one json.dumps of the document."""
+    if isinstance(obj, RoutingPlan):
+        doc = {"order": list(obj.realized), "plan": True}
+    else:
+        doc = {"order": list(obj.order)}
+        if obj.provenance:
+            doc["provenance"] = obj.provenance
+        if obj.certificate is not None:
+            doc["certificate"] = obj.certificate
+    doc.update(version=1, graph=graphs.graph_doc(obj.graph),
+               stages=[{"cmp": s} for s in obj.stages])
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _written(obj) -> str:
+    return (plan_to_json if isinstance(obj, RoutingPlan) else
+            network_to_json)(obj)
+
+
+_ROUTE_SPECS = ["path:6", "cycle:7", "star:6", "complete:5", "mesh:3,4",
+                "hypercube:3", "multipartite:2,3", "random_tree:12,3",
+                "pyramid:2,2", "multigrid:3,2"]
+
+
+@pytest.mark.parametrize("obj", [
+    cons.contour_tree_sort(random_tree(16, 5)),
+    cons.longest_path_sort(generate("mesh:3,4")),
+    cons.BUILDERS["pyramid"](generate("pyramid:2,2")),
+    cons.BUILDERS["batcher"](generate("complete:6"))]
+    + [route_auto(g, random.Random(g.n).sample(range(1, g.n + 1), g.n))
+       for g in map(generate, _ROUTE_SPECS)], ids=lambda obj: obj.graph.family)
+def test_writers_equal_json_dumps_on_built_networks_and_plans(obj):
+    assert _written(obj) == _dumped(obj)
+
+
+def test_writers_equal_json_dumps_on_empty_stages_and_optional_keys():
+    g = path_graph(3)
+    after = {"zeta": {"zz": [1, {"yy": None, "b": 1.5}], "a": "\u00e9"},
+             "version": "v"}  # nested keys that sort after "version"
+    for stages in ([], [()], [((1, 2, SWAP),), (), ((2, 3, SWAP),)]):
+        plan = make_plan(g, stages)
+        assert plan_to_json(plan) == _dumped(plan)
+        for provenance in ({}, {"built_by": "test"}, after):
+            for certificate in (None, {}, {"claimed_bound": 9,
+                                           "achieved_depth": 3, **after}):
+                net = make_network(g, (1, 2, 3), stages, provenance=provenance,
+                                   certificate=certificate)
+                assert network_to_json(net) == _dumped(net)
+
+
+_NON_INT = "comparator ({},2) has a non-integer vertex id"
+_DIR_IN_PLAN = "routing plans may only contain swaps"
+
+
+@pytest.mark.parametrize("cmp, net_error, plan_error", [
+    ([2, 1, SWAP], None,
+     "stored plan permutation disagrees with simulation"),
+    ((True, 2, DIR), _NON_INT.format(True), _DIR_IN_PLAN),
+    ((1.0, 2, SWAP), _NON_INT.format(1.0), _NON_INT.format(1.0)),
+    ((-1, 2, SWAP), "(-1,2) is not an edge of the host graph",
+     "(-1,2) is not an edge of the host graph"),
+    ((1, 2, 'di"r\u00e9'), "bad comparator kind 'di\"r\u00e9'", _DIR_IN_PLAN)])
+def test_writers_equal_json_dumps_on_hand_built_stages(cmp, net_error,
+                                                       plan_error):
+    # stages no builder makes: the writers format them as json.dumps
+    # does, and the readers refuse the bad ones with the same text
+    g = path_graph(3)
+    swap = (2, 3, SWAP)  # one object in two stages of each
+    # (1, 2, DIR) equals (True, 2, DIR) and (1, 2, SWAP) equals (1.0, 2, ...)
+    net = SortingNetwork(g, (1, 2, 3), (((1, 2, DIR),), (cmp,), (), (swap,),
+                                        [swap]))
+    plan = RoutingPlan(g, (((1, 2, SWAP),), (swap,), [cmp], (swap,)),
+                       (1, 2, 3))
+    for obj, read, error in ((net, network_from_json, net_error),
+                             (plan, plan_from_json, plan_error)):
+        text = _written(obj)
+        assert text == _dumped(obj)
+        if error is None:
+            assert read(text).stages[1] == ((1, 2, SWAP),)
+        else:
+            with pytest.raises(StructureError) as e:
+                read(text)
+            assert str(e.value) == error
+
+
+def test_writers_equal_json_dumps_on_a_stage_list_of_other_values():
+    g = path_graph(3)
+    for stages in (["ab", ((1, 2, DIR),)], [{"x": [1]}], [((1, 2, SWAP),), 7]):
+        for obj in (SortingNetwork(g, (1, 2, 3), tuple(stages)),
+                    RoutingPlan(g, tuple(stages), (1, 2, 3))):
+            assert _written(obj) == _dumped(obj)
