@@ -64,7 +64,8 @@ occurrences of each), and when every one is a canonical triple (exact-int
 ids, kind exactly "dir" or "swap") equal triples are equal text, so each
 value is formatted once as [u,v,"kind"] (a builder makes equal
 comparators as separate tuples).  Otherwise each goes through json.dumps
-with the writers' settings.  The stage texts are then joined.
+with the writers' settings.  _stage_texts, which the canonical reader
+shares, then joins them into each stage's text.
 json.dumps still writes the head (graph, order, plan flag, provenance,
 certificate), and "stages" and "version" are appended after it, as they
 sort after every other top-level key.  A stage list holding anything but
@@ -73,11 +74,27 @@ circular check: each head is a tree of fresh dicts and lists they build,
 so only a provenance made cyclic by hand can loop, and it raises
 RecursionError, not ValueError.
 
-Reading converts the parsed stages one at a time and drops each parsed
-stage as soon as its tuples exist, so the parse and the new tuples are
-never all alive at once; then, once every cell is exactly an int or a
-str (True and 1.0 equal 1, and the kernel must still refuse them), it
-shares one tuple per distinct comparator, which the kernel then keeps.
+Reading takes one of two paths, which return the same stages and keys
+and raise the same exceptions.  A document as the writers put it out
+(trailing whitespace allowed) ends in ],"version":1}, and its last
+,"stages":[ splits it into a head and a stage body, which the canonical
+path reads without a parse tree: one 1:1 bytes.translate keeps the
+digits and makes every other byte a space, np.fromstring reads the ids
+from that, the s and d bytes give the kinds, the { bytes the stage
+bounds, and one np.unique over a (u, v, kind) key gives one tuple per
+distinct comparator (ids are taken below 2^31, so the key is exact).  It
+takes the text only when _stage_texts, the writers' own stage code,
+rebuilds the body byte for byte from what was read, and json.loads of
+the head closed by } is a non-empty object; json.loads of the whole text
+is then that object with "stages" and "version" set, since the last of
+equal keys wins.  Equal stage texts share one tuple, so _freeze checks
+each distinct stage once.  Any other text goes through json.loads whole:
+that path converts the parsed stages one at a time and drops each
+parsed stage as soon as its tuples exist, so the parse and the new
+tuples are never all alive at once; then, once every cell is exactly an
+int or a str (True and 1.0 equal 1, and the kernel must still refuse
+them), it shares one tuple per distinct comparator, which the kernel
+then keeps.
 A comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
@@ -390,6 +407,19 @@ def _cmp_texts(cmps: list) -> list:
     return [json.dumps(c, **_WRITE) for c in cmps]
 
 
+_SPLIT, _TAIL = ',"stages":[', '],"version":1}'
+
+
+def _stage_texts(cmps: list, which: np.ndarray, lens) -> list:
+    """Each stage's text, {"cmp":[...]}, as json.dumps writes it with the
+    writers' settings: cmps are the distinct comparators, which is each
+    occurrence's index into cmps, and lens are the stage lengths."""
+    texts = np.array(_cmp_texts(cmps), object)[which].tolist()
+    bounds = list(accumulate(lens, initial=0))
+    return ['{"cmp":[' + ",".join(texts[a:b]) + "]}"
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def _to_json(head: dict, stages: Sequence) -> str:
     """json.dumps of head with "stages" and "version" added (both sort
     after every head key), each distinct comparator's text built once."""
@@ -399,12 +429,8 @@ def _to_json(head: dict, stages: Sequence) -> str:
         return text + json.dumps([{"cmp": s} for s in stages], **_WRITE) \
             + ',"version":1}'
     cmps, which = _distinct(list(chain.from_iterable(stages)))
-    texts = np.array(_cmp_texts(cmps), object)[which].tolist()
-    del cmps, which
-    bounds = list(accumulate(map(len, stages), initial=0))
-    return text + "[" + ",".join(['{"cmp":[' + ",".join(texts[a:b]) + "]}"
-                                  for a, b in zip(bounds, bounds[1:])]) \
-        + '],"version":1}'
+    return text + "[" + ",".join(_stage_texts(cmps, which, map(len, stages))) \
+        + _TAIL
 
 
 def network_to_json(net: SortingNetwork) -> str:
@@ -425,6 +451,84 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
     """Host graph, stage tuples, and whichever of order, provenance,
     certificate and plan flag a network or plan JSON document carries;
     the rest of the parse is dropped."""
+    read = _read_canonical(text)
+    return _read_parsed(text) if read is None else read
+
+
+_DIGITS = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # 1:1
+_ID_CAP = 2 ** 31  # u * _ID_CAP + v, doubled, plus the kind, fits int64
+_KINDS = np.array([DIR, SWAP], object)
+
+
+def _read_canonical(text: str) -> tuple | None:
+    """What _read_parsed returns or raises on a text as the writers put
+    it out (trailing whitespace allowed); None on any other text."""
+    if type(text) is not str:
+        return None
+    text = text.rstrip(" \t\n\r")
+    at = text.rfind(_SPLIT)
+    if at < 0 or not text.endswith(_TAIL):
+        return None
+    body = text[at + len(_SPLIT):len(text) - len(_TAIL)]
+    if not body.isascii():
+        return None
+    raw = body.encode()
+    cells = np.frombuffer(raw, np.uint8)
+    kind_at = np.flatnonzero((cells == ord("s")) | (cells == ord("d")))
+    d = len(kind_at)
+    # np.fromstring reads a text of spaces only as [0]
+    ids = np.fromstring(raw.translate(_DIGITS), np.int64, sep=" ") if d \
+        else np.zeros(0, np.int64)
+    lens = np.diff(np.searchsorted(kind_at, np.flatnonzero(cells == ord("{"))),
+                   append=d).tolist()
+    if len(ids) != 2 * d or d and ids.max() >= _ID_CAP:
+        return None
+    key = (ids[0::2] * _ID_CAP + ids[1::2]) * 2 + (cells[kind_at] == ord("s"))
+    del raw, cells, kind_at, ids
+    keys, which = np.unique(key, return_inverse=True)
+    del key
+    cmps = list(zip((keys >> 32).tolist(), (keys >> 1 & _ID_CAP - 1).tolist(),
+                    _KINDS[keys & 1].tolist()))
+    texts = _stage_texts(cmps, which, lens)
+    if ",".join(texts) != body:
+        return None
+    del body
+    try:
+        doc = json.loads(text[:at] + "}")
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or not doc:
+        return None
+    # json.loads(text) is doc with "stages" and "version" set, as the last
+    # of equal keys wins; equal stage texts share one tuple
+    occ = np.fromiter(cmps, object, len(cmps))[which].tolist()
+    bounds = list(accumulate(lens, initial=0))
+    last = dict(zip(texts, range(len(texts))))
+    built = {t: tuple(occ[bounds[k]:bounds[k + 1]]) for t, k in last.items()}
+    doc["stages"] = stages = list(map(built.__getitem__, texts))
+    _check_head(doc)
+    return _kept(doc, stages)
+
+
+def _check_head(doc: dict) -> None:
+    """Both paths' checks of the top-level keys, in the parsing path's order."""
+    for key in ("graph", "order", "stages"):
+        if key not in doc:
+            raise StructureError(f"network JSON missing {key!r}")
+    if type(doc["order"]) is not list \
+            or not {int}.issuperset(map(type, doc["order"])):
+        raise StructureError("network JSON order must be a list of integers")
+
+
+def _kept(doc: dict, stages: list) -> tuple[graphs.Graph, list, dict]:
+    """_read's result: the graph is built last, after the stage checks."""
+    kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
+            if k in doc}
+    return graphs.graph_from_doc(doc["graph"]), stages, kept
+
+
+def _read_parsed(text: str) -> tuple[graphs.Graph, list, dict]:
+    """_read through json.loads of the whole text, for any document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -433,12 +537,7 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
         raise StructureError("bad network JSON: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise StructureError("unsupported network JSON version")
-    for key in ("graph", "order", "stages"):
-        if key not in doc:
-            raise StructureError(f"network JSON missing {key!r}")
-    if type(doc["order"]) is not list \
-            or not {int}.issuperset(map(type, doc["order"])):
-        raise StructureError("network JSON order must be a list of integers")
+    _check_head(doc)
     stages = []
     try:
         parsed = doc.pop("stages")
@@ -460,9 +559,7 @@ def _read(text: str) -> tuple[graphs.Graph, list, dict]:
         flat = list(map(shared.setdefault, flat, flat))
         bounds = list(accumulate(map(len, stages), initial=0))
         stages = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-    kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
-            if k in doc}
-    return graphs.graph_from_doc(doc["graph"]), stages, kept
+    return _kept(doc, stages)
 
 
 def network_from_json(text: str) -> SortingNetwork:

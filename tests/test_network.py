@@ -1,7 +1,9 @@
 import json
 import random
+import re
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -703,3 +705,156 @@ def test_writers_equal_json_dumps_on_a_stage_list_of_other_values():
         for obj in (SortingNetwork(g, (1, 2, 3), tuple(stages)),
                     RoutingPlan(g, tuple(stages), (1, 2, 3))):
             assert _written(obj) == _dumped(obj)
+
+
+# ---------------------------------------------------------------------------
+# the readers' canonical path against json.loads of the whole text
+
+
+def _assert_paths_agree(text) -> bool:
+    """The canonical path gives what the parsing path gives, or declines;
+    so do the readers.  True when it took the text."""
+    fast = _outcome(network._read_canonical, text)
+    took = fast != ("ok", None)
+    assert not took or fast == _outcome(network._read_parsed, text)
+    if took:
+        for read in (network_from_json, plan_from_json):
+            canonical = _outcome(read, text)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(network, "_read_canonical", lambda text: None)
+                assert _outcome(read, text) == canonical
+    return took
+
+
+def test_both_read_paths_agree_on_the_corpus():
+    paths = sorted((Path(__file__).parent / "corpus").glob("*.json"))
+    taken = [p.name for p in paths
+             if _assert_paths_agree(p.read_text(encoding="utf-8"))]
+    # the corpus files end in a newline, which the canonical path allows
+    assert {"zero_vertex.json", "non_edge.json", "plan_document.json",
+            "family_label_mismatch.json"} <= set(taken)
+    assert not {"leading_zero_vertex.json", "non_ascii_kind.json",
+                "bool_vertex.json", "huge_vertex.json",
+                "version_2.json"} & set(taken)
+
+
+def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
+    from test_golden import BUILDS, ROUTES, _cli_out, _host
+    texts = [_cli_out(["build", "--construction", c, "--graph", spec],
+                      tmp_path) for c, spec in BUILDS]
+    for spec in ROUTES:
+        g = _host(spec)
+        pi = list(range(1, g.n + 1))
+        random.Random(spec).shuffle(pi)
+        texts.append(plan_to_json(route_auto(g, tuple(pi))))
+    for text in texts:
+        assert _assert_paths_agree(text)
+        assert _assert_paths_agree(text + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{,"stages":[],"version":1}', '{,"stages":[{"cmp":[]}],"version":1}',
+    '{"stages":[],"version":1}', '{"x":1,"stages":[],"version":1}',
+    '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":[{"cmp":'
+    '[[1,2,"dir"]]}],"version":1}  \n\t\r',
+    '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":[{"cmp":'
+    '[[2147483647,2,"dir"]]}],"version":1}',
+    '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":[{"cmp":'
+    '[[2147483648,2,"dir"]]}],"version":1}',
+    '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":["s",{"cmp":'
+    '[[1,2,"dir"]]}],"version":1}',
+    '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":[{"cmp":'
+    '[[1,2,"dir"]]}],"version":1}\u3000'])
+def test_both_read_paths_agree_on_edge_texts(text):
+    _assert_paths_agree(text)
+
+
+def test_a_canonical_document_is_parsed_only_up_to_its_stages(monkeypatch):
+    seen, real_loads = [], json.loads
+    monkeypatch.setattr(network, "json", SimpleNamespace(
+        loads=lambda text: seen.append(text) or real_loads(text),
+        dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    g = generate("mesh:3,3")
+    plan = route_auto(g, random.Random(3).sample(range(1, 10), 9))
+    net = make_network(g, (1,) + tuple(range(2, 10)), plan.stages,
+                       provenance={"built_by": "test"})
+    for obj, read in ((plan, plan_from_json), (net, network_from_json)):
+        seen.clear()
+        text = _written(obj)
+        assert read(text) == obj
+        assert seen == [text[:text.rindex(',"stages":[')] + "}"]
+
+
+def test_a_read_network_holds_one_object_per_distinct_stage():
+    net = cons.contour_tree_sort(random_tree(64, 1))
+    back = network_from_json(network_to_json(net))
+    assert back == net and back.stages == net.stages
+    assert len(set(map(id, back.stages))) == len(set(back.stages)) \
+        < back.depth
+
+
+# single edits of canonical documents; each token is spliced in somewhere
+_EDIT_TOKENS = [" ", "\n", "\t", "0", "01", "-", "-0", "-1", "1.0", "1e0",
+                "true", "null", '"swap"', '"dir"', "é", "9223372036854775808",
+                "18446744073709551616", "2147483648", "2147483647", ",", "[",
+                "]", "{", "}", '"x":1,', '{"cmp":[]}', '"stages":[],',
+                '"stages":7,', '"version":1,', '"version":2,', '"cmp":[],']
+_ID_EDITS = ["0{}", "-{}", "-0", "{}.0", "{}e0", "true", "0", "1",
+             "9223372036854775808", "18446744073709551616", "2147483648",
+             "2147483647"]
+_KIND_EDITS = ['"swap"', '"dir"', '"d\\u0069r"', '"dïr"', '"sw"', '"s"',
+               '"swap "', '"dird"', "null"]
+_EDIT_DOCS = [_written(obj) for obj in (
+    _ROUND_TRIP_PLANS[2], _ROUND_TRIP_NETS[1],
+    make_network(path_graph(3), (1, 2, 3), [[], [(1, 2, DIR)], [],
+                                            [(2, 1, DIR)]]),
+    make_plan(path_graph(4), [[(1, 2, SWAP), (3, 4, SWAP)], [(2, 3, SWAP)],
+                              [(1, 2, SWAP), (3, 4, SWAP)]]))]
+
+
+@st.composite
+def _edited_docs(draw):
+    """A canonical document with one edit: an id or a kind rewritten, a key
+    put into a stage object or into the head, the stages or one stage's
+    comparators emptied, or a token inserted at, or a character deleted
+    from, any place."""
+    text = draw(st.sampled_from(_EDIT_DOCS))
+    body = text.rindex(',"stages":[')
+
+    def spans(pattern):  # its matches in the stage body
+        return [m.span() for m in re.compile(pattern).finditer(text, body)]
+
+    def splice(choices, tokens):  # "{}" in a token is the text it replaces
+        start, end = draw(st.sampled_from(choices))
+        token = draw(st.sampled_from(tokens)).replace("{}", text[start:end])
+        return text[:start] + token + text[end:]
+
+    how = draw(st.sampled_from(["id", "kind", "stage", "head", "empty",
+                                "empty cmp", "insert", "delete"]))
+    if how == "id":
+        return splice(spans(r"\d+"), _ID_EDITS)
+    if how == "kind":
+        return splice(spans(r'"(swap|dir)"'), _KIND_EDITS)
+    if how == "stage":
+        return splice([(e, e) for _, e in spans(r"\{")],
+                      ['"x":1,', '"cmp":[],', '"cmp":[[1,2,"dir"]],'])
+    if how == "head":
+        key = draw(st.sampled_from(['"stages":[]', '"stages":7',
+                                    '"stages":[{"cmp":[]}]', '"version":1',
+                                    '"version":2']))
+        return draw(st.sampled_from([text[:1] + key + "," + text[1:],
+                                     text[:body] + "," + key + text[body:]]))
+    if how == "empty":
+        return text[:body] + ',"stages":[],"version":1}'
+    if how == "empty cmp":
+        return splice(spans(r'"cmp":\[(\[[^\]]*\],?)*\]'), ['"cmp":[]'])
+    at = draw(st.integers(0, len(text) - 1))
+    if how == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from(_EDIT_TOKENS)) + text[at:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edited_docs())
+def test_both_read_paths_agree_on_edited_documents(text):
+    _assert_paths_agree(text)

@@ -1310,9 +1310,18 @@ def test_the_readers_free_their_document_inside_the_pause(monkeypatch):
     assert alive_at_exit == [False, False]
 
 
+def _spaced(text: str) -> str:
+    """The same document with json.dumps' default separators, which the
+    readers' canonical path does not take."""
+    spaced = json.dumps(json.loads(text))
+    assert network._read_canonical(spaced) is None
+    return spaced
+
+
 def test_the_readers_drop_each_parsed_stage_as_they_convert(monkeypatch):
     # the parse of a stage dies once its tuples exist, so a reader never
-    # holds the whole parse and all the new tuples at once
+    # holds the whole parse and all the new tuples at once; the documents
+    # are written with spaces, so that json.loads parses all of them
     class Cmp(list):  # a parsed comparator list that takes a weak reference
         def __iter__(self):  # the last read of stage k converts it
             converting[self.at] = all(r() is None for r in refs[:self.at])
@@ -1341,12 +1350,12 @@ def test_the_readers_drop_each_parsed_stage_as_they_convert(monkeypatch):
     plan = route_auto(g, random_permutation(g.n, random.Random(5)))
     net = make_network(g, identity(g.n), plan.stages)
     at_freeze.clear()
-    assert plan_from_json(plan_to_json(plan)) == plan
+    assert plan_from_json(_spaced(plan_to_json(plan))) == plan
     assert plan.depth > 1 and len(converting) == plan.depth
     assert all(converting.values()) and at_freeze == [True]
     converting.clear()
     at_freeze.clear()
-    assert network_from_json(network_to_json(net)) == net
+    assert network_from_json(_spaced(network_to_json(net))) == net
     assert len(converting) == plan.depth
     assert all(converting.values()) and at_freeze == [True]
 
