@@ -28,9 +28,10 @@ adjacency; sorted_edges() reads it in key order, which is (u, v) order.
 
 bfs is the one breadth-first search of the graph layer: connectivity,
 the double-sweep diameter path, the spanning tree, the path projection
-and the contour parities here, and the centroid, path order and component
-search of the tree router, all read its flat lists.  The contour's Euler
-walk is the one traversal that must be depth-first.
+and the contour parities all read its flat lists.  The tree router's
+centroid, path order and component search walk only the vertices still
+alive in the tree, so they use routing._alive_bfs instead.  The contour's
+Euler walk is the one traversal that must be depth-first.
 
 The family string stored on a Graph is exactly the generator spec
 ("mesh:3,3").  family_of turns it, after the path and complete structure

@@ -88,13 +88,13 @@ rebuilds the body byte for byte from what was read, and json.loads of
 the head closed by } is a non-empty object; json.loads of the whole text
 is then that object with "stages" and "version" set, since the last of
 equal keys wins.  Equal stage texts share one tuple, so _freeze checks
-each distinct stage once.  Any other text goes through json.loads whole:
-that path converts the parsed stages one at a time and drops each
-parsed stage as soon as its tuples exist, so the parse and the new
-tuples are never all alive at once; then, once every cell is exactly an
-int or a str (True and 1.0 equal 1, and the kernel must still refuse
-them), it shares one tuple per distinct comparator, which the kernel
-then keeps.
+each distinct stage once.  Any other text goes through json.loads whole;
+once its version and head pass, the parse is written back with the
+writers' settings and dropped, and the canonical path reads that text,
+so it is the one place where a read shares comparators and stages.  Only
+text it declines even then (an id that is not an exact int below 2^31,
+another kind, a stage object with other keys, a malformed stage) is
+parsed again and converted stage by stage, for _freeze to take or refuse.
 A comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
@@ -538,27 +538,19 @@ def _read_parsed(text: str) -> tuple[graphs.Graph, list, dict]:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise StructureError("unsupported network JSON version")
     _check_head(doc)
-    stages = []
+    text = json.dumps(doc, **_WRITE)  # as the writers would put it out
+    del doc
+    read = _read_canonical(text)
+    if read is not None:
+        return read
+    doc = json.loads(text)  # it parsed above at this call depth: no error
     try:
-        parsed = doc.pop("stages")
-        if type(parsed) is not list:
-            parsed = list(parsed)
-        for k, s in enumerate(parsed):
-            stages.append(tuple(map(tuple, s["cmp"])))
-            parsed[k] = None  # its parse dies when s moves on
+        stages = [tuple(map(tuple, s["cmp"])) for s in doc.pop("stages")]
     except (KeyError, IndexError, TypeError) as e:
         raise StructureError(f"malformed stage in network JSON: {e!r}") from e
-    flat = list(chain.from_iterable(stages))
-    if not set(map(len, flat)) <= {3}:
+    if not set(map(len, chain.from_iterable(stages))) <= {3}:
         raise StructureError("malformed stage in network JSON: a comparator "
                              "is not a [u, v, kind] triple")
-    # equal comparators are shared, once every cell is exactly an int or a
-    # str: True and 1.0 equal 1, and the checks must still see them
-    if {int, str}.issuperset(map(type, chain.from_iterable(flat))):
-        shared = {}
-        flat = list(map(shared.setdefault, flat, flat))
-        bounds = list(accumulate(map(len, stages), initial=0))
-        stages = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     return _kept(doc, stages)
 
 

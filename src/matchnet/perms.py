@@ -12,8 +12,10 @@ def identity(n: int) -> tuple:
 
 
 def check_permutation(p: Sequence[int], n: int) -> tuple:
+    """p as a tuple; like vertex ids, its entries must be plain ints."""
     p = tuple(p)
-    if len(p) != n or sorted(p) != list(range(1, n + 1)):
+    if len(p) != n or not {int}.issuperset(map(type, p)) \
+            or sorted(p) != list(range(1, n + 1)):
         raise TaskError(f"not a permutation of 1..{n}: {p}")
     return p
 

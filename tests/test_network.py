@@ -478,6 +478,51 @@ def test_deeply_nested_json_is_a_structure_error():
             read(text)
 
 
+def _loads_depth_limit(cap: int = 2 ** 17) -> int:
+    """The deepest list nesting json.loads accepts here (capped)."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+
+def test_a_provenance_nested_as_deep_as_json_loads_accepts_reads_back():
+    # the readers write a parsed document back before reading it, and that
+    # must not refuse what json.loads accepts nor raise past StructureError
+    net = make_network(path_graph(2), (1, 2), [[(1, 2, DIR)]])
+    text = network_to_json(net)
+    limit = _loads_depth_limit()
+
+    def nested(depth, spaced):
+        doc = text.replace('"order":[1,2]', '"order":[1,2],"provenance":'
+                           '{"a":' + "[" * depth + "]" * depth + "}")
+        return doc.replace(",", ", ") if spaced else doc
+
+    for spaced in (False, True):
+        for depth in (limit - 16, 2 * limit + 2):
+            for plain in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if plain:
+                        mp.setattr(network, "_read_canonical",
+                                   lambda text: None)
+                    if depth < limit:
+                        back = network_from_json(nested(depth, spaced))
+                        assert back == net
+                        prov = back.provenance["a"]
+                        for _ in range(depth - 1):
+                            prov, = prov
+                        assert prov == []
+                    else:
+                        with pytest.raises(StructureError,
+                                           match="nested too deeply"):
+                            network_from_json(nested(depth, spaced))
+
+
 def test_a_cyclic_provenance_still_raises_in_the_writer():
     # the writers skip json's circular-reference check: their documents
     # are trees they build, and a cycle put in by hand still fails, only
@@ -713,17 +758,21 @@ def test_writers_equal_json_dumps_on_a_stage_list_of_other_values():
 
 def _assert_paths_agree(text) -> bool:
     """The canonical path gives what the parsing path gives, or declines;
-    so do the readers.  True when it took the text."""
+    both readers give the same with it and with it patched out, which
+    leaves the plain conversion.  True when it took the text."""
     fast = _outcome(network._read_canonical, text)
     took = fast != ("ok", None)
     assert not took or fast == _outcome(network._read_parsed, text)
-    if took:
-        for read in (network_from_json, plan_from_json):
-            canonical = _outcome(read, text)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(network, "_read_canonical", lambda text: None)
-                assert _outcome(read, text) == canonical
+    for read in (network_from_json, plan_from_json):
+        got = _outcome(read, text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_read_canonical", lambda text: None)
+            assert _outcome(read, text) == got
     return took
+
+
+def _indented(text: str) -> str:
+    return json.dumps(json.loads(text), indent=1)
 
 
 def test_both_read_paths_agree_on_the_corpus():
@@ -736,6 +785,19 @@ def test_both_read_paths_agree_on_the_corpus():
     assert not {"leading_zero_vertex.json", "non_ascii_kind.json",
                 "bool_vertex.json", "huge_vertex.json",
                 "version_2.json"} & set(taken)
+    # re-indented, every file that loads reads as it does compact
+    loadable = 0
+    for p in paths:
+        text = p.read_text(encoding="utf-8")
+        try:
+            indented = _indented(text)
+        except (ValueError, RecursionError):
+            continue
+        loadable += 1
+        assert not _assert_paths_agree(indented)
+        for read in (network_from_json, plan_from_json):
+            assert _outcome(read, indented) == _outcome(read, text)
+    assert loadable > 30
 
 
 def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
@@ -750,6 +812,8 @@ def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
     for text in texts:
         assert _assert_paths_agree(text)
         assert _assert_paths_agree(text + "\n")
+        for other in (json.dumps(json.loads(text)), _indented(text)):
+            assert not _assert_paths_agree(other)
 
 
 @pytest.mark.parametrize("text", [
@@ -787,10 +851,12 @@ def test_a_canonical_document_is_parsed_only_up_to_its_stages(monkeypatch):
 
 def test_a_read_network_holds_one_object_per_distinct_stage():
     net = cons.contour_tree_sort(random_tree(64, 1))
-    back = network_from_json(network_to_json(net))
-    assert back == net and back.stages == net.stages
-    assert len(set(map(id, back.stages))) == len(set(back.stages)) \
-        < back.depth
+    text = network_to_json(net)
+    for text in (text, _indented(text)):  # pretty-printed too
+        back = network_from_json(text)
+        assert back == net and back.stages == net.stages
+        assert len(set(map(id, back.stages))) == len(set(back.stages)) \
+            < back.depth
 
 
 # single edits of canonical documents; each token is spliced in somewhere

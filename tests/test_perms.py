@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from matchnet.errors import TaskError
+from matchnet.graphs import generate
+from matchnet.network import make_network
 from matchnet.perms import (all_permutations, check_permutation, compose,
                             cycles, identity, inverse, random_permutation)
+from matchnet.routing import route_auto
+from matchnet.verify import exact_rt
 
 perm_strategy = st.integers(1, 30).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))))
@@ -21,6 +26,28 @@ def test_check_permutation_rejects():
         check_permutation((1, 2), 3)
     with pytest.raises(TaskError):
         check_permutation((0, 1, 2), 3)
+
+
+_NOT_INTS = [(1.0, 2.0), (True, 2), (np.int64(1), 2), (2.0, 1.0, 3.0),
+             (1, 2, True), (3, np.int32(1), 2), ("1", 2, 3)]
+
+
+@pytest.mark.parametrize("p", _NOT_INTS, ids=repr)
+def test_check_permutation_wants_plain_ints(p):
+    # 1.0, True and np.int64(1) sort and compare equal to 1, but the
+    # readers refuse them in a written order and the kernels index by them
+    n = len(p)
+    message = f"not a permutation of 1..{n}"
+    with pytest.raises(TaskError, match=message):
+        check_permutation(p, n)
+    for spec in (f"path:{n}", f"complete:{n}"):
+        g = generate(spec)
+        with pytest.raises(TaskError, match=message):
+            make_network(g, p, [])
+        with pytest.raises(TaskError, match=message):
+            route_auto(g, p)
+        with pytest.raises(TaskError, match=message):
+            exact_rt(g, p)
 
 
 @given(perm_strategy)

@@ -1318,46 +1318,50 @@ def _spaced(text: str) -> str:
     return spaced
 
 
-def test_the_readers_drop_each_parsed_stage_as_they_convert(monkeypatch):
-    # the parse of a stage dies once its tuples exist, so a reader never
-    # holds the whole parse and all the new tuples at once; the documents
-    # are written with spaces, so that json.loads parses all of them
+def test_the_readers_drop_the_parse_before_they_freeze(monkeypatch):
+    # a reader writes a parsed document back as the writers would and drops
+    # the parse before the canonical path reads that text, so the parse and
+    # the new tuples are never all alive at once; so does the plain
+    # conversion, which parses the text again when that path declines it.
+    # The documents are written with spaces, so that json.loads parses them
     class Cmp(list):  # a parsed comparator list that takes a weak reference
-        def __iter__(self):  # the last read of stage k converts it
-            converting[self.at] = all(r() is None for r in refs[:self.at])
-            return super().__iter__()
+        pass
 
-    refs, converting, at_freeze = [], {}, []
-    real_loads, real_freeze = json.loads, network._freeze
+    refs, at_canonical, at_freeze = [], [], []
+    real_loads, real_canonical = json.loads, network._read_canonical
+    real_freeze = network._freeze
 
     def loads(text):
         doc = real_loads(text)
-        refs.clear()
-        for k, s in enumerate(doc["stages"]):
+        for s in doc.get("stages", ()):
             s["cmp"] = Cmp(s["cmp"])
-            s["cmp"].at = k
             refs.append(weakref.ref(s["cmp"]))
         return doc
 
-    def freeze(*args, **kwargs):
-        at_freeze.append(all(r() is None for r in refs))
-        return real_freeze(*args, **kwargs)
+    def dead(log, then):
+        def wrapped(*args, **kwargs):
+            log.append(all(r() is None for r in refs))
+            return then(*args, **kwargs)
+        return wrapped
 
     monkeypatch.setattr(network, "json", SimpleNamespace(
         loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
-    monkeypatch.setattr(network, "_freeze", freeze)
+    monkeypatch.setattr(network, "_freeze", dead(at_freeze, real_freeze))
     g = generate("mesh:4,4")
     plan = route_auto(g, random_permutation(g.n, random.Random(5)))
     net = make_network(g, identity(g.n), plan.stages)
-    at_freeze.clear()
-    assert plan_from_json(_spaced(plan_to_json(plan))) == plan
-    assert plan.depth > 1 and len(converting) == plan.depth
-    assert all(converting.values()) and at_freeze == [True]
-    converting.clear()
-    at_freeze.clear()
-    assert network_from_json(_spaced(network_to_json(net))) == net
-    assert len(converting) == plan.depth
-    assert all(converting.values()) and at_freeze == [True]
+    for plain in (False, True):
+        monkeypatch.setattr(network, "_read_canonical", dead(
+            at_canonical, (lambda text: None) if plain else real_canonical))
+        for obj, write, read in ((plan, plan_to_json, plan_from_json),
+                                 (net, network_to_json, network_from_json)):
+            text = _spaced(write(obj))
+            refs.clear()
+            at_canonical.clear()
+            at_freeze.clear()
+            assert read(text) == obj
+            assert len(refs) == (2 if plain else 1) * plan.depth > 1
+            assert at_canonical == [True, True] and at_freeze == [True]
 
 
 @pytest.mark.parametrize("spec", ["path:64", "mesh:8,8", "random_tree:128,1",
