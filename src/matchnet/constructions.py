@@ -207,7 +207,7 @@ def contour_tree_sort(t: Graph) -> SortingNetwork:
 
 def _follow(routed, pos: list, stages_out) -> None:
     """Append a checked route's stages and move the labels in pos with them."""
-    stages, realized = routed
+    stages, realized, _ = routed
     stages_out.extend(stages)
     pos[:] = [realized[v - 1] for v in pos]
 

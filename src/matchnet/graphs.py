@@ -777,7 +777,7 @@ def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
 def from_json(text: str) -> tuple[Graph, list[int] | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past 4300 digits
         raise StructureError(f"bad graph JSON: {e}") from e
     except RecursionError:
         raise StructureError("bad graph JSON: nested too deeply") from None

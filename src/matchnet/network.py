@@ -25,47 +25,46 @@ two-target assignment, and the slot is removed in a finally.  A copy of
 the list would keep every replaced column alive for the whole run (the
 0-1 verifier's columns are 2^n bits each).
 
-_freeze is the one validation kernel: make_network, make_plan and
-routing._plan, which freezes every public router's checked stages, hand
-it a whole stage list, and it checks the comparators in one array pass.
-It holds each repeat once, keyed by identity, not by value (hashing
-every stage would cost more than the repeats save): a stage object that
-recurs, as the contour and pyramid sorters' rounds do, is checked once
-and frozen into one tuple that every repeat shares, and inside the pass
-a comparator object that recurs, as a route's swaps and a read file's
-comparators do, has its kind, ids and edge checked once; only the
-matching test reads every occurrence.  One np.unique of the occurrences'
-ids finds the distinct objects, with return_inverse only (return_index
-would make numpy sort stably, at twice the cost): any occurrence stands
-for its object.  The pass gathers u, v and kind of the distinct
-comparators at once, requires each kind to be allowed (only "swap" in a
-plan) and each vertex id to be a plain int in 1..n.  The range check
-comes before keying: without it (0, 7) on n = 4 would get the key of
-edge (1, 2).  An edge {lo, hi} is keyed lo*(n+1) + hi, and membership is
-one searchsorted against the graph's sorted edge-key array
-(graphs.edge_keys, cached on the Graph like its adjacency).  The matching
-test is one sort of (stage, vertex) keys.  Comparators that are already
-canonical (u, v, kind) tuples are kept as they are, so a stage list
-built once is never copied comparator by comparator; swaps with u > v
-are flipped and other sequences made tuples, and only the stages that
-hold such a comparator are rebuilt: every other stage object is kept.
-When any check fails, the distinct stages go through make_stage one by
-one in order of first appearance (after make_plan's swap-only test,
-stage by stage): a repeat passed where it first appeared, so this raises
-what make_stage on every stage would, and errors keep the type and text
-of the per-comparator checks.  make_stage stays the single-stage API and
-the only per-comparator validation loop.
+_freeze is the one validation kernel: make_network, make_plan, the
+readers and routing._plan, which freezes every public router's checked
+stages, hand it a whole stage list.  It holds each repeat once, keyed by
+identity, not by value (hashing every stage would cost more than the
+repeats save): a stage object that recurs, as the contour and pyramid
+sorters' rounds do, is checked once and frozen into one tuple that every
+repeat shares.  Its check has two steps.  The identity pass, run only on
+a list that comes without a table, finds the distinct comparator objects
+with one np.unique of the occurrences' ids (return_inverse only:
+return_index would sort stably, at twice the cost) and reads the stage
+lengths.  routing._checked and the canonical reader already hold that
+table (cmps, which, lens) for the stages _freeze keeps, the first of
+each repeat, and hand it in; it is taken when its lengths agree with
+those stages, and dropped once they are frozen.  The array pass
+then checks each distinct comparator once: only the matching test reads
+every occurrence.  It requires each kind to be allowed (only "swap" in a
+plan) and each vertex id to be a plain int in 1..n, range first: without
+that (0, 7) on n = 4 would get the key of edge (1, 2).  An edge {lo, hi}
+is keyed lo*(n+1) + hi, and membership is one searchsorted against the
+graph's sorted edge-key array (graphs.edge_keys, cached on the Graph).
+The matching test is one sort of (stage, vertex) keys.  Canonical (u, v,
+kind) tuples are kept as they are, swaps with u > v are flipped and
+other sequences made tuples, and only the stages that hold such a
+comparator are rebuilt.  When a check fails or a table is refused, the
+distinct stages go through make_stage one by one in order of first
+appearance (after make_plan's swap-only test, stage by stage): a repeat
+passed where it first appeared, so this raises what make_stage on every
+stage would, with the type and text of the per-comparator checks.
+make_stage stays the single-stage API and the only per-comparator loop.
 
 The writers put out exactly what json.dumps of the whole document
 (sort_keys, compact separators) would, but build the text of each
 distinct comparator once: _distinct finds the distinct objects by
-identity, as _freeze's pass does (a route plan holds about twenty
-occurrences of each), and when every one is a canonical triple (exact-int
-ids, kind exactly "dir" or "swap") equal triples are equal text, so each
-value is formatted once as [u,v,"kind"] (a builder makes equal
-comparators as separate tuples).  Otherwise each goes through json.dumps
-with the writers' settings.  _stage_texts, which the canonical reader
-shares, then joins them into each stage's text.
+identity, as _freeze's identity pass does (a route plan holds about
+twenty occurrences of each), and when every one is a canonical triple
+(exact-int ids, kind exactly "dir" or "swap") equal triples are equal
+text, so each value is formatted once as [u,v,"kind"] (a builder makes
+equal comparators as separate tuples).  Otherwise each goes through
+json.dumps with the writers' settings.  _stage_texts, which the
+canonical reader shares, then joins them into each stage's text.
 json.dumps still writes the head (graph, order, plan flag, provenance,
 certificate), and "stages" and "version" are appended after it, as they
 sort after every other top-level key.  A stage list holding anything but
@@ -88,10 +87,11 @@ rebuilds the body byte for byte from what was read, and json.loads of
 the head closed by } is a non-empty object; json.loads of the whole text
 is then that object with "stages" and "version" set, since the last of
 equal keys wins.  Equal stage texts share one tuple, so _freeze checks
-each distinct stage once.  Any other text goes through json.loads whole;
-once its version and head pass, the parse is written back with the
-writers' settings and dropped, and the canonical path reads that text,
-so it is the one place where a read shares comparators and stages.  Only
+each distinct stage once, and gets the table of the distinct ones.  Any
+other text goes through json.loads whole; once its version and head
+pass, the parse is written back with the writers' settings and dropped,
+and the canonical path reads that text, so it is the one place where a
+read shares comparators and stages and hands _freeze a table.  Only
 text it declines even then (an id that is not an exact int below 2^31,
 another kind, a stage object with other keys, a malformed stage) is
 parsed again and converted stage by stage, for _freeze to take or refuse.
@@ -225,11 +225,15 @@ def make_plan(g: graphs.Graph, stages: Sequence) -> RoutingPlan:
                        realized=plan_realized(g.n, frozen))
 
 
-def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
+def _freeze(g: graphs.Graph, stages, swaps_only: bool = False,
+            table: tuple | None = None) -> tuple:
     """Validate and freeze a whole stage list (see the module docstring).
 
     The result equals make_stage on every stage, after make_plan's
-    swap-only test when swaps_only; so does any exception raised.
+    swap-only test when swaps_only; so does any exception raised.  A
+    producer that holds the table (cmps, which, lens, as _passed reads
+    it) of the stages _freeze keeps, the first of each repeated stage
+    object in order, hands it in, and the identity pass is skipped.
     """
     stages = list(stages)  # keeps every caller's stage, and so its id, alive
     at = None  # where each stage's frozen one is, when a stage object repeats
@@ -249,7 +253,13 @@ def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
         except TypeError:
             held.append(s)  # not iterable: make_stage raises on it below
     try:
-        frozen = _checked(g, held, swaps_only)
+        if table is None:
+            frozen = _checked(g, held, swaps_only)
+        elif list(table[2]) != list(map(len, held)) \
+                or len(table[1]) != sum(table[2]):
+            frozen = None  # a table that disagrees with the stages
+        else:
+            frozen = _passed(g, held, swaps_only, table)
     except (TypeError, ValueError, OverflowError):
         frozen = None  # malformed comparators: make_stage names the fault
     if frozen is None:  # a repeat passed where it first appeared, so this
@@ -262,16 +272,25 @@ def _freeze(g: graphs.Graph, stages, swaps_only: bool = False) -> tuple:
 
 
 def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
+    """_freeze's check of stages that come without a table: the identity
+    pass (_distinct over every occurrence, and the stage lengths), then
+    the array pass."""
+    cmps, which = _distinct(list(chain.from_iterable(held)))
+    return _passed(g, held, swaps_only, (cmps, which, list(map(len, held))))
+
+
+def _passed(g: graphs.Graph, held: list, swaps_only: bool,
+            table: tuple) -> tuple | None:
     """The array pass of _freeze: frozen stages, or None on any fault.
 
+    table is (cmps, which, lens) of held: the distinct comparator
+    objects, each occurrence's index into cmps, and each stage's length.
     Each comparator object is checked once, however many stages hold it:
     only the matching test reads every occurrence.
     """
-    flat = list(chain.from_iterable(held))
-    if not flat:
+    cmps, which, lens = table
+    if not len(which):
         return tuple(held)
-    cmps, which = _distinct(flat)
-    del flat
     if set(map(len, cmps)) != {3}:
         return None
     cells = list(chain.from_iterable(cmps))
@@ -292,7 +311,6 @@ def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
             edge_keys, key), mode="clip") != key).any():
         return None
     del key
-    lens = list(map(len, held))
     stage = np.repeat(np.arange(len(held), dtype=np.int64), lens)
     ends = np.sort(uv.reshape(2, d)[:, which] + stage * (n + 1), axis=None)
     if (ends[1:] == ends[:-1]).any():
@@ -305,6 +323,7 @@ def _checked(g: graphs.Graph, held: list, swaps_only: bool) -> tuple | None:
     del uv, u, v
     if not change:
         return tuple(held)
+    cmps = list(cmps)  # the producer's table stays as it was
     for i in change:
         a, b, kind = cmps[i]
         cmps[i] = (b, a, SWAP) if kind == SWAP and a > b else (a, b, kind)
@@ -447,9 +466,10 @@ def plan_to_json(plan: RoutingPlan) -> str:
                      "order": list(plan.realized), "plan": True}, plan.stages)
 
 
-def _read(text: str) -> tuple[graphs.Graph, list, dict]:
-    """Host graph, stage tuples, and whichever of order, provenance,
-    certificate and plan flag a network or plan JSON document carries;
+def _read(text: str) -> tuple[graphs.Graph, list, dict, tuple | None]:
+    """Host graph, stage tuples, whichever of order, provenance,
+    certificate and plan flag a network or plan JSON document carries,
+    and the stages' table for _freeze when the canonical path read them;
     the rest of the parse is dropped."""
     read = _read_canonical(text)
     return _read_parsed(text) if read is None else read
@@ -507,7 +527,11 @@ def _read_canonical(text: str) -> tuple | None:
     built = {t: tuple(occ[bounds[k]:bounds[k + 1]]) for t, k in last.items()}
     doc["stages"] = stages = list(map(built.__getitem__, texts))
     _check_head(doc)
-    return _kept(doc, stages)
+    if len(last) < len(texts):  # the table of the stages _freeze keeps
+        which = np.concatenate([which[bounds[k]:bounds[k + 1]]
+                                for k in last.values()])
+        lens = list(map(lens.__getitem__, last.values()))
+    return _kept(doc, stages, (cmps, which, lens))
 
 
 def _check_head(doc: dict) -> None:
@@ -520,18 +544,18 @@ def _check_head(doc: dict) -> None:
         raise StructureError("network JSON order must be a list of integers")
 
 
-def _kept(doc: dict, stages: list) -> tuple[graphs.Graph, list, dict]:
+def _kept(doc: dict, stages: list, table: tuple | None = None) -> tuple:
     """_read's result: the graph is built last, after the stage checks."""
     kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
             if k in doc}
-    return graphs.graph_from_doc(doc["graph"]), stages, kept
+    return graphs.graph_from_doc(doc["graph"]), stages, kept, table
 
 
-def _read_parsed(text: str) -> tuple[graphs.Graph, list, dict]:
+def _read_parsed(text: str) -> tuple:
     """_read through json.loads of the whole text, for any document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past 4300 digits
         raise StructureError(f"bad network JSON: {e}") from e
     except RecursionError:
         raise StructureError("bad network JSON: nested too deeply") from None
@@ -556,11 +580,12 @@ def _read_parsed(text: str) -> tuple[graphs.Graph, list, dict]:
 
 def network_from_json(text: str) -> SortingNetwork:
     with _gc_paused():
-        g, stages, doc = _read(text)
-        try:
-            net = make_network(g, doc["order"], stages,
-                               provenance=doc.get("provenance") or {},
-                               certificate=doc.get("certificate"))
+        g, stages, doc, table = _read(text)
+        try:  # make_network, handing _freeze the table
+            order = perms.check_permutation(doc["order"], g.n)
+            net = SortingNetwork(g, order, _freeze(g, stages, table=table),
+                                 provenance=doc.get("provenance") or {},
+                                 certificate=doc.get("certificate"))
         except (ConstructionError, TaskError) as e:  # a bad comparator or
             raise StructureError(str(e)) from e  # order in the file
         if "plan" in doc:
@@ -579,13 +604,14 @@ def network_from_json(text: str) -> SortingNetwork:
 
 def plan_from_json(text: str) -> RoutingPlan:
     with _gc_paused():
-        g, stages, doc = _read(text)
+        g, stages, doc, table = _read(text)
         if doc.get("plan") is not True:  # plan_to_json writes it as true
             raise StructureError('plan JSON must have "plan": true')
-        try:
-            plan = make_plan(g, stages)
+        try:  # make_plan, handing _freeze the table
+            frozen = _freeze(g, stages, swaps_only=True, table=table)
         except ConstructionError as e:  # a bad comparator in the file
             raise StructureError(str(e)) from e
+        plan = RoutingPlan(g, frozen, plan_realized(g.n, frozen))
         for key in ("provenance", "certificate"):
             if key in doc:
                 raise StructureError(f"plan JSON must not carry {key!r}: "

@@ -9,13 +9,16 @@ Internally all planners work with "rounds": plain lists of swap pairs.
 _ROUTES is the one table of family planners and bounds.  Every route
 leaves through _routed or _to_path_stages, which pass _checked: it raises,
 also under python -O, when a wanted pebble ends off its target or the
-depth passes its bound.  Public routers freeze the checked stages into a
-RoutingPlan, builders leave them to their closing make_network.  A plan
-of depth d is a sequence of matchings of the host, so it holds up to
-d*n/2 swaps but only |E| distinct ones: _checked builds every stage
-from one (u, v, SWAP) tuple per distinct pair of its route, so each
+depth passes its bound.  A plan of depth d is a sequence of matchings
+of the host, so it holds up to d*n/2 swaps but only |E| distinct ones.
+_checked gives each distinct pair of its route one index and one
+(u, v, SWAP) tuple, and gathers every stage from those indices, so each
 plan, and each builder stage list a route feeds, holds each comparator
-once, and network._freeze checks each of them once.
+once.  It returns that table (the tuples, each swap's index, each
+stage's length) with the stages: public routers hand it to
+network._freeze, which then checks each distinct comparator once
+without finding them again, and builders drop it, leaving their stages
+to their closing make_network.
 
 The tree planner (_tree_rounds, route_tree and the spanning-tree
 fallback) recurses over the host's own vertex ids: each centroid
@@ -57,7 +60,9 @@ import operator
 from bisect import bisect_left
 from collections import defaultdict
 from functools import partial
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, pairwise, zip_longest
+
+import numpy as np
 
 from .errors import ConstructionError, ParameterError, StructureError, TaskError
 from .graphs import (
@@ -106,14 +111,23 @@ def _merge_parallel(blocks):
     return merged
 
 
-def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple]:
-    """Swap stages of the non-empty rounds, not yet validated, and the
-    permutation they realize; refuses any (s, u) in want_pairs whose
-    pebble from s ends off u, and depth past bound.  The stages share
-    one (u, v, SWAP) tuple per distinct pair, looked up through map in a
-    table made once from the rounds."""
-    swap = {p: (*p, SWAP) for p in set(chain.from_iterable(rounds))}
-    stages = [list(map(swap.__getitem__, rnd)) for rnd in rounds if rnd]
+def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple, tuple]:
+    """Swap stages of the non-empty rounds, not yet validated, the
+    permutation they realize, and their table for network._freeze;
+    refuses any (s, u) in want_pairs whose pebble from s ends off u, and
+    depth past bound.  The table holds one (u, v, SWAP) tuple per
+    distinct pair, each swap's index into them and each stage's length,
+    and the stages are gathered from that index, so they share those
+    tuples."""
+    rounds = [rnd for rnd in rounds if rnd]
+    pairs = list(set(chain.from_iterable(rounds)))
+    index = dict(zip(pairs, range(len(pairs))))
+    which = np.array(list(map(index.__getitem__, chain.from_iterable(rounds))),
+                     np.intp)
+    cmps = [(*p, SWAP) for p in pairs]
+    lens = list(map(len, rounds))
+    occ = np.fromiter(cmps, object, len(cmps))[which].tolist()
+    stages = [occ[a:b] for a, b in pairwise(accumulate(lens, initial=0))]
     realized = plan_realized(n, stages)
     for s, u in want_pairs:
         if realized[s - 1] != u:
@@ -122,14 +136,14 @@ def _checked(n: int, rounds, want_pairs, bound) -> tuple[list, tuple]:
                 f"{realized[s - 1]}, not on its target {u}")
     if len(stages) > bound:
         raise ConstructionError(f"depth {len(stages)} exceeds bound {bound}")
-    return stages, realized
+    return stages, realized, (cmps, which, lens)
 
 
 def _plan(host: Graph, routed) -> RoutingPlan:
-    """The RoutingPlan of a checked route's (stages, realized)."""
-    stages, realized = routed
-    return RoutingPlan(host, network._freeze(host, stages, swaps_only=True),
-                       realized)
+    """The RoutingPlan of a checked route's (stages, realized, table)."""
+    stages, realized, table = routed
+    return RoutingPlan(host, network._freeze(host, stages, swaps_only=True,
+                                             table=table), realized)
 
 
 def complete_assignment(n: int, want: dict[int, int]) -> list[int]:
@@ -384,7 +398,8 @@ def route_to_path(t: Graph, sources, targets) -> RoutingPlan:
 
 
 def _to_path_stages(t: Graph, sources, targets):
-    """_to_path_rounds' (stages, realized), checked against d + 2(k-1)."""
+    """_to_path_rounds' (stages, realized, table), checked against
+    d + 2(k-1)."""
     rounds, pairs = _to_path_rounds(t, sources, targets)
     k, d = len(pairs), len(path_projection(t).path) - 1
     return _checked(t.n, rounds, pairs, d + 2 * (k - 1) if k else 0)
@@ -944,12 +959,13 @@ def _auto_rounds(g: Graph, pi, memo: dict):
     return memo[key]
 
 
-def _routed(g: Graph, want, family=None) -> tuple[list, tuple]:
-    """The checked (stages, realized) of a route on g that takes pebble s
-    to u for each (s, u) in want (a dict or pairs) and the rest as
-    complete_assignment does, planned and bounded by _ROUTES for family:
-    family_of(g) unless given, since family_of names multigrid:2,1 a path,
-    pyramid:2,1 and path:1 x K3 triangles.  The collector stays paused."""
+def _routed(g: Graph, want, family=None) -> tuple[list, tuple, tuple]:
+    """The checked (stages, realized, table) of a route on g that takes
+    pebble s to u for each (s, u) in want (a dict or pairs) and the rest
+    as complete_assignment does, planned and bounded by _ROUTES for
+    family: family_of(g) unless given, since family_of names
+    multigrid:2,1 a path, pyramid:2,1 and path:1 x K3 triangles.  The
+    collector stays paused."""
     want = dict(want)
     pi = complete_assignment(g.n, want)
     name, params = family or family_of(g)

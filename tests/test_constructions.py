@@ -502,12 +502,12 @@ def _reference_subgraph_sort(g, h_vertices, h_net, partial_router=None,
         k = len(block)
         sources = [pos[label - 1] for label in block]
         targets = hv[:k]
-        stages, realized = partial_router(sources, targets)
+        stages, realized, table = partial_router(sources, targets)
         if len(stages) > rb:
             raise ConstructionError(f"depth {len(stages)} exceeds bound {rb}")
         if {realized[s - 1] for s in sources} != set(targets):
             raise ConstructionError("merge route lands a pebble off H")
-        constructions._follow((stages, realized), pos, stages_out)
+        constructions._follow((stages, realized, table), pos, stages_out)
         for stage in h_net.stages:
             kept = [(hv[u - 1], hv[v - 1], DIR) for u, v, _ in stage if v <= k]
             if kept:

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import weakref
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -358,6 +359,89 @@ def test_kernel_checks_a_repeated_stage_once(monkeypatch):
     assert held == [len({id(s) for s in net.stages})] and held[0] < net.depth
 
 
+def _tabled(stages, as_tuples):
+    """stages rebuilt from a table made as routing._checked and
+    _read_canonical make theirs: one object per distinct comparator value,
+    the stages gathered from those, and each occurrence's index and each
+    stage's length over the stage objects _freeze keeps (the first of
+    each repeat, in order)."""
+    index, cmps = {}, []
+    for c in chain.from_iterable(stages):
+        if tuple(c) not in index:  # a list comparator is keyed as a tuple
+            index[tuple(c)] = len(cmps)
+            cmps.append(c)
+    made = {}
+    for s in stages:
+        if id(s) not in made:
+            got = [cmps[index[tuple(c)]] for c in s]
+            made[id(s)] = tuple(got) if as_tuples else got
+    stages = [made[id(s)] for s in stages]
+    kept = list({id(s): s for s in stages}.values())  # () is one object
+    which = np.array([index[tuple(c)] for c in chain.from_iterable(kept)],
+                     np.intp)
+    return stages, (cmps, which, list(map(len, kept)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_stages(), st.booleans(), st.booleans(), st.data())
+def test_kernel_takes_a_producers_table_as_it_takes_the_stages(
+        case, swaps_only, as_tuples, data):
+    g, stages = case
+    picks = st.lists(st.integers(0, len(stages) - 1), max_size=8)
+    stages = [stages[i] for i in data.draw(picks)] if stages else []
+    stages, table = _tabled(stages, as_tuples)
+    cmps = list(table[0])
+    want = _outcome(network._freeze, g, stages, swaps_only)
+    got = _outcome(network._freeze, g, stages, swaps_only, table)
+    assert got == want and table[0] == cmps  # the table is left as it was
+    if want[0] == "ok":  # the same objects are kept and shared
+        def kept(frozen):
+            return [[f is c for f, c in zip(fs, s)] + [fs is s]
+                    for fs, s in zip(frozen, stages)]
+
+        def shared(frozen):
+            return [[a is b for b in frozen] for a in frozen]
+
+        assert kept(got[1]) == kept(want[1])
+        assert shared(got[1]) == shared(want[1])
+    # lengths that disagree with the stages _freeze keeps never reach the
+    # array pass: the per-stage path gives the answer
+    lens = table[2]
+    wrong = [[*lens, 0]]
+    if lens:
+        wrong += [lens[:-1], [*lens[:-1], lens[-1] + 1]]
+    if len(lens) > 1 and lens[0]:
+        wrong.append([lens[0] - 1, lens[1] + 1, *lens[2:]])
+    bad = (table[0], table[1], data.draw(st.sampled_from(wrong)))
+    passed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_passed", lambda *args: passed.append(args))
+        assert _outcome(network._freeze, g, stages, swaps_only, bad) == want
+    assert passed == []
+
+
+def test_the_router_and_the_readers_hand_freeze_a_table_it_takes(
+        monkeypatch):
+    # a refused or missing table still gives the right stages, through the
+    # identity pass or the per-stage path, so only a spy sees it
+    g = generate("mesh:4,4")
+    net = cons.contour_tree_sort(random_tree(32, 1))  # its stages repeat
+    assert len({id(s) for s in net.stages}) < net.depth
+    pi = tuple(range(16, 0, -1))
+    texts = [(plan_from_json, plan_to_json(route_auto(g, pi))),
+             (network_from_json, network_to_json(net))]
+    texts += [(read, _indented(text)) for read, text in texts]
+    calls = []
+    for name in ("_checked", "make_stage"):
+        real = getattr(network, name)
+        monkeypatch.setattr(network, name, lambda *args, real=real, name=name:
+                            (calls.append(name), real(*args))[1])
+    assert route_auto(g, pi).realized == pi
+    for read, text in texts:
+        assert read(text).depth > 1
+    assert calls == []
+
+
 def test_kernel_refuses_ids_that_alias_an_edge():
     g = path_graph(4)  # 0*5 + 7 and -1*5 + 12 are the key of edge (1, 2)
     for u, v in [(0, 7), (7, 0), (-1, 12)]:
@@ -448,6 +532,33 @@ def test_comparator_faults_in_files_are_structure_errors(name):
     with pytest.raises(StructureError) as read:
         plan_from_json(json.dumps(doc))
     assert str(read.value) == str(built.value)
+
+
+def test_the_readers_refuse_an_int_past_the_digit_limit():
+    # json.loads raises a bare ValueError on an int literal longer than
+    # 4300 digits; all three readers raise it as StructureError, whether
+    # it sits in the head or in a comparator
+    big = "9" * 5000
+    plan = plan_to_json(make_plan(path_graph(2), [[(1, 2, SWAP)]]))
+    net = network_to_json(make_network(path_graph(2), (1, 2), [[(1, 2, DIR)]]))
+    texts = [plan.replace('"n":2', f'"n":{big}'),
+             plan.replace('[1,2,"swap"]', f'[{big},2,"swap"]'),
+             net.replace('"order":[1,2]', f'"order":[{big},2]'),
+             net.replace('[1,2,"dir"]', f'[1,{big},"dir"]')]
+    corpus = Path(__file__).parent / "corpus"
+    texts.append((corpus / "huge_int_literal.json").read_text())
+    assert len(set(texts)) == 5 and plan not in texts and net not in texts
+    for text in texts:
+        for read in (plan_from_json, network_from_json):
+            with pytest.raises(StructureError, match="^bad network JSON: "
+                               "Exceeds the limit"):
+                read(text)
+    for text in (f'{{"edges":[[1,2]],"n":{big}}}',
+                 f'{{"edges":[[1,{big}]],"n":2}}',
+                 (corpus / "graphs" / "huge_int_literal.json").read_text()):
+        with pytest.raises(StructureError, match="^bad graph JSON: "
+                           "Exceeds the limit"):
+            graphs.from_json(text)
 
 
 
@@ -756,13 +867,19 @@ def test_writers_equal_json_dumps_on_a_stage_list_of_other_values():
 # the readers' canonical path against json.loads of the whole text
 
 
+def _read_outcome(read, text):
+    """_outcome of a read path, without the table it hands _freeze."""
+    got = _outcome(read, text)
+    return ("ok", got[1][:3]) if got[0] == "ok" and got[1] else got
+
+
 def _assert_paths_agree(text) -> bool:
     """The canonical path gives what the parsing path gives, or declines;
     both readers give the same with it and with it patched out, which
     leaves the plain conversion.  True when it took the text."""
-    fast = _outcome(network._read_canonical, text)
+    fast = _read_outcome(network._read_canonical, text)
     took = fast != ("ok", None)
-    assert not took or fast == _outcome(network._read_parsed, text)
+    assert not took or fast == _read_outcome(network._read_parsed, text)
     for read in (network_from_json, plan_from_json):
         got = _outcome(read, text)
         with pytest.MonkeyPatch.context() as mp:

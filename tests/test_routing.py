@@ -751,8 +751,8 @@ def test_plan_checks_raise_even_without_asserts():
         routing._checked(g.n, [[(1, 2)]], enumerate((1, 2, 3), 1), 3)
     with pytest.raises(ConstructionError, match="exceeds bound"):
         routing._checked(g.n, [[(1, 2)], [(2, 3)]], enumerate((3, 1, 2), 1), 1)
-    stages, realized = routing._checked(g.n, [[(1, 2)]],
-                                        enumerate((2, 1, 3), 1), 1)
+    stages, realized, _ = routing._checked(g.n, [[(1, 2)]],
+                                           enumerate((2, 1, 3), 1), 1)
     assert len(stages) == 1 and realized == (2, 1, 3)
 
 
