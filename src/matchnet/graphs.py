@@ -22,9 +22,15 @@ a documented canonical numbering:
 - multigrid:m,d   pyramid minus all parent edges except the one from the
                   child with all-odd local coordinates
 
-Vertex ids are ints (a bool or float is refused).  The edge views derive
-from one key array, u*(n+1) + v per edge, cached on the Graph like its
-adjacency; sorted_edges() reads it in key order, which is (u, v) order.
+A Graph holds its edges as one sorted int64 array of keys u*(n+1) + v,
+u < v: 8 bytes an edge.  from_keys is the one constructor; the generators
+build their keys with numpy, graph() and Graph(...) key checked pairs.
+The other views derive from the keys.  edges, the frozenset of (u, v)
+tuples, and the adjacency, split from one sort of both directions' keys,
+are built on first use and cached on the Graph; no generation, route or
+JSON round trip asks for edges.  sorted_edges() reads the keys afresh, in
+key order, which is (u, v) order.  n and the vertex ids are ints (a bool
+or float is refused).
 
 bfs is the one breadth-first search of the graph layer: connectivity,
 the double-sweep diameter path, the spanning tree, the path projection
@@ -44,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, NamedTuple, Sequence
@@ -54,43 +60,64 @@ import numpy as np
 from .errors import CapError, ParameterError, StructureError
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph on vertices 1..n."""
+    """Immutable undirected graph on vertices 1..n.
 
-    n: int
-    edges: frozenset
-    family: str | None = None
-    # For cartesian products built in-memory; not serialized.
-    factors: tuple = field(default=(), compare=False)
+    A Graph holds n, its family label, the factors of a product built in
+    memory (not serialized, not compared) and the sorted int64 array of
+    its edge keys; from_keys makes every one.  Graph(n, edges) keys pairs
+    (u, v) with u < v; graph() takes them in either order.  == and hash go
+    on (n, family, keys).
+    """
 
-    def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ParameterError("graph needs at least one vertex")
-        for u, v in self.edges:
-            if type(u) is not int or type(v) is not int:  # 1.5 would key as 1
-                raise StructureError(
-                    f"edge ({u!r},{v!r}) has a non-integer vertex id")
-            if not 1 <= u < v <= n:
-                raise StructureError(f"self-loop at {u}" if u == v
-                                     else f"bad edge ({u},{v}) for n={n}")
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]],
+                family: str | None = None, factors: tuple = ()):
+        _check_n(n)
+        return from_keys(n, _pair_keys(n, edges), family, factors)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(self._sorted_edges)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return from_keys, (self.n, self._keys, self.family, self.factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return (self.n, self.family) == (other.n, other.family) \
+            and np.array_equal(self._keys, other._keys)
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
-    def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        u, v = np.divmod(self._edge_keys, self.n + 1)
-        return tuple(zip(u.tolist(), v.tolist()))
+    def _hash(self) -> int:
+        return hash((self.n, self.family, self._keys.tobytes()))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges (u, v), u < v, as a set: built on first use."""
+        return frozenset(self.sorted_edges())
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        """The edges (u, v), u < v, in (u, v) order, read off the keys."""
+        u, v = np.divmod(self._keys, self.n + 1)
+        return list(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        # both directions of every edge, keyed end*(n+1) + mate, sorted
+        n = self.n
+        u, v = np.divmod(self._keys, n + 1)
+        ends, mates = np.divmod(np.sort(np.concatenate(
+            [self._keys, v * (n + 1) + u])), n + 1)
+        bounds = np.searchsorted(ends, np.arange(1, n + 2)).tolist()
+        mates = mates.tolist()
+        return dict(zip(range(1, n + 1), [tuple(mates[a:b]) for a, b in
+                                          zip(bounds, bounds[1:])]))
 
     @cached_property
     def _matchings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -138,11 +165,11 @@ class Graph:
 
     @cached_property
     def _family(self) -> tuple[str | None, tuple[int, ...]]:
-        if len(self.edges) == self.n - 1 and all(
-                (i, i + 1) in self.edges for i in range(1, self.n)):
-            return "path", (self.n,)
-        if len(self.edges) == self.n * (self.n - 1) // 2:
-            return "complete", (self.n,)
+        n, m = self.n, len(self._keys)
+        if m == n - 1 and (self._keys == _path_keys(n)).all():
+            return "path", (n,)
+        if m == n * (n - 1) // 2:
+            return "complete", (n,)
         name = (self.family or "").partition(":")[0]
         if name == "product" and len(self.factors) == 2:
             return name, ()
@@ -150,26 +177,69 @@ class Graph:
             return name, tuple(_parse_spec(self.family)[1])
         return None, ()
 
-    @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        uv = np.fromiter(chain.from_iterable(self.edges), np.int64,
-                         2 * len(self.edges))
-        keys = uv[0::2] * (self.n + 1) + uv[1::2]
-        keys.sort()
-        return keys
-
     def __repr__(self):  # keep reprs short, edge sets get large
         fam = f" family={self.family!r}" if self.family else ""
-        return f"Graph(n={self.n}, m={len(self.edges)}{fam})"
+        return f"Graph(n={self.n}, m={len(self._keys)}{fam})"
+
+
+# the largest n whose greatest edge key, (n - 1)*(n + 1) + n, fits in int64
+KEY_N_CAP = 3_037_000_499
+
+
+def _check_n(n) -> None:
+    if type(n) is not int:  # 3.0 or True would key edges as floats or bools
+        raise StructureError(f"vertex count {n!r} is not an integer")
+    if n < 1:
+        raise ParameterError("graph needs at least one vertex")
+    if n > KEY_N_CAP:
+        raise CapError(f"graph has more than {KEY_N_CAP} vertices")
+
+
+def from_keys(n: int, keys: np.ndarray, family: str | None = None,
+              factors: tuple = ()) -> Graph:
+    """The Graph on 1..n whose edges (u, v), u < v, key as keys, the
+    strictly increasing int64 array of u*(n+1) + v; the one constructor
+    every Graph goes through.  It takes keys over, read-only, and refuses
+    an unsorted or repeated key or one that is no edge on 1..n."""
+    _check_n(n)
+    if type(keys) is not np.ndarray or keys.dtype != np.int64 \
+            or keys.ndim != 1:
+        raise StructureError("edge keys must be a 1-d int64 array")
+    if len(keys):
+        u, v = np.divmod(keys, n + 1)
+        # sorted, so u[0] is the least u
+        if u[0] < 1 or (v <= u).any() or (keys[1:] <= keys[:-1]).any():
+            raise StructureError(f"edge keys are not sorted distinct edges "
+                                 f"of a graph on n={n}")
+    keys.flags.writeable = False
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, family=family, factors=factors, _keys=keys)
+    return g
+
+
+def _pair_keys(n: int, edges: Iterable) -> np.ndarray:
+    """The sorted distinct keys of pairs (u, v) of plain ints with
+    1 <= u < v <= n; the first other pair is refused."""
+    keys = []
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # 1.5 would key as 1
+            raise StructureError(
+                f"edge ({u!r},{v!r}) has a non-integer vertex id")
+        if not 1 <= u < v <= n:
+            raise StructureError(f"self-loop at {u}" if u == v
+                                 else f"bad edge ({u},{v}) for n={n}")
+        keys.append(u * (n + 1) + v)
+    keys = np.sort(np.array(keys, np.int64))
+    return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]], family: str | None = None,
           factors: tuple = ()) -> Graph:
     try:
-        es = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        es = [(u, v) if u < v else (v, u) for u, v in edges]
     except (TypeError, ValueError) as e:  # "a" < 2, or not a pair
         raise StructureError(f"malformed edge list: {e}") from e
-    return Graph(n=n, edges=es, family=family, factors=factors)
+    return Graph(n, es, family, factors)
 
 
 def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
@@ -178,8 +248,8 @@ def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
 
 
 def edge_keys(g: Graph) -> np.ndarray:
-    """Sorted u*(n+1) + v over the edges (u, v), u < v; cached on g."""
-    return g._edge_keys
+    """Sorted u*(n+1) + v over the edges (u, v), u < v: what g holds."""
+    return g._keys
 
 
 def bfs(g: Graph, sources: Sequence[int]
@@ -219,12 +289,12 @@ def check_connected(g: Graph) -> list[int]:
 
 
 def is_tree(g: Graph) -> bool:
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    return len(g._keys) == g.n - 1 and is_connected(g)
 
 
 def check_tree(g: Graph) -> list[int]:
     """Raise unless g is a tree; return bfs(g, [1])'s dist."""
-    if len(g.edges) == g.n - 1:
+    if len(g._keys) == g.n - 1:
         order, _, dist = bfs(g, [1])
         if len(order) == g.n:
             return dist
@@ -240,30 +310,37 @@ def max_degree(g: Graph) -> int:
 # generators
 
 
+def _path_keys(n: int) -> np.ndarray:
+    """The keys of the path's edges (i, i + 1), i*(n + 2) + 1."""
+    return np.arange(1, n, dtype=np.int64) * (n + 2) + 1
+
+
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterError("path needs n >= 1")
-    return graph(n, [(i, i + 1) for i in range(1, n)], family=f"path:{n}")
+    return from_keys(n, _path_keys(n), family=f"path:{n}")
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
-    es = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return graph(n, es, family=f"cycle:{n}")
+    keys = np.insert(_path_keys(n), 1, 2 * n + 1)  # (1, n) after (1, 2)
+    return from_keys(n, keys, family=f"cycle:{n}")
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
-    es = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return graph(n, es, family=f"complete:{n}")
+    u, v = np.triu_indices(n, 1)  # row by row: in key order
+    return from_keys(n, (u + 1) * (n + 1) + v + 1, family=f"complete:{n}")
 
 
 def star_graph(n: int) -> Graph:
     if n < 2:
         raise ParameterError("star needs n >= 2")
-    return graph(n, [(1, v) for v in range(2, n + 1)], family=f"star:{n}")
+    # (1, v) keys as n + 1 + v
+    return from_keys(n, np.arange(n + 3, 2 * n + 2, dtype=np.int64),
+                     family=f"star:{n}")
 
 
 def multipartite_graph(p: int, s: int) -> Graph:
@@ -271,23 +348,20 @@ def multipartite_graph(p: int, s: int) -> Graph:
     if p < 2 or s < 1:
         raise ParameterError("multipartite needs p >= 2 parts, size s >= 1")
     n = p * s
-    part = {v: (v - 1) // s for v in range(1, n + 1)}
-    es = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-          if part[u] != part[v]]
-    return graph(n, es, family=f"multipartite:{p},{s}")
+    u, v = np.triu_indices(n, 1)  # row by row: in key order
+    cross = u // s != v // s
+    return from_keys(n, (u[cross] + 1) * (n + 1) + v[cross] + 1,
+                     family=f"multipartite:{p},{s}")
 
 
 def hypercube_graph(dim: int) -> Graph:
     if dim < 1:
         raise ParameterError("hypercube needs dim >= 1")
     n = 1 << dim
-    es = []
-    for u in range(n):
-        for b in range(dim):
-            v = u ^ (1 << b)
-            if v > u:
-                es.append((u + 1, v + 1))
-    return graph(n, es, family=f"hypercube:{dim}")
+    u = np.arange(n)[:, None]
+    v = u ^ (1 << np.arange(dim))  # u's neighbours, increasing where v > u
+    return from_keys(n, ((u + 1) * (n + 1) + v + 1)[v > u],
+                     family=f"hypercube:{dim}")
 
 
 def mesh_strides(lengths: Sequence[int]) -> list[int]:
@@ -306,14 +380,13 @@ def _mesh_points(lengths: Sequence[int]) -> Iterable[tuple[int, ...]]:
     return product(*(range(1, L + 1) for L in lengths))
 
 
-def _mesh_edges(lengths: Sequence[int], off: int = 0) -> list[tuple[int, int]]:
-    """Mesh edges, vertex by vertex and then axis by axis, with every vertex
-    id shifted by off; the neighbour one step along axis i is v + strides[i]."""
-    strides = mesh_strides(lengths)
-    axes = list(zip(range(len(lengths)), lengths, strides))
-    return [(v, v + s)
-            for v, coords in enumerate(_mesh_points(lengths), off + 1)
-            for i, L, s in axes if coords[i] < L]
+def _mesh_keys(lengths: Sequence[int], n: int, off: int = 0) -> np.ndarray:
+    """Keys on n vertices of the mesh edges, axis by axis, every vertex id
+    shifted by off: the neighbour one step along axis i is v + strides[i],
+    and (v, v + s) keys as v*(n + 2) + s."""
+    idx = np.arange(math.prod(lengths))  # vertex off + 1 + idx
+    return np.concatenate([(idx[idx // s % L < L - 1] + off + 1) * (n + 2) + s
+                           for L, s in zip(lengths, mesh_strides(lengths))])
 
 
 def mesh_graph(lengths: Sequence[int]) -> Graph:
@@ -321,7 +394,8 @@ def mesh_graph(lengths: Sequence[int]) -> Graph:
     if not lengths or any(x < 1 for x in lengths):
         raise ParameterError("mesh needs positive side lengths")
     fam = "mesh:" + ",".join(str(x) for x in lengths)
-    return graph(math.prod(lengths), _mesh_edges(lengths), family=fam)
+    n = math.prod(lengths)
+    return from_keys(n, np.sort(_mesh_keys(lengths, n)), family=fam)
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -418,29 +492,36 @@ class PyramidInfo:
         return paths
 
 
-def _pyramid_edges(info: PyramidInfo, all_children: bool) -> list[tuple[int, int]]:
-    es = []
+def _pyramid_keys(info: PyramidInfo, all_children: bool) -> np.ndarray:
+    """Sorted keys of every level's mesh edges and of the parent edges: the
+    child at 0-based coordinates c hangs from c // 2 one level up, and with
+    all_children false only the child with all c even (all-odd 1-based)."""
+    n, keys = info.n, []
     for l in range(info.m):
         off = info.level_offsets[l]
-        es += _mesh_edges(info.lengths(l), off)
+        keys.append(_mesh_keys(info.lengths(l), n, off))
         if l > 0:
-            for v, c in enumerate(_mesh_points(info.lengths(l)), off + 1):
-                if all_children or all(x % 2 == 1 for x in c):
-                    pc = tuple((x + 1) // 2 for x in c)
-                    es.append((info.vertex(l - 1, pc), v))
-    return es
+            idx = np.arange(info.level_sizes[l])
+            coords = idx[:, None] // info.level_strides[l] % (1 << l)
+            if not all_children:
+                keep = (coords % 2 == 0).all(1)
+                idx, coords = idx[keep], coords[keep]
+            up = info.level_offsets[l - 1] + 1 + (
+                coords // 2 * info.level_strides[l - 1]).sum(1)
+            keys.append(up * (n + 1) + off + 1 + idx)
+    return np.sort(np.concatenate(keys))
 
 
 def pyramid_graph(m: int, d: int) -> Graph:
     info = PyramidInfo(m, d)
-    return graph(info.n, _pyramid_edges(info, all_children=True),
-                 family=f"pyramid:{m},{d}")
+    return from_keys(info.n, _pyramid_keys(info, all_children=True),
+                     family=f"pyramid:{m},{d}")
 
 
 def multigrid_graph(m: int, d: int) -> Graph:
     info = PyramidInfo(m, d)
-    return graph(info.n, _pyramid_edges(info, all_children=False),
-                 family=f"multigrid:{m},{d}")
+    return from_keys(info.n, _pyramid_keys(info, all_children=False),
+                     family=f"multigrid:{m},{d}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +531,15 @@ def multigrid_graph(m: int, d: int) -> Graph:
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product; vertex (a, b) gets id (a-1)*|g2| + b."""
     n1, n2 = g1.n, g2.n
-    es = []
-    for a in range(1, n1 + 1):
-        base = (a - 1) * n2
-        for u, v in g2.edges:
-            es.append((base + u, base + v))
-    for u, v in g1.edges:
-        for b in range(1, n2 + 1):
-            es.append(((u - 1) * n2 + b, (v - 1) * n2 + b))
-    return graph(n1 * n2, es, family="product", factors=(g1, g2))
+    n = n1 * n2
+    u1, v1 = np.divmod(g1._keys, n1 + 1)
+    u2, v2 = np.divmod(g2._keys, n2 + 1)
+    row = np.arange(n1)[:, None] * n2  # g2's edges in every copy a
+    col = np.arange(1, n2 + 1)  # g1's edges in every copy b
+    us = np.append(row + u2, (u1[:, None] - 1) * n2 + col)
+    vs = np.append(row + v2, (v1[:, None] - 1) * n2 + col)
+    return from_keys(n, np.sort(us * (n + 1) + vs), family="product",
+                     factors=(g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +792,19 @@ def graph_from_doc(doc) -> Graph:
     dispatch without in-memory factors.
 
     A document whose edge list is exactly its label's sorted_edges(), as
-    graph_doc writes it, is built once, by generate.  Every other document
-    is built from its edges and compared with the label, generated at most
-    once, so each refusal has one source.  A document with more than
-    GENERATE_CAP vertices plus edges is refused with CapError before
-    anything is built, as generate refuses such a spec.  Any other fault,
-    a generator label that is no valid spec among them, is malformed input
-    and raises StructureError.
+    graph_doc writes it, is built once, by generate: its u and v columns
+    are compared with the label graph's, with no tuple built.  Every other
+    document is built from its edges and compared with the label,
+    generated at most once, so each refusal has one source.  A document
+    with more than GENERATE_CAP vertices plus edges is refused with
+    CapError before anything is built, as generate refuses such a spec.
+    Any other fault, a generator label that is no valid spec among them,
+    is malformed input and raises StructureError.
     """
     try:
-        n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
-        if type(n) is not int or not {int}.issuperset(
-                map(type, chain.from_iterable(edges))):
+        n, edges = doc["n"], list(doc["edges"])
+        ids = list(chain.from_iterable(edges))
+        if type(n) is not int or not {int}.issuperset(map(type, ids)):
             raise StructureError("graph JSON n and vertex ids must be integers")
         if not {2}.issuperset(map(len, edges)):
             raise StructureError("graph JSON edges must be [u, v] pairs")
@@ -731,9 +813,9 @@ def graph_from_doc(doc) -> Graph:
                            f"vertices plus edges")
         label = doc.get("family")
         made = _label_graph(n, edges, label)
-        if made is not None and made.sorted_edges() == edges:
+        if made is not None and _same_columns(made, ids):
             return made if made.family == label \
-                else Graph(n=n, edges=made.edges, family=label)
+                else from_keys(n, made._keys, label)
         g = graph(n, edges, family=label)
         name = (g.family or "").partition(":")[0]
     except KeyError as e:
@@ -744,8 +826,9 @@ def graph_from_doc(doc) -> Graph:
         # compare sizes first: regenerating a huge label costs its size
         try:
             shape = _spec_shape(*_parse_spec(g.family), g.n)
-            same = shape in (None, (g.n, len(g.edges))) and g.edges == (
-                made if made is not None else generate(g.family)).edges
+            same = shape in (None, (g.n, len(g._keys))) and np.array_equal(
+                g._keys, (made if made is not None
+                          else generate(g.family))._keys)
         except ParameterError as e:  # "path:x", "mesh:0": not a spec
             raise StructureError(
                 f"bad family label {g.family!r}: {e}") from e
@@ -753,6 +836,17 @@ def graph_from_doc(doc) -> Graph:
             raise StructureError(
                 f"graph does not match its family label {g.family!r}")
     return g
+
+
+def _same_columns(g: Graph, ids: list) -> bool:
+    """ids, read as u1, v1, u2, v2, ..., are g's sorted edges.  The u and
+    v columns are compared, not keys: (0, 7) on n = 4 keys like (1, 2)."""
+    try:
+        uv = np.fromiter(ids, np.int64, len(ids))
+    except OverflowError:  # an id past int64 is no vertex of g
+        return False
+    u, v = np.divmod(g._keys, g.n + 1)
+    return np.array_equal(uv[0::2], u) and np.array_equal(uv[1::2], v)
 
 
 def _label_graph(n: int, edges: list, label) -> Graph | None:

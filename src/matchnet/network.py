@@ -393,7 +393,8 @@ def is_sorted_for(order: Sequence[int], keys: Sequence) -> bool:
 
 def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:
     """Run a's stages then b's; both must share the host graph."""
-    if a.graph.n != b.graph.n or a.graph.edges != b.graph.edges:
+    if a.graph.n != b.graph.n or not np.array_equal(
+            graphs.edge_keys(a.graph), graphs.edge_keys(b.graph)):
         raise StructureError("concatenate needs the same host graph")
     return SortingNetwork(graph=a.graph, order=b.order,
                           stages=a.stages + b.stages,

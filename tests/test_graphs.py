@@ -1,14 +1,16 @@
 import json
 import math
+import pickle
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchnet import graphs, routing
+from matchnet import graphs, plan_from_json, plan_to_json, routing
 from matchnet.errors import CapError, ParameterError, StructureError
 from matchnet.graphs import (GENERATE_CAP, PyramidInfo, adjacency, bfs,
                              cartesian_product, check_connected, check_tree,
@@ -646,18 +648,21 @@ def test_json_labelled_graph_is_built_once(monkeypatch):
             doc["family"] = spec  # generate labels it random_tree:17,0
     unsorted = json.loads(to_json(generate("mesh:2,3")))
     unsorted["edges"].reverse()  # valid, but not graph_doc's edge order
-    real, built = graphs.graph, []
+    # every Graph is made by from_keys: one key array per document, which
+    # a relabelled one (random_tree:17 above) shares
+    real, built = graphs.from_keys, []
 
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return real(*args, **kwargs)
+    def counted(n, keys, *args, **kwargs):
+        built.append(keys)
+        return real(n, keys, *args, **kwargs)
 
-    monkeypatch.setattr(graphs, "graph", counted)
+    monkeypatch.setattr(graphs, "from_keys", counted)
     for doc in docs + [unsorted]:
         built.clear()
         g = graphs.graph_from_doc(doc)
-        assert doc is unsorted or len(built) == 1, doc["family"]
-        want = real(doc["n"], map(tuple, doc["edges"]), family=doc["family"])
+        assert doc is unsorted or len({id(k) for k in built}) == 1, \
+            doc["family"]
+        want = graph(doc["n"], map(tuple, doc["edges"]), family=doc["family"])
         assert (g.n, g.edges, g.family) == (want.n, want.edges, want.family)
 
 
@@ -718,6 +723,43 @@ def test_graph_refuses_non_int_ids_built_directly():
         graph(3, [(1, 4)])
 
 
+@pytest.mark.parametrize("n", [3.0, True, np.int64(3), "3", None])
+def test_graph_refuses_a_vertex_count_that_is_not_an_int(n):
+    # 3.0 would key edges as floats; True passed as 1, to fail on the edge
+    for build in (lambda: graph(n, [(1, 2)]),
+                  lambda: graphs.Graph(n=n, edges=frozenset({(1, 2)})),
+                  lambda: graphs.from_keys(n, np.array([6], np.int64))):
+        with pytest.raises(StructureError, match="vertex count"):
+            build()
+
+
+def test_from_keys_refuses_keys_that_are_no_sorted_distinct_edges():
+    # on n = 4, (1, 2) keys 7, (1, 3) 8 and (3, 4) 19
+    assert graphs.from_keys(4, np.array([7, 8, 19])) == \
+        graph(4, [(3, 4), (1, 2), (3, 1)])
+    for keys in ([8, 7], [7, 7], [7, 19, 8], [4], [5], [6], [12], [24],
+                 [25], [-3, 7]):  # unsorted, repeated, u < 1, v <= u, v > n
+        with pytest.raises(StructureError, match="not sorted distinct edges"):
+            graphs.from_keys(4, np.array(keys, np.int64))
+    for keys in ([7, 8], np.array([7, 8], np.int32), np.array([7.0]),
+                 np.array([[7, 8]])):
+        with pytest.raises(StructureError, match="1-d int64 array"):
+            graphs.from_keys(4, keys)
+    keys = np.array([7, 8], np.int64)
+    g = graphs.from_keys(4, keys)
+    with pytest.raises(ValueError, match="read-only"):
+        keys[0] = 9  # the graph holds the array it was given
+    with pytest.raises(AttributeError, match="immutable"):
+        g.n = 5
+    with pytest.raises(AttributeError, match="immutable"):
+        del g.family
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(ParameterError, match="at least one vertex"):
+        graphs.from_keys(0, np.zeros(0, np.int64))
+    with pytest.raises(CapError, match="vertices"):
+        graph(graphs.KEY_N_CAP + 1, [])  # its keys would pass int64
+
+
 def _old_edge_keys(g):
     keys = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
     keys = keys[:, 0] * (g.n + 1) + keys[:, 1]
@@ -750,3 +792,122 @@ def test_edge_views_match_sorting_the_edges(spec):
 def test_edge_views_match_sorting_random_edge_lists(case):
     n, edges = case
     _assert_edge_views_unchanged(graph(n, edges))
+
+
+def _reference_adjacency(g):
+    """The per-edge loop that built adjacencies before the key sort."""
+    adj = {v: [] for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+def _assert_key_built_agrees(n, pairs, family=None):
+    """graph(n, pairs) and from_keys on the pairs' keys give one graph."""
+    by_pairs = graph(n, pairs, family=family)
+    by_keys = graphs.from_keys(n, np.array(
+        sorted({min(e) * (n + 1) + max(e) for e in pairs}), np.int64), family)
+    for g in (by_pairs, by_keys):
+        assert g.edges == {(min(e), max(e)) for e in pairs}
+        assert g.sorted_edges() == sorted(g.edges)
+        assert adjacency(g) == _reference_adjacency(g)
+    assert by_keys == by_pairs and hash(by_keys) == hash(by_pairs)
+    assert family_of(by_keys) == family_of(by_pairs)
+    assert repr(by_keys) == repr(by_pairs)
+
+
+@st.composite
+def _edge_lists(draw):
+    """n <= 12 and pairs on it, some repeated and some reversed."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda e: e[0] != e[1]), max_size=40))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    flip = draw(st.booleans())
+    family = draw(st.sampled_from([None, f"cycle:{n}", "product"]))
+    return n, pairs + [e[::-1] if flip else e for e in again], family
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_lists())
+def test_key_built_and_pair_built_graphs_agree(case):
+    _assert_key_built_agrees(*case)
+
+
+def _reference_generator_edges(name, params):
+    """The pair loops the path, cycle, star, complete, multipartite and
+    hypercube generators were built with; None for the other families."""
+    if name in ("complete", "multipartite"):
+        p, s = params if name == "multipartite" else (params[0], 1)
+        return [(u, v) for u in range(1, p * s + 1)
+                for v in range(u + 1, p * s + 1)
+                if (u - 1) // s != (v - 1) // s]
+    if name == "hypercube":
+        n = 1 << params[0]
+        return [(u + 1, (u ^ 1 << b) + 1) for u in range(n)
+                for b in range(params[0]) if u ^ 1 << b > u]
+    n = params[0]
+    return {"path": [(i, i + 1) for i in range(1, n)],
+            "cycle": [(i, i + 1) for i in range(1, n)] + [(1, n)],
+            "star": [(1, v) for v in range(2, n + 1)]}.get(name)
+
+
+def _reference_product_edges(g1, g2):
+    """The pair loops cartesian_product was built with."""
+    n2 = g2.n
+    return [((a - 1) * n2 + u, (a - 1) * n2 + v)
+            for a in range(1, g1.n + 1) for u, v in g2.edges] + \
+        [((u - 1) * n2 + b, (v - 1) * n2 + b)
+         for u, v in g1.edges for b in range(1, n2 + 1)]
+
+
+@pytest.mark.parametrize("spec", [
+    "path:1", "path:2", "path:6", "cycle:3", "cycle:5", "complete:1",
+    "complete:2", "complete:7", "star:2", "star:6", "multipartite:2,1",
+    "multipartite:3,3", "multipartite:4,2", "hypercube:1", "hypercube:4",
+    "mesh:1", "mesh:2,3", "mesh:3,1,2", "random_tree:9,2", "pyramid:2,2",
+    "pyramid:3,1", "multigrid:3,1", "multigrid:3,2"])
+def test_generated_graphs_agree_key_built_and_pair_built(spec):
+    g = generate(spec)
+    _assert_key_built_agrees(g.n, g.sorted_edges(), spec)
+    want = _reference_generator_edges(*graphs._parse_spec(spec))
+    if want is not None:  # mesh and pyramid: see their coordinate loops
+        assert g == graph(g.n, want, family=spec)
+
+
+def test_products_agree_with_the_pair_loops():
+    for g1, g2 in [(path_graph(1), path_graph(1)),
+                   (path_graph(3), cycle_graph(4)),
+                   (star_graph(4), complete_graph(3)),
+                   (hypercube_graph(2), path_graph(2))]:
+        g = cartesian_product(g1, g2)
+        want = graph(g1.n * g2.n, _reference_product_edges(g1, g2),
+                     family="product")
+        assert g == want and g.factors == (g1, g2)
+        _assert_key_built_agrees(g.n, g.sorted_edges(), "product")
+
+
+def test_json_refuses_ids_that_key_like_the_label_edges():
+    # (0, 7), (1, 8), (2, 9) on n = 4 key as 7, 13 and 19: path:4's keys
+    path = Path(__file__).parent / "corpus" / "graphs" / \
+        "ids_alias_label_keys.json"
+    big = 2 ** 64  # past int64: no column of path:2
+    for text, error in [
+            (path.read_text(), "bad edge (0,7) for n=4"),
+            ('{"edges":[[1,%d]],"family":"path:2","n":2,"order":null}' % big,
+             f"bad edge (1,{big}) for n=2")]:
+        with pytest.raises(StructureError) as e:
+            from_json(text)
+        assert str(e.value) == error
+
+
+@pytest.mark.parametrize("spec", ["multipartite:16,16", "complete:128"])
+def test_dense_route_round_trip_builds_no_edge_set(spec):
+    g = generate(spec)
+    pi = list(range(1, g.n + 1))
+    random.Random(3).shuffle(pi)
+    back = plan_from_json(plan_to_json(routing.route_auto(g, pi)))
+    assert back.graph == g and back.realized == tuple(pi)
+    for host in (g, back.graph):
+        assert "edges" not in vars(host)
