@@ -182,8 +182,9 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self._keys)}{fam})"
 
 
-# the largest n whose greatest edge key, (n - 1)*(n + 1) + n, fits in int64
-KEY_N_CAP = 3_037_000_499
+# the largest n for which every end*(n + 1) + mate over 1..n, the keys and
+# the reversed keys _adjacency sorts, fits in int64
+KEY_N_CAP = 3_037_000_498
 
 
 def _check_n(n) -> None:
@@ -207,7 +208,7 @@ def from_keys(n: int, keys: np.ndarray, family: str | None = None,
         raise StructureError("edge keys must be a 1-d int64 array")
     if len(keys):
         u, v = np.divmod(keys, n + 1)
-        # sorted, so u[0] is the least u
+        # u[0] is the least u once the last test holds
         if u[0] < 1 or (v <= u).any() or (keys[1:] <= keys[:-1]).any():
             raise StructureError(f"edge keys are not sorted distinct edges "
                                  f"of a graph on n={n}")
