@@ -864,18 +864,30 @@ def _label_graph(n: int, edges: list, label) -> Graph | None:
         return None
 
 
+def dumps(doc) -> str:
+    """doc as every writer puts it out.  The writers' documents are trees
+    they build, so json's circular check is skipped (a hand-made cycle
+    raises RecursionError)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
+
+
+def loads(text: str, what: str):
+    """json.loads, with what it refuses raised as "bad {what} JSON"."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an int past 4300 digits
+        raise StructureError(f"bad {what} JSON: {e}") from e
+    except RecursionError:
+        raise StructureError(f"bad {what} JSON: nested too deeply") from None
+
+
 def to_json(g: Graph, order: Sequence[int] | None = None) -> str:
-    return json.dumps(graph_doc(g, order), sort_keys=True,
-                      separators=(",", ":"), check_circular=False)
+    return dumps(graph_doc(g, order))
 
 
 def from_json(text: str) -> tuple[Graph, list[int] | None]:
-    try:
-        doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int past 4300 digits
-        raise StructureError(f"bad graph JSON: {e}") from e
-    except RecursionError:
-        raise StructureError("bad graph JSON: nested too deeply") from None
+    doc = loads(text, "graph")
     g = graph_from_doc(doc)
     order = doc.get("order")
     if order is not None and (type(order) is not list

@@ -55,47 +55,41 @@ passed where it first appeared, so this raises what make_stage on every
 stage would, with the type and text of the per-comparator checks.
 make_stage stays the single-stage API and the only per-comparator loop.
 
-The writers put out exactly what json.dumps of the whole document
-(sort_keys, compact separators) would, but build the text of each
+The writers put out exactly what graphs.dumps, the package's one JSON
+dialect, would write of the whole document, but build the text of each
 distinct comparator once: _distinct finds the distinct objects by
-identity, as _freeze's identity pass does (a route plan holds about
-twenty occurrences of each), and when every one is a canonical triple
-(exact-int ids, kind exactly "dir" or "swap") equal triples are equal
-text, so each value is formatted once as [u,v,"kind"] (a builder makes
-equal comparators as separate tuples).  Otherwise each goes through
-json.dumps with the writers' settings.  _stage_texts, which the
-canonical reader shares, then joins them into each stage's text.
-json.dumps still writes the head (graph, order, plan flag, provenance,
-certificate), and "stages" and "version" are appended after it, as they
-sort after every other top-level key.  A stage list holding anything but
-tuples and lists goes through json.dumps whole.  The writers skip json's
-circular check: each head is a tree of fresh dicts and lists they build,
-so only a provenance made cyclic by hand can loop, and it raises
-RecursionError, not ValueError.
+identity, as _freeze's identity pass does, and equal canonical triples
+(exact-int ids, a str kind equal to "dir" or "swap") are equal text, so
+each value is formatted once as [u,v,"kind"].  _stage_texts, which the
+canonical reader shares, joins them into each stage's text.  graphs.dumps
+writes the head (graph, order, plan flag, provenance, certificate), and
+"stages" and "version" are appended after it, as they sort after every
+other top-level key.  Every library path freezes its stages through
+_freeze, so a stage that is not a tuple of canonical triples can only be
+built by hand, and the writers refuse it as StructureError.
 
-Reading takes one of two paths, which return the same stages and keys
-and raise the same exceptions.  A document as the writers put it out
-(trailing whitespace allowed) ends in ],"version":1}, and its last
-,"stages":[ splits it into a head and a stage body, which the canonical
-path reads without a parse tree: one 1:1 bytes.translate keeps the
-digits and makes every other byte a space, np.fromstring reads the ids
-from that, the s and d bytes give the kinds, the { bytes the stage
-bounds, and one np.unique over a (u, v, kind) key gives one tuple per
-distinct comparator (ids are taken below 2^31, so the key is exact).  It
-takes the text only when _stage_texts, the writers' own stage code,
-rebuilds the body byte for byte from what was read, and json.loads of
-the head closed by } is a non-empty object; json.loads of the whole text
-is then that object with "stages" and "version" set, since the last of
-equal keys wins.  Equal stage texts share one tuple, so _freeze checks
-each distinct stage once, and gets the table of the distinct ones.  Any
-other text goes through json.loads whole; once its version and head
-pass, the parse is written back with the writers' settings and dropped,
-and the canonical path reads that text, so it is the one place where a
-read shares comparators and stages and hands _freeze a table.  Only
-text it declines even then (an id that is not an exact int below 2^31,
-another kind, a stage object with other keys, a malformed stage) is
-parsed again and converted stage by stage, for _freeze to take or refuse.
-A comparator fault in a file (a non-edge, an aliased or shared vertex),
+_read reads every document through _read_canonical.  A document as the
+writers put it out (trailing whitespace allowed) ends in ],"version":1},
+and its last ,"stages":[ splits it into a head and a stage body, which
+is read without a parse tree: one 1:1 bytes.translate keeps the digits
+and makes every other byte a space, np.fromstring reads the ids from
+that, the s and d bytes give the kinds, the { bytes the stage bounds,
+and one np.unique over a (u, v, kind) key gives one tuple per distinct
+comparator (ids are taken below 2^31, so the key is exact).  The text is
+taken only when _stage_texts rebuilds the body byte for byte from what
+was read, and json.loads of the head closed by } is a non-empty object;
+json.loads of the whole text is then that object with "stages" and
+"version" set, since the last of equal keys wins.  Equal stage texts
+share one tuple, so _freeze checks each distinct stage once, and gets
+the table of the distinct ones.  Any other text goes through
+graphs.loads; once its version (exactly the int 1) and head (no key but
+the seven the writers write) pass, the parse is written back with
+graphs.dumps, dropped, and read canonically, at the call depth of the
+whole parse, so a document nested near the recursion limit gets one
+answer, compact or not.  A stage body declined even then (an id that is
+no int in 0..2^31-1, another kind, a stage object with another key) is
+refused with one StructureError that states the stage rule.  A
+comparator fault in a file (a non-edge, an aliased or shared vertex),
 like an order that is not a permutation, is malformed input, so the
 readers raise it as StructureError; builders keep ConstructionError and
 TaskError.  Neither reader takes the other's document: network JSON
@@ -406,34 +400,35 @@ def concatenate(a: SortingNetwork, b: SortingNetwork) -> SortingNetwork:
 # serialization
 
 
-_WRITE = dict(sort_keys=True, separators=(",", ":"), check_circular=False)
+_RULE = ('each stage must be {"cmp": [[u, v, kind], ...]}, with integer '
+         'vertex ids u, v in 1..n and kind "dir" or "swap"')
 
 
 def _cmp_texts(cmps: list) -> list:
-    """Each comparator as json.dumps writes it with the writers' settings.
-
-    When every one is a canonical triple, equal ones are equal text, so
-    each value is formatted once, as [u,v,"kind"].
-    """
-    if set(map(type, cmps)) == {tuple} and set(map(len, cmps)) == {3}:
+    """Each comparator as graphs.dumps writes it, [u,v,"kind"]; equal ones
+    are equal text, so each value is formatted once.  Anything but a
+    canonical triple (exact-int ids, a str kind equal to "dir" or "swap",
+    as _freeze keeps them) is refused."""
+    if {tuple}.issuperset(map(type, cmps)) and {3}.issuperset(map(len, cmps)):
         cells = list(chain.from_iterable(cmps))
         ends, kinds = cells[0::3] + cells[1::3], cells[2::3]
-        if set(map(type, ends)) == {int} and set(map(type, kinds)) == {str} \
-                and set(kinds) <= {DIR, SWAP}:
+        if {int}.issuperset(map(type, ends)) \
+                and all(issubclass(t, str) for t in set(map(type, kinds))) \
+                and {DIR, SWAP}.issuperset(kinds):
             values = list(dict.fromkeys(cmps))
             text = dict(zip(values, [f'[{u},{v},"{kind}"]'
                                      for u, v, kind in values]))
             return list(map(text.__getitem__, cmps))
-    return [json.dumps(c, **_WRITE) for c in cmps]
+    raise StructureError(f"cannot write a malformed stage: {_RULE}")
 
 
 _SPLIT, _TAIL = ',"stages":[', '],"version":1}'
 
 
 def _stage_texts(cmps: list, which: np.ndarray, lens) -> list:
-    """Each stage's text, {"cmp":[...]}, as json.dumps writes it with the
-    writers' settings: cmps are the distinct comparators, which is each
-    occurrence's index into cmps, and lens are the stage lengths."""
+    """Each stage's text, {"cmp":[...]}, as graphs.dumps writes it: cmps
+    are the distinct comparators, which is each occurrence's index into
+    cmps, and lens are the stage lengths."""
     texts = np.array(_cmp_texts(cmps), object)[which].tolist()
     bounds = list(accumulate(lens, initial=0))
     return ['{"cmp":[' + ",".join(texts[a:b]) + "]}"
@@ -441,16 +436,14 @@ def _stage_texts(cmps: list, which: np.ndarray, lens) -> list:
 
 
 def _to_json(head: dict, stages: Sequence) -> str:
-    """json.dumps of head with "stages" and "version" added (both sort
+    """graphs.dumps of head with "stages" and "version" added (both sort
     after every head key), each distinct comparator's text built once."""
-    text = json.dumps(head, **_WRITE)[:-1] + ',"stages":'
     stages = list(stages)
-    if not {tuple, list}.issuperset(map(type, stages)):  # not a stage list
-        return text + json.dumps([{"cmp": s} for s in stages], **_WRITE) \
-            + ',"version":1}'
+    if not {tuple}.issuperset(map(type, stages)):
+        raise StructureError(f"cannot write a malformed stage: {_RULE}")
     cmps, which = _distinct(list(chain.from_iterable(stages)))
-    return text + "[" + ",".join(_stage_texts(cmps, which, map(len, stages))) \
-        + _TAIL
+    return graphs.dumps(head)[:-1] + _SPLIT \
+        + ",".join(_stage_texts(cmps, which, map(len, stages))) + _TAIL
 
 
 def network_to_json(net: SortingNetwork) -> str:
@@ -467,13 +460,23 @@ def plan_to_json(plan: RoutingPlan) -> str:
                      "order": list(plan.realized), "plan": True}, plan.stages)
 
 
-def _read(text: str) -> tuple[graphs.Graph, list, dict, tuple | None]:
+def _read(text: str) -> tuple[graphs.Graph, list, dict, tuple]:
     """Host graph, stage tuples, whichever of order, provenance,
     certificate and plan flag a network or plan JSON document carries,
-    and the stages' table for _freeze when the canonical path read them;
-    the rest of the parse is dropped."""
+    and the stages' table for _freeze; the rest of the parse is dropped."""
     read = _read_canonical(text)
-    return _read_parsed(text) if read is None else read
+    if read is None:
+        doc = graphs.loads(text, "network")
+        if type(doc) is not dict or type(doc.get("version")) is not int \
+                or doc["version"] != 1:
+            raise StructureError("unsupported network JSON version")
+        _check_head(doc)
+        text = graphs.dumps(doc)
+        del doc
+        read = _read_canonical(text)
+        if read is None:
+            raise StructureError(f"malformed stage in network JSON: {_RULE}")
+    return read
 
 
 _DIGITS = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # 1:1
@@ -482,8 +485,8 @@ _KINDS = np.array([DIR, SWAP], object)
 
 
 def _read_canonical(text: str) -> tuple | None:
-    """What _read_parsed returns or raises on a text as the writers put
-    it out (trailing whitespace allowed); None on any other text."""
+    """What _read returns or raises on a text as the writers put it out
+    (trailing whitespace allowed); None on any other text."""
     if type(text) is not str:
         return None
     text = text.rstrip(" \t\n\r")
@@ -532,51 +535,28 @@ def _read_canonical(text: str) -> tuple | None:
         which = np.concatenate([which[bounds[k]:bounds[k + 1]]
                                 for k in last.values()])
         lens = list(map(lens.__getitem__, last.values()))
-    return _kept(doc, stages, (cmps, which, lens))
+    kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
+            if k in doc}  # the graph is built last, after the stage checks
+    return graphs.graph_from_doc(doc["graph"]), stages, kept, \
+        (cmps, which, lens)
+
+
+_KEYS = {"certificate", "graph", "order", "plan", "provenance", "stages",
+         "version"}
 
 
 def _check_head(doc: dict) -> None:
-    """Both paths' checks of the top-level keys, in the parsing path's order."""
+    """The top-level keys' checks, on a parsed document or a canonical
+    head with its stages."""
     for key in ("graph", "order", "stages"):
         if key not in doc:
             raise StructureError(f"network JSON missing {key!r}")
     if type(doc["order"]) is not list \
             or not {int}.issuperset(map(type, doc["order"])):
         raise StructureError("network JSON order must be a list of integers")
-
-
-def _kept(doc: dict, stages: list, table: tuple | None = None) -> tuple:
-    """_read's result: the graph is built last, after the stage checks."""
-    kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
-            if k in doc}
-    return graphs.graph_from_doc(doc["graph"]), stages, kept, table
-
-
-def _read_parsed(text: str) -> tuple:
-    """_read through json.loads of the whole text, for any document."""
-    try:
-        doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int past 4300 digits
-        raise StructureError(f"bad network JSON: {e}") from e
-    except RecursionError:
-        raise StructureError("bad network JSON: nested too deeply") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise StructureError("unsupported network JSON version")
-    _check_head(doc)
-    text = json.dumps(doc, **_WRITE)  # as the writers would put it out
-    del doc
-    read = _read_canonical(text)
-    if read is not None:
-        return read
-    doc = json.loads(text)  # it parsed above at this call depth: no error
-    try:
-        stages = [tuple(map(tuple, s["cmp"])) for s in doc.pop("stages")]
-    except (KeyError, IndexError, TypeError) as e:
-        raise StructureError(f"malformed stage in network JSON: {e!r}") from e
-    if not set(map(len, chain.from_iterable(stages))) <= {3}:
-        raise StructureError("malformed stage in network JSON: a comparator "
-                             "is not a [u, v, kind] triple")
-    return _kept(doc, stages)
+    if not _KEYS.issuperset(doc):
+        raise StructureError("network JSON has an unknown top-level key "
+                             f"{min(set(doc) - _KEYS)!r}")
 
 
 def network_from_json(text: str) -> SortingNetwork:

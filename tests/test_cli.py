@@ -307,10 +307,10 @@ def test_verify_refuses_a_two_element_comparator(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("comparator, text", [
-    ([1.0, 2, "dir"], "non-integer vertex id"),
-    ([True, 2, "dir"], "non-integer vertex id"),
+    ([1.0, 2, "dir"], "malformed stage"),
+    ([True, 2, "dir"], "malformed stage"),
     ([0, 1, "dir"], "(0,1) is not an edge"),
-    ([-1, 2, "dir"], "(-1,2) is not an edge"),
+    ([-1, 2, "dir"], "malformed stage"),
     ([0, 7, "dir"], "(0,7) is not an edge"),  # 0*5 + 7 keys edge (1, 2)
 ])
 @pytest.mark.parametrize("command", ["verify", "export"])

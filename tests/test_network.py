@@ -4,14 +4,14 @@ import re
 import weakref
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchnet import constructions as cons, graphs, network
-from matchnet.errors import ConstructionError, StructureError, TaskError
+from matchnet.errors import (CapError, ConstructionError, StructureError,
+                             TaskError)
 from matchnet.graphs import (complete_graph, generate, graph, graph_from_doc,
                              path_graph, random_tree)
 from matchnet.network import (DIR, SWAP, RoutingPlan, SortingNetwork,
@@ -21,6 +21,9 @@ from matchnet.network import (DIR, SWAP, RoutingPlan, SortingNetwork,
                               plan_from_json, plan_realized, plan_to_json)
 from matchnet.routing import route_auto
 from matchnet.verify import all_matchings
+
+# the readers' one refusal of a stage body they cannot read
+_STAGE_REFUSAL = f"malformed stage in network JSON: {network._RULE}"
 
 
 def test_make_stage_validates_edges():
@@ -496,8 +499,9 @@ def test_the_readers_share_no_comparator_before_checking_its_ids():
         doc = json.loads(plan_to_json(plan))
         doc["stages"][2]["cmp"][0][0] = bad
         for read in (plan_from_json, network_from_json):
-            with pytest.raises(StructureError, match="non-integer vertex id"):
+            with pytest.raises(StructureError) as e:
                 read(json.dumps(doc))
+            assert str(e.value) == _STAGE_REFUSAL
 
 
 def test_json_writes_and_reads_comparators_once():
@@ -604,7 +608,10 @@ def _loads_depth_limit(cap: int = 2 ** 17) -> int:
 
 def test_a_provenance_nested_as_deep_as_json_loads_accepts_reads_back():
     # the readers write a parsed document back before reading it, and that
-    # must not refuse what json.loads accepts nor raise past StructureError
+    # must not refuse what json.loads accepts nor raise past StructureError:
+    # the full parse and the canonical path's parse of the head run at one
+    # call depth, so each depth near the limit gives one answer, compact
+    # or spaced
     net = make_network(path_graph(2), (1, 2), [[(1, 2, DIR)]])
     text = network_to_json(net)
     limit = _loads_depth_limit()
@@ -615,23 +622,18 @@ def test_a_provenance_nested_as_deep_as_json_loads_accepts_reads_back():
         return doc.replace(",", ", ") if spaced else doc
 
     for spaced in (False, True):
-        for depth in (limit - 16, 2 * limit + 2):
-            for plain in (False, True):
-                with pytest.MonkeyPatch.context() as mp:
-                    if plain:
-                        mp.setattr(network, "_read_canonical",
-                                   lambda text: None)
-                    if depth < limit:
-                        back = network_from_json(nested(depth, spaced))
-                        assert back == net
-                        prov = back.provenance["a"]
-                        for _ in range(depth - 1):
-                            prov, = prov
-                        assert prov == []
-                    else:
-                        with pytest.raises(StructureError,
-                                           match="nested too deeply"):
-                            network_from_json(nested(depth, spaced))
+        for depth in (limit - 16, *range(limit - 6, limit + 2), 2 * limit + 2):
+            if depth <= limit - 4:  # the document itself nests 2 deeper
+                back = network_from_json(nested(depth, spaced))
+                assert back == net
+                prov = back.provenance["a"]
+                for _ in range(depth - 1):
+                    prov, = prov
+                assert prov == []
+            else:
+                with pytest.raises(StructureError) as e:
+                    network_from_json(nested(depth, spaced))
+                assert str(e.value) == "bad network JSON: nested too deeply"
 
 
 def test_a_cyclic_provenance_still_raises_in_the_writer():
@@ -701,6 +703,7 @@ def _mutated_network_docs(draw):
 @given(_mutated_network_docs())
 def test_mutated_network_json_is_refused_or_reloads_identical(doc):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    _agrees(text)
     try:
         back = network_from_json(text)
     except StructureError:
@@ -758,6 +761,7 @@ def _mutated_plan_docs(draw):
 @given(_mutated_plan_docs())
 def test_mutated_plan_json_is_refused_or_reloads_identical(doc):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    _agrees(text)
     try:
         back = plan_from_json(text)
     except StructureError:
@@ -820,33 +824,45 @@ def test_writers_equal_json_dumps_on_empty_stages_and_optional_keys():
                 assert network_to_json(net) == _dumped(net)
 
 
-_NON_INT = "comparator ({},2) has a non-integer vertex id"
-_DIR_IN_PLAN = "routing plans may only contain swaps"
+def test_the_writers_take_every_kind_the_kernel_keeps():
+    # a str subclass equal to "dir" or "swap", numpy's str_ say, passes
+    # make_network and make_plan, and json.dumps writes it as a str
+    g = path_graph(3)
+    for obj in (make_network(g, (1, 2, 3), [[(2, 3, np.str_(DIR))]]),
+                make_plan(g, [[(1, 2, np.str_(SWAP))], [(2, 3, SWAP)]])):
+        text = _written(obj)
+        assert text == _dumped(obj)
+        assert (plan_from_json if isinstance(obj, RoutingPlan)
+                else network_from_json)(text) == obj
 
 
 @pytest.mark.parametrize("cmp, net_error, plan_error", [
     ([2, 1, SWAP], None,
      "stored plan permutation disagrees with simulation"),
-    ((True, 2, DIR), _NON_INT.format(True), _DIR_IN_PLAN),
-    ((1.0, 2, SWAP), _NON_INT.format(1.0), _NON_INT.format(1.0)),
-    ((-1, 2, SWAP), "(-1,2) is not an edge of the host graph",
-     "(-1,2) is not an edge of the host graph"),
-    ((1, 2, 'di"r\u00e9'), "bad comparator kind 'di\"r\u00e9'", _DIR_IN_PLAN)])
-def test_writers_equal_json_dumps_on_hand_built_stages(cmp, net_error,
-                                                       plan_error):
-    # stages no builder makes: the writers format them as json.dumps
-    # does, and the readers refuse the bad ones with the same text
+    ((True, 2, DIR), _STAGE_REFUSAL, _STAGE_REFUSAL),
+    ((1.0, 2, SWAP), _STAGE_REFUSAL, _STAGE_REFUSAL),
+    ((1, 2, 'di"r\u00e9'), _STAGE_REFUSAL, _STAGE_REFUSAL),
+    ((-1, 2, SWAP), _STAGE_REFUSAL, _STAGE_REFUSAL)])
+def test_the_writers_refuse_hand_built_stages(cmp, net_error, plan_error):
+    # stages no builder makes: the writers refuse all but a canonical
+    # triple with a bad id, and the readers refuse json.dumps of such a
+    # document, but for a list comparator
     g = path_graph(3)
     swap = (2, 3, SWAP)  # one object in two stages of each
     # (1, 2, DIR) equals (True, 2, DIR) and (1, 2, SWAP) equals (1.0, 2, ...)
     net = SortingNetwork(g, (1, 2, 3), (((1, 2, DIR),), (cmp,), (), (swap,),
-                                        [swap]))
-    plan = RoutingPlan(g, (((1, 2, SWAP),), (swap,), [cmp], (swap,)),
+                                        (swap,)))
+    plan = RoutingPlan(g, (((1, 2, SWAP),), (swap,), (cmp,), (swap,)),
                        (1, 2, 3))
     for obj, read, error in ((net, network_from_json, net_error),
                              (plan, plan_from_json, plan_error)):
-        text = _written(obj)
-        assert text == _dumped(obj)
+        text = _dumped(obj)
+        if cmp == (-1, 2, SWAP):
+            assert _written(obj) == text
+        else:
+            with pytest.raises(StructureError,
+                               match="^cannot write a malformed stage: "):
+                _written(obj)
         if error is None:
             assert read(text).stages[1] == ((1, 2, SWAP),)
         else:
@@ -855,53 +871,133 @@ def test_writers_equal_json_dumps_on_hand_built_stages(cmp, net_error,
             assert str(e.value) == error
 
 
-def test_writers_equal_json_dumps_on_a_stage_list_of_other_values():
+def test_the_writers_refuse_a_stage_list_of_other_values():
+    # a stage that is not a tuple is refused, even a list of canonical
+    # comparators, whose json.dumps text reads back
     g = path_graph(3)
-    for stages in (["ab", ((1, 2, DIR),)], [{"x": [1]}], [((1, 2, SWAP),), 7]):
-        for obj in (SortingNetwork(g, (1, 2, 3), tuple(stages)),
-                    RoutingPlan(g, tuple(stages), (1, 2, 3))):
-            assert _written(obj) == _dumped(obj)
+    for stages in (["ab", ((1, 2, DIR),)], [{"x": [1]}], [((1, 2, SWAP),), 7],
+                   [[(1, 2, SWAP)]]):
+        for obj, read in (
+                (SortingNetwork(g, (1, 2, 3), tuple(stages)),
+                 network_from_json),
+                (RoutingPlan(g, tuple(stages), (2, 1, 3)), plan_from_json)):
+            with pytest.raises(StructureError,
+                               match="^cannot write a malformed stage: "):
+                _written(obj)
+            if stages == [[(1, 2, SWAP)]]:
+                assert read(_dumped(obj)).stages == (((1, 2, SWAP),),)
+            else:
+                with pytest.raises(StructureError) as e:
+                    read(_dumped(obj))
+                assert str(e.value) == _STAGE_REFUSAL
 
 
 # ---------------------------------------------------------------------------
-# the readers' canonical path against json.loads of the whole text
+# the readers against a reference built from the document rules alone
 
 
-def _read_outcome(read, text):
-    """_outcome of a read path, without the table it hands _freeze."""
-    got = _outcome(read, text)
-    return ("ok", got[1][:3]) if got[0] == "ok" and got[1] else got
+_TOP_KEYS = {"certificate", "graph", "order", "plan", "provenance", "stages",
+             "version"}
 
 
-def _assert_paths_agree(text) -> bool:
-    """The canonical path gives what the parsing path gives, or declines;
-    both readers give the same with it and with it patched out, which
-    leaves the plain conversion.  True when it took the text."""
-    fast = _read_outcome(network._read_canonical, text)
-    took = fast != ("ok", None)
-    assert not took or fast == _read_outcome(network._read_parsed, text)
-    for read in (network_from_json, plan_from_json):
-        got = _outcome(read, text)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_read_canonical", lambda text: None)
-            assert _outcome(read, text) == got
-    return took
+def _reference_read(text, plan: bool):
+    """network_from_json, or plan_from_json when plan, as the rules read:
+    json.loads, the version, head and stage-shape rules, make_network or
+    make_plan with the builders' errors raised as StructureError, then the
+    checks of the whole document."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise StructureError(f"bad network JSON: {e}") from e
+    except RecursionError:
+        raise StructureError("bad network JSON: nested too deeply") from None
+    if type(doc) is not dict or doc.get("version") != 1 \
+            or type(doc["version"]) is not int:
+        raise StructureError("unsupported network JSON version")
+    for key in ("graph", "order", "stages"):
+        if key not in doc:
+            raise StructureError(f"network JSON missing {key!r}")
+    if type(doc["order"]) is not list \
+            or any(type(r) is not int for r in doc["order"]):
+        raise StructureError("network JSON order must be a list of integers")
+    if set(doc) - _TOP_KEYS:
+        raise StructureError("network JSON has an unknown top-level key "
+                             f"{sorted(set(doc) - _TOP_KEYS)[0]!r}")
+    # ids are read below 2^31; a smaller one past n is no edge of the host
+    if type(doc["stages"]) is not list or not all(
+            type(s) is dict and list(s) == ["cmp"] and type(s["cmp"]) is list
+            and all(type(c) is list and len(c) == 3 and c[2] in (DIR, SWAP)
+                    and all(type(i) is int and 0 <= i < 2 ** 31
+                            for i in c[:2])
+                    for c in s["cmp"]) for s in doc["stages"]):
+        raise StructureError(_STAGE_REFUSAL)
+    g = graph_from_doc(doc["graph"])
+    stages = [[tuple(c) for c in s["cmp"]] for s in doc["stages"]]
+    if plan and doc.get("plan") is not True:
+        raise StructureError('plan JSON must have "plan": true')
+    try:
+        obj = make_plan(g, stages) if plan else make_network(
+            g, doc["order"], stages, provenance=doc.get("provenance"),
+            certificate=doc.get("certificate"))
+    except (ConstructionError, TaskError) as e:
+        raise StructureError(str(e)) from e
+    if plan:
+        for key in ("provenance", "certificate"):
+            if key in doc:
+                raise StructureError(f"plan JSON must not carry {key!r}: "
+                                     "it is a network's key")
+        if tuple(doc["order"]) != obj.realized:
+            raise StructureError("stored plan permutation disagrees with "
+                                 "simulation")
+        return obj
+    if "plan" in doc:
+        raise StructureError('network JSON must not carry "plan": it is a '
+                             'routing plan (read it as one)')
+    cert = obj.certificate
+    if cert is not None and not (
+            type(cert) is dict and type(cert.get("achieved_depth")) is int
+            and type(cert.get("claimed_bound")) is int
+            and cert["claimed_bound"] >= max(cert["achieved_depth"],
+                                             obj.depth)):
+        raise StructureError(
+            "network JSON certificate must have integer achieved_depth and "
+            f"claimed_bound, the bound no lower than it or {obj.depth} stages")
+    return obj
+
+
+def _read_result(read, *args):
+    """_outcome of a read, a network with its provenance and certificate."""
+    got = _outcome(read, *args)
+    return ("ok", (got[1], got[1].provenance, got[1].certificate)) \
+        if got[0] == "ok" and isinstance(got[1], SortingNetwork) else got
+
+
+def _agrees(text) -> bool:
+    """Each reader gives what the reference gives: an equal result, or a
+    refusal of the same type and text, StructureError, or CapError on a
+    graph past the generator cap.  True when the canonical path took the
+    text."""
+    for read, plan in ((network_from_json, False), (plan_from_json, True)):
+        got = _read_result(read, text)
+        assert got[0] in ("ok", StructureError, CapError)
+        assert got == _read_result(_reference_read, text, plan)
+    return _outcome(network._read_canonical, text) != ("ok", None)
 
 
 def _indented(text: str) -> str:
     return json.dumps(json.loads(text), indent=1)
 
 
-def test_both_read_paths_agree_on_the_corpus():
+def test_the_readers_agree_with_the_reference_on_the_corpus():
     paths = sorted((Path(__file__).parent / "corpus").glob("*.json"))
-    taken = [p.name for p in paths
-             if _assert_paths_agree(p.read_text(encoding="utf-8"))]
+    taken = [p.name for p in paths if _agrees(p.read_text(encoding="utf-8"))]
     # the corpus files end in a newline, which the canonical path allows
     assert {"zero_vertex.json", "non_edge.json", "plan_document.json",
             "family_label_mismatch.json"} <= set(taken)
     assert not {"leading_zero_vertex.json", "non_ascii_kind.json",
-                "bool_vertex.json", "huge_vertex.json",
-                "version_2.json"} & set(taken)
+                "bool_vertex.json", "huge_vertex.json", "version_2.json",
+                "version_true.json", "stage_extra_key.json",
+                "unknown_top_level_key.json"} & set(taken)
     # re-indented, every file that loads reads as it does compact
     loadable = 0
     for p in paths:
@@ -911,13 +1007,14 @@ def test_both_read_paths_agree_on_the_corpus():
         except (ValueError, RecursionError):
             continue
         loadable += 1
-        assert not _assert_paths_agree(indented)
+        assert not _agrees(indented)
         for read in (network_from_json, plan_from_json):
             assert _outcome(read, indented) == _outcome(read, text)
     assert loadable > 30
 
 
-def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
+def test_the_readers_agree_with_the_reference_on_the_golden_networks_and_plans(
+        tmp_path):
     from test_golden import BUILDS, ROUTES, _cli_out, _host
     texts = [_cli_out(["build", "--construction", c, "--graph", spec],
                       tmp_path) for c, spec in BUILDS]
@@ -927,10 +1024,10 @@ def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
         random.Random(spec).shuffle(pi)
         texts.append(plan_to_json(route_auto(g, tuple(pi))))
     for text in texts:
-        assert _assert_paths_agree(text)
-        assert _assert_paths_agree(text + "\n")
+        assert _agrees(text)
+        assert _agrees(text + "\n")
         for other in (json.dumps(json.loads(text)), _indented(text)):
-            assert not _assert_paths_agree(other)
+            assert not _agrees(other)
 
 
 @pytest.mark.parametrize("text", [
@@ -946,15 +1043,14 @@ def test_both_read_paths_agree_on_the_golden_networks_and_plans(tmp_path):
     '[[1,2,"dir"]]}],"version":1}',
     '{"graph":{"n":2,"edges":[[1,2]]},"order":[1,2],"stages":[{"cmp":'
     '[[1,2,"dir"]]}],"version":1}\u3000'])
-def test_both_read_paths_agree_on_edge_texts(text):
-    _assert_paths_agree(text)
+def test_the_readers_agree_with_the_reference_on_edge_texts(text):
+    _agrees(text)
 
 
 def test_a_canonical_document_is_parsed_only_up_to_its_stages(monkeypatch):
     seen, real_loads = [], json.loads
-    monkeypatch.setattr(network, "json", SimpleNamespace(
-        loads=lambda text: seen.append(text) or real_loads(text),
-        dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    monkeypatch.setattr(json, "loads",
+                        lambda text: seen.append(text) or real_loads(text))
     g = generate("mesh:3,3")
     plan = route_auto(g, random.Random(3).sample(range(1, 10), 9))
     net = make_network(g, (1,) + tuple(range(2, 10)), plan.stages,
@@ -985,6 +1081,7 @@ _EDIT_TOKENS = [" ", "\n", "\t", "0", "01", "-", "-0", "-1", "1.0", "1e0",
 _ID_EDITS = ["0{}", "-{}", "-0", "{}.0", "{}e0", "true", "0", "1",
              "9223372036854775808", "18446744073709551616", "2147483648",
              "2147483647"]
+_VERSION_EDITS = ["true", "1.0", "1e0", "2", "0", "-1", "null", '"1"', "[1]"]
 _KIND_EDITS = ['"swap"', '"dir"', '"d\\u0069r"', '"dïr"', '"sw"', '"s"',
                '"swap "', '"dird"', "null"]
 _EDIT_DOCS = [_written(obj) for obj in (
@@ -997,10 +1094,10 @@ _EDIT_DOCS = [_written(obj) for obj in (
 
 @st.composite
 def _edited_docs(draw):
-    """A canonical document with one edit: an id or a kind rewritten, a key
-    put into a stage object or into the head, the stages or one stage's
-    comparators emptied, or a token inserted at, or a character deleted
-    from, any place."""
+    """A canonical document with one edit: an id, a kind or the version
+    rewritten, a key put into a stage object or into the head, the stages
+    or one stage's comparators emptied, or a token inserted at, or a
+    character deleted from, any place."""
     text = draw(st.sampled_from(_EDIT_DOCS))
     body = text.rindex(',"stages":[')
 
@@ -1012,8 +1109,10 @@ def _edited_docs(draw):
         token = draw(st.sampled_from(tokens)).replace("{}", text[start:end])
         return text[:start] + token + text[end:]
 
-    how = draw(st.sampled_from(["id", "kind", "stage", "head", "empty",
-                                "empty cmp", "insert", "delete"]))
+    how = draw(st.sampled_from(["id", "kind", "version", "stage", "head",
+                                "empty", "empty cmp", "insert", "delete"]))
+    if how == "version":  # the text ends in "version":1}
+        return splice([(len(text) - 2, len(text) - 1)], _VERSION_EDITS)
     if how == "id":
         return splice(spans(r"\d+"), _ID_EDITS)
     if how == "kind":
@@ -1039,5 +1138,10 @@ def _edited_docs(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_edited_docs())
-def test_both_read_paths_agree_on_edited_documents(text):
-    _assert_paths_agree(text)
+def test_the_readers_agree_with_the_reference_on_edited_documents(text):
+    _agrees(text)
+    try:
+        indented = _indented(text)
+    except ValueError:
+        return
+    _agrees(indented)

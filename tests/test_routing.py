@@ -6,7 +6,6 @@ import tracemalloc
 import weakref
 from contextlib import contextmanager
 from itertools import chain, zip_longest
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1280,7 +1279,8 @@ def test_route_auto_and_the_readers_run_with_the_collector_paused(
 
 def test_the_readers_free_their_document_inside_the_pause(monkeypatch):
     # the young collection after the pause scans whatever the pause left
-    # alive, so the parsed document must be gone by then
+    # alive, so each parsed document must be gone by then: the canonical
+    # path's head, and for a spaced text the whole parse before it too
     class Doc(dict):  # a dict that takes a weak reference
         pass
 
@@ -1288,26 +1288,30 @@ def test_the_readers_free_their_document_inside_the_pause(monkeypatch):
     real_pause, real_loads = network._gc_paused, json.loads
 
     def loads(text):
-        docs.append(weakref.ref(doc := Doc(real_loads(text))))
+        doc = real_loads(text)
+        doc["graph"] = Doc(doc["graph"])  # a plain dict, as the readers need
+        docs.append(weakref.ref(doc["graph"]))
         return doc
 
     @contextmanager
     def pause():
         with real_pause():
             yield
-            alive_at_exit.append(docs[-1]() is not None)
+            alive_at_exit.append([d() is not None for d in docs])
 
-    monkeypatch.setattr(network, "json", SimpleNamespace(
-        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
-    monkeypatch.setattr(network, "_gc_paused", pause)
     g = generate("mesh:4,4")
     plan = route_auto(g, random_permutation(g.n, random.Random(5)))
-    assert plan_from_json(plan_to_json(plan)) == plan
     net = make_network(g, identity(g.n), plan.stages,
                        provenance={"built_by": "test"})
-    assert network_from_json(network_to_json(net)).provenance == {
-        "built_by": "test"}
-    assert alive_at_exit == [False, False]
+    texts = [(plan_from_json, plan_to_json(plan)),
+             (network_from_json, network_to_json(net))]
+    texts += [(read, _spaced(text)) for read, text in texts]
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(network, "_gc_paused", pause)
+    for read, text in texts:
+        docs.clear()
+        assert read(text).stages == plan.stages
+    assert alive_at_exit == [[False], [False], [False, False], [False, False]]
 
 
 def _spaced(text: str) -> str:
@@ -1321,15 +1325,13 @@ def _spaced(text: str) -> str:
 def test_the_readers_drop_the_parse_before_they_freeze(monkeypatch):
     # a reader writes a parsed document back as the writers would and drops
     # the parse before the canonical path reads that text, so the parse and
-    # the new tuples are never all alive at once; so does the plain
-    # conversion, which parses the text again when that path declines it.
-    # The documents are written with spaces, so that json.loads parses them
+    # the new tuples are never all alive at once.  The documents are
+    # written with spaces, so that the readers parse them whole
     class Cmp(list):  # a parsed comparator list that takes a weak reference
         pass
 
     refs, at_canonical, at_freeze = [], [], []
-    real_loads, real_canonical = json.loads, network._read_canonical
-    real_freeze = network._freeze
+    real_loads = json.loads
 
     def loads(text):
         doc = real_loads(text)
@@ -1344,24 +1346,22 @@ def test_the_readers_drop_the_parse_before_they_freeze(monkeypatch):
             return then(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(network, "json", SimpleNamespace(
-        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
-    monkeypatch.setattr(network, "_freeze", dead(at_freeze, real_freeze))
     g = generate("mesh:4,4")
     plan = route_auto(g, random_permutation(g.n, random.Random(5)))
     net = make_network(g, identity(g.n), plan.stages)
-    for plain in (False, True):
-        monkeypatch.setattr(network, "_read_canonical", dead(
-            at_canonical, (lambda text: None) if plain else real_canonical))
-        for obj, write, read in ((plan, plan_to_json, plan_from_json),
-                                 (net, network_to_json, network_from_json)):
-            text = _spaced(write(obj))
-            refs.clear()
-            at_canonical.clear()
-            at_freeze.clear()
-            assert read(text) == obj
-            assert len(refs) == (2 if plain else 1) * plan.depth > 1
-            assert at_canonical == [True, True] and at_freeze == [True]
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(network, "_freeze", dead(at_freeze, network._freeze))
+    monkeypatch.setattr(network, "_read_canonical",
+                        dead(at_canonical, network._read_canonical))
+    for obj, write, read in ((plan, plan_to_json, plan_from_json),
+                             (net, network_to_json, network_from_json)):
+        text = _spaced(write(obj))
+        refs.clear()
+        at_canonical.clear()
+        at_freeze.clear()
+        assert read(text) == obj
+        assert len(refs) == plan.depth > 1
+        assert at_canonical == [True, True] and at_freeze == [True]
 
 
 @pytest.mark.parametrize("spec", ["path:64", "mesh:8,8", "random_tree:128,1",
