@@ -1,5 +1,7 @@
 """The exit code and stderr line of `verify --net` on each file of the
-malformed network corpus, pinned in corpus/expected.json, one file a line.
+malformed network corpus, and of `route --graph` on each file of the
+malformed graph corpus (keyed graphs/<name>), pinned in
+corpus/expected.json, one file a line.
 
 After a deliberate change to a reader's refusal, rewrite the file with
 
@@ -19,17 +21,22 @@ CORPUS = Path(__file__).parent / "corpus"
 EXPECTED = CORPUS / "expected.json"
 
 
-def verify_lines() -> dict:
-    """Each corpus file's [exit code, stderr] under verify --net."""
-    lines = {}
-    for path in sorted(CORPUS.glob("*.json")):
-        if path == EXPECTED:
-            continue
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(["verify", "--net", str(path)])
-        lines[path.name] = [code, err.getvalue().rstrip("\n")]
+def _line(argv: list) -> list:
+    """[exit code, stderr] of the CLI on argv."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, err.getvalue().rstrip("\n")]
+
+
+def corpus_lines() -> dict:
+    """Each network corpus file's line under verify --net, then each graph
+    corpus file's under route --graph."""
+    lines = {path.name: _line(["verify", "--net", str(path)])
+             for path in sorted(CORPUS.glob("*.json")) if path != EXPECTED}
+    for path in sorted((CORPUS / "graphs").glob("*.json")):
+        lines[f"graphs/{path.name}"] = _line(["route", "--graph", str(path)])
     return lines
 
 
@@ -38,9 +45,9 @@ def _text(lines: dict) -> str:
                               for name, line in lines.items()) + "\n}\n"
 
 
-def test_verify_gives_each_corpus_file_its_pinned_line():
-    assert verify_lines() == json.loads(EXPECTED.read_text(encoding="utf-8"))
+def test_each_corpus_file_gets_its_pinned_line():
+    assert corpus_lines() == json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
-    EXPECTED.write_text(_text(verify_lines()), encoding="utf-8")
+    EXPECTED.write_text(_text(corpus_lines()), encoding="utf-8")
