@@ -41,8 +41,9 @@ Euler walk is the one traversal that must be depth-first.
 
 The family string stored on a Graph is exactly the generator spec
 ("mesh:3,3").  family_of turns it, after the path and complete structure
-tests, into the family whose sorter and router serve the graph; reading a
-graph back from JSON regenerates a generator label and refuses a mismatch.
+tests, into the family whose sorter and router serve the graph;
+graph_from_doc, which reads graph files and the hosts of network and plan
+files, generates a generator label once and refuses any difference.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class Graph:
 
     A Graph holds n, its family label, the factors of a product built in
     memory (not serialized, not compared) and the sorted int64 array of
-    its edge keys; from_keys makes every one.  Graph(n, edges) keys pairs
-    (u, v) with u < v; graph() takes them in either order.  == and hash go
-    on (n, family, keys).
+    its edge keys; from_keys makes every one.  Graph(n, edges) and graph()
+    key pairs (u, v) in either order.  == and hash go on (n, family,
+    keys).
     """
 
     def __new__(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -219,28 +220,32 @@ def from_keys(n: int, keys: np.ndarray, family: str | None = None,
 
 
 def _pair_keys(n: int, edges: Iterable) -> np.ndarray:
-    """The sorted distinct keys of pairs (u, v) of plain ints with
-    1 <= u < v <= n; the first other pair is refused."""
+    """The sorted distinct keys of pairs of plain ints, (u, v) or (v, u),
+    with 1 <= u < v <= n, in one pass; the first other pair is refused."""
     keys = []
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:  # 1.5 would key as 1
-            raise StructureError(
-                f"edge ({u!r},{v!r}) has a non-integer vertex id")
-        if not 1 <= u < v <= n:
-            raise StructureError(f"self-loop at {u}" if u == v
-                                 else f"bad edge ({u},{v}) for n={n}")
-        keys.append(u * (n + 1) + v)
+    try:
+        for u, v in edges:
+            if not u < v:  # "a" < 2 raises here
+                u, v = v, u
+            if type(u) is not int or type(v) is not int:  # 1.5 keys as 1
+                raise StructureError(
+                    f"edge ({u!r},{v!r}) has a non-integer vertex id")
+            if not 1 <= u < v <= n:
+                raise StructureError(f"self-loop at {u}" if u == v
+                                     else f"bad edge ({u},{v}) for n={n}")
+            keys.append(u * (n + 1) + v)
+    except StructureError:
+        raise
+    except (TypeError, ValueError) as e:  # not a pair, or not comparable
+        raise StructureError(f"malformed edge list: {e}") from e
     keys = np.sort(np.array(keys, np.int64))
     return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]], family: str | None = None,
           factors: tuple = ()) -> Graph:
-    try:
-        es = [(u, v) if u < v else (v, u) for u, v in edges]
-    except (TypeError, ValueError) as e:  # "a" < 2, or not a pair
-        raise StructureError(f"malformed edge list: {e}") from e
-    return Graph(n, es, family, factors)
+    """Graph(n, edges, family, factors): pairs in either order."""
+    return Graph(n, edges, family, factors)
 
 
 def adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
@@ -787,20 +792,20 @@ def graph_doc(g: Graph, order: Sequence[int] | None = None) -> dict:
 def graph_from_doc(doc) -> Graph:
     """Read a graph document; a generator label must reproduce the graph.
 
-    Labels drive sorter and router dispatch, so one naming a generator
-    family is regenerated and any difference in n or edges is refused.
-    Other labels ("product", "tree-of-...") pass through; they drive no
-    dispatch without in-memory factors.
+    n and the ids must be plain ints, each edge a [u, v] pair in either
+    orientation, and each key one that graph_doc writes; the pairs are
+    keyed once, in numpy.  A document with more than GENERATE_CAP vertices
+    plus edges is refused with CapError before anything is built, as
+    generate refuses such a spec.
 
-    A document whose edge list is exactly its label's sorted_edges(), as
-    graph_doc writes it, is built once, by generate: its u and v columns
-    are compared with the label graph's, with no tuple built.  Every other
-    document is built from its edges and compared with the label,
-    generated at most once, so each refusal has one source.  A document
-    with more than GENERATE_CAP vertices plus edges is refused with
-    CapError before anything is built, as generate refuses such a spec.
-    Any other fault, a generator label that is no valid spec among them,
-    is malformed input and raises StructureError.
+    Labels drive sorter and router dispatch, so one naming a generator
+    family is checked: its closed-form size must be the document's, then
+    it is generated once and its keys must be the document's, and that
+    graph is returned, relabelled when the label is written another way
+    ("random_tree:17" for "random_tree:17,0").  Other labels ("product",
+    "tree-of-...") pass through; they drive no dispatch without in-memory
+    factors.  Any other fault, a generator label that is no valid spec
+    among them, is malformed input and raises StructureError.
     """
     try:
         n, edges = doc["n"], list(doc["edges"])
@@ -812,56 +817,48 @@ def graph_from_doc(doc) -> Graph:
         if n + len(edges) > GENERATE_CAP:
             raise CapError(f"graph JSON has more than {GENERATE_CAP} "
                            f"vertices plus edges")
+        unknown = sorted(set(doc) - {"edges", "family", "n", "order"})
+        if unknown:
+            raise StructureError(
+                f"graph JSON has an unknown key {unknown[0]!r}")
+        _check_n(n)
+        keys = _doc_keys(n, edges, ids)
         label = doc.get("family")
-        made = _label_graph(n, edges, label)
-        if made is not None and _same_columns(made, ids):
-            return made if made.family == label \
-                else from_keys(n, made._keys, label)
-        g = graph(n, edges, family=label)
-        name = (g.family or "").partition(":")[0]
+        name = (label or "").partition(":")[0]
     except KeyError as e:
         raise StructureError(f"graph JSON missing {e}") from e
     except (TypeError, AttributeError, ParameterError) as e:
         raise StructureError(f"malformed graph JSON: {e}") from e
-    if name in _FAMILIES:
-        # compare sizes first: regenerating a huge label costs its size
-        try:
-            shape = _spec_shape(*_parse_spec(g.family), g.n)
-            same = shape in (None, (g.n, len(g._keys))) and np.array_equal(
-                g._keys, (made if made is not None
-                          else generate(g.family))._keys)
-        except ParameterError as e:  # "path:x", "mesh:0": not a spec
-            raise StructureError(
-                f"bad family label {g.family!r}: {e}") from e
-        if not same:
-            raise StructureError(
-                f"graph does not match its family label {g.family!r}")
-    return g
+    if name not in _FAMILIES:
+        return from_keys(n, keys, label)
+    try:  # compare sizes first: generating a huge label costs its size
+        shape = _spec_shape(*_parse_spec(label), n)
+        made = generate(label) if shape in (None, (n, len(keys))) else None
+    except ParameterError as e:  # "path:x", "mesh:0": not a spec
+        raise StructureError(f"bad family label {label!r}: {e}") from e
+    if made is None or not np.array_equal(keys, made._keys):
+        raise StructureError(
+            f"graph does not match its family label {label!r}")
+    return made if made.family == label else from_keys(n, made._keys, label)
 
 
-def _same_columns(g: Graph, ids: list) -> bool:
-    """ids, read as u1, v1, u2, v2, ..., are g's sorted edges.  The u and
-    v columns are compared, not keys: (0, 7) on n = 4 keys like (1, 2)."""
+def _doc_keys(n: int, edges: list, ids: list) -> np.ndarray:
+    """The sorted distinct keys of a document's [u, v] pairs of plain ints,
+    ids flattened; on a fault (an id outside 1..n, a self-loop) _pair_keys
+    keys them again, to name the first bad pair."""
     try:
         uv = np.fromiter(ids, np.int64, len(ids))
-    except OverflowError:  # an id past int64 is no vertex of g
-        return False
-    u, v = np.divmod(g._keys, g.n + 1)
-    return np.array_equal(uv[0::2], u) and np.array_equal(uv[1::2], v)
-
-
-def _label_graph(n: int, edges: list, label) -> Graph | None:
-    """The graph a generator label names, when the label's closed-form
-    shape is n vertices and len(edges) edges; None for any other document."""
-    if type(label) is not str or label.partition(":")[0] not in _FAMILIES:
-        return None
-    try:
-        shape = _spec_shape(*_parse_spec(label), n)
-        if shape != (n, len(edges)) or sum(shape) > GENERATE_CAP:
-            return None
-        return generate(label)
-    except (ParameterError, CapError):
-        return None
+    except OverflowError:  # an id past int64
+        return _pair_keys(n, edges)
+    u, v = uv[0::2], uv[1::2]
+    if (u > v).any():
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    if len(u) and (u.min() < 1 or v.max() > n or (u == v).any()):
+        return _pair_keys(n, edges)
+    keys = u * (n + 1) + v
+    if (keys[1:] <= keys[:-1]).any():
+        keys = np.unique(keys)
+    return keys
 
 
 def dumps(doc) -> str:

@@ -18,99 +18,56 @@ which is recomputed by simulation and never trusted from input.
 
 run_stages is the one simulation kernel: execute, plan_realized, the
 verifiers and the st stage tables hand it one column per vertex and a
-compare-exchange, so only it knows how comparators act on values.  It
-rebinds the caller's list in place: for the run the list holds one
-leading slot, so vertex v is cols[v] with no offset, a swap is a plain
-two-target assignment, and the slot is removed in a finally.  A copy of
-the list would keep every replaced column alive for the whole run (the
-0-1 verifier's columns are 2^n bits each).
+compare-exchange.  It works on the caller's list in place, with one
+leading slot for the run so that vertex v is cols[v]; a copy would keep
+every replaced column alive (the 0-1 verifier's are 2^n bits each).
 
 _freeze is the one validation kernel: make_network, make_plan, the
-readers and routing._plan, which freezes every public router's checked
-stages, hand it a whole stage list.  It holds each repeat once, keyed by
-identity, not by value (hashing every stage would cost more than the
-repeats save): a stage object that recurs, as the contour and pyramid
-sorters' rounds do, is checked once and frozen into one tuple that every
-repeat shares.  Its check has two steps.  The identity pass, run only on
-a list that comes without a table, finds the distinct comparator objects
-with one np.unique of the occurrences' ids (return_inverse only:
-return_index would sort stably, at twice the cost) and reads the stage
-lengths.  routing._checked and the canonical reader already hold that
-table (cmps, which, lens) for the stages _freeze keeps, the first of
-each repeat, and hand it in; it is taken when its lengths agree with
-those stages, and dropped once they are frozen.  The array pass
-then checks each distinct comparator once: only the matching test reads
-every occurrence.  It requires each kind to be allowed (only "swap" in a
-plan) and each vertex id to be a plain int in 1..n, range first: without
-that (0, 7) on n = 4 would get the key of edge (1, 2).  An edge {lo, hi}
-is keyed lo*(n+1) + hi, and membership is one searchsorted against the
-graph's sorted edge-key array (graphs.edge_keys, cached on the Graph).
-The matching test is one sort of (stage, vertex) keys.  Canonical (u, v,
-kind) tuples are kept as they are, swaps with u > v are flipped and
-other sequences made tuples, and only the stages that hold such a
-comparator are rebuilt.  When a check fails or a table is refused, the
-distinct stages go through make_stage one by one in order of first
-appearance (after make_plan's swap-only test, stage by stage): a repeat
-passed where it first appeared, so this raises what make_stage on every
-stage would, with the type and text of the per-comparator checks.
-make_stage stays the single-stage API and the only per-comparator loop.
+readers and routing._plan hand it a whole stage list.  A stage object
+that recurs, as the contour and pyramid sorters' rounds do, is checked
+once and frozen into one tuple that every repeat shares; repeats are
+found by identity, as hashing every stage would cost more than they
+save.  The identity pass finds the distinct comparator objects with one
+np.unique of their ids; routing._checked and the reader already hold
+that table (cmps, which, lens) and hand it in.  The array pass checks
+each distinct comparator once: an allowed kind, plain-int ids in 1..n
+(range first: (0, 7) on n = 4 keys like edge (1, 2)), membership by one
+searchsorted against the graph's sorted edge keys, and the matching test
+by one sort of (stage, vertex) keys.  Swaps with u > v are flipped, and
+only the stages that hold one are rebuilt.  When a check fails, the
+distinct stages go through make_stage in order of first appearance, so
+the error is the one make_stage on every stage would raise; make_stage
+is the single-stage API and the only per-comparator loop.
 
-The writers put out exactly what graphs.dumps, the package's one JSON
-dialect, would write of the whole document, but build the text of each
-distinct comparator once: _distinct finds the distinct objects by
-identity, as _freeze's identity pass does, and equal canonical triples
-(exact-int ids, a str kind equal to "dir" or "swap") are equal text, so
-each value is formatted once as [u,v,"kind"].  _stage_texts, which the
-canonical reader shares, joins them into each stage's text.  graphs.dumps
-writes the head (graph, order, plan flag, provenance, certificate), and
-"stages" and "version" are appended after it, as they sort after every
-other top-level key.  Every library path freezes its stages through
-_freeze, so a stage that is not a tuple of canonical triples can only be
-built by hand, and the writers refuse it as StructureError.
+The writers put out exactly graphs.dumps of the whole document, each
+distinct comparator formatted once, with "stages" and "version" appended
+after the head, as they sort after every other key.  A stage that is not
+a tuple of canonical triples can only be built by hand; they refuse it.
 
-_read reads every document through _read_canonical.  A document as the
-writers put it out (trailing whitespace allowed) ends in ],"version":1},
-and its last ,"stages":[ splits it into a head and a stage body, which
-is read without a parse tree: one 1:1 bytes.translate keeps the digits
-and makes every other byte a space, np.fromstring reads the ids from
-that, the s and d bytes give the kinds, the { bytes the stage bounds,
-and one np.unique over a (u, v, kind) key gives one tuple per distinct
-comparator (ids are taken below 2^31, so the key is exact).  The text is
-taken only when _stage_texts rebuilds the body byte for byte from what
-was read, and json.loads of the head closed by } is a non-empty object;
-json.loads of the whole text is then that object with "stages" and
-"version" set, since the last of equal keys wins.  Equal stage texts
-share one tuple, so _freeze checks each distinct stage once, and gets
-the table of the distinct ones.  Any other text goes through
-graphs.loads; once its version (exactly the int 1) and head (no key but
-the seven the writers write) pass, the parse is written back with
-graphs.dumps, dropped, and read canonically, at the call depth of the
-whole parse, so a document nested near the recursion limit gets one
-answer, compact or not.  A stage body declined even then (an id that is
-no int in 0..2^31-1, another kind, a stage object with another key) is
-refused with one StructureError that states the stage rule.  A
-comparator fault in a file (a non-edge, an aliased or shared vertex),
-like an order that is not a permutation, is malformed input, so the
-readers raise it as StructureError; builders keep ConstructionError and
-TaskError.  Neither reader takes the other's document: network JSON
-carrying "plan", or plan JSON carrying "provenance" or "certificate", is
-refused as StructureError, after the stage checks, so a file with a bad
-comparator gets the same text from either reader.  A network's
-certificate, when not null, must hold integer achieved_depth and
-claimed_bound, the bound no lower than that depth or the stage count, as
-a plan's stored order must be the one its stages realize.
+_read is the one reader.  A document as the writers put it out ends in
+],"version":1}, and its stage body, after the last ,"stages":[, is read
+without a parse tree: the ids through np.fromstring, the kinds from their
+s and d bytes, the stage bounds from the { bytes.  It is taken only when
+_stage_texts rebuilds it byte for byte; equal stage texts share one tuple,
+and _freeze gets the table of the distinct ones.  Any other text is
+parsed, its version (exactly the int 1) and top-level keys checked, and
+written back with graphs.dumps and read the same way, at the same call
+depth, so a document nested near the recursion limit gets one answer.  A
+stage body declined even then is refused with one StructureError that
+states the stage rule.  The host goes through graphs.graph_from_doc, and
+its order must be null.  A comparator or order fault in a file is
+malformed input, raised as StructureError; builders keep
+ConstructionError and TaskError.  Neither reader takes the other's
+document, refused after the stage checks so that a bad comparator gets
+one text from either.
 
-_gc_paused keeps CPython's cyclic collector out of the code that builds
-a plan or network: routing.route_auto, plan_from_json and
-network_from_json.  They allocate hundreds of thousands of tuples and
-lists that stay alive, and each full collection those allocations
-trigger rescans them all for nothing.  The covered code makes no
-reference cycles (a test requires gc.collect() == 0 after it), so
-reference counting alone frees what it drops and the pause holds back
-no garbage.  It never collects, never changes the thresholds, and
-restores the collector's state on the way out.  The first collection
-after the pause scans all it left alive, so the readers drop their parse
-tree inside it.
+_gc_paused keeps CPython's cyclic collector out of routing.route_auto,
+plan_from_json and network_from_json: they allocate hundreds of
+thousands of tuples that stay alive, and each full collection would
+rescan them all for nothing.  The covered code makes no reference cycles
+(a test requires gc.collect() == 0 after it), so the pause holds back no
+garbage; it restores the collector's state on the way out, and the
+readers drop their parse inside it.
 """
 
 from __future__ import annotations
@@ -537,8 +494,10 @@ def _read_canonical(text: str) -> tuple | None:
         lens = list(map(lens.__getitem__, last.values()))
     kept = {k: doc[k] for k in ("order", "provenance", "certificate", "plan")
             if k in doc}  # the graph is built last, after the stage checks
-    return graphs.graph_from_doc(doc["graph"]), stages, kept, \
-        (cmps, which, lens)
+    g = graphs.graph_from_doc(doc["graph"])
+    if doc["graph"].get("order") is not None:  # graph_doc writes it null
+        raise StructureError("network JSON graph order must be null")
+    return g, stages, kept, (cmps, which, lens)
 
 
 _KEYS = {"certificate", "graph", "order", "plan", "provenance", "stages",

@@ -152,6 +152,9 @@ def complete_assignment(n: int, want: dict[int, int]) -> list[int]:
     Unconstrained positions are sent to the unused targets in ascending
     order, so the result is deterministic.
     """
+    for v in want:
+        if v not in range(1, n + 1):  # never placed: free targets run short
+            raise ParameterError(f"source {v!r} is not a vertex of 1..{n}")
     targets = set(want.values())
     if len(targets) != len(want):
         raise ParameterError("duplicate targets in partial assignment")
@@ -426,8 +429,11 @@ def _to_path_rounds(t: Graph, sources, targets):
     """
     dpath, anchor, height, up = path_projection(t)
     d = len(dpath) - 1
-    sources = [int(s) for s in sources]
-    targets = [int(u) for u in targets]
+    sources, targets = list(sources), list(targets)
+    for x in sources + targets:  # as in make_stage: True would route as 1
+        if type(x) is not int:
+            raise StructureError(
+                f"source or target {x!r} is a non-integer vertex id")
     if len(sources) != len(targets):
         raise ParameterError("sources and targets must pair up")
     if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):

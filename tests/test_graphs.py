@@ -608,7 +608,8 @@ def test_json_label_size_is_checked_before_regenerating():
 
 
 def test_json_size_is_capped_before_anything_is_built(monkeypatch):
-    monkeypatch.setattr(graphs, "graph", None)  # any build would raise
+    for name in ("_doc_keys", "from_keys"):  # any keying or build raises
+        monkeypatch.setattr(graphs, name, None)
     for doc in ('{"n": 1000000000, "edges": []}',
                 '{"n": %d, "edges": [[1, 2]]}' % GENERATE_CAP):
         with pytest.raises(CapError, match="vertices plus edges"):
@@ -911,3 +912,176 @@ def test_dense_route_round_trip_builds_no_edge_set(spec):
     assert back.graph == g and back.realized == tuple(pi)
     for host in (g, back.graph):
         assert "edges" not in vars(host)
+
+
+# ---------------------------------------------------------------------------
+# the one-path reader against the two-path reader it replaced
+
+
+def _reference_graph(n, edges, family=None):
+    """The two-pass graph(): every pair put in (u, v) order, then keyed."""
+    try:
+        es = [(u, v) if u < v else (v, u) for u, v in edges]
+    except (TypeError, ValueError) as e:  # "a" < 2, or not a pair
+        raise StructureError(f"malformed edge list: {e}") from e
+    graphs._check_n(n)
+    keys = []
+    for u, v in es:
+        if type(u) is not int or type(v) is not int:
+            raise StructureError(
+                f"edge ({u!r},{v!r}) has a non-integer vertex id")
+        if not 1 <= u < v <= n:
+            raise StructureError(f"self-loop at {u}" if u == v
+                                 else f"bad edge ({u},{v}) for n={n}")
+        keys.append(u * (n + 1) + v)
+    return graphs.from_keys(n, np.unique(np.array(keys, np.int64)), family)
+
+
+def _reference_same_columns(g, ids):
+    try:
+        uv = np.fromiter(ids, np.int64, len(ids))
+    except OverflowError:
+        return False
+    u, v = np.divmod(g._keys, g.n + 1)
+    return np.array_equal(uv[0::2], u) and np.array_equal(uv[1::2], v)
+
+
+def _reference_label_graph(n, edges, label):
+    if type(label) is not str or label.partition(":")[0] not in \
+            graphs._FAMILIES:
+        return None
+    try:
+        shape = graphs._spec_shape(*graphs._parse_spec(label), n)
+        if shape != (n, len(edges)) or sum(shape) > GENERATE_CAP:
+            return None
+        return generate(label)
+    except (ParameterError, CapError):
+        return None
+
+
+def _reference_graph_from_doc(doc):
+    """The reader with a label fast path and a graph() rebuild."""
+    try:
+        n, edges = doc["n"], list(doc["edges"])
+        ids = [i for e in edges for i in e]
+        if type(n) is not int or any(type(i) is not int for i in ids):
+            raise StructureError("graph JSON n and vertex ids must be integers")
+        if any(len(e) != 2 for e in edges):
+            raise StructureError("graph JSON edges must be [u, v] pairs")
+        if n + len(edges) > GENERATE_CAP:
+            raise CapError(f"graph JSON has more than {GENERATE_CAP} "
+                           f"vertices plus edges")
+        label = doc.get("family")
+        made = _reference_label_graph(n, edges, label)
+        if made is not None and _reference_same_columns(made, ids):
+            return made if made.family == label \
+                else graphs.from_keys(n, made._keys, label)
+        g = _reference_graph(n, edges, family=label)
+        name = (g.family or "").partition(":")[0]
+    except KeyError as e:
+        raise StructureError(f"graph JSON missing {e}") from e
+    except (TypeError, AttributeError, ParameterError) as e:
+        raise StructureError(f"malformed graph JSON: {e}") from e
+    if name in graphs._FAMILIES:
+        try:
+            shape = graphs._spec_shape(*graphs._parse_spec(g.family), g.n)
+            same = shape in (None, (g.n, len(g._keys))) and np.array_equal(
+                g._keys, (made if made is not None
+                          else generate(g.family))._keys)
+        except ParameterError as e:
+            raise StructureError(
+                f"bad family label {g.family!r}: {e}") from e
+        if not same:
+            raise StructureError(
+                f"graph does not match its family label {g.family!r}")
+    return g
+
+
+def _outcome(read, *args):
+    """(n, keys, family) of what read builds, or its error's type and
+    text."""
+    try:
+        g = read(*args)
+    except (StructureError, CapError, ParameterError) as e:
+        return type(e), str(e)
+    return g.n, g._keys.tolist(), g.family
+
+
+_DOC_SPECS = ["path:1", "path:5", "cycle:6", "complete:5", "star:6",
+              "multipartite:3,2", "hypercube:3", "mesh:3,4", "mesh:2,2,2",
+              "random_tree:9,4", "random_tree:17,0", "pyramid:3,2",
+              "multigrid:3,2"]
+_OTHER_LABELS = [None, "product", "tree-of-mesh:3,3", "", "mesh", "path:x",
+                 "mesh:0", "random_tree:9,4,1", "hypercube:40",
+                 "path:1000000000", "pyramid:40,40", 7, 0, True, [], [1],
+                 {"a": 1}]
+
+
+@st.composite
+def _mutated_graph_docs(draw):
+    """A generated graph's document, its label written another way or
+    replaced, its n changed, or its edges reversed, shuffled, flipped,
+    duplicated, given a bad id or a self-loop; often several at once."""
+    g = generate(draw(st.sampled_from(_DOC_SPECS)))
+    doc = json.loads(to_json(g))
+    edges, n = doc["edges"], g.n
+    for how in draw(st.lists(st.sampled_from(
+            ["reverse", "shuffle", "flip", "duplicate", "id", "loop",
+             "relabel", "label", "n"]), min_size=1, max_size=3)):
+        if how == "reverse":
+            edges.reverse()
+        elif how == "shuffle":
+            random.Random(draw(st.integers(0, 99))).shuffle(edges)
+        elif how == "flip" and edges:
+            for e in draw(st.lists(st.sampled_from(edges), max_size=4)):
+                e.reverse()
+        elif how == "duplicate" and edges:
+            edges.insert(draw(st.integers(0, len(edges))),
+                         list(draw(st.sampled_from(edges))))
+        elif how == "id" and edges:
+            edge = draw(st.sampled_from(edges))
+            edge[draw(st.integers(0, 1))] = draw(st.sampled_from(
+                [0, -1, n + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 1.0, True]))
+        elif how == "loop":
+            k = draw(st.integers(1, n))
+            edges.insert(draw(st.integers(0, len(edges))), [k, k])
+        elif how == "relabel":  # the same spec, written another way
+            name, _, rest = g.family.partition(":")
+            doc["family"] = draw(st.sampled_from(
+                [f"{name}:{rest},", f"{name}: {rest}", f"{name}:0{rest}",
+                 f"{name}:{rest.removesuffix(',0')}", f" {name}:{rest}"]))
+        elif how == "label":
+            doc["family"] = draw(st.sampled_from(_DOC_SPECS + _OTHER_LABELS))
+        elif how == "n":
+            doc["n"] = draw(st.sampled_from(
+                [n - 1, n + 1, 0, -1, GENERATE_CAP]))
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mutated_graph_docs())
+def test_the_reader_agrees_with_the_two_path_reader(doc):
+    assert _outcome(graphs.graph_from_doc, doc) == \
+        _outcome(_reference_graph_from_doc, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1)), max_size=20))))
+def test_one_pass_graph_agrees_with_the_two_pass_graph(case):
+    n, pairs = case
+    assert _outcome(graph, n, pairs) == _outcome(_reference_graph, n, pairs)
+    assert _outcome(graphs.Graph, n, pairs) == _outcome(graph, n, pairs)
+
+
+def test_the_reader_refuses_keys_graph_doc_never_writes():
+    text = to_json(path_graph(3))
+    for key, value in (("x", 1), ("edge", []), ("N", 3)):
+        doc = json.loads(text)
+        doc[key] = value
+        with pytest.raises(StructureError) as e:
+            from_json(json.dumps(doc))
+        assert str(e.value) == f"graph JSON has an unknown key {key!r}"
+    # a graph file may carry an order; graph_doc writes the four keys
+    g, order = from_json(to_json(path_graph(3), order=[3, 2, 1]))
+    assert (g, order) == (path_graph(3), [3, 2, 1])

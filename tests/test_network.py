@@ -524,6 +524,8 @@ def test_comparator_faults_in_files_are_structure_errors(name):
     path = Path(__file__).parent / "corpus" / f"{name}.json"
     doc = json.loads(path.read_text())
     g = graph_from_doc(doc["graph"])
+    if doc["graph"].get("order") is not None:
+        raise StructureError("network JSON graph order must be null")
     stages = [[tuple(c) for c in s["cmp"]] for s in doc["stages"]]
     with pytest.raises(ConstructionError) as built:
         make_network(g, doc["order"], stages)
@@ -564,6 +566,25 @@ def test_the_readers_refuse_an_int_past_the_digit_limit():
                            "Exceeds the limit"):
             graphs.from_json(text)
 
+
+
+def test_both_readers_refuse_a_host_key_the_writers_never_write():
+    # each of these read back equal, and export dropped it
+    for read, obj in (
+            (network_from_json,
+             make_network(path_graph(4), (1, 2, 3, 4), [[(1, 2, DIR)]])),
+            (plan_from_json, make_plan(path_graph(4), [[(1, 2, SWAP)]]))):
+        doc = json.loads(_written(obj))
+        for key, value, error in (
+                ("x", 1, "graph JSON has an unknown key 'x'"),
+                ("order", [4, 3, 2, 1], "graph order must be null"),
+                ("order", "junk", "graph order must be null")):
+            bad = {**doc, "graph": {**doc["graph"], key: value}}
+            for text in (graphs.dumps(bad), json.dumps(bad, indent=1)):
+                with pytest.raises(StructureError) as e:
+                    read(text)
+                assert str(e.value).endswith(error)
+        assert read(json.dumps(doc, indent=1)) == obj
 
 
 def test_each_reader_refuses_the_other_document():
@@ -932,6 +953,8 @@ def _reference_read(text, plan: bool):
                     for c in s["cmp"]) for s in doc["stages"]):
         raise StructureError(_STAGE_REFUSAL)
     g = graph_from_doc(doc["graph"])
+    if doc["graph"].get("order") is not None:
+        raise StructureError("network JSON graph order must be null")
     stages = [[tuple(c) for c in s["cmp"]] for s in doc["stages"]]
     if plan and doc.get("plan") is not True:
         raise StructureError('plan JSON must have "plan": true')

@@ -7,6 +7,7 @@ import weakref
 from contextlib import contextmanager
 from itertools import chain, zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,10 @@ def test_complete_assignment():
     assert out[0] == 1 and out[2] == 3 and out[4] == 5
     with pytest.raises(ParameterError):
         complete_assignment(3, {1: 2, 2: 2})
+    # a source outside 1..n would leave a free target short
+    for want, source in (({99: 1}, "99"), ({0: 2}, "0"), ({4: 1, 1: 2}, "4")):
+        with pytest.raises(ParameterError, match=f"source {source} is not"):
+            complete_assignment(3, want)
 
 
 def test_route_complete_two_stages_all_perms():
@@ -180,6 +185,18 @@ def test_route_to_path_rejects_off_path_target():
                                     "distinct vertices")):
         with pytest.raises(ParameterError, match=text):
             route_to_path(t, sources, targets)
+
+
+def test_route_to_path_refuses_ids_that_are_not_ints():
+    # int() routed 1.5 and True as 1, "3" as 3 and 6.0 as 6
+    t = random_tree(10, 1)
+    path = tree_diameter_path(t)
+    for sources, targets in (([1.5], [path[0]]), ([True], [path[0]]),
+                             (["3"], [path[0]]), ([1], [float(path[0])]),
+                             ([np.int64(1)], [path[0]])):
+        with pytest.raises(StructureError, match="non-integer vertex id"):
+            route_to_path(t, sources, targets)
+    assert route_to_path(t, [1], [path[0]]).realized[0] == path[0]
 
 
 @settings(max_examples=40, deadline=None)
