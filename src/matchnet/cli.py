@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (verification passed), 1 failure or bad input,
 2 refused by a solver cap.  MATCHNET_CAP_OVERRIDE raises verifier caps;
-it is clamped to 26 because every cap guards an exponential.
+each solver still refuses n past its own hard limit.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .verify import (RANDOM_DEFAULT_TRIALS, exact_rt, exact_rt_p, exact_st,
                      sandwich_check, verify_auto, verify_exhaustive,
                      verify_random, verify_zero_one)
 
-CAP_LIMIT = 26
-
 
 def _cap_override() -> int | None:
     raw = os.environ.get("MATCHNET_CAP_OVERRIDE")
@@ -40,10 +38,6 @@ def _cap_override() -> int | None:
         print(f"ignoring non-positive MATCHNET_CAP_OVERRIDE={cap}",
               file=sys.stderr)
         return None
-    if cap > CAP_LIMIT:
-        print(f"clamping MATCHNET_CAP_OVERRIDE={cap} to {CAP_LIMIT}",
-              file=sys.stderr)
-        cap = CAP_LIMIT
     return cap
 
 

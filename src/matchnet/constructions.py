@@ -5,11 +5,16 @@ edges, with a depth certificate recording the claimed bound next to the
 achieved depth.  Builders are pure: the same parameters always produce the
 same network, byte for byte.
 
+_batcher_pairs, Batcher's odd-even merge sort as stages of wire pairs, is
+the one Batcher schedule: batcher_complete, sequential_sorter and the block
+schedules and scores of the merge builders read it, and _odd_even_stages
+serves the path sorter and longest_path_sort's arena alike.
+
 The three merge builders (subgraph_sort, longest_path_sort and
 parallel_subgraph_sort) sort by Batcher's merge-split step: route two label
 blocks into a subgraph, merge them there and rebind the labels.  They
-differ only in blocks, merge schedule, arenas and router, and share the
-one loop _arena_merges.
+differ only in blocks, merge schedule, arenas (vertex list, stage list)
+and router, and share the one loop _arena_merges.
 """
 
 from __future__ import annotations
@@ -45,19 +50,20 @@ def _is_complete(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # fixed-schedule sorters
 
+def _odd_even_stages(n: int) -> list[list[tuple]]:
+    """Odd-even transposition's n rounds on the path 1..n: round k
+    compares (i, i + 1) for every i of k's parity."""
+    return [[(i, i + 1, DIR) for i in range(2 - k % 2, n, 2)]
+            for k in range(1, n + 1)]
+
+
 def odd_even_transposition(n: int) -> SortingNetwork:
     """Odd-even transposition sort on the path; depth exactly n for n >= 2."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    host = path_graph(n)
-    if n == 1:
-        return make_network(host, (1,), [],
-                            certificate=_cert("odd_even", {"n": 1}, 0, 0))
-    stages = []
-    for k in range(1, n + 1):
-        stages.append([(i, i + 1, DIR) for i in range(1, n) if i % 2 == k % 2])
-    return make_network(host, identity(n), stages,
-                        certificate=_cert("odd_even", {"n": n}, n, n))
+    depth = n if n > 1 else 0  # a single vertex needs no round
+    return make_network(path_graph(n), identity(n), _odd_even_stages(depth),
+                        certificate=_cert("odd_even", {"n": n}, depth, depth))
 
 
 def bitonic_hypercube(dim: int) -> SortingNetwork:
@@ -87,55 +93,45 @@ def bitonic_hypercube(dim: int) -> SortingNetwork:
                                           bound, len(stages)))
 
 
-def _merge_sort_stages(size: int) -> list[list[tuple[int, int]]]:
-    # Batcher's odd-even merge sort over 0-based wires; size a power of two.
-    # Every comparator (a, b) has a < b and directs the minimum to a.
+def _batcher_pairs(n: int) -> list[list[tuple[int, int]]]:
+    """Batcher's odd-even merge sort on wires 1..n: its non-empty stages
+    of pairs (a, b), a < b, each directing the minimum to a.  Sizes off a
+    power of two are padded with virtual maximal keys, whose comparators
+    never move anything and are dropped."""
     stages = []
     p = 1
-    while p < size:
+    while p < n:
         k = p
         while k >= 1:
-            stage = []
-            for j in range(k % p, size - k, 2 * k):
-                for i in range(min(k, size - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        stage.append((i + j, i + j + k))
-            stages.append(stage)
+            stage = [(i + j + 1, i + j + k + 1)
+                     for j in range(k % p, n - k, 2 * k)
+                     for i in range(min(k, n - j - k))
+                     if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+            if stage:
+                stages.append(stage)
             k //= 2
         p *= 2
     return stages
 
 
 def batcher_complete(n: int) -> SortingNetwork:
-    """Batcher sorter on the complete graph.
-
-    Sizes off a power of two are padded with virtual maximal keys; the
-    comparators touching pad wires never move anything and are dropped.
-    The result directs every minimum toward the lower vertex id.
-    """
+    """Batcher sorter on the complete graph, its stages _batcher_pairs(n);
+    it directs every minimum toward the lower vertex id."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    host = complete_graph(n)
-    size = 1
-    levels = 0
-    while size < n:
-        size <<= 1
-        levels += 1
-    stages = []
-    for raw in _merge_sort_stages(size):
-        stage = [(a + 1, b + 1, DIR) for a, b in raw if b < n]
-        if stage:
-            stages.append(stage)
+    stages = [[(a, b, DIR) for a, b in stage] for stage in _batcher_pairs(n)]
+    levels = (n - 1).bit_length()
     bound = levels * (levels + 1) // 2
-    return make_network(host, identity(n), stages,
+    return make_network(complete_graph(n), identity(n), stages,
                         certificate=_cert("batcher", {"n": n},
                                           bound, len(stages)))
 
 
 def sequential_sorter(q: int) -> list[tuple[int, int]]:
     """Batcher comparisons flattened to one compare-exchange at a time."""
-    net = batcher_complete(q)
-    return [(u, v) for stage in net.stages for u, v, _ in stage]
+    if q < 1:
+        raise ParameterError("need n >= 1")
+    return [pair for stage in _batcher_pairs(q) for pair in stage]
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +302,23 @@ def _arena_merges(g: Graph, blocks: list[list[int]], schedule,
     """The stages of a merge-split sort of g over label blocks.
 
     Each stage of the schedule lists block pairs (i, j), 1-based; its k-th
-    merge takes arena k = (verts, net).  One route(sources, targets) per
-    schedule stage brings every merged block onto the first |block|
-    vertices of its arena, lowest ranks first; the arena nets then run in
-    lockstep, each keeping the comparators (u, v) with v <= |block|, and
-    the block's labels rebind to those vertices in rank order.  A final
-    route takes the labels, in block order, to vertices 1..n.
+    merge takes arena k = (verts, stages), a standard sorter's stages on
+    the local wires 1..|verts|.  One route(sources, targets) per schedule
+    stage brings every merged block onto the first |block| vertices of its
+    arena, lowest ranks first; the arena stages then run in lockstep, each
+    keeping the comparators (u, v) with v <= |block|, and the block's
+    labels rebind to those vertices in rank order.  A final route takes
+    the labels, in block order, to vertices 1..n.
     """
     pos = list(range(1, g.n + 1))
     stages_out: list = []
     for stage in schedule:
-        merges = [(blocks[i - 1] + blocks[j - 1], verts, net)
-                  for (i, j), (verts, net) in zip(stage, arenas)]
+        merges = [(blocks[i - 1] + blocks[j - 1], verts, sub)
+                  for (i, j), (verts, sub) in zip(stage, arenas)]
         sources = [pos[label - 1] for block, _, _ in merges for label in block]
         targets = [v for block, verts, _ in merges for v in verts[:len(block)]]
         _follow(route(sources, targets), pos, stages_out)
-        for step in zip_longest(*(net.stages for _, _, net in merges),
+        for step in zip_longest(*(sub for _, _, sub in merges),
                                 fillvalue=()):
             merged = [(verts[u - 1], verts[v - 1], kind)
                       for (block, verts, _), sub in zip(merges, step)
@@ -379,7 +376,7 @@ def subgraph_sort(g: Graph, h_vertices,
     rb = route_depth_bound(g)
 
     parts, schedule = _sequential_merges(n, p // 2)
-    stages_out = _arena_merges(g, parts, schedule, [(hv, h_net)],
+    stages_out = _arena_merges(g, parts, schedule, [(hv, h_net.stages)],
                                lambda src, dst: _routed(g, zip(src, dst)))
     claimed = len(schedule) * (rb + h_net.depth) + rb
     cert = _cert("subgraph",
@@ -410,13 +407,13 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
     tree = spanning_tree(g)
     path = tree_diameter_path(tree)
     d = len(path) - 1
-    h_net = odd_even_transposition(d + 1)
     rb = d + 2 * (2 * (d // 2) - 1)  # a full merge routes k = 2(d // 2)
 
     parts, schedule = _sequential_merges(n, d // 2)
-    stages_out = _arena_merges(g, parts, schedule, [(path, h_net)],
+    stages_out = _arena_merges(g, parts, schedule,
+                               [(path, _odd_even_stages(d + 1))],
                                partial(_to_path_stages, tree))
-    claimed = len(schedule) * (rb + h_net.depth) + route_depth_bound(g)
+    claimed = len(schedule) * (rb + d + 1) + route_depth_bound(g)
     cert = _cert("longest_path",
                  {"n": n, "d": d, "q": len(parts), "rt_used": rb},
                  claimed, len(stages_out))
@@ -426,11 +423,11 @@ def longest_path_sort(g: Graph) -> SortingNetwork:
 def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
     """Sort g with one merge arena per partition class, merges in parallel.
 
-    The partition classes are halved into 2q blocks; a parallel sorter on
-    2q wires drives the merges through _arena_merges, and every merge
-    fills one arena exactly, so the arena nets run unfiltered.  Needs equal
-    class sizes and an even class size (each merge of two blocks must fill
-    an arena).
+    The partition classes are halved into 2q blocks; Batcher's stages on
+    2q wires (_batcher_pairs) drive the merges through _arena_merges, and
+    every merge fills one arena exactly, so the arena nets run unfiltered.
+    Needs equal class sizes and an even class size (each merge of two
+    blocks must fill an arena).
     """
     check_connected(g)
     n = g.n
@@ -454,15 +451,15 @@ def parallel_subgraph_sort(g: Graph, partition, nets) -> SortingNetwork:
     # halves[w-1] in list order; the final route takes each pebble to the
     # vertex of its rank, so scattered classes sort into identity order too
     halves = [h for pv in parts for h in (pv[:size // 2], pv[size // 2:])]
-    base = batcher_complete(2 * q)
-    schedule = [[(u, v) for u, v, _ in stage] for stage in base.stages]
-    stages_out = _arena_merges(g, halves, schedule, list(zip(parts, nets)),
+    schedule = _batcher_pairs(2 * q)
+    arenas = [(pv, net.stages) for pv, net in zip(parts, nets)]
+    stages_out = _arena_merges(g, halves, schedule, arenas,
                                lambda src, dst: _routed(g, zip(src, dst)))
 
     max_net = max((net.depth for net in nets), default=0)
-    claimed = base.depth * (rb + max_net) + rb
+    claimed = len(schedule) * (rb + max_net) + rb
     cert = _cert("parallel_subgraph",
-                 {"n": n, "q": q, "rt_used": rb, "base_depth": base.depth},
+                 {"n": n, "q": q, "rt_used": rb, "base_depth": len(schedule)},
                  claimed, len(stages_out))
     return make_network(g, identity(n), stages_out, certificate=cert)
 
@@ -504,7 +501,7 @@ def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
             ((rows, g2), ([list(col) for col in zip(*rows)], g1))):
         if arena.n % 2 == 0:
             net = _factor_sorter(arena)
-            score = batcher_complete(2 * len(parts)).depth * (rb + net.depth)
+            score = len(_batcher_pairs(2 * len(parts))) * (rb + net.depth)
             options.append((score, side, parts, net))
     if not options:
         net = longest_path_sort(host)

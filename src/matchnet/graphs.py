@@ -48,6 +48,7 @@ files, generates a generator label once and refuses any difference.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -202,8 +203,12 @@ def from_keys(n: int, keys: np.ndarray, family: str | None = None,
     """The Graph on 1..n whose edges (u, v), u < v, key as keys, the
     strictly increasing int64 array of u*(n+1) + v; the one constructor
     every Graph goes through.  It takes keys over, read-only, and refuses
-    an unsorted or repeated key or one that is no edge on 1..n."""
+    an unsorted or repeated key or one that is no edge on 1..n, and a
+    family label that is not None or a non-empty str."""
     _check_n(n)
+    if family is not None and (not isinstance(family, str) or not family):
+        raise StructureError(
+            "graph family label must be null or a non-empty string")
     if type(keys) is not np.ndarray or keys.dtype != np.int64 \
             or keys.ndim != 1:
         raise StructureError("edge keys must be a 1-d int64 array")
@@ -411,15 +416,11 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     fam = f"random_tree:{n},{seed}"
     if n == 1:
         return graph(1, [], family=fam)
-    if n == 2:
-        return graph(2, [(1, 2)], family=fam)
     rng = random.Random(seed)
     seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     es = []
@@ -802,10 +803,11 @@ def graph_from_doc(doc) -> Graph:
     family is checked: its closed-form size must be the document's, then
     it is generated once and its keys must be the document's, and that
     graph is returned, relabelled when the label is written another way
-    ("random_tree:17" for "random_tree:17,0").  Other labels ("product",
-    "tree-of-...") pass through; they drive no dispatch without in-memory
-    factors.  Any other fault, a generator label that is no valid spec
-    among them, is malformed input and raises StructureError.
+    ("random_tree:17" for "random_tree:17,0").  Other non-empty string
+    labels ("product", "tree-of-...") pass through; they drive no dispatch
+    without in-memory factors.  Any other fault, a label that is neither
+    null nor a non-empty string and a generator label that is no valid
+    spec among them, is malformed input and raises StructureError.
     """
     try:
         n, edges = doc["n"], list(doc["edges"])
@@ -824,7 +826,8 @@ def graph_from_doc(doc) -> Graph:
         _check_n(n)
         keys = _doc_keys(n, edges, ids)
         label = doc.get("family")
-        name = (label or "").partition(":")[0]
+        # from_keys refuses a label that is not null or a non-empty string
+        name = label.partition(":")[0] if isinstance(label, str) else None
     except KeyError as e:
         raise StructureError(f"graph JSON missing {e}") from e
     except (TypeError, AttributeError, ParameterError) as e:

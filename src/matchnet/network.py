@@ -58,8 +58,10 @@ states the stage rule.  The host goes through graphs.graph_from_doc, and
 its order must be null.  A comparator or order fault in a file is
 malformed input, raised as StructureError; builders keep
 ConstructionError and TaskError.  Neither reader takes the other's
-document, refused after the stage checks so that a bad comparator gets
-one text from either.
+document.  network_from_json refuses a "plan" key after its stage and
+order checks, so a bad comparator in a plan file gets the stage text;
+plan_from_json refuses a document without "plan": true first, before
+its stage checks.
 
 _gc_paused keeps CPython's cyclic collector out of routing.route_auto,
 plan_from_json and network_from_json: they allocate hundreds of

@@ -7,6 +7,7 @@ network.run_stages (one column per vertex) with its own compare-exchange:
   vertex (bit x of mask v = value at v on input x).  A comparator is one
   AND plus one OR; the sortedness test is an implication check between
   consecutive ranks.  Sound and complete for sorting by the 0-1 principle.
+  n >= 27 is refused whatever the cap (ZERO_ONE_LIMIT).
 - verify_exhaustive: all n! distinct-key inputs, built in numpy in
   lexicographic order, one numpy column per vertex (entry i = value on
   input i), compared with np.minimum and np.maximum; a swap exchanges two
@@ -70,6 +71,7 @@ from . import graphs, network, perms
 from .errors import CapError, ConstructionError, ParameterError, TaskError
 
 ZERO_ONE_CAP = 20
+ZERO_ONE_LIMIT = 26  # one 2^n-bit column per vertex: 26 x 8 MB at n = 26
 EXHAUSTIVE_CAP = 8
 EXHAUSTIVE_LIMIT = 10  # all n! inputs at once: ~0.6 GB at n = 10, 11x that at 11
 RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
@@ -135,7 +137,7 @@ def _and_or(a, b) -> tuple:
 
 def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
-    _check_cap(n, cap, ZERO_ONE_CAP, "zero-one verification")
+    _check_cap(n, cap, ZERO_ONE_CAP, "zero-one verification", ZERO_ONE_LIMIT)
     cols = network.run_stages(net.stages, truth_columns(n), _and_or)
     inv = perms.inverse(net.order)
     full = (1 << (1 << n)) - 1

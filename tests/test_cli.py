@@ -99,12 +99,18 @@ def test_cap_override_env_clamped(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["verify", "--net", str(npath),
                         "--method", "zero_one"], capsys)
     assert code == 0
-    # values past the hard limit are clamped with a warning
+    # a value past the hard limit passes on silently; the 0-1 verifier
+    # itself stops at verify.ZERO_ONE_LIMIT
     monkeypatch.setenv("MATCHNET_CAP_OVERRIDE", "40")
     code, _, err = run(["verify", "--net", str(npath),
                         "--method", "zero_one"], capsys)
-    assert code == 0
-    assert "clamp" in err.lower()
+    assert code == 0 and err == ""
+    run(["build", "--construction", "batcher", "--graph", "complete:27",
+         "--out", str(npath)], capsys)
+    code, _, err = run(["verify", "--net", str(npath),
+                        "--method", "zero_one"], capsys)
+    _one_line_error(code, err, 2)
+    assert "exceeds cap 26" in err
     # a value that is not a positive integer is ignored with a warning
     for raw, text in (("abc", "non-integer"), ("0", "non-positive")):
         monkeypatch.setenv("MATCHNET_CAP_OVERRIDE", raw)

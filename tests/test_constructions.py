@@ -93,6 +93,81 @@ def test_sequential_sorter_matches_batcher():
     assert all(u < v for (u, v) in comps)
 
 
+def _merge_sort_stages(size):
+    # reference: Batcher's odd-even merge sort over 0-based wires, size a
+    # power of two, as the schedule was first written
+    stages = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            stage = []
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(min(k, size - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        stage.append((i + j, i + j + k))
+            stages.append(stage)
+            k //= 2
+        p *= 2
+    return stages
+
+
+def _batcher_reference(n):
+    # reference: n padded to a power of two, pad comparators dropped
+    size = 1
+    while size < n:
+        size <<= 1
+    stages = []
+    for raw in _merge_sort_stages(size):
+        stage = [(a + 1, b + 1) for a, b in raw if b < n]
+        if stage:
+            stages.append(stage)
+    return stages
+
+
+def _odd_even_reference(n):
+    return [[(i, i + 1, DIR) for i in range(1, n) if i % 2 == k % 2]
+            for k in range(1, n + 1)]
+
+
+def test_batcher_pairs_match_the_padded_merge_sort():
+    for n in range(1, 65):
+        ref = _batcher_reference(n)
+        assert constructions._batcher_pairs(n) == ref
+        assert sequential_sorter(n) == [pair for stage in ref
+                                        for pair in stage]
+        assert [[(u, v) for u, v, _ in stage]
+                for stage in batcher_complete(n).stages] == ref
+
+
+def test_odd_even_stages_are_the_path_sorters():
+    for n in range(2, 40):
+        stages = constructions._odd_even_stages(n)
+        assert stages == _odd_even_reference(n)
+        assert list(map(tuple, stages)) == list(
+            odd_even_transposition(n).stages)
+
+
+@pytest.mark.parametrize("build, freezes", [
+    (lambda: longest_path_sort(random_tree(12, 3)), 1),
+    (lambda: constructions.BUILDERS["subgraph"](mesh_graph((3, 3))), 1),
+    (lambda: product_sort(path_graph(8), path_graph(8)), 3),
+    (lambda: pyramid_sort(4, 2), 4),
+])
+def test_builders_freeze_no_throwaway_network(monkeypatch, build, freezes):
+    # the merge builders read Batcher's and the path sorter's schedules
+    # as stage lists: only arena and factor sorters and the result freeze
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return make_network(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "make_network", counting)
+    build()
+    assert len(calls) == freezes
+
+
 def test_contour_tree_sort_random_trees():
     for seed in range(25):
         rng = random.Random(seed)

@@ -734,6 +734,22 @@ def test_graph_refuses_a_vertex_count_that_is_not_an_int(n):
             build()
 
 
+def test_family_label_is_null_or_a_non_empty_string():
+    # from_keys, which every Graph goes through, refuses any other label,
+    # so no graph is unhashable or written back with a junk label
+    keys = np.array([7, 8], np.int64)
+    for label in ({}, [], 0, False, "", 7, ["path:3"]):
+        with pytest.raises(StructureError, match="null or a non-empty str"):
+            graphs.from_keys(4, keys, label)
+        with pytest.raises(StructureError, match="null or a non-empty str"):
+            graph(3, [(1, 2), (2, 3)], family=label)
+        with pytest.raises(StructureError, match="null or a non-empty str"):
+            from_json(json.dumps({"n": 3, "edges": [[1, 2], [2, 3]],
+                                  "family": label}))
+    for label in (None, "product", "x"):
+        assert hash(graphs.from_keys(4, keys, label))
+
+
 def test_from_keys_refuses_keys_that_are_no_sorted_distinct_edges():
     # on n = 4, (1, 2) keys 7, (1, 3) 8 and (3, 4) 19
     assert graphs.from_keys(4, np.array([7, 8, 19])) == \

@@ -606,6 +606,19 @@ def test_each_reader_refuses_the_other_document():
     for flag in (True, False, None):  # any "plan" key, whatever its value
         with pytest.raises(StructureError, match='must not carry "plan"'):
             network_from_json(json.dumps({**net_doc, "plan": flag}))
+    # plan_from_json refuses a document without "plan": true before its
+    # stage checks; network_from_json refuses "plan" after its own
+    bad = network_to_json(make_network(path_graph(4), (1, 2, 3, 4),
+                                       [[(1, 2, DIR)]])).replace(
+        '[1,2,"dir"]', '[1,3,"dir"]')
+    for read, text, error in (
+            (plan_from_json, bad, 'plan JSON must have "plan": true'),
+            (network_from_json, bad, "(1,3) is not an edge of the host graph"),
+            (network_from_json, bad.replace('"stages"', '"plan":true,"stages"'),
+             "(1,3) is not an edge of the host graph")):
+        with pytest.raises(StructureError) as e:
+            read(text)
+        assert str(e.value) == error
 
 def test_deeply_nested_json_is_a_structure_error():
     text = "[" * 5000 + "]" * 5000

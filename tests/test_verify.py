@@ -20,7 +20,8 @@ from matchnet.network import (DIR, SWAP, execute, is_sorted_for,
 from matchnet.perms import all_permutations, inverse
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
-                             RT_LIMIT, ZERO_ONE_CAP, all_matchings,
+                             RT_LIMIT, ZERO_ONE_CAP, ZERO_ONE_LIMIT,
+                             all_matchings,
                              connected_graphs_upto_iso, exact_rt,
                              exact_rt_p, exact_rt_partial, exact_st,
                              exact_st_all_orders, sandwich_check,
@@ -113,6 +114,16 @@ def test_caps_raise_and_override():
         verify_exhaustive(mid)
     rep = verify_exhaustive(mid, cap=EXHAUSTIVE_CAP + 1)
     assert rep.passed
+
+
+def test_zero_one_refuses_past_the_hard_limit_whatever_the_cap():
+    # refused before any of the 2^30-bit columns is built
+    big = odd_even_transposition(30)
+    for call in (lambda: verify_zero_one(big, cap=40),
+                 lambda: verify_auto(big, cap=40)):
+        with pytest.raises(CapError, match=f"exceeds cap {ZERO_ONE_LIMIT}"):
+            call()
+    assert ZERO_ONE_LIMIT == 26
 
 
 def test_verify_auto_dispatch():
