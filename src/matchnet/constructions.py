@@ -478,13 +478,27 @@ def _factor_sorter(g: Graph):
     return BUILDERS[_NATIVE.get(family_of(g)[0], "longest_path")](g)
 
 
+def _factor_depth(g: Graph) -> int | None:
+    """_factor_sorter(g).depth in closed form for the path, complete and
+    hypercube families, None for the others."""
+    name, params = family_of(g)
+    if name == "path":
+        return g.n if g.n > 1 else 0
+    if name == "complete":
+        return len(_batcher_pairs(g.n))
+    if name == "hypercube":
+        return params[0] * (params[0] + 1) // 2
+    return None
+
+
 def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
     """Sort a cartesian product using copies of one factor as merge arenas.
 
-    Both factor choices are certified and the cheaper valid one is taken;
-    a factor is usable as arena when the other side has even order.  When
-    both sides are odd the construction falls back to the diameter-path
-    sorter, recorded in the certificate.
+    Both factor choices are scored from their arena sorter's depth, in
+    closed form where _factor_depth has one, and the cheaper valid one is
+    taken; a factor is usable as arena when the other side has even order.
+    When both sides are odd the construction falls back to the
+    diameter-path sorter, recorded in the certificate.
     """
     host = cartesian_product(g1, g2)
     n1, n2 = g1.n, g2.n
@@ -500,16 +514,21 @@ def product_sort(g1: Graph, g2: Graph) -> SortingNetwork:
     for side, (parts, arena) in enumerate(
             ((rows, g2), ([list(col) for col in zip(*rows)], g1))):
         if arena.n % 2 == 0:
-            net = _factor_sorter(arena)
-            score = len(_batcher_pairs(2 * len(parts))) * (rb + net.depth)
-            options.append((score, side, parts, net))
+            net, depth = None, _factor_depth(arena)
+            if depth is None:
+                net = _factor_sorter(arena)
+                depth = net.depth
+            score = len(_batcher_pairs(2 * len(parts))) * (rb + depth)
+            options.append((score, side, parts, arena, net))
     if not options:
         net = longest_path_sort(host)
         cert = dict(net.certificate)
         cert["parameters"] = dict(cert["parameters"], fallback="longest_path")
         return replace(net, certificate=cert)
 
-    _, _, parts, arena_net = min(options, key=lambda o: (o[0], o[1]))
+    _, _, parts, arena, arena_net = min(options, key=lambda o: (o[0], o[1]))
+    if arena_net is None:  # built for the winner only
+        arena_net = _factor_sorter(arena)
     net = parallel_subgraph_sort(host, parts, [arena_net] * len(parts))
     return replace(net, certificate={**net.certificate,
                                      "formula_name": "product"})

@@ -20,7 +20,10 @@ run_stages is the one simulation kernel: execute, plan_realized, the
 verifiers and the st stage tables hand it one column per vertex and a
 compare-exchange.  It works on the caller's list in place, with one
 leading slot for the run so that vertex v is cols[v]; a copy would keep
-every replaced column alive (the 0-1 verifier's are 2^n bits each).
+every replaced column alive.  The verifiers' compare-exchange
+(verify._in_place) writes into the columns themselves and one spare
+buffer, which it keeps alive between comparators, so a run holds n + 1
+columns (the 0-1 verifier's are 2^n bits each) and allocates none.
 
 _freeze is the one validation kernel: make_network, make_plan, the
 readers and routing._plan hand it a whole stage list.  A stage object

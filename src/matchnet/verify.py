@@ -1,20 +1,28 @@
 """Verification of networks and exact brute-force oracles.
 
 Verification methods, each running the stages through the shared kernel
-network.run_stages (one column per vertex) with its own compare-exchange:
+network.run_stages (one column per vertex) with one compare-exchange,
+_in_place, that writes in place: the lower result goes into a spare
+buffer, the upper one over the second column, and the first column
+becomes the next spare.  A run therefore allocates nothing, and the
+verifier owns the columns it hands over.
 
-- verify_zero_one: all 2^n binary inputs at once, one big-int bitmask per
-  vertex (bit x of mask v = value at v on input x).  A comparator is one
-  AND plus one OR; the sortedness test is an implication check between
-  consecutive ranks.  Sound and complete for sorting by the 0-1 principle.
-  n >= 27 is refused whatever the cap (ZERO_ONE_LIMIT).
+- verify_zero_one: all 2^n binary inputs at once, one uint64 word array
+  per vertex (bit x of column v = value at v on input x; word w holds
+  inputs 64w..64w+63, the bits past 2^n zero when n < 6).  A comparator is
+  one AND plus one OR; the sortedness test is an implication check
+  between consecutive ranks, and a counterexample is the lowest set bit
+  of the first nonzero word.  Sound and complete for sorting by the 0-1
+  principle.  n >= 27 is refused whatever the cap (ZERO_ONE_LIMIT).
 - verify_exhaustive: all n! distinct-key inputs, built in numpy in
   lexicographic order, one numpy column per vertex (entry i = value on
   input i), compared with np.minimum and np.maximum; a swap exchanges two
-  column references.  n >= 11 is refused whatever the cap
+  column references.  The run overwrites the inputs, so a counterexample
+  is unranked from its index.  n >= 11 is refused whatever the cap
   (EXHAUSTIVE_LIMIT).
-- verify_random: the same columns over seeded blocks of permutations and
-  of keys with repeats, drawn RANDOM_CHUNK rows at a time; consecutive
+- verify_random: the same columns, copied from seeded blocks of
+  permutations and of keys with repeats (the blocks' rows are read back
+  for a counterexample), drawn RANDOM_CHUNK rows at a time; consecutive
   draws that fit in RANDOM_CHUNK rows together run as one pass.
 
 Oracles (small n, exact), each a layered BFS whose states are unsigned
@@ -71,9 +79,9 @@ from . import graphs, network, perms
 from .errors import CapError, ConstructionError, ParameterError, TaskError
 
 ZERO_ONE_CAP = 20
-ZERO_ONE_LIMIT = 26  # one 2^n-bit column per vertex: 26 x 8 MB at n = 26
+ZERO_ONE_LIMIT = 26  # a 2^n-bit column per vertex, 2 spares: 28 x 8 MB at n = 26
 EXHAUSTIVE_CAP = 8
-EXHAUSTIVE_LIMIT = 10  # all n! inputs at once: ~0.6 GB at n = 10, 11x that at 11
+EXHAUSTIVE_LIMIT = 10  # all n! inputs at once: 73 MB of int16 at n = 10, 11x at 11
 RANDOM_DEFAULT_TRIALS = 200_000  # half permutations, half repeat-valued
 RANDOM_CHUNK = 50_000  # most random inputs drawn, or simulated, at once
 RT_CAP = 8
@@ -113,39 +121,74 @@ def _check_cap(n: int, cap: int | None, default: int, what: str,
 
 
 # ---------------------------------------------------------------------------
+# the verifiers' compare-exchange
+
+
+def _in_place(lo, hi, spare: np.ndarray):
+    """A compare-exchange for network.run_stages that writes in place.
+
+    lo(a, b) goes into spare and hi(a, b) over b; a then becomes the spare
+    for the next comparator.  lo and hi are ufuncs (np.bitwise_and and
+    np.bitwise_or, np.minimum and np.maximum); the columns are distinct
+    arrays shaped like spare.
+    """
+    def cx(a, b):
+        nonlocal spare
+        out = spare
+        lo(a, b, out=out)
+        hi(a, b, out=b)
+        spare = a
+        return out, b
+    return cx
+
+
+# ---------------------------------------------------------------------------
 # 0-1 verification
 
 
-def truth_columns(n: int) -> list[int]:
-    """Column masks over all 2^n inputs; bit x of column v = bit v of x."""
-    total = 1 << n
-    cols = []
-    for b in range(n):
-        run = 1 << b
-        pattern = ((1 << run) - 1) << run
-        width = 2 * run
-        while width < total:
-            pattern |= pattern << width
-            width *= 2
-        cols.append(pattern)
+# bit j of _WORD_BITS[b] is bit b of j: a vertex's pattern inside one word
+_WORD_BITS = [sum(1 << j for j in range(64) if j >> b & 1) for b in range(6)]
+
+
+def _zero_one_columns(n: int) -> list[np.ndarray]:
+    """All 2^n binary inputs as n uint64 word arrays, one per vertex: bit x
+    of column v is bit v - 1 of x, and word w holds inputs 64w..64w+63
+    (input 64w + j in bit j).  When 2^n < 64 the unused bits are 0 in
+    every column, so AND and OR keep them 0.
+
+    Separate arrays, not rows of one block: a freed block of several MB
+    raised build_verify's peak RSS by 0.7 MB, as later mid-sized arrays
+    then came from the heap.
+    """
+    mask = (1 << min(64, 1 << n)) - 1  # the bits of a word that are inputs
+    cols = [np.empty(max(1, (1 << n) >> 6), dtype=np.uint64) for _ in range(n)]
+    for b, col in enumerate(cols):
+        if b < 6:
+            col[:] = _WORD_BITS[b] & mask
+        else:  # runs of 2^(b-6) words, all 0 then all 1
+            runs = col.reshape(-1, 2, 1 << (b - 6))
+            runs[:, 0] = 0
+            runs[:, 1] = mask
     return cols
-
-
-def _and_or(a, b) -> tuple:
-    return a & b, a | b
 
 
 def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
     _check_cap(n, cap, ZERO_ONE_CAP, "zero-one verification", ZERO_ONE_LIMIT)
-    cols = network.run_stages(net.stages, truth_columns(n), _and_or)
+    cols = _zero_one_columns(n)
+    bad = np.empty_like(cols[0])
+    network.run_stages(net.stages, cols,
+                       _in_place(np.bitwise_and, np.bitwise_or,
+                                 np.empty_like(bad)))
     inv = perms.inverse(net.order)
-    full = (1 << (1 << n)) - 1
     for r in range(1, n):
         lo, hi = cols[inv[r - 1] - 1], cols[inv[r] - 1]
-        bad = lo & (full ^ hi)  # inputs where rank r holds 1 but rank r+1 holds 0
-        if bad:
-            x = (bad & -bad).bit_length() - 1
+        np.invert(hi, out=bad)
+        bad &= lo  # inputs where rank r holds 1 but rank r+1 holds 0
+        if bad.any():
+            w = int(np.argmax(bad != 0))
+            word = int(bad[w])
+            x = 64 * w + (word & -word).bit_length() - 1
             cex = tuple((x >> (v - 1)) & 1 for v in range(1, n + 1))
             return VerificationReport(
                 passed=False, method="zero_one", inputs_checked=1 << n,
@@ -159,15 +202,17 @@ def verify_zero_one(net: network.SortingNetwork, cap: int | None = None) -> Veri
 # exhaustive and randomized verification
 
 
-def _sorted_rows(net: network.SortingNetwork, arr: np.ndarray) -> np.ndarray:
-    """Which rows of the input block (rows = inputs) the network sorts.
+def _sorted_rows(net: network.SortingNetwork, cols: np.ndarray) -> np.ndarray:
+    """Which inputs the network sorts, given cols[v - 1] = the value of
+    vertex v on every input (an (n, inputs) array, C-contiguous).
 
-    The kernel only rebinds columns, so arr is never written to.
+    The run writes in place, so cols is consumed: pass a copy to keep it.
     """
-    cols = network.run_stages(net.stages, list(np.ascontiguousarray(arr.T)),
-                              lambda a, b: (np.minimum(a, b), np.maximum(a, b)))
-    ranked = [cols[v - 1] for v in perms.inverse(net.order)]
-    ok = np.ones(len(arr), dtype=bool)
+    out = network.run_stages(
+        net.stages, list(cols),
+        _in_place(np.minimum, np.maximum, np.empty_like(cols[0])))
+    ranked = [out[v - 1] for v in perms.inverse(net.order)]
+    ok = np.ones(cols.shape[1], dtype=bool)
     for lo, hi in zip(ranked, ranked[1:]):
         ok &= lo <= hi
     return ok
@@ -192,20 +237,29 @@ def _lex_block(n: int) -> np.ndarray:
     return block
 
 
+def _lex_unrank(n: int, i: int) -> tuple[int, ...]:
+    """The permutation of 1..n at 0-based index i in lexicographic order
+    (column i of _lex_block(n)), read off i's factorial digits."""
+    rest = list(range(1, n + 1))
+    perm = []
+    for k in range(n - 1, -1, -1):
+        digit, i = divmod(i, math.factorial(k))
+        perm.append(rest.pop(digit))
+    return tuple(perm)
+
+
 def verify_exhaustive(net: network.SortingNetwork, cap: int | None = None) -> VerificationReport:
     n = net.graph.n
     _check_cap(n, cap, EXHAUSTIVE_CAP, "exhaustive verification", EXHAUSTIVE_LIMIT)
-    inputs = _lex_block(n).T  # row i: the i-th permutation
-    ok = _sorted_rows(net, inputs)
+    ok = _sorted_rows(net, _lex_block(n))  # column i: the i-th permutation
     if not ok.all():
-        i = int(np.argmin(ok))
         return VerificationReport(
             passed=False, method="exhaustive",
-            inputs_checked=len(inputs),
-            counterexample=tuple(int(x) for x in inputs[i]),
+            inputs_checked=len(ok),
+            counterexample=_lex_unrank(n, int(np.argmin(ok))),
             detail="permutation input left unsorted")
     return VerificationReport(passed=True, method="exhaustive",
-                              inputs_checked=len(inputs))
+                              inputs_checked=len(ok))
 
 
 def verify_random(net: network.SortingNetwork, trials: int = RANDOM_DEFAULT_TRIALS,
@@ -213,14 +267,18 @@ def verify_random(net: network.SortingNetwork, trials: int = RANDOM_DEFAULT_TRIA
     """Seeded spot check: half permutations, half keys with repeats.
 
     Non-certifying; this is the only method available past the caps.
-    Fewer than one trial checks nothing and is refused with ParameterError.
+    trials must be an int >= 1 and seed an int >= 0; any other value (a
+    bool, a float, None, a numpy integer) is refused with ParameterError.
     """
-    if trials < 1:
-        raise ParameterError(f"random verification needs trials >= 1, "
-                             f"not {trials}")
+    if type(trials) is not int or trials < 1:
+        raise ParameterError(f"random verification needs an int trials >= 1, "
+                             f"not {trials!r}")
+    if type(seed) is not int or seed < 0:
+        raise ParameterError(f"random verification needs an int seed >= 0, "
+                             f"not {seed!r}")
     checked = 0
     for arr in _random_blocks(np.random.default_rng(seed), net.graph.n, trials):
-        ok = _sorted_rows(net, arr)
+        ok = _sorted_rows(net, arr.T.copy())  # arr's rows are read back
         if not ok.all():
             i = int(np.argmin(ok))
             return VerificationReport(
@@ -535,6 +593,12 @@ def _st_word(n: int) -> type:
     NEP 50 an np.uint64 scalar would widen a uint32 array to 64 bits.
     """
     return np.uint32 if 1 << n <= 32 else np.uint64
+
+
+def _and_or(a, b) -> tuple:
+    """_stage_luts' compare-exchange: it allocates, as its bits rows are
+    the input of every stage."""
+    return a & b, a | b
 
 
 def _stage_luts(stages: list[tuple], n: int) -> np.ndarray:

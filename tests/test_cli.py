@@ -267,6 +267,18 @@ def test_verify_random_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
     assert "trials >= 1" in err
 
 
+def test_verify_random_refuses_a_negative_seed(tmp_path, capsys):
+    # the library refuses it with one line, before numpy's generator sees it
+    npath = tmp_path / "net.json"
+    run(["build", "--construction", "odd_even", "--graph", "path:4",
+         "--out", str(npath)], capsys)
+    code, out, err = run(["verify", "--net", str(npath), "--method", "random",
+                          "--seed", "-1"], capsys)
+    assert out == ""
+    _one_line_error(code, err, 1)
+    assert err == "error: random verification needs an int seed >= 0, not -1\n"
+
+
 def _relabelled(tmp_path, spec, label):
     data = json.loads(to_json(generate(spec)))
     data["family"] = label

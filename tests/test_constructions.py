@@ -151,8 +151,9 @@ def test_odd_even_stages_are_the_path_sorters():
 @pytest.mark.parametrize("build, freezes", [
     (lambda: longest_path_sort(random_tree(12, 3)), 1),
     (lambda: constructions.BUILDERS["subgraph"](mesh_graph((3, 3))), 1),
-    (lambda: product_sort(path_graph(8), path_graph(8)), 3),
-    (lambda: pyramid_sort(4, 2), 4),
+    (lambda: product_sort(path_graph(8), path_graph(8)), 2),
+    (lambda: product_sort(hypercube_graph(2), complete_graph(6)), 2),
+    (lambda: pyramid_sort(4, 2), 3),
 ])
 def test_builders_freeze_no_throwaway_network(monkeypatch, build, freezes):
     # the merge builders read Batcher's and the path sorter's schedules
@@ -166,6 +167,19 @@ def test_builders_freeze_no_throwaway_network(monkeypatch, build, freezes):
     monkeypatch.setattr(constructions, "make_network", counting)
     build()
     assert len(calls) == freezes
+
+
+def test_factor_depth_is_the_factor_sorters_depth():
+    # product_sort scores an arena from this closed form instead of
+    # building the arena's sorter
+    hosts = ([path_graph(n) for n in range(1, 20)]
+             + [complete_graph(n) for n in range(1, 40)]
+             + [hypercube_graph(d) for d in range(1, 7)])
+    for g in hosts:
+        assert constructions._factor_depth(g) == \
+            constructions._factor_sorter(g).depth, g.family
+    for g in (mesh_graph((2, 3)), star_graph(4), random_tree(6, 1)):
+        assert constructions._factor_depth(g) is None
 
 
 def test_contour_tree_sort_random_trees():

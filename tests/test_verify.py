@@ -16,17 +16,17 @@ from matchnet.graphs import (complete_graph, graph, is_connected, path_graph,
                              star_graph)
 from matchnet.network import (DIR, SWAP, execute, is_sorted_for,
                               make_network, make_plan, make_stage,
-                              plan_realized)
+                              plan_realized, run_stages)
 from matchnet.perms import all_permutations, inverse
 from matchnet.routing import route_auto
 from matchnet.verify import (EXHAUSTIVE_CAP, RANDOM_DEFAULT_TRIALS,
                              RT_LIMIT, ZERO_ONE_CAP, ZERO_ONE_LIMIT,
-                             all_matchings,
+                             VerificationReport, all_matchings,
                              connected_graphs_upto_iso, exact_rt,
                              exact_rt_p, exact_rt_partial, exact_st,
                              exact_st_all_orders, sandwich_check,
-                             truth_columns, verify_auto, verify_exhaustive,
-                             verify_random, verify_zero_one)
+                             verify_auto, verify_exhaustive, verify_random,
+                             verify_zero_one)
 
 
 def _random_net(n, seed, depth=8):
@@ -94,6 +94,95 @@ def test_zero_one_passes_known_sorter():
     rep = verify_zero_one(net)
     assert rep.passed and rep.method == "zero_one"
     assert rep.inputs_checked == 2 ** 6
+
+
+# Reference for the 0-1 word kernel: the big-int verify_zero_one it
+# replaced, one 2^n-bit Python int per vertex, kept verbatim.
+
+def truth_columns(n: int) -> list[int]:
+    """Column masks over all 2^n inputs; bit x of column v = bit v of x."""
+    total = 1 << n
+    cols = []
+    for b in range(n):
+        run = 1 << b
+        pattern = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < total:
+            pattern |= pattern << width
+            width *= 2
+        cols.append(pattern)
+    return cols
+
+
+def _reference_zero_one(net):
+    n = net.graph.n
+    cols = run_stages(net.stages, truth_columns(n),
+                      lambda a, b: (a & b, a | b))
+    inv = inverse(net.order)
+    full = (1 << (1 << n)) - 1
+    for r in range(1, n):
+        lo, hi = cols[inv[r - 1] - 1], cols[inv[r] - 1]
+        bad = lo & (full ^ hi)  # inputs where rank r holds 1 but rank r+1 holds 0
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            cex = tuple((x >> (v - 1)) & 1 for v in range(1, n + 1))
+            return VerificationReport(
+                passed=False, method="zero_one", inputs_checked=1 << n,
+                counterexample=cex,
+                detail=f"rank {r} above rank {r + 1} on input {x}")
+    return VerificationReport(passed=True, method="zero_one",
+                              inputs_checked=1 << n)
+
+
+def _zero_one_outcome(report):
+    return (report.passed, report.counterexample, report.inputs_checked,
+            report.detail)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_word_columns_are_the_truth_columns(n):
+    # word w holds inputs 64w..64w+63; bits past 2^n stay 0 for n < 6
+    cols = verify._zero_one_columns(n)
+    assert len(cols) == n
+    for col, mask in zip(cols, truth_columns(n)):
+        assert col.dtype == np.uint64 and col.shape == (max(1, 2 ** n // 64),)
+        assert sum(int(w) << (64 * i) for i, w in enumerate(col)) == mask
+
+
+def _planted_faults(base):
+    """base, and base with each comparator in turn dropped, flipped or made
+    a swap."""
+    yield base
+    for s, stage in enumerate(base.stages):
+        for c, (u, v, _) in enumerate(stage):
+            for fault in ([], [(v, u, DIR)], [(u, v, SWAP)]):
+                stages = [list(x) for x in base.stages]
+                stages[s][c:c + 1] = fault
+                yield make_network(base.graph, base.order, stages)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_word_kernel_matches_the_big_int_reference_up_to_two_words(n):
+    # n <= 6 is one word, masked to its 2^n inputs when 2^n < 64; n = 7 two
+    for build in (odd_even_transposition, batcher_complete):
+        for net in _planted_faults(build(n)):
+            assert _zero_one_outcome(verify_zero_one(net)) == \
+                _zero_one_outcome(_reference_zero_one(net))
+
+
+def test_word_kernel_finds_a_fault_in_the_last_word():
+    # Batcher on 20 wires with its first stage-1 comparator made a swap
+    # sorts every input below 2^20 - 4, which is the 61st input of the
+    # last of the 16,384 words
+    base = batcher_complete(20)
+    stages = [list(s) for s in base.stages]
+    u, v, _ = stages[1][0]
+    stages[1][0] = (u, v, SWAP)
+    net = make_network(base.graph, base.order, stages)
+    rep = verify_zero_one(net)
+    assert _zero_one_outcome(rep) == _zero_one_outcome(_reference_zero_one(net))
+    assert rep.detail == f"rank 1 above rank 2 on input {2 ** 20 - 4}"
+    assert rep.counterexample == (0, 0) + (1,) * 18
 
 
 def test_truth_columns_shape():
@@ -488,11 +577,11 @@ def _matching_stages(draw, n, kinds, max_depth=12):
 
 
 @st.composite
-def planted_networks(draw):
-    """A network on K_n, n <= 8: random dir comparators in both
+def planted_networks(draw, max_n=8):
+    """A network on K_n, n <= max_n: random dir comparators in both
     orientations mixed with swaps, or a Batcher sorter with one planted
     fault (a comparator dropped, flipped, or turned into a swap)."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     if draw(st.booleans()):
         base = batcher_complete(n)
         stages = [list(s) for s in base.stages]
@@ -523,15 +612,55 @@ def test_kernel_matches_the_matrix_reference(net, seed, trials):
     ref = _reference_run_matrix(net, block.copy())
     for row, want in zip(block.tolist(), ref.tolist()):
         assert execute(net, row) == want
-    assert verify._sorted_rows(net, block).tolist() == \
+    # _sorted_rows consumes the columns it is handed: give it a copy
+    assert verify._sorted_rows(net, block.T.copy()).tolist() == \
         _reference_sorted_rows(net, ref).tolist()
-    assert np.array_equal(block, before)  # the input block is never changed
+    assert np.array_equal(block, before)  # the caller's block is unchanged
     assert _outcome(verify_exhaustive(net)) == _reference_exhaustive(net)
     # the drawn count, and counts at verify_random's chunk edges: one row,
     # an odd split, one pass for both halves, two passes, three passes
     for count in (trials, 1, 3, 1024, 50_001, 100_001):
         assert _outcome(verify_random(net, count, seed)) == \
             _reference_random(net, count, seed), count
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_networks(max_n=12))
+def test_word_kernel_matches_the_big_int_reference(net):
+    assert _zero_one_outcome(verify_zero_one(net)) == \
+        _zero_one_outcome(_reference_zero_one(net))
+
+
+def test_in_place_exchange_keeps_to_the_callers_buffers():
+    # every column handed back is one of the n rows or the spare; the one
+    # left out is the next spare, so a run allocates no column
+    net = _random_net(6, 4, depth=12)
+    rng = np.random.default_rng(4)
+    block = rng.integers(0, 5, size=(6, 40))
+    want = [execute(net, list(row)) for row in block.T.tolist()]
+    cols, spare = list(block), np.empty_like(block[0])
+    buffers = {id(c) for c in cols} | {id(spare)}
+    out = run_stages(net.stages, cols,
+                     verify._in_place(np.minimum, np.maximum, spare))
+    assert len({id(c) for c in out}) == 6 and {id(c) for c in out} < buffers
+    assert np.array(out).T.tolist() == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lex_unrank_is_itertools_permutations_order(n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    assert [verify._lex_unrank(n, i) for i in range(len(perms))] == perms
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", True), ("trials", False), ("trials", 2.5), ("trials", None),
+    ("trials", "10"), ("trials", np.int64(10)),
+    ("seed", -1), ("seed", None), ("seed", True), ("seed", 1.0),
+    ("seed", np.int64(3))])
+def test_verify_random_refuses_a_bad_trials_or_seed(name, value):
+    with pytest.raises(ParameterError,
+                       match=f"random verification needs an int {name} >= "):
+        verify_random(odd_even_transposition(4), **{name: value})
 
 
 @pytest.mark.parametrize("n, stage, comparator, first_fault", [
